@@ -1,8 +1,8 @@
 """Central numerical tolerances.
 
-Every comparison threshold used by the package lives in one mutable object so
-it can be adjusted globally.  Defaults target dense complex matrices of
-composite dimension <= 64.
+Adjustable comparison thresholds live in one mutable object so they can be
+changed globally; fixed ones are module constants.  Defaults target dense
+complex matrices of composite dimension <= 64.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ class Tolerances:
 
 
 tolerances = Tolerances()
+UNIT_TRACE_TOL = 1e-9  # |tr(W) - 1| allowed for a density operator
+KRAUS_TOL = 1e-9       # |sum K^dagger K - Id|_F allowed for a Kraus family
 
 
 def default_residual_tol() -> float:

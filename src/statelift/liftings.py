@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import default_residual_tol, tolerances
+from .config import KRAUS_TOL, default_residual_tol, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .linalg import frobenius, kron, matrix_unit, partial_trace_env, trace_norm, unvec, vec
 from .rng import philox_rng, spawn_seeds
@@ -49,20 +49,18 @@ class Lifting:
             raise ConstraintViolation("lifting matrix has non-finite entries")
 
 
-def _assemble(action, ds: int, de: int) -> np.ndarray:
-    """Column c*ds+r of the lifting matrix is vec(action(E_rc))."""
-    m = np.empty(((ds * de) ** 2, ds * ds), dtype=np.complex128)
-    for c in range(ds):
-        for r in range(ds):
-            m[:, c * ds + r] = vec(action(matrix_unit(r, c, ds)))
-    return m
-
-
 def product_lifting(reference: np.ndarray, ds: int) -> Lifting:
-    """The lifting rho -> rho (x) reference."""
+    """The lifting rho -> rho (x) reference.
+
+    Column c*ds + r is vec(E_rc (x) D): D^T at index [c, :, r, :] of the
+    (ds, de, ds, de) row split, set by one broadcast assignment in
+    O((ds*de)^2 * ds^2)."""
     d = validate_density(reference)
     de = d.shape[0]
-    return Lifting(ds, de, _assemble(lambda x: kron(x, d), ds, de))
+    m = np.zeros((ds, de, ds, de, ds, ds), dtype=np.complex128)
+    c, r = np.ogrid[:ds, :ds]
+    m[c, :, r, :, c, r] = d.T
+    return Lifting(ds, de, m.reshape((ds * de) ** 2, ds * ds))
 
 
 def kraus_lifting(ks, reference: np.ndarray, ds: int) -> Lifting:
@@ -80,16 +78,16 @@ def kraus_lifting(ks, reference: np.ndarray, ds: int) -> Lifting:
             raise DimensionMismatch(f"Kraus operator shape {k.shape}, expected ({dim}, {dim})")
     total = sum(k.conj().T @ k for k in ks)
     deviation = frobenius(total - np.eye(dim))
-    if deviation > 1e-9:
+    if deviation > KRAUS_TOL:
         raise ConstraintViolation(
             f"Kraus family is not normalized: |sum K^dagger K - Id|_F = {deviation:.3e}"
         )
-
-    def action(x):
-        y = kron(x, d)
-        return sum(k @ y @ k.conj().T for k in ks)
-
-    return Lifting(ds, de, _assemble(action, ds, de))
+    m = np.empty((dim * dim, ds * ds), dtype=np.complex128)
+    for c in range(ds):
+        for r in range(ds):
+            y = kron(matrix_unit(r, c, ds), d)
+            m[:, c * ds + r] = vec(sum(k @ y @ k.conj().T for k in ks))
+    return Lifting(ds, de, m)
 
 
 def apply_lifting(f: Lifting, x: np.ndarray) -> np.ndarray:
@@ -457,18 +455,6 @@ def diag_mixing_positive_scan(
 # ---------------------------------------------------------------------------
 
 
-def ptrace_env_superop(ds: int, de: int) -> np.ndarray:
-    """Matrix P with P @ vec(W) = vec(tr_env(W))."""
-    dim = ds * de
-    p = np.zeros((ds * ds, dim * dim), dtype=np.complex128)
-    for k in range(ds):
-        for l in range(ds):
-            row = l * ds + k
-            for i in range(de):
-                p[row, (l * de + i) * dim + (k * de + i)] = 1.0
-    return p
-
-
 def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     """Random lifting-shaped direction: Hermiticity-preserving, annihilated by
     the partial-trace constraint, Frobenius-normalized.
@@ -476,22 +462,34 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     Built real in the Hermitian basis pair (so Hermitian inputs map to
     Hermitian outputs), then the canonical completion of its partial-trace
     image (tensoring with Id/de) is subtracted, leaving tr_env(Delta(X)) = 0
-    for every X.
+    for every X.  The composite basis is never formed: each member has at
+    most four nonzero entries, so the draw is scattered straight into a
+    (dim, dim, ds^2) stack of transposed images, projected by an einsum over
+    its (ds, de, ds, de) blocks: O((ds*de)^2 * ds^2) time and memory.
     """
     rng = philox_rng(seed)
-    src = hermitian_basis(ds)
-    dst = hermitian_basis(ds * de)
-    g_cols = np.column_stack([vec(h) for h in src])
-    h_cols = np.column_stack([vec(h) for h in dst])
-    ptr = ptrace_env_superop(ds, de)
-    embed = product_lifting(np.eye(de) / de, ds).matrix
+    dim, n = ds * de, ds * ds
+    g_inv = np.linalg.inv(np.column_stack([vec(h) for h in hermitian_basis(ds)]))
+    rows, cols = np.triu_indices(dim)
+    pair_rows, pair_cols = np.triu_indices(dim, 1)
+    off = rows != cols
     for _ in range(8):
-        r = rng.standard_normal((len(dst), len(src)))
-        m = h_cols @ r @ np.linalg.inv(g_cols)
-        m -= embed @ (ptr @ m)
-        norm = float(np.linalg.norm(m))
+        g, star = np.split(rng.standard_normal((dim * dim, n)), [len(rows)])
+        # transposed images, so that entry [c, r] sits at vec index c*dim + r
+        images = np.zeros((dim, dim, n), dtype=np.complex128)
+        images[rows, cols] = g
+        images[pair_rows, pair_cols] -= 1j * star
+        images[pair_cols, pair_rows] = g[off] + 1j * star
+        # member (k, l), k < l, and its star also carry ones at (k, k) and (l, l)
+        ends = np.zeros((dim, dim, n))
+        ends[pair_rows, pair_cols] = g[off] + star
+        images[np.diag_indices(dim)] += ends.sum(0) + ends.sum(1)
+        blocks = (images.reshape(dim * dim, n) @ g_inv).reshape(ds, de, ds, de, n)
+        p = np.einsum("aibic->abc", blocks) / de
+        blocks -= np.einsum("abc,ij->aibjc", p, np.eye(de))
+        norm = float(np.linalg.norm(blocks))
         if norm > 1e-9:
-            return m / norm
+            return blocks.reshape(dim * dim, n) / norm
     raise ConstraintViolation("could not draw a non-degenerate perturbation")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import tolerances
+from .config import UNIT_TRACE_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .linalg import as_matrix, hermiticity_defect, partial_trace_env, spectral
 from .rng import philox_rng
@@ -99,7 +99,7 @@ def validate_density(w: np.ndarray, tol: float | None = None) -> np.ndarray:
     if lam_min < -tol:
         raise ConstraintViolation(f"state is not positive (lambda_min {lam_min:.3e})")
     tr = complex(np.trace(w))
-    if abs(tr - 1.0) > 1e-9:
+    if abs(tr - 1.0) > UNIT_TRACE_TOL:
         raise ConstraintViolation(f"state trace {tr} is not 1")
     return w
 

@@ -3,12 +3,16 @@
 Everything here is computed by a route different from the implementation
 under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
-and Gram-root singular values for the trace norm.
+Gram-root singular values for the trace norm, and dense superoperator
+matrices for liftings and perturbations.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from statelift.rng import philox_rng
+from statelift.states import hermitian_basis
 
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,6 +42,53 @@ def ptrace_sys_loops(w: np.ndarray, ds: int, de: int) -> np.ndarray:
             for k in range(ds):
                 out[i, j] += w[k * de + i, k * de + j]
     return out
+
+
+def product_lifting_loops(reference: np.ndarray, ds: int) -> np.ndarray:
+    """Lifting matrix of rho -> rho (x) reference: column c*ds + r is the
+    column stacking of E_rc (x) reference, one Kronecker product per unit."""
+    de = reference.shape[0]
+    m = np.zeros(((ds * de) ** 2, ds * ds), dtype=np.complex128)
+    for c in range(ds):
+        for r in range(ds):
+            unit = np.zeros((ds, ds), dtype=np.complex128)
+            unit[r, c] = 1.0
+            m[:, c * ds + r] = kron_loops(unit, reference).T.ravel()
+    return m
+
+
+def ptrace_env_superop(ds: int, de: int) -> np.ndarray:
+    """Dense matrix P with P @ vec(W) = vec(tr_env(W))."""
+    dim = ds * de
+    p = np.zeros((ds * ds, dim * dim), dtype=np.complex128)
+    for k in range(ds):
+        for l in range(ds):
+            row = l * ds + k
+            for i in range(de):
+                p[row, (l * de + i) * dim + (k * de + i)] = 1.0
+    return p
+
+
+def random_perturbation_dense(ds: int, de: int, seed) -> np.ndarray:
+    """The perturbation direction of ``liftings.random_perturbation`` from the
+    same Philox draws, built with dense matrices: the stacked composite
+    Hermitian basis, the dense partial-trace superoperator and the dense
+    Id/de product lifting.  Memory is O((ds*de)^4); keep ds*de <= 32."""
+    rng = philox_rng(seed)
+    src = hermitian_basis(ds)
+    dst = hermitian_basis(ds * de)
+    g_cols = np.column_stack([h.T.ravel() for h in src])
+    h_cols = np.column_stack([h.T.ravel() for h in dst])
+    ptr = ptrace_env_superop(ds, de)
+    embed = product_lifting_loops(np.eye(de, dtype=np.complex128) / de, ds)
+    for _ in range(8):
+        r = rng.standard_normal((len(dst), len(src)))
+        m = h_cols @ r @ np.linalg.inv(g_cols)
+        m -= embed @ (ptr @ m)
+        norm = float(np.linalg.norm(m))
+        if norm > 1e-9:
+            return m / norm
+    raise AssertionError("could not draw a non-degenerate perturbation")
 
 
 def psd_by_char_poly(a: np.ndarray, tol: float = 1e-9) -> bool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,18 @@ from statelift import (
     reassemble,
     structure_report,
     trace_norm,
+    unvec,
     vec,
 )
-from statelift.liftings import ptrace_env_superop
 from statelift.rng import philox_rng
+from statelift.states import random_hermitian
+
+from oracles import (
+    product_lifting_loops,
+    ptrace_env_loops,
+    ptrace_env_superop,
+    random_perturbation_dense,
+)
 
 
 def swap_matrix(d):
@@ -54,6 +64,12 @@ def test_product_lifting_matches_kron():
     for _ in range(5):
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.max(np.abs(apply_lifting(f, x) - kron(x, d))) < 1e-14
+
+
+@pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (8, 8)])
+def test_product_lifting_matches_kron_loops(ds, de):
+    d = random_density(de, seed=ds + de)
+    assert np.array_equal(product_lifting(d, ds).matrix, product_lifting_loops(d, ds))
 
 
 def test_product_lifting_right_inverse():
@@ -395,18 +411,36 @@ def test_diag_mixing_agreement_sweep():
 
 
 def test_random_perturbation_properties():
-    delta = random_perturbation(2, 3, seed=38)
-    assert abs(np.linalg.norm(delta) - 1.0) < 1e-12
-    ptr = ptrace_env_superop(2, 3)
-    # annihilated by the trace constraint
-    assert np.max(np.abs(ptr @ delta)) < 1e-12
-    # Hermiticity preserving on a Hermitian input
-    from statelift import unvec
-    from statelift.states import random_hermitian
+    # (8, 8) and (16, 4) are the documented ceiling of composite dimension 64
+    for ds, de, seed in [(2, 3, 38), (8, 8, 42), (16, 4, 42)]:
+        delta = random_perturbation(ds, de, seed=seed)
+        assert abs(np.linalg.norm(delta) - 1.0) < 1e-12
+        # annihilated by the trace constraint
+        assert np.max(np.abs(ptrace_env_superop(ds, de) @ delta)) < 1e-12
+        # Hermitian image of a Hermitian input, with zero partial trace
+        img = unvec(delta @ vec(random_hermitian(ds, seed=seed + 1)), ds * de)
+        assert np.max(np.abs(img - img.conj().T)) < 1e-12
+        assert np.max(np.abs(ptrace_env_loops(img, ds, de))) < 1e-12
 
-    h = random_hermitian(2, seed=39)
-    img = unvec(delta @ vec(h), 6)
-    assert np.max(np.abs(img - img.conj().T)) < 1e-12
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (2, 3), (3, 2), (4, 4), (8, 4)])
+def test_random_perturbation_matches_dense_oracle(ds, de):
+    for seed in range(5):
+        delta = random_perturbation(ds, de, seed=100 + seed)
+        dense = random_perturbation_dense(ds, de, seed=100 + seed)
+        assert np.max(np.abs(delta - dense)) <= 1e-13
+
+
+def test_random_perturbation_memory_stays_below_dense_basis():
+    random_perturbation(8, 8, seed=44)
+    tracemalloc.start()
+    try:
+        random_perturbation(8, 8, seed=44)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense composite Hermitian basis alone is 268 MB at (8, 8)
+    assert peak < 64 * 2**20
 
 
 def test_perturbed_lifting_stays_in_hypothesis_set():
