@@ -163,9 +163,9 @@ def _cmd_evolve(args, run: _Run) -> int:
     channel = dynamics.reduced_dynamics_map(h, d, args.t)
     fileio.write_matrix(run.output(args.out), dynamics.apply_channel(channel, rho))
     print(f"out = {args.out}")
-    print(f"cptp = {str(dynamics.is_cptp(channel)).lower()}")
-    choi = dynamics.choi_matrix(channel)
-    print(f"choi_min_eigenvalue = {_f(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])}")
+    cptp = dynamics.is_cptp(channel)
+    print(f"cptp = {str(cptp.ok).lower()}")
+    print(f"choi_min_eigenvalue = {_f(cptp.choi_min_eigenvalue)}")
     if args.emit_channel:
         fileio.write_matrix(run.output(args.emit_channel), channel.matrix)
         print(f"channel = {args.emit_channel}")

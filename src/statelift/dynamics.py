@@ -2,9 +2,10 @@
 
 The reduced channel rho -> tr_env(U(t) (rho (x) D) U(t)^dagger) depends
 linearly on the initial system state because the initial composite state is
-produced by the product lifting; the channel is assembled column by column on
-the matrix-unit basis.  No semigroup property is claimed or checked: reduced
-dynamics is non-Markovian in general.
+produced by the product lifting.  The channel of any lifting is assembled from
+its matrix by index maps: one batched product with U and one einsum for
+U^dagger and the partial trace.  No semigroup property is claimed or checked:
+reduced dynamics is non-Markovian in general.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .liftings import apply_lifting, check_trace_constraint
-from .linalg import kron, matrix_unit, partial_trace_env, partial_trace_sys, spectral, unvec, vec
+from .liftings import check_trace_constraint, product_lifting
+from .liftings import apply_lifting  # unused here; perfbench/selftest.py checks this alias
+from .linalg import partial_trace_sys, spectral, unvec, vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +45,17 @@ class ReducedChannel:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class CptpCheck:
+    """Outcome of :func:`is_cptp`, with the minimal Choi eigenvalue as its margin."""
+
+    ok: bool
+    choi_min_eigenvalue: float
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> UnitaryEvolution:
     """U(t) = exp(-i t H) via the spectral decomposition of the Hamiltonian."""
     dec = spectral(h)
@@ -67,15 +80,9 @@ def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> Redu
         raise DimensionMismatch(
             f"Hamiltonian dim {h.shape[0]} does not factor over environment dim {de}"
         )
-    ds = h.shape[0] // de
-    u = unitary_from_hamiltonian(h, t)
-    m = np.empty((ds * ds, ds * ds), dtype=np.complex128)
-    for c in range(ds):
-        for r in range(ds):
-            lifted = kron(matrix_unit(r, c, ds), reference)
-            out = partial_trace_env(evolve(lifted, u), ds, de)
-            m[:, c * ds + r] = vec(out)
-    return ReducedChannel(ds, m)
+    f = product_lifting(reference, h.shape[0] // de)
+    # a right inverse by construction; check_trace_constraint takes seconds at dim 64
+    return reduced_dynamics_from_lifting(h, f, t, allow_non_right_inverse=True)
 
 
 def reduced_dynamics_from_lifting(
@@ -88,7 +95,9 @@ def reduced_dynamics_from_lifting(
 
     Only right inverses of the partial trace give the correct initial
     condition; anything else (e.g. a generic Kraus lifting) is rejected unless
-    ``allow_non_right_inverse`` is set.
+    ``allow_non_right_inverse`` is set.  Split as [C, R, n], the lifting matrix
+    holds F(E_rc)[R, C] for n = c*ds + r; y[C, a*de + i, n] = (U F(E_rc))[a*de + i, C]
+    and column n of the channel is vec tr_env(U F(E_rc) U^dagger).
     """
     h = np.asarray(h, dtype=np.complex128)
     ds, de = lifting.ds, lifting.de
@@ -104,14 +113,10 @@ def reduced_dynamics_from_lifting(
                 f"(deviation {deviation:.3e}); pass allow_non_right_inverse=True "
                 f"to use it anyway"
             )
-    u = unitary_from_hamiltonian(h, t)
-    m = np.empty((ds * ds, ds * ds), dtype=np.complex128)
-    for c in range(ds):
-        for r in range(ds):
-            lifted = apply_lifting(lifting, matrix_unit(r, c, ds))
-            out = partial_trace_env(evolve(lifted, u), ds, de)
-            m[:, c * ds + r] = vec(out)
-    return ReducedChannel(ds, m)
+    u = unitary_from_hamiltonian(h, t).matrix
+    y = (u @ lifting.matrix.reshape(ds * de, ds * de, ds * ds)).reshape(ds * de, ds, de, ds * ds)
+    out = np.einsum("cain,bic->ban", y, u.conj().reshape(ds, de, ds * de), optimize=True)
+    return ReducedChannel(ds, out.reshape(ds * ds, ds * ds))
 
 
 def apply_channel(lam: ReducedChannel, rho: np.ndarray) -> np.ndarray:
@@ -124,23 +129,21 @@ def apply_channel(lam: ReducedChannel, rho: np.ndarray) -> np.ndarray:
 def choi_matrix(lam: ReducedChannel) -> np.ndarray:
     """(Lambda (x) id) applied to the unnormalized maximally entangled projector.
 
-    Output factor first: Choi = sum_ij Lambda(E_ij) (x) E_ij.
+    Output factor first: Choi = sum_ij Lambda(E_ij) (x) E_ij, so entry [b, a, j, i]
+    of the split channel matrix, Lambda(E_ij)[a, b], moves to [a, i, b, j].
     """
     d = lam.ds
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            choi += kron(apply_channel(lam, matrix_unit(i, j, d)), matrix_unit(i, j, d))
-    return choi
+    return lam.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def is_cptp(lam: ReducedChannel, tol: float | None = None) -> bool:
-    """Complete positivity (Choi PSD) plus trace preservation (tr_out Choi = Id)."""
+def is_cptp(lam: ReducedChannel, tol: float | None = None) -> CptpCheck:
+    """Complete positivity (Choi PSD) plus trace preservation (tr_out Choi = Id);
+    truthy when both hold, and keeps the minimal Choi eigenvalue."""
     if tol is None:
         tol = tolerances.psd
     choi = choi_matrix(lam)
     lam_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     if lam_min < -tol:
-        return False
+        return CptpCheck(False, lam_min)
     reduced = partial_trace_sys(choi, lam.ds, lam.ds)
-    return float(np.max(np.abs(reduced - np.eye(lam.ds)))) <= tol
+    return CptpCheck(float(np.max(np.abs(reduced - np.eye(lam.ds)))) <= tol, lam_min)

@@ -2,9 +2,8 @@
 
 The adjoint of a lifting F is the map F* on observables defined by
 tr(A . F(rho)) = tr(F*(A) . rho) for all A and rho.  Under column-stacking
-vectorization this is the plain matrix transpose conjugated by the
-transpose-permutations of the two operator spaces, so it is computed once as
-an explicit matrix.
+vectorization this is the reshuffling identity of the natural
+representation: reverse the four operator indices of the split matrix.
 """
 
 from __future__ import annotations
@@ -36,27 +35,20 @@ class ReductionMap:
             )
 
 
-def transpose_permutation(d: int) -> np.ndarray:
-    """Permutation T with T @ vec(X) = vec(X^T)."""
-    t = np.zeros((d * d, d * d), dtype=np.complex128)
-    for r in range(d):
-        for c in range(d):
-            t[c * d + r, r * d + c] = 1.0
-    return t
-
-
 def adjoint_lifting(f: Lifting) -> ReductionMap:
-    """Adjoint of a lifting under the bilinear pairing tr(AW)."""
-    t_small = transpose_permutation(f.ds)
-    t_big = transpose_permutation(f.ds * f.de)
-    return ReductionMap(f.ds, f.de, t_small @ f.matrix.T @ t_big)
+    """Adjoint of a lifting under the bilinear pairing tr(AW).
+
+    Entry [C, R, c, r] of the split matrix is F(E_rc)[R, C] = tr(E_CR F(E_rc)),
+    which is F*(E_CR)[c, r], entry [r, c, R, C] of the split adjoint.
+    """
+    ds, dim = f.ds, f.ds * f.de
+    return ReductionMap(ds, f.de, f.matrix.reshape(dim, dim, ds, ds).T.reshape(ds * ds, -1))
 
 
 def adjoint_reduction(r: ReductionMap) -> Lifting:
     """Adjoint of a reduction map; inverts :func:`adjoint_lifting` exactly."""
-    t_small = transpose_permutation(r.ds)
-    t_big = transpose_permutation(r.ds * r.de)
-    return Lifting(r.ds, r.de, t_big @ r.matrix.T @ t_small)
+    ds, dim = r.ds, r.ds * r.de
+    return Lifting(ds, r.de, r.matrix.reshape(ds, ds, dim, dim).T.reshape(dim * dim, -1))
 
 
 def apply_reduction(r: ReductionMap, a: np.ndarray) -> np.ndarray:

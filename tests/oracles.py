@@ -3,8 +3,9 @@
 Everything here is computed by a route different from the implementation
 under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
-Gram-root singular values for the trace norm, and dense superoperator
-matrices for liftings and perturbations.
+Gram-root singular values for the trace norm, dense superoperator and
+permutation matrices for liftings, perturbations and adjoints, and
+per-matrix-unit loops for Choi matrices and reduced dynamics.
 """
 
 from itertools import combinations
@@ -89,6 +90,42 @@ def random_perturbation_dense(ds: int, de: int, seed) -> np.ndarray:
         if norm > 1e-9:
             return m / norm
     raise AssertionError("could not draw a non-degenerate perturbation")
+
+
+def transpose_permutation(d: int) -> np.ndarray:
+    """Dense permutation T with T @ vec(X) = vec(X^T)."""
+    t = np.zeros((d * d, d * d), dtype=np.complex128)
+    for r in range(d):
+        for c in range(d):
+            t[c * d + r, r * d + c] = 1.0
+    return t
+
+
+def choi_matrix_loops(channel: np.ndarray, d: int) -> np.ndarray:
+    """sum_ij Lambda(E_ij) (x) E_ij, with Lambda(E_ij) read off column j*d + i
+    of the channel matrix: one dense Kronecker product per matrix unit."""
+    choi = np.zeros((d * d, d * d), dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=np.complex128)
+            unit[i, j] = 1.0
+            choi += np.kron(channel[:, j * d + i].reshape(d, d).T, unit)
+    return choi
+
+
+def reduced_dynamics_loops(u: np.ndarray, lift, ds: int, de: int) -> np.ndarray:
+    """Channel matrix of rho -> tr_env(U lift(rho) U^dagger), one matrix unit
+    per column: lift E_rc (e.g. ``lambda x: np.kron(x, reference)``), conjugate
+    by U, trace out the environment and column-stack into column c*ds + r."""
+    m = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
+    for c in range(ds):
+        for r in range(ds):
+            unit = np.zeros((ds, ds), dtype=np.complex128)
+            unit[r, c] = 1.0
+            w = u @ lift(unit) @ u.conj().T
+            out = np.trace(w.reshape(ds, de, ds, de), axis1=1, axis2=3)
+            m[:, c * ds + r] = out.T.ravel()
+    return m
 
 
 def psd_by_char_poly(a: np.ndarray, tol: float = 1e-9) -> bool:

@@ -9,13 +9,16 @@ from statelift import (
     evolve,
     is_cptp,
     kron,
+    product_lifting,
     random_density,
     random_hermitian,
+    reduced_dynamics_from_lifting,
     reduced_dynamics_map,
     unitary_from_hamiltonian,
 )
-from statelift.observables import transpose_permutation
 from statelift.rng import philox_rng
+
+from oracles import choi_matrix_loops, reduced_dynamics_loops, transpose_permutation
 
 
 def exchange_hamiltonian():
@@ -167,17 +170,38 @@ def test_choi_identity_channel():
     assert is_cptp(lam)
 
 
+@pytest.mark.parametrize("ds", [2, 3, 8])
+def test_choi_matches_kronecker_sum(ds):
+    rng = philox_rng(26 + ds)
+    m = rng.standard_normal((ds * ds,) * 2) + 1j * rng.standard_normal((ds * ds,) * 2)
+    assert np.array_equal(choi_matrix(ReducedChannel(ds, m)), choi_matrix_loops(m, ds))
+
+
 def test_reduced_map_is_cptp():
-    for k in range(5):
-        h = random_hermitian(6, seed=400 + k)
-        d = random_density(3, seed=500 + k)
-        lam = reduced_dynamics_map(h, d, 0.5 + 0.3 * k)
+    # (32, 2) is the documented ceiling of composite dimension 64
+    cases = [(2, 3, 0.5 + 0.3 * k) for k in range(5)] + [(32, 2, 0.9)]
+    for k, (ds, de, t) in enumerate(cases):
+        h = random_hermitian(ds * de, seed=400 + k)
+        d = random_density(de, seed=500 + k)
+        lam = reduced_dynamics_map(h, d, t)
         assert is_cptp(lam)
 
 
+@pytest.mark.parametrize("ds, de", [(2, 3), (8, 8), (16, 4), (32, 2)])
+def test_reduced_dynamics_matches_loops(ds, de):
+    h = random_hermitian(ds * de, seed=27)
+    d = random_density(de, seed=28)
+    u = unitary_from_hamiltonian(h, 0.9).matrix
+    loops = reduced_dynamics_loops(u, lambda x: np.kron(x, d), ds, de)
+    assert np.max(np.abs(reduced_dynamics_map(h, d, 0.9).matrix - loops)) <= 1e-14
+    # the flag only skips check_trace_constraint, which takes seconds at (32, 2)
+    f = product_lifting(d, ds)
+    lam = reduced_dynamics_from_lifting(h, f, 0.9, allow_non_right_inverse=True)
+    assert np.max(np.abs(lam.matrix - loops)) <= 1e-14
+
+
 def test_reduced_dynamics_from_explicit_lifting():
-    from statelift import ConstraintViolation, kraus_lifting, product_lifting
-    from statelift.dynamics import reduced_dynamics_from_lifting
+    from statelift import ConstraintViolation, kraus_lifting
 
     h = random_hermitian(4, seed=24)
     d = random_density(2, seed=25)
@@ -185,6 +209,9 @@ def test_reduced_dynamics_from_explicit_lifting():
     lam_ref = reduced_dynamics_map(h, d, 0.6)
     lam_lift = reduced_dynamics_from_lifting(h, product_lifting(d, 2), 0.6)
     assert np.max(np.abs(lam_ref.matrix - lam_lift.matrix)) < 1e-13
+    # like the lifting constructors, the reference route rejects a non-state
+    with pytest.raises(ConstraintViolation):
+        reduced_dynamics_map(h, 2 * d, 0.6)
 
     # a non-right-inverse lifting needs the explicit opt-in flag
     swap = np.zeros((4, 4), dtype=complex)
@@ -196,6 +223,9 @@ def test_reduced_dynamics_from_explicit_lifting():
         reduced_dynamics_from_lifting(h, f_swap, 0.6)
     lam = reduced_dynamics_from_lifting(h, f_swap, 0.6, allow_non_right_inverse=True)
     assert is_cptp(lam)  # still a channel, just with the wrong initial condition
+    u = unitary_from_hamiltonian(h, 0.6).matrix
+    loops = reduced_dynamics_loops(u, lambda x: swap @ np.kron(x, d) @ swap.T, 2, 2)
+    assert np.max(np.abs(lam.matrix - loops)) <= 1e-14
 
 
 def test_transpose_channel_not_completely_positive():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from statelift import (
     Lifting,
+    ReductionMap,
     adjoint_lifting,
     adjoint_reduction,
     apply_lifting,
@@ -19,6 +22,8 @@ from statelift import (
 )
 from statelift.linalg import matrix_unit
 from statelift.rng import philox_rng
+
+from oracles import transpose_permutation
 
 
 def random_complex(rng, d):
@@ -88,6 +93,32 @@ def test_adjoint_involution():
     assert np.max(np.abs(back.matrix - f.matrix)) < 1e-14
     for g in hermitian_basis(3):
         assert np.max(np.abs(apply_lifting(back, g) - apply_lifting(f, g))) < 1e-14
+
+
+def test_adjoint_matches_dense_permutations():
+    # (8, 8) is the documented ceiling of composite dimension 64
+    rng = philox_rng(22)
+    for ds, de in [(2, 3), (8, 8)]:
+        shape = ((ds * de) ** 2, ds * ds)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t_small, t_big = transpose_permutation(ds), transpose_permutation(ds * de)
+        r = adjoint_lifting(Lifting(ds, de, m))
+        assert np.array_equal(r.matrix, t_small @ m.T @ t_big)
+        back = adjoint_reduction(ReductionMap(ds, de, r.matrix))
+        assert np.array_equal(back.matrix, t_big @ r.matrix.T @ t_small)
+        assert np.array_equal(back.matrix, m)
+
+
+def test_adjoint_memory_stays_below_dense_permutation():
+    f = product_lifting(random_density(8, seed=23), 8)
+    tracemalloc.start()
+    try:
+        adjoint_lifting(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense transpose-permutation alone is 268 MB at (8, 8)
+    assert peak < 64 * 2**20
 
 
 def test_unit_reduction_product_and_violation():
