@@ -113,11 +113,12 @@ def _cmd_analyze(args, run: _Run) -> int:
                 f"--dims {ds},{de} does not match the stored lifting ({f.ds},{f.de})"
             )
     tol = args.tol if args.tol is not None else default_residual_tol()
-    verdict = liftings.analyze(f, tol)
+    report = liftings.analysis_report(f, tol)
+    verdict = report.verdict
     print(f"verdict = {liftings.verdict_name(verdict)}")
     print(f"tol = {_f(tol)}")
-    print(f"hermiticity_deviation = {_f(liftings.check_hermiticity_preserving(f))}")
-    print(f"trace_deviation = {_f(liftings.check_trace_constraint(f))}")
+    print(f"hermiticity_deviation = {_f(report.hermiticity_deviation)}")
+    print(f"trace_deviation = {_f(report.trace_deviation)}")
     if isinstance(verdict, liftings.Product):
         print(f"residual = {_f(verdict.residual)}")
     elif isinstance(verdict, liftings.Inconclusive):
@@ -125,20 +126,20 @@ def _cmd_analyze(args, run: _Run) -> int:
     elif isinstance(verdict, liftings.ViolatesPositivity):
         print(f"witness_min_eigenvalue = {_f(verdict.min_eigenvalue)}")
         _print_matrix("witness", verdict.witness)
-    report = liftings.structure_report(f)
-    print(f"structure.max_deviation = {_f(report.max_deviation)}")
-    for k, v in sorted(report.diag_off_support.items()):
+    structure = report.structure
+    print(f"structure.max_deviation = {_f(structure.max_deviation)}")
+    for k, v in sorted(structure.diag_off_support.items()):
         print(f"structure.diag_off_support[{k}] = {_f(v)}")
-    for k, v in sorted(report.diag_reference_mismatch.items()):
+    for k, v in sorted(structure.diag_reference_mismatch.items()):
         print(f"structure.diag_reference_mismatch[{k}] = {_f(v)}")
-    for (k, l), pair in sorted(report.pairs.items()):
+    for (k, l), pair in sorted(structure.pairs.items()):
         tag = f"structure.pair[{k},{l}]"
         print(f"{tag}.off_support = {_f(pair.off_support)}")
         print(f"{tag}.off_support_star = {_f(pair.off_support_star)}")
         print(f"{tag}.component_mismatch = {_f(pair.component_mismatch)}")
         print(f"{tag}.phase_mismatch = {_f(pair.phase_mismatch)}")
         print(f"{tag}.reference_mismatch = {_f(pair.reference_mismatch)}")
-    _print_matrix("reference", liftings.extract_reference(f))
+    _print_matrix("reference", report.reference)
     return EXIT_OK
 
 

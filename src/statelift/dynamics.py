@@ -81,7 +81,7 @@ def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> Redu
             f"Hamiltonian dim {h.shape[0]} does not factor over environment dim {de}"
         )
     f = product_lifting(reference, h.shape[0] // de)
-    # a right inverse by construction; check_trace_constraint takes seconds at dim 64
+    # a right inverse by construction, so check_trace_constraint is skipped
     return reduced_dynamics_from_lifting(h, f, t, allow_non_right_inverse=True)
 
 

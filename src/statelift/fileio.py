@@ -16,6 +16,9 @@ import numpy as np
 from .errors import FormatError
 
 _FLOAT = "{:.17g}"
+# complex entries are converted this many lines at a time, which bounds the
+# memory their token strings take
+_BLOCK = 2**12
 
 
 def _fmt_complex(z: complex) -> str:
@@ -40,10 +43,9 @@ class _Reader:
         self.path = path
         try:
             with open(path) as handle:
-                self.lines = [ln.strip() for ln in handle]
+                self.lines = [ln for ln in map(str.strip, handle) if ln]
         except OSError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        self.lines = [ln for ln in self.lines if ln]
         self.pos = 0
         header = self.next(f"header 'statelift/{kind} v1'")
         if header != f"statelift/{kind} v1":
@@ -61,20 +63,47 @@ class _Reader:
         if parts[0] != name or len(parts) != count + 1:
             raise FormatError(f"{self.path}: expected '{name}' with {count} value(s)")
         try:
-            return [int(p) for p in parts[1:]]
+            values = [int(p) for p in parts[1:]]
         except ValueError as exc:
             raise FormatError(f"{self.path}: non-integer in field '{name}'") from exc
+        if min(values) < 1:
+            raise FormatError(f"{self.path}: {name} must be positive")
+        return values
 
     def complex_entries(self, n: int) -> np.ndarray:
+        """n 're im' lines, each number read by float().
+
+        A block of lines is joined with " | " between lines and split into
+        tokens, and every third token is dropped.  As "|" is no number, the
+        rest converts exactly when the tokens ran re, im, "|", re, im, ...,
+        that is, when every line is a pair: otherwise a "|" stays among them.
+        A block that does not convert is scanned line by line, which names
+        the first bad entry.
+        """
         out = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            parts = self.next(f"entry {i + 1}/{n}").split()
-            if len(parts) != 2:
-                raise FormatError(f"{self.path}: entry {i + 1} is not a 're im' pair")
-            try:
-                out[i] = complex(float(parts[0]), float(parts[1]))
-            except ValueError as exc:
-                raise FormatError(f"{self.path}: non-numeric entry {i + 1}") from exc
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            lines = self.lines[self.pos : self.pos + stop - start]
+            tokens = " | ".join(lines).split()
+            count = len(lines)
+            if count == stop - start and len(tokens) == 3 * count - 1:
+                del tokens[2::3]
+                try:
+                    values = np.fromiter(map(float, tokens), np.float64, 2 * count)
+                except ValueError:
+                    pass
+                else:
+                    out.view(np.float64)[2 * start : 2 * stop] = values
+                    self.pos += count
+                    continue
+            for i in range(start, stop):
+                parts = self.next(f"entry {i + 1}/{n}").split()
+                if len(parts) != 2:
+                    raise FormatError(f"{self.path}: entry {i + 1} is not a 're im' pair")
+                try:
+                    out[i] = complex(float(parts[0]), float(parts[1]))
+                except ValueError as exc:
+                    raise FormatError(f"{self.path}: non-numeric entry {i + 1}") from exc
         return out
 
     def real_entries(self, n: int) -> np.ndarray:
@@ -104,8 +133,6 @@ def write_matrix(path: str, m: np.ndarray) -> None:
 def read_matrix(path: str) -> np.ndarray:
     r = _Reader(path, "matrix")
     (dim,) = r.field("dim")
-    if dim < 1:
-        raise FormatError(f"{path}: dim must be positive")
     entries = r.complex_entries(dim * dim)
     r.done()
     return entries.reshape(dim, dim)

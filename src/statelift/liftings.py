@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import KRAUS_TOL, default_residual_tol, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import frobenius, kron, matrix_unit, partial_trace_env, trace_norm, unvec, vec
+from .linalg import frobenius, kron, matrix_unit, unvec, vec
 from .rng import philox_rng, spawn_seeds
-from .states import basis_g, basis_g_star, hermitian_basis, random_density, validate_density
+from .states import hermitian_basis, random_density, validate_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +114,76 @@ def reassemble(c: np.ndarray) -> np.ndarray:
     return c.transpose(0, 2, 1, 3).reshape(ds * de, ds * de)
 
 
-def _trace_deviations(f: Lifting):
-    worst, worst_g = -1.0, None
-    for g in hermitian_basis(f.ds):
-        dev = trace_norm(partial_trace_env(apply_lifting(f, g), f.ds, f.de) - g)
-        if dev > worst:
-            worst, worst_g = dev, g
-    return worst, worst_g
+class _Basis(NamedTuple):
+    """The canonical Hermitian basis as a stack, with where its members sit:
+    ``diag[k]`` is the position of g_kk; the q-th pair k < l in row-major
+    order has k = ``k[q]``, l = ``l[q]`` and g_kl, g*_kl at ``plain[q]``,
+    ``star[q]``."""
+
+    members: np.ndarray
+    diag: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    plain: np.ndarray
+    star: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _basis(ds: int) -> _Basis:
+    rows, cols = np.triu_indices(ds)
+    k, l = np.triu_indices(ds, 1)
+    star = len(rows) + np.arange(len(k))
+    members = np.stack(hermitian_basis(ds))
+    basis = _Basis(members, np.flatnonzero(rows == cols), k, l, np.flatnonzero(rows != cols), star)
+    for a in basis:
+        a.setflags(write=False)  # shared by every caller
+    return basis
+
+
+def basis_images(f: Lifting) -> np.ndarray:
+    """F(g) for every member g of the Hermitian basis, in canonical order.
+
+    This is the product of the lifting matrix with the stacked basis vecs,
+    shape (ds^2, dim, dim).  Each basis member is a sum of at most four matrix
+    units, so the product is formed from the matrix-unit images (the columns
+    of the matrix) in O(dim^2 * ds^2) rather than as a dense GEMM in
+    O(dim^2 * ds^4).
+    """
+    ds, dim = f.ds, f.ds * f.de
+    basis = _basis(ds)
+    k, l = basis.k, basis.l
+    # units[c, r] is column c*ds + r of the matrix: the transposed image of E_rc
+    units = f.matrix.T.reshape(ds, ds, dim, dim)
+    out = np.empty((ds * ds, dim, dim), dtype=np.complex128)
+    out[basis.diag] = units[np.arange(ds), np.arange(ds)]
+    # g_kl = E_kk + E_kl + E_lk + E_ll and g*_kl = E_kk + E_ll + i E_kl - i E_lk
+    ends = out[basis.diag[k]] + out[basis.diag[l]]
+    kl, lk = units[l, k], units[k, l]
+    stars = out[ds + len(k) :]
+    np.subtract(kl, lk, out=stars)
+    stars *= 1j
+    stars += ends
+    kl += lk
+    kl += ends
+    out[basis.plain] = kl
+    return out.transpose(0, 2, 1)
+
+
+def _hermiticity_deviation(images: np.ndarray) -> float:
+    return max((frobenius(w - w.conj().T) for w in images), default=0.0)
+
+
+def _trace_deviations(ds: int, de: int, images: np.ndarray):
+    """Trace-norm deviations of tr_env(F(g)) from g: the worst and its g."""
+    basis = _basis(ds).members
+    reduced = np.einsum("naibi->nab", images.reshape(-1, ds, de, ds, de))
+    devs = np.linalg.svd(reduced - basis, compute_uv=False).sum(axis=1)
+    worst = int(np.argmax(devs))
+    return float(devs[worst]), basis[worst].copy()
+
+
+def _reference(images: np.ndarray, de: int) -> np.ndarray:
+    return images[0, :de, :de].copy()
 
 
 def check_trace_constraint(f: Lifting) -> float:
@@ -127,16 +192,12 @@ def check_trace_constraint(f: Lifting) -> float:
     Zero (within tolerance) exactly when F is a right inverse of the
     environment partial trace.
     """
-    return _trace_deviations(f)[0]
+    return _trace_deviations(f.ds, f.de, basis_images(f))[0]
 
 
 def check_hermiticity_preserving(f: Lifting) -> float:
     """Max Frobenius deviation of F(g) from self-adjointness over the basis."""
-    worst = 0.0
-    for g in hermitian_basis(f.ds):
-        w = apply_lifting(f, g)
-        worst = max(worst, frobenius(w - w.conj().T))
-    return worst
+    return _hermiticity_deviation(basis_images(f))
 
 
 def extract_reference(f: Lifting) -> np.ndarray:
@@ -145,8 +206,7 @@ def extract_reference(f: Lifting) -> np.ndarray:
     For a product lifting this is the reference state itself; it is a purely
     diagnostic read-out and is defined for invalid liftings too.
     """
-    w = apply_lifting(f, basis_g(0, 0, f.ds))
-    return w[: f.de, : f.de].copy()
+    return _reference(basis_images(f), f.de)
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +237,110 @@ class Witness:
     min_eigenvalue: float
 
 
-def _witness_candidates(ds: int, config: WitnessConfig):
-    for g in hermitian_basis(ds):
-        yield g
+# Screened chunks hold at most this many bytes of images.
+_CHUNK_BYTES = 4 * 2**20
+
+
+def _family(ds: int, config: WitnessConfig):
+    """The canonical witness family as sections ``(count, inputs)``: the
+    rank-one Hermitian basis, then the boundary mixtures g_kl + t*g_kk + p*g_ll
+    and g*_kl + t*g_kk + p*g_ll of each pair k < l, then ``extra`` seeded
+    random densities.
+
+    ``inputs(a, b)`` stacks members a..b-1 of a section, each with the same
+    bits as when built on its own.  A section is set up when the search
+    reaches it, and members are built only for the chunks that ask for them.
+    """
+    basis = _basis(ds)
+    members = basis.members
+    yield len(members), lambda a, b: members[a:b]
+
     us = np.logspace(np.log10(config.u_min), np.log10(1.0 + config.t_max), config.num_t)
-    for k in range(ds):
-        for l in range(k + 1, ds):
-            gkk = basis_g(k, k, ds)
-            gll = basis_g(l, l, ds)
-            gkl = basis_g(k, l, ds)
-            gst = basis_g_star(k, l, ds)
-            for u in us:
-                t = u - 1.0
-                p = 1.0 / u - 1.0
-                yield gkl + t * gkk + p * gll
-                yield gst + t * gkk + p * gll
-    if config.extra > 0:
-        for child in spawn_seeds(config.seed, config.extra):
-            yield random_density(ds, seed=philox_rng(child))
+    t, p = (us - 1.0)[:, None, None], (1.0 / us - 1.0)[:, None, None]
+    # per pair k < l: the positions of g_kl, g*_kl, g_kk and g_ll in the basis
+    pairs = np.stack([basis.plain, basis.star, basis.diag[basis.k], basis.diag[basis.l]], axis=1)
+    width = 2 * len(us)  # members per pair: plain and star at each t
+
+    def mixtures(a, b):
+        q, r = np.divmod(np.arange(a, b), width)
+        j, star = np.divmod(r, 2)
+        gkl, gst, gkk, gll = pairs[q].T
+        return members[np.where(star, gst, gkl)] + t[j] * members[gkk] + p[j] * members[gll]
+
+    yield len(pairs) * width, mixtures
+
+    children = spawn_seeds(config.seed, max(config.extra, 0))
+
+    def densities(a, b):
+        return np.stack([random_density(ds, seed=philox_rng(c)) for c in children[a:b]])
+
+    yield len(children), densities
+
+
+def _coordinates(xs: np.ndarray) -> np.ndarray:
+    """Real coordinates of a stack of Hermitian matrices in the canonical
+    basis: Re x_kl and Im x_kl weigh g_kl and g*_kl, the diagonal units the rest."""
+    ds = xs.shape[1]
+    basis = _basis(ds)
+    off = xs[:, basis.k, basis.l]
+    ends = np.eye(ds)[basis.k] + np.eye(ds)[basis.l]  # pair members also carry (k, k) and (l, l)
+    coords = np.empty((len(xs), ds * ds))
+    coords[:, basis.diag] = np.diagonal(xs, axis1=1, axis2=2).real - (off.real + off.imag) @ ends
+    coords[:, basis.plain] = off.real
+    coords[:, basis.star] = off.imag
+    return coords
+
+
+class _Screen:
+    """A sufficient test that no member of a chunk has an image with an
+    eigenvalue below -tol, cheaper than the per-member ``eigvalsh``.
+
+    Every member x is Hermitian, so the Hermitian part of F(x) is the
+    combination, with the real coordinates c of x, of the Hermitian parts of
+    the basis images: one GEMM per chunk.  The chunk passes when every such
+    H has a Cholesky factor of H + (tol/2) I.
+
+    The tol/2 margin covers rounding.  Write u for the unit roundoff, n for
+    dim, m for ds^2, M_rc for the column of the lifting matrix that holds
+    F(E_rc), and w_i for the sum of ||M_rc|| over the (at most four) matrix
+    units of g_i.  Then A = sum_i |c_i| w_i bounds both ||F(x)||_F and
+    sum_rc |x_rc| ||M_rc||, as |x_rc| is at most the sum of the |c_i| of
+    the g_i that hold (r, c).  The exact path's image of x (one GEMV) and the
+    screen's H each lie within about (m + 6) u A of the Hermitian part of
+    F(x) in Frobenius norm.  A Cholesky factorization that succeeds
+    proves lambda_min(H) >= -tol/2 - n (n + 1) u (A + tol) (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.5), and ``eigvalsh`` is off
+    by about n u A.  So when eps (n^2 + m + 8) (A + tol) <= tol/2, with
+    eps = 2u, a passing member is one the exact path finds no eigenvalue below
+    -tol for.  A chunk with a member whose A breaks that bound fails the
+    screen and goes to the exact path.
+    """
+
+    def __init__(self, f: Lifting, tol: float):
+        ds, m = f.ds, f.ds**2
+        self.tol, self.dim = tol, f.ds * f.de
+        images = basis_images(f)
+        parts = images.conj().swapaxes(1, 2)
+        parts += images
+        parts /= 2
+        self.parts = parts.reshape(m, -1)
+        support = np.abs(_basis(ds).members.transpose(0, 2, 1).reshape(m, m))
+        self.weights = support @ np.linalg.norm(f.matrix, axis=0)
+        self.slack = np.finfo(float).eps * (self.dim**2 + m + 8)
+
+    def passes(self, xs: np.ndarray) -> bool:
+        coords = _coordinates(xs / np.trace(xs, axis1=1, axis2=2).real[:, None, None])
+        if self.slack * (np.max(np.abs(coords) @ self.weights) + self.tol) > self.tol / 2:
+            return False
+        used = np.flatnonzero(coords.any(axis=0))
+        h = (coords[:, used] @ self.parts[used]).reshape(-1, self.dim, self.dim)
+        diag = np.arange(self.dim)
+        h[:, diag, diag] += self.tol / 2
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
 
 def positivity_witness_search(
@@ -204,17 +350,34 @@ def positivity_witness_search(
 ):
     """First trace-normalized input in the canonical family whose image has an
     eigenvalue below -tol, or None if the whole family maps to positive
-    operators."""
+    operators.
+
+    The family is walked in chunks that double from one member up to about
+    4 MB of images.  A chunk that passes the Cholesky screen of
+    :class:`_Screen` is skipped; any other chunk is evaluated member by member
+    with ``apply_lifting`` and ``eigvalsh``, in canonical order, so the
+    witness and its eigenvalue are those of the exact path.
+    """
     if tol is None:
         tol = tolerances.psd
     if config is None:
         config = WitnessConfig()
-    for x in _witness_candidates(f.ds, config):
-        state = x / np.trace(x).real
-        w = apply_lifting(f, state)
-        lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
-        if lam < -tol:
-            return Witness(state, lam)
+    screen = _Screen(f, tol)
+    cap = max(1, _CHUNK_BYTES // (16 * (f.ds * f.de) ** 2))
+    size = 1
+    for count, inputs in _family(f.ds, config):
+        a = 0
+        while a < count:
+            b = min(a + size, count)
+            xs = inputs(a, b)
+            if not screen.passes(xs):
+                for x in xs:
+                    state = x / np.trace(x).real
+                    w = apply_lifting(f, state)
+                    lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+                    if lam < -tol:
+                        return Witness(state, lam)
+            a, size = b, min(2 * size, cap)
     return None
 
 
@@ -268,6 +431,44 @@ def _off_support_mass(blocks: np.ndarray, support) -> float:
     return float(np.linalg.norm(masked))
 
 
+def _structure(ds: int, de: int, images: np.ndarray) -> StructureReport:
+    a = _reference(images, de)
+    basis = _basis(ds)
+    diag_off = {}
+    diag_ref = {}
+    for k in range(ds):
+        blocks = components(images[basis.diag[k]], ds, de)
+        diag_off[k] = _off_support_mass(blocks, [(k, k)])
+        diag_ref[k] = frobenius(blocks[k, k] - a)
+    pairs = {}
+    for q, (k, l) in enumerate(combinations(range(ds), 2)):
+        support = [(k, k), (k, l), (l, k), (l, l)]
+        blocks = components(images[basis.plain[q]], ds, de)
+        sblocks = components(images[basis.star[q]], ds, de)
+        carried = [blocks[k, k], blocks[k, l], blocks[l, k], blocks[l, l]]
+        mismatch = max(
+            frobenius(x - y) for i, x in enumerate(carried) for y in carried[i + 1 :]
+        )
+        phase = max(
+            frobenius(sblocks[k, k] - (-1j) * sblocks[k, l]),
+            frobenius(sblocks[k, k] - 1j * sblocks[l, k]),
+            frobenius(sblocks[k, k] - sblocks[l, l]),
+        )
+        ref = max(
+            frobenius(blocks[k, l] - a),
+            frobenius((-1j) * sblocks[k, l] - a),
+            frobenius(sblocks[k, k] - a),
+        )
+        pairs[(k, l)] = PairStructure(
+            off_support=_off_support_mass(blocks, support),
+            off_support_star=_off_support_mass(sblocks, support),
+            component_mismatch=mismatch,
+            phase_mismatch=phase,
+            reference_mismatch=ref,
+        )
+    return StructureReport(diag_off, diag_ref, pairs)
+
+
 def structure_report(f: Lifting) -> StructureReport:
     """Block diagnostics of the basis images.
 
@@ -278,42 +479,7 @@ def structure_report(f: Lifting) -> StructureReport:
     +-i phases for the star family), and all carried blocks agree with the
     corner block a = F(g_00)^{00}.
     """
-    ds, de = f.ds, f.de
-    a = extract_reference(f)
-    diag_off = {}
-    diag_ref = {}
-    for k in range(ds):
-        blocks = components(apply_lifting(f, basis_g(k, k, ds)), ds, de)
-        diag_off[k] = _off_support_mass(blocks, [(k, k)])
-        diag_ref[k] = frobenius(blocks[k, k] - a)
-    pairs = {}
-    for k in range(ds):
-        for l in range(k + 1, ds):
-            support = [(k, k), (k, l), (l, k), (l, l)]
-            blocks = components(apply_lifting(f, basis_g(k, l, ds)), ds, de)
-            sblocks = components(apply_lifting(f, basis_g_star(k, l, ds)), ds, de)
-            carried = [blocks[k, k], blocks[k, l], blocks[l, k], blocks[l, l]]
-            mismatch = max(
-                frobenius(x - y) for i, x in enumerate(carried) for y in carried[i + 1 :]
-            )
-            phase = max(
-                frobenius(sblocks[k, k] - (-1j) * sblocks[k, l]),
-                frobenius(sblocks[k, k] - 1j * sblocks[l, k]),
-                frobenius(sblocks[k, k] - sblocks[l, l]),
-            )
-            ref = max(
-                frobenius(blocks[k, l] - a),
-                frobenius((-1j) * sblocks[k, l] - a),
-                frobenius(sblocks[k, k] - a),
-            )
-            pairs[(k, l)] = PairStructure(
-                off_support=_off_support_mass(blocks, support),
-                off_support_star=_off_support_mass(sblocks, support),
-                component_mismatch=mismatch,
-                phase_mismatch=phase,
-                reference_mismatch=ref,
-            )
-    return StructureReport(diag_off, diag_ref, pairs)
+    return _structure(f.ds, f.de, basis_images(f))
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +520,67 @@ class Inconclusive:
     residual: float
 
 
+def _residual(ds: int, images: np.ndarray, reference: np.ndarray) -> float:
+    return max(
+        (frobenius(w - kron(g, reference)) for g, w in zip(_basis(ds).members, images)),
+        default=0.0,
+    )
+
+
 def product_residual(f: Lifting, reference: np.ndarray) -> float:
     """Max Frobenius distance of F(g) from g (x) reference over the basis."""
-    worst = 0.0
-    for g in hermitian_basis(f.ds):
-        worst = max(worst, frobenius(apply_lifting(f, g) - kron(g, reference)))
-    return worst
+    return _residual(f.ds, basis_images(f), reference)
+
+
+@dataclass(frozen=True, eq=False)
+class AnalysisReport:
+    """The verdict of :func:`analyze` with the diagnostics that
+    ``statelift analyze`` prints, all read from one set of basis images."""
+
+    ds: int
+    de: int
+    verdict: object
+    hermiticity_deviation: float
+    trace_deviation: float
+    images: np.ndarray  # basis_images of the lifting
+
+    @property
+    def structure(self) -> StructureReport:
+        return _structure(self.ds, self.de, self.images)
+
+    @property
+    def reference(self) -> np.ndarray:
+        return _reference(self.images, self.de)
+
+
+def _verdict(f, images, herm, trace, tol, witness_config):
+    if herm > tolerances.hermitian:
+        return ViolatesHermiticity(herm)
+    if trace[0] > tolerances.trace:
+        return ViolatesTrace(*trace)
+    witness = positivity_witness_search(f, config=witness_config)
+    if witness is not None:
+        return ViolatesPositivity(witness.state, witness.min_eigenvalue)
+    reference = _reference(images, f.de)
+    residual = _residual(f.ds, images, reference)
+    if residual <= tol:
+        return Product(reference, residual)
+    return Inconclusive(residual)
+
+
+def analysis_report(
+    f: Lifting,
+    tol: float | None = None,
+    witness_config: WitnessConfig | None = None,
+) -> AnalysisReport:
+    """:func:`analyze` with the deviations and basis images it read."""
+    if tol is None:
+        tol = default_residual_tol()
+    images = basis_images(f)
+    herm = _hermiticity_deviation(images)
+    trace = _trace_deviations(f.ds, f.de, images)
+    verdict = _verdict(f, images, herm, trace, tol, witness_config)
+    return AnalysisReport(f.ds, f.de, verdict, herm, trace[0], images)
 
 
 def analyze(
@@ -368,22 +589,7 @@ def analyze(
     witness_config: WitnessConfig | None = None,
 ):
     """Classify a lifting: hermiticity -> trace -> positivity -> factorization."""
-    if tol is None:
-        tol = default_residual_tol()
-    herm = check_hermiticity_preserving(f)
-    if herm > tolerances.hermitian:
-        return ViolatesHermiticity(herm)
-    trace_dev, trace_witness = _trace_deviations(f)
-    if trace_dev > tolerances.trace:
-        return ViolatesTrace(trace_dev, trace_witness)
-    witness = positivity_witness_search(f, config=witness_config)
-    if witness is not None:
-        return ViolatesPositivity(witness.state, witness.min_eigenvalue)
-    reference = extract_reference(f)
-    residual = product_residual(f, reference)
-    if residual <= tol:
-        return Product(reference, residual)
-    return Inconclusive(residual)
+    return analysis_report(f, tol, witness_config).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,19 @@ under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
 Gram-root singular values for the trace norm, dense superoperator and
 permutation matrices for liftings, perturbations and adjoints, and
-per-matrix-unit loops for Choi matrices and reduced dynamics.
+per-matrix-unit loops for Choi matrices and reduced dynamics, and one
+``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
+search.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from statelift.rng import philox_rng
-from statelift.states import hermitian_basis
+from statelift.config import tolerances
+from statelift.liftings import Witness, WitnessConfig, apply_lifting
+from statelift.rng import philox_rng, spawn_seeds
+from statelift.states import basis_g, basis_g_star, hermitian_basis, random_density
 
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,6 +130,44 @@ def reduced_dynamics_loops(u: np.ndarray, lift, ds: int, de: int) -> np.ndarray:
             out = np.trace(w.reshape(ds, de, ds, de), axis1=1, axis2=3)
             m[:, c * ds + r] = out.T.ravel()
     return m
+
+
+def witness_candidates_loops(ds: int, config: WitnessConfig):
+    """The canonical witness family, one member at a time: the Hermitian
+    basis, the boundary mixtures of each pair k < l, the random densities."""
+    for g in hermitian_basis(ds):
+        yield g
+    us = np.logspace(np.log10(config.u_min), np.log10(1.0 + config.t_max), config.num_t)
+    for k in range(ds):
+        for l in range(k + 1, ds):
+            gkk = basis_g(k, k, ds)
+            gll = basis_g(l, l, ds)
+            gkl = basis_g(k, l, ds)
+            gst = basis_g_star(k, l, ds)
+            for u in us:
+                t = u - 1.0
+                p = 1.0 / u - 1.0
+                yield gkl + t * gkk + p * gll
+                yield gst + t * gkk + p * gll
+    if config.extra > 0:
+        for child in spawn_seeds(config.seed, config.extra):
+            yield random_density(ds, seed=philox_rng(child))
+
+
+def positivity_witness_search_loops(f, tol=None, config=None):
+    """The witness search with one ``apply_lifting`` and one ``eigvalsh`` per
+    candidate, in canonical order."""
+    if tol is None:
+        tol = tolerances.psd
+    if config is None:
+        config = WitnessConfig()
+    for x in witness_candidates_loops(f.ds, config):
+        state = x / np.trace(x).real
+        w = apply_lifting(f, state)
+        lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+        if lam < -tol:
+            return Witness(state, lam)
+    return None
 
 
 def psd_by_char_poly(a: np.ndarray, tol: float = 1e-9) -> bool:

@@ -216,6 +216,9 @@ def test_exit_code_format_error(tmp_path, capsys):
     assert run(tmp_path, "reduce", "--state", tmp_path / "missing.mat", "--dims", "2,2",
                "--out", tmp_path / "o.mat") == EXIT_FORMAT
     assert capsys.readouterr().err.startswith("error: format:")
+    (tmp_path / "f.lift").write_text("statelift/lifting v1\ndims -2 -2\n")
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "f.lift") == EXIT_FORMAT
+    assert "dims must be positive" in capsys.readouterr().err
 
 
 def test_exit_code_dimension_mismatch(tmp_path, capsys):

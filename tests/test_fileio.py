@@ -91,10 +91,19 @@ def test_bad_header_rejected(tmp_path):
         read_matrix(path)
 
 
+def _matrix_file(path, dim, entries):
+    path.write_text(f"statelift/matrix v1\ndim {dim}\n" + "".join(f"{e}\n" for e in entries))
+    return path
+
+
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "short.mat"
     path.write_text("statelift/matrix v1\ndim 2\n1 0\n")
     with pytest.raises(FormatError, match="end of file"):
+        read_matrix(path)
+    # 4899 of 4900 entries: the shortfall lies past the first block of lines
+    _matrix_file(path, 70, ["1 0"] * 4899)
+    with pytest.raises(FormatError, match="end of file, expected entry 4900/4900"):
         read_matrix(path)
 
 
@@ -103,6 +112,38 @@ def test_non_numeric_entry_rejected(tmp_path):
     path.write_text("statelift/matrix v1\ndim 1\nx y\n")
     with pytest.raises(FormatError, match="non-numeric"):
         read_matrix(path)
+    # '#' starts no comment; a bad entry deep in a file is named
+    for bad, number in (("1.5 #2", 1), ("# 1", 3), ("0x10 0", 4500), ("1 2j", 4900)):
+        entries = ["1 0"] * 4900
+        entries[number - 1] = bad
+        _matrix_file(path, 70, entries)
+        with pytest.raises(FormatError, match=f"non-numeric entry {number}$"):
+            read_matrix(path)
+
+
+def test_entry_not_a_pair_rejected(tmp_path):
+    path = tmp_path / "pairs.mat"
+    for bad, number in (("1 0 0", 2), ("1", 4097), ("1 0 2 0", 4900)):
+        entries = ["1 0"] * 4900
+        entries[number - 1] = bad
+        _matrix_file(path, 70, entries)
+        with pytest.raises(FormatError, match=f"entry {number} is not a 're im' pair"):
+            read_matrix(path)
+    # a 3-token line and a 1-token line hold as many tokens as two pairs
+    _matrix_file(path, 2, ["1 0", "1 0 0", "1", "1 0"])
+    with pytest.raises(FormatError, match="entry 2 is not a 're im' pair"):
+        read_matrix(path)
+
+
+def test_reader_whitespace_and_float_syntax(tmp_path):
+    path = tmp_path / "ws.mat"
+    text = ("statelift/matrix v1\r\n\r\ndim 2\r\n1_0\t-0.0\r\n\n  2   3e-1  \n\t\n"
+            "-inf nan\r\n\n4\t\t 5\n")
+    path.write_bytes(text.encode())
+    got = read_matrix(path)
+    want = np.array([[10.0 - 0.0j, 2 + 0.3j], [complex(-np.inf, np.nan), 4 + 5j]])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.signbit(got[0, 0].imag)
 
 
 def test_trailing_data_rejected(tmp_path):
@@ -110,6 +151,18 @@ def test_trailing_data_rejected(tmp_path):
     path.write_text("statelift/matrix v1\ndim 1\n1 0\n2 0\n")
     with pytest.raises(FormatError, match="trailing"):
         read_matrix(path)
+    _matrix_file(path, 70, ["1 0"] * 4901)
+    with pytest.raises(FormatError, match="trailing"):
+        read_matrix(path)
+
+
+def test_nonpositive_dims_rejected(tmp_path):
+    for kind, reader in (("lifting", read_lifting), ("reduction", read_reduction)):
+        for dims in ("0 3", "-2 -2", "2 0"):
+            path = tmp_path / f"{kind}.txt"
+            path.write_text(f"statelift/{kind} v1\ndims {dims}\n")
+            with pytest.raises(FormatError, match="dims must be positive"):
+                reader(path)
 
 
 def test_missing_file_rejected(tmp_path):

@@ -14,6 +14,7 @@ from statelift import (
     analyze,
     apply_lifting,
     basis_g,
+    basis_images,
     check_hermiticity_preserving,
     check_trace_constraint,
     components,
@@ -35,10 +36,15 @@ from statelift import (
     unvec,
     vec,
 )
-from statelift.rng import philox_rng
-from statelift.states import random_hermitian
+from statelift.config import tolerances
+from statelift.dynamics import unitary_from_hamiltonian
+from statelift.liftings import _family
+from statelift.rng import philox_rng, spawn_seeds
+from statelift.states import hermitian_basis, random_hermitian
 
 from oracles import (
+    positivity_witness_search_loops,
+    witness_candidates_loops,
     product_lifting_loops,
     ptrace_env_loops,
     ptrace_env_superop,
@@ -284,6 +290,9 @@ def test_witness_search_catches_structured_violations():
         assert check_trace_constraint(f) < 1e-12
         verdict = analyze(f, witness_config=no_backstop)
         assert isinstance(verdict, ViolatesPositivity)
+        want = positivity_witness_search_loops(f, config=no_backstop)
+        assert np.array_equal(verdict.witness, want.state)
+        assert verdict.min_eigenvalue == want.min_eigenvalue
 
 
 def test_witness_search_mixture_is_clean():
@@ -291,6 +300,117 @@ def test_witness_search_mixture_is_clean():
     f2 = product_lifting(random_density(2, seed=23), 2)
     mix = Lifting(2, 2, 0.5 * f1.matrix + 0.5 * f2.matrix)
     assert positivity_witness_search(mix) is None
+
+
+def _lifting_of_kind(kind, ds, de, seed):
+    d = random_density(de, seed=seed)
+    if kind == "product":
+        return product_lifting(d, ds)
+    if kind == "kraus_local":
+        v = unitary_from_hamiltonian(random_hermitian(de, seed=seed + 1), 1.0).matrix
+        return kraus_lifting([np.kron(np.eye(ds), v)], d, ds)
+    if kind == "perturbed":
+        return perturbed_product_lifting(d, ds, 1e-2, seed=seed + 2)
+    if kind == "large":
+        # rounding noise in its images outweighs tol: only the exact path decides
+        return Lifting(ds, de, 1e7 * product_lifting(d, ds).matrix)
+    u = unitary_from_hamiltonian(random_hermitian(ds * de, seed=seed + 3), 1.0).matrix
+    return kraus_lifting([u], d, ds)
+
+
+def _lifting_from_images(ds, de, images):
+    """The lifting that maps the i-th Hermitian basis member to images[i]."""
+    g_cols = np.column_stack([vec(h) for h in hermitian_basis(ds)])
+    return Lifting(ds, de, np.column_stack([vec(w) for w in images]) @ np.linalg.inv(g_cols))
+
+
+def _assert_same_witness(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert np.array_equal(got.state, want.state)
+        assert got.min_eigenvalue == want.min_eigenvalue
+
+
+@pytest.mark.parametrize("ds", [1, 2, 5])
+def test_witness_family_matches_loops(ds):
+    # the stacked members carry the bits of the members built one at a time
+    for config in (WitnessConfig(), WitnessConfig(num_t=3, extra=4)):
+        want = [x.tobytes() for x in witness_candidates_loops(ds, config)]
+        got = []
+        for count, inputs in _family(ds, config):
+            cuts = sorted({0, min(1, count), count // 3, count})
+            got += [x.tobytes() for a, b in zip(cuts, cuts[1:]) for x in inputs(a, b)]
+        assert got == want
+
+
+@pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (8, 4), (8, 8)])
+@pytest.mark.parametrize("kind", ["product", "kraus_local", "perturbed", "entangling", "large"])
+def test_witness_search_matches_loops(kind, ds, de):
+    f = _lifting_of_kind(kind, ds, de, seed=700 + ds * de)
+    for config in (WitnessConfig(), WitnessConfig(extra=0)):
+        want = positivity_witness_search_loops(f, config=config)
+        _assert_same_witness(positivity_witness_search(f, config=config), want)
+
+
+# At (4, 4) the chunks of the basis start at members 0, 1, 3, 7 and 15, the
+# last basis member; the random densities start a chunk of their own.
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("member", [0, 1, 3, 15])
+def test_witness_search_planted_in_basis(member, scale):
+    ds, de = 4, 4
+    d = random_density(de, seed=800)
+    basis = hermitian_basis(ds)
+    images = [kron(g, d) for g in basis]
+    g = basis[member]
+    # a kernel vector of the rank-one g, times an environment unit vector
+    v = np.kron(np.linalg.eigh(g)[1][:, 0], np.eye(de)[0])
+    mu = scale * tolerances.psd * np.trace(g).real
+    images[member] = images[member] - mu * np.outer(v, v.conj())
+    f = _lifting_from_images(ds, de, images)
+    got = positivity_witness_search(f)
+    _assert_same_witness(got, positivity_witness_search_loops(f))
+    if scale > 1:
+        assert np.array_equal(got.state, g / np.trace(g).real)
+        assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_witness_search_planted_in_first_random_density(part, scale):
+    ds, de = 4, 4
+    x = random_density(ds, seed=philox_rng(spawn_seeds(WitnessConfig().seed, 1)[0]))
+    # the coordinates of x on g_kl and g*_kl are Re x_kl and Im x_kl
+    k, l = np.triu_indices(ds, 1)
+    coords = getattr(x[k, l], part)
+    q = int(np.argmin(coords))
+    assert coords[q] < 0
+    rows, cols = np.triu_indices(ds)
+    positions = np.flatnonzero(rows != cols) if part == "real" else len(rows) + np.arange(len(k))
+    # only that basis member has a nonzero image, a positive one; every member
+    # before the random densities has a coordinate >= 0 on it
+    images = [np.zeros((ds * de, ds * de), dtype=complex) for _ in range(ds * ds)]
+    images[positions[q]][0, 0] = scale * tolerances.psd / -coords[q]
+    f = _lifting_from_images(ds, de, images)
+    # with extra=1 the first random density is a chunk of its own
+    for config in (WitnessConfig(), WitnessConfig(extra=1)):
+        got = positivity_witness_search(f, config=config)
+        _assert_same_witness(got, positivity_witness_search_loops(f, config=config))
+        if scale > 1:
+            assert np.array_equal(got.state, x / np.trace(x).real)
+            assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
+
+
+@pytest.mark.parametrize("ds, de", [(2, 3), (3, 2), (8, 4)])
+def test_basis_images_match_apply_lifting(ds, de):
+    f = perturbed_product_lifting(random_density(de, seed=810), ds, 1e-2, seed=811)
+    images = basis_images(f)
+    for g, w in zip(hermitian_basis(ds), images):
+        assert np.max(np.abs(w - apply_lifting(f, g))) <= 1e-15
+    p = product_lifting(random_density(de, seed=812), ds)
+    for g, w in zip(hermitian_basis(ds), basis_images(p)):
+        assert np.array_equal(w, apply_lifting(p, g))
 
 
 # --- structure diagnostics ------------------------------------------------------
