@@ -386,13 +386,13 @@ def main(argv=None) -> int:
         code = args.func(args, run)
     except FormatError as exc:
         print(f"error: format: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        code = EXIT_FORMAT
     except DimensionMismatch as exc:
         print(f"error: dimension: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+        code = EXIT_DIMENSION
     except ConstraintViolation as exc:
         print(f"error: constraint: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
+        code = EXIT_CONSTRAINT
     run.record["exit_code"] = code
     run.record["elapsed_s"] = round(time.perf_counter() - start, 6)
     try:

@@ -108,12 +108,6 @@ def components(w: np.ndarray, ds: int, de: int) -> np.ndarray:
     return w.reshape(ds, de, ds, de).transpose(0, 2, 1, 3)
 
 
-def reassemble(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`components`; exact (pure reindexing)."""
-    ds, _, de, _ = c.shape
-    return c.transpose(0, 2, 1, 3).reshape(ds * de, ds * de)
-
-
 class _Basis(NamedTuple):
     """The canonical Hermitian basis as a stack, with where its members sit:
     ``diag[k]`` is the position of g_kk; the q-th pair k < l in row-major
@@ -277,63 +271,62 @@ def _family(ds: int, config: WitnessConfig):
     yield len(children), densities
 
 
-def _coordinates(xs: np.ndarray) -> np.ndarray:
-    """Real coordinates of a stack of Hermitian matrices in the canonical
-    basis: Re x_kl and Im x_kl weigh g_kl and g*_kl, the diagonal units the rest."""
-    ds = xs.shape[1]
-    basis = _basis(ds)
-    off = xs[:, basis.k, basis.l]
-    ends = np.eye(ds)[basis.k] + np.eye(ds)[basis.l]  # pair members also carry (k, k) and (l, l)
-    coords = np.empty((len(xs), ds * ds))
-    coords[:, basis.diag] = np.diagonal(xs, axis1=1, axis2=2).real - (off.real + off.imag) @ ends
-    coords[:, basis.plain] = off.real
-    coords[:, basis.star] = off.imag
-    return coords
-
-
 class _Screen:
     """A sufficient test that no member of a chunk has an image with an
     eigenvalue below -tol, cheaper than the per-member ``eigvalsh``.
 
-    Every member x is Hermitian, so the Hermitian part of F(x) is the
-    combination, with the real coordinates c of x, of the Hermitian parts of
-    the basis images: one GEMM per chunk.  The chunk passes when every such
-    H has a Cholesky factor of H + (tol/2) I.
+    Write M_rc for the column of the lifting matrix that holds F(E_rc), and
+    x for a trace-normalized member, with the bits ``apply_lifting`` gets.
+    The screen stores the Hermitian matrix-unit images
+    P_rc = (F(E_rc) + F(E_cr)^dagger)/2, transposed, and forms
+    H = sum_rc x_rc P_rc = (F(x) + F(x^dagger)^dagger)/2 for a whole chunk
+    with one GEMM over the units the chunk touches.  H comes out transposed,
+    which is its complex conjugate and has the same Cholesky verdict.  The
+    chunk passes when every H has a Cholesky factor of H + (tol/2) I.
 
-    The tol/2 margin covers rounding.  Write u for the unit roundoff, n for
-    dim, m for ds^2, M_rc for the column of the lifting matrix that holds
-    F(E_rc), and w_i for the sum of ||M_rc|| over the (at most four) matrix
-    units of g_i.  Then A = sum_i |c_i| w_i bounds both ||F(x)||_F and
-    sum_rc |x_rc| ||M_rc||, as |x_rc| is at most the sum of the |c_i| of
-    the g_i that hold (r, c).  The exact path's image of x (one GEMV) and the
-    screen's H each lie within about (m + 6) u A of the Hermitian part of
-    F(x) in Frobenius norm.  A Cholesky factorization that succeeds
-    proves lambda_min(H) >= -tol/2 - n (n + 1) u (A + tol) (Higham, Accuracy
-    and Stability of Numerical Algorithms, Thm 10.5), and ``eigvalsh`` is off
-    by about n u A.  So when eps (n^2 + m + 8) (A + tol) <= tol/2, with
-    eps = 2u, a passing member is one the exact path finds no eigenvalue below
-    -tol for.  A chunk with a member whose A breaks that bound fails the
-    screen and goes to the exact path.
+    The tol/2 margin covers rounding and the members' asymmetry.  Write u
+    for the unit roundoff, n for dim, m for ds^2, A = sum_rc |x_rc| ||M_rc||
+    and S = sum_rc |x_rc - conj(x_cr)| ||M_rc||, which is 0 except for random
+    densities that differ from their adjoint in the last bits.  Then
+    ||F(x)||_F <= A, and H lies within S/2 of the Hermitian part of F(x).
+    The exact path's image of x (one GEMV, then the Hermitian part) lies
+    within about (m + 6) u A of that part in Frobenius norm.  The computed H,
+    whose P_rc carry one rounding each and of which Cholesky reads one
+    triangle, lies within about sqrt(2) (m + 7) u (A + S) of H.  A Cholesky
+    factorization that succeeds proves lambda_min >= -tol/2 - n (n + 1) u
+    (A + tol) (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.5), and ``eigvalsh`` is off by about n u A.  So when
+    eps (n^2 + m + 10) (A + tol) + S/2 <= tol/2, with eps = 2u, a passing
+    member is one the exact path finds no eigenvalue below -tol for.  A
+    chunk with a member that breaks that bound goes to the exact path.
     """
 
     def __init__(self, f: Lifting, tol: float):
         ds, m = f.ds, f.ds**2
         self.tol, self.dim = tol, f.ds * f.de
-        images = basis_images(f)
-        parts = images.conj().swapaxes(1, 2)
-        parts += images
+        # units[c, r] is column c*ds + r of the matrix: the transposed image of E_rc
+        units = f.matrix.T.reshape(ds, ds, self.dim, self.dim)
+        parts = np.conj(units.transpose(1, 0, 3, 2), order="C")
+        parts += units
         parts /= 2
         self.parts = parts.reshape(m, -1)
-        support = np.abs(_basis(ds).members.transpose(0, 2, 1).reshape(m, m))
-        self.weights = support @ np.linalg.norm(f.matrix, axis=0)
-        self.slack = np.finfo(float).eps * (self.dim**2 + m + 8)
+        flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
+        self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
+        self.slack = np.finfo(float).eps * (self.dim**2 + m + 10)
+        # every chunk's H is formed here, so a chunk allocates only its Cholesky factor
+        self.cap = max(1, _CHUNK_BYTES // (16 * self.dim**2))
+        self.buffer = np.empty((self.cap, self.dim**2), dtype=np.complex128)
 
     def passes(self, xs: np.ndarray) -> bool:
-        coords = _coordinates(xs / np.trace(xs, axis1=1, axis2=2).real[:, None, None])
-        if self.slack * (np.max(np.abs(coords) @ self.weights) + self.tol) > self.tol / 2:
+        xs = xs / np.trace(xs, axis1=1, axis2=2).real[:, None, None]
+        n = len(xs)
+        vecs = xs.transpose(0, 2, 1).reshape(n, -1)  # column-stacked, as in apply_lifting
+        skew = np.abs(vecs - xs.conj().reshape(n, -1)) @ self.norms  # S, from vec(x^dagger)
+        if np.max(self.slack * (np.abs(vecs) @ self.norms + self.tol) + skew / 2) > self.tol / 2:
             return False
-        used = np.flatnonzero(coords.any(axis=0))
-        h = (coords[:, used] @ self.parts[used]).reshape(-1, self.dim, self.dim)
+        used = np.flatnonzero(vecs.any(axis=0))
+        parts = self.parts if len(used) == len(self.parts) else self.parts[used]
+        h = np.matmul(vecs[:, used], parts, out=self.buffer[:n]).reshape(n, self.dim, self.dim)
         diag = np.arange(self.dim)
         h[:, diag, diag] += self.tol / 2
         try:
@@ -363,7 +356,6 @@ def positivity_witness_search(
     if config is None:
         config = WitnessConfig()
     screen = _Screen(f, tol)
-    cap = max(1, _CHUNK_BYTES // (16 * (f.ds * f.de) ** 2))
     size = 1
     for count, inputs in _family(f.ds, config):
         a = 0
@@ -377,7 +369,7 @@ def positivity_witness_search(
                     lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
                     if lam < -tol:
                         return Witness(state, lam)
-            a, size = b, min(2 * size, cap)
+            a, size = b, min(2 * size, screen.cap)
     return None
 
 
@@ -515,7 +507,8 @@ class ViolatesPositivity:
 @dataclass(frozen=True, eq=False)
 class Inconclusive:
     """All hypothesis checks passed but the product residual exceeds the
-    threshold; indicates a tolerance problem, never a genuine counterexample."""
+    threshold; indicates a tolerance problem or a positivity violation below
+    the search's resolution, never a valid non-product lifting."""
 
     residual: float
 
@@ -593,7 +586,7 @@ def analyze(
 
 
 # ---------------------------------------------------------------------------
-# the diagonal-mixing positivity criterion and its grid oracle
+# the diagonal-mixing positivity criterion
 # ---------------------------------------------------------------------------
 
 
@@ -604,56 +597,6 @@ def diag_mixing_positive(a: float, b: float, c: float, tol: float = 1e-12) -> bo
         if v < 0:
             raise ConstraintViolation(f"{name} must be nonnegative, got {v}")
     return abs(a - c) <= tol and a <= b + tol
-
-
-@lru_cache(maxsize=8)
-def _scan_grid(resolution: float, t_max: float):
-    # Boundary curve points, parametrized by t.  The uniform grid is
-    # supplemented with log-dense refinements around t = 0 and around the
-    # region corner 1 + t -> 0, where shallow violations concentrate.
-    t_lin = np.arange(-1.0 + resolution, 2.0 + resolution, resolution)
-    t_pos = np.logspace(-10, np.log10(t_max), 260)
-    t_neg = -np.logspace(-10, 0, 220)[:-1]
-    u_small = np.logspace(-10, np.log10(resolution), 150)
-    t = np.concatenate([t_lin, t_pos, t_neg, u_small - 1.0])
-    u = 1.0 + t
-    p = 1.0 / u - 1.0
-    # sparse interior offsets; the constraint is monotone in p there
-    t_sub = t[::8]
-    p_sub = 1.0 / (1.0 + t_sub) - 1.0
-    t_all = [t]
-    p_all = [p]
-    for dp in (resolution, 1.0, 10.0):
-        t_all.append(t_sub)
-        p_all.append(p_sub + dp)
-    return np.concatenate(t_all), np.concatenate(p_all)
-
-
-def diag_mixing_positive_scan(
-    a: float,
-    b: float,
-    c: float,
-    resolution: float = 1e-3,
-    t_max: float = 1e3,
-) -> bool:
-    """Grid oracle for :func:`diag_mixing_positive`.
-
-    Evaluates the defining inequalities on a dense sample of the region
-    (boundary curve included) and reports whether they hold everywhere, up to
-    a float rounding margin proportional to the evaluated magnitudes.
-    """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if v < 0:
-            raise ConstraintViolation(f"{name} must be nonnegative, got {v}")
-    t, p = _scan_grid(resolution, t_max)
-    left = b + a * t
-    right = b + c * p
-    eps = np.finfo(float).eps
-    lin_margin = 64 * eps * (abs(b) + np.abs(a * t))
-    if np.any(left < -lin_margin):
-        return False
-    prod_margin = 64 * eps * (np.abs(left) * np.abs(right) + b * b)
-    return not np.any(left * right - b * b < -prod_margin)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import hermiticity_defect, spectral, trace_norm
+from .linalg import hermiticity_defect, spectral
 from .rng import philox_rng
 from .states import pure_projector, validate_density
 
@@ -296,11 +296,6 @@ def empirical_state(b: np.ndarray, n: int, seed) -> np.ndarray:
     z = draw(gaussian_sampler(b, seed), n)
     w = (z.T @ z.conj()) / n
     return w / np.trace(w).real
-
-
-def empirical_state_error(b: np.ndarray, n: int, seed) -> float:
-    """Trace-norm distance between the empirical state and its target."""
-    return trace_norm(empirical_state(b, n, seed) - np.asarray(b, dtype=np.complex128))
 
 
 def observable_bounds(a: np.ndarray) -> tuple:

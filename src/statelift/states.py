@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import UNIT_TRACE_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import as_matrix, hermiticity_defect, partial_trace_env, spectral
+from .linalg import as_matrix, hermiticity_defect, spectral
 from .rng import philox_rng
 
 
@@ -158,8 +158,3 @@ def environment_gram(a: np.ndarray, ds: int, de: int) -> np.ndarray:
         raise DimensionMismatch(f"vector of length {a.size} is not {ds}x{de}")
     blocks = a.reshape(ds, de)
     return blocks @ blocks.conj().T
-
-
-def reduced_of_pure(a: np.ndarray, ds: int, de: int) -> np.ndarray:
-    """Environment partial trace of the projector onto the vector a."""
-    return partial_trace_env(pure_projector(a), ds, de)

@@ -5,16 +5,19 @@ under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
 Gram-root singular values for the trace norm, dense superoperator and
 permutation matrices for liftings, perturbations and adjoints, and
-per-matrix-unit loops for Choi matrices and reduced dynamics, and one
+per-matrix-unit loops for Choi matrices and reduced dynamics, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
-search.
+search, a dense grid scan for the diagonal-mixing criterion, and the inverse
+reindexing of ``liftings.components``.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from statelift.config import tolerances
+from statelift.errors import ConstraintViolation
 from statelift.liftings import Witness, WitnessConfig, apply_lifting
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import basis_g, basis_g_star, hermitian_basis, random_density
@@ -202,3 +205,59 @@ def bell_projector() -> np.ndarray:
     v = np.zeros(4, dtype=np.complex128)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return np.outer(v, v.conj())
+
+
+def reassemble(c: np.ndarray) -> np.ndarray:
+    """Inverse of ``liftings.components``; exact (pure reindexing)."""
+    ds, _, de, _ = c.shape
+    return c.transpose(0, 2, 1, 3).reshape(ds * de, ds * de)
+
+
+@lru_cache(maxsize=8)
+def _scan_grid(resolution: float, t_max: float):
+    # Boundary curve points, parametrized by t.  The uniform grid is
+    # supplemented with log-dense refinements around t = 0 and around the
+    # region corner 1 + t -> 0, where shallow violations concentrate.
+    t_lin = np.arange(-1.0 + resolution, 2.0 + resolution, resolution)
+    t_pos = np.logspace(-10, np.log10(t_max), 260)
+    t_neg = -np.logspace(-10, 0, 220)[:-1]
+    u_small = np.logspace(-10, np.log10(resolution), 150)
+    t = np.concatenate([t_lin, t_pos, t_neg, u_small - 1.0])
+    u = 1.0 + t
+    p = 1.0 / u - 1.0
+    # sparse interior offsets; the constraint is monotone in p there
+    t_sub = t[::8]
+    p_sub = 1.0 / (1.0 + t_sub) - 1.0
+    t_all = [t]
+    p_all = [p]
+    for dp in (resolution, 1.0, 10.0):
+        t_all.append(t_sub)
+        p_all.append(p_sub + dp)
+    return np.concatenate(t_all), np.concatenate(p_all)
+
+
+def diag_mixing_positive_scan(
+    a: float,
+    b: float,
+    c: float,
+    resolution: float = 1e-3,
+    t_max: float = 1e3,
+) -> bool:
+    """Grid oracle for :func:`diag_mixing_positive`.
+
+    Evaluates the defining inequalities on a dense sample of the region
+    (boundary curve included) and reports whether they hold everywhere, up to
+    a float rounding margin proportional to the evaluated magnitudes.
+    """
+    for name, v in (("a", a), ("b", b), ("c", c)):
+        if v < 0:
+            raise ConstraintViolation(f"{name} must be nonnegative, got {v}")
+    t, p = _scan_grid(resolution, t_max)
+    left = b + a * t
+    right = b + c * p
+    eps = np.finfo(float).eps
+    lin_margin = 64 * eps * (abs(b) + np.abs(a * t))
+    if np.any(left < -lin_margin):
+        return False
+    prod_margin = 64 * eps * (np.abs(left) * np.abs(right) + b * b)
+    return not np.any(left * right - b * b < -prod_margin)

@@ -26,7 +26,6 @@ from statelift import (
     classical_lift,
     dependent_projectors,
     diag_mixing_positive,
-    diag_mixing_positive_scan,
     environment_gram,
     estimate_expectation,
     is_cptp,
@@ -53,6 +52,8 @@ from statelift.cli import main as cli_main
 from statelift.linalg import matrix_unit
 from statelift.measures import empirical_state, observable_bounds, projective_values
 from statelift.rng import philox_rng
+
+from oracles import diag_mixing_positive_scan
 
 F17 = "{:.17g}".format
 

@@ -14,6 +14,10 @@ def run(tmp_path, *argv):
     return main(["--run-log", str(tmp_path / "runs.jsonl"), *map(str, argv)])
 
 
+def last_record(tmp_path):
+    return json.loads((tmp_path / "runs.jsonl").read_text().splitlines()[-1])
+
+
 def report_lines(capsys):
     return dict(
         line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line
@@ -216,9 +220,13 @@ def test_exit_code_format_error(tmp_path, capsys):
     assert run(tmp_path, "reduce", "--state", tmp_path / "missing.mat", "--dims", "2,2",
                "--out", tmp_path / "o.mat") == EXIT_FORMAT
     assert capsys.readouterr().err.startswith("error: format:")
+    assert last_record(tmp_path)["command"] == "reduce"
+    assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
     (tmp_path / "f.lift").write_text("statelift/lifting v1\ndims -2 -2\n")
     assert run(tmp_path, "analyze", "--lifting", tmp_path / "f.lift") == EXIT_FORMAT
     assert "dims must be positive" in capsys.readouterr().err
+    assert last_record(tmp_path)["command"] == "analyze"
+    assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
 
 
 def test_exit_code_dimension_mismatch(tmp_path, capsys):
@@ -226,6 +234,8 @@ def test_exit_code_dimension_mismatch(tmp_path, capsys):
     assert run(tmp_path, "reduce", "--state", tmp_path / "W.mat", "--dims", "2,2",
                "--out", tmp_path / "o.mat") == EXIT_DIMENSION
     assert capsys.readouterr().err.startswith("error: dimension:")
+    assert last_record(tmp_path)["command"] == "reduce"
+    assert last_record(tmp_path)["exit_code"] == EXIT_DIMENSION
 
 
 def test_exit_code_constraint_violation(tmp_path, capsys):
@@ -234,6 +244,8 @@ def test_exit_code_constraint_violation(tmp_path, capsys):
     assert run(tmp_path, "lift", "--state", tmp_path / "bad.mat", "--ref", tmp_path / "D.mat",
                "--out", tmp_path / "o.mat") == EXIT_CONSTRAINT
     assert capsys.readouterr().err.startswith("error: constraint:")
+    assert last_record(tmp_path)["command"] == "lift"
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -11,6 +11,7 @@ from statelift import (
     ViolatesPositivity,
     ViolatesTrace,
     WitnessConfig,
+    analysis_report,
     analyze,
     apply_lifting,
     basis_g,
@@ -19,7 +20,6 @@ from statelift import (
     check_trace_constraint,
     components,
     diag_mixing_positive,
-    diag_mixing_positive_scan,
     extract_reference,
     kraus_lifting,
     kron,
@@ -30,7 +30,6 @@ from statelift import (
     product_residual,
     random_density,
     random_perturbation,
-    reassemble,
     structure_report,
     trace_norm,
     unvec,
@@ -38,11 +37,13 @@ from statelift import (
 )
 from statelift.config import tolerances
 from statelift.dynamics import unitary_from_hamiltonian
-from statelift.liftings import _family
+from statelift.liftings import _Screen, _family
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import hermitian_basis, random_hermitian
 
 from oracles import (
+    diag_mixing_positive_scan,
+    reassemble,
     positivity_witness_search_loops,
     witness_candidates_loops,
     product_lifting_loops,
@@ -402,6 +403,30 @@ def test_witness_search_planted_in_first_random_density(part, scale):
             assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("column", [1, 2])
+def test_witness_search_planted_in_hermiticity_defect(column, scale):
+    # F(E_10) (column 1) or F(E_01) (column 2) is stretched by 1 + c, with c of
+    # the size of tol: the Hermitian part of the image of g_01 / 2 has the
+    # eigenvalue -c/4, which one triangle of that image does not show
+    m = product_lifting(np.eye(1), 2).matrix.copy()
+    m[:, column] *= 1 + 4 * scale * tolerances.psd
+    f = Lifting(2, 1, m)
+    got = positivity_witness_search(f)
+    _assert_same_witness(got, positivity_witness_search_loops(f))
+    if scale > 1:
+        assert np.array_equal(got.state, basis_g(0, 1, 2) / 2)
+        assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
+
+
+def test_screen_fails_members_far_from_hermitian():
+    # for the identity map the screen's H is x itself, while the exact path sees
+    # the Hermitian part of x, here with the eigenvalue -1/2
+    screen = _Screen(product_lifting(np.eye(1), 2), tolerances.psd)
+    for x in (np.array([[1.0, 3.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [3.0, 1.0]])):
+        assert not screen.passes(x[None].astype(complex))
+
+
 @pytest.mark.parametrize("ds, de", [(2, 3), (3, 2), (8, 4)])
 def test_basis_images_match_apply_lifting(ds, de):
     f = perturbed_product_lifting(random_density(de, seed=810), ds, 1e-2, seed=811)
@@ -472,6 +497,33 @@ def test_analyze_entangling_kraus_violates_trace():
     d = random_density(2, seed=34)
     f = kraus_lifting([swap_matrix(2)], d, 2)
     assert isinstance(analyze(f), ViolatesTrace)
+
+
+def second_order_lifting(delta):
+    """F(E_00) = E_00 (x) (D + delta X), F(E_11) = E_11 (x) (D - delta X) and
+    F(E_kl) = E_kl (x) D otherwise, with D = diag(.6, .4) and X = diag(1, -1).
+
+    The map is Hermitian and trace-constrained but not positive: the Schur
+    complement of its pair block is -delta^2 X D^-1 X, so the witness family
+    reaches only about -0.625 delta^2 while the product residual is
+    sqrt(12) delta."""
+    d, x = np.diag([0.6, 0.4]).astype(complex), np.diag([1.0, -1.0])
+    m = product_lifting(d, 2).matrix.copy()
+    m[:, 0] += delta * vec(np.kron(np.diag([1.0, 0.0]), x))
+    m[:, 3] -= delta * vec(np.kron(np.diag([0.0, 1.0]), x))
+    return Lifting(2, 2, m)
+
+
+def test_analyze_resolution_limit_of_second_order_violations():
+    # -0.625e-12 lies inside the psd margin: only the residual and the structure show the defect
+    report = analysis_report(second_order_lifting(1e-6))
+    assert isinstance(report.verdict, Inconclusive)
+    assert report.verdict.residual == pytest.approx(np.sqrt(12) * 1e-6, rel=1e-6)
+    assert report.structure.diag_reference_mismatch[1] == pytest.approx(2 * np.sqrt(2) * 1e-6, rel=1e-6)
+    # -0.625e-8 lies outside it
+    verdict = analysis_report(second_order_lifting(1e-4)).verdict
+    assert isinstance(verdict, ViolatesPositivity)
+    assert verdict.min_eigenvalue == pytest.approx(-6.25e-9, rel=1e-3)
 
 
 def test_factorization_property_with_many_random_densities():
@@ -561,6 +613,19 @@ def test_random_perturbation_memory_stays_below_dense_basis():
         tracemalloc.stop()
     # the dense composite Hermitian basis alone is 268 MB at (8, 8)
     assert peak < 64 * 2**20
+
+
+def test_witness_search_memory_stays_near_one_image_stack():
+    f = product_lifting(random_density(4, seed=45), 16)
+    tracemalloc.start()
+    try:
+        assert positivity_witness_search(f) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the screen stores one stack of Hermitian matrix-unit images, f.matrix.nbytes;
+    # a chunk's images, its Cholesky factors and the units it gathers add the rest
+    assert peak < 2.5 * f.matrix.nbytes
 
 
 def test_perturbed_lifting_stays_in_hypothesis_set():
