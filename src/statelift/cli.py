@@ -5,8 +5,8 @@ stdout, primary outputs are written atomically through the shared text
 formats, and every run appends a JSON record (command, input digests,
 parameters, outputs, timing) to the run log.
 
-Exit codes: 0 success, 2 usage, 3 format error, 4 dimension mismatch,
-5 constraint violation, 6 no-go falsifier.
+Exit codes: 0 success, 2 usage, 3 format error or unreadable/unwritable file,
+4 dimension mismatch, 5 constraint violation, 6 no-go falsifier.
 """
 
 from __future__ import annotations
@@ -382,6 +382,7 @@ def main(argv=None) -> int:
     }
     run = _Run(args.verb, params)
     start = time.perf_counter()
+    code = None  # stays None in the record of a run that ends in an unmapped exception
     try:
         code = args.func(args, run)
     except FormatError as exc:
@@ -393,13 +394,14 @@ def main(argv=None) -> int:
     except ConstraintViolation as exc:
         print(f"error: constraint: {exc}", file=sys.stderr)
         code = EXIT_CONSTRAINT
-    run.record["exit_code"] = code
-    run.record["elapsed_s"] = round(time.perf_counter() - start, 6)
-    try:
-        with open(args.run_log, "a") as handle:
-            handle.write(json.dumps(run.record, sort_keys=True) + "\n")
-    except OSError as exc:
-        print(f"warning: could not append run log: {exc}", file=sys.stderr)
+    finally:
+        run.record["exit_code"] = code
+        run.record["elapsed_s"] = round(time.perf_counter() - start, 6)
+        try:
+            with open(args.run_log, "a") as handle:
+                handle.write(json.dumps(run.record, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"warning: could not append run log: {exc}", file=sys.stderr)
     return code
 
 

@@ -222,16 +222,46 @@ def gaussian_sampler(b: np.ndarray, seed) -> GaussianStateSampler:
     return GaussianStateSampler(b.shape[0], factor, seed)
 
 
+_DRAW_BLOCK_BYTES = 2**20
+
+
+def _draw_blocks(sampler: GaussianStateSampler, n: int):
+    """Consecutive row blocks of draw(sampler, n), _DRAW_BLOCK_BYTES of normals
+    each, from one restarted Philox stream: together they carry the bits of a
+    single draw.  A trailing single row joins the block before it, because
+    numpy sends a one-row product to gemv, whose sums can differ from gemm's."""
+    if n < 1:
+        raise ConstraintViolation("sample count must be positive")
+    rng = philox_rng(sampler.seed)
+    rows = max(1, _DRAW_BLOCK_BYTES // (16 * sampler.dim))
+    edges = [*range(0, max(n - 1, 1), rows), n]
+
+    def block(m: int) -> np.ndarray:
+        g = rng.standard_normal((m, sampler.dim, 2)).view(np.complex128)[..., 0]
+        g *= np.sqrt(0.5)
+        return g @ sampler.factor.T
+    return (block(stop - start) for start, stop in zip(edges, edges[1:]))
+
+
 def draw(sampler: GaussianStateSampler, n: int) -> np.ndarray:
     """n rows z = M g with g standard complex Gaussian (E[g g^dagger] = Id).
 
     Deterministic in (sampler.seed, n): every call restarts the Philox stream,
     so repeated draws reproduce the same samples bit for bit.
     """
-    rng = philox_rng(sampler.seed)
-    parts = rng.standard_normal((n, sampler.dim, 2))
-    g = np.sqrt(0.5) * (parts[..., 0] + 1j * parts[..., 1])
-    return g @ sampler.factor.T
+    return np.concatenate(tuple(_draw_blocks(sampler, n)))
+
+
+def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
+    """Rows <z, A z> and |z|^2 over n draws from the correlation measure of b."""
+    blocks = _draw_blocks(gaussian_sampler(b, seed), n)
+    forms, start = np.empty((2, n)), 0
+    for z in blocks:
+        stop, zr = start + z.shape[0], z.view(np.float64)
+        np.einsum("nk,nk->n", zr, (z @ a.T).view(np.float64), out=forms[0, start:stop])
+        np.einsum("nk,nk->n", zr, zr, out=forms[1, start:stop])
+        start = stop
+    return forms
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,9 +289,7 @@ def estimate_expectation(b: np.ndarray, a: np.ndarray, n: int, seed) -> Estimate
     if hermiticity_defect(a) > tolerances.hermitian:
         raise ConstraintViolation("observable must be Hermitian")
     start = time.perf_counter()
-    z = draw(gaussian_sampler(b, seed), n)
-    values = np.einsum("ni,ij,nj->n", z.conj(), a, z).real
-    norms_sq = np.einsum("ni,ni->n", z.conj(), z).real
+    values, norms_sq = _quadratic_forms(b, a, n, seed)
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
     self_normalized = float(values.sum() / norms_sq.sum())
@@ -293,8 +321,7 @@ def empirical_state(b: np.ndarray, n: int, seed) -> np.ndarray:
     """Monte-Carlo reconstruction of B as the norm-weighted pushforward average
     (1/n) sum_i z_i z_i^dagger, renormalized to unit trace; PSD by construction
     and converging to B at the usual 1/sqrt(n) rate."""
-    z = draw(gaussian_sampler(b, seed), n)
-    w = (z.T @ z.conj()) / n
+    w = sum(z.T @ z.conj() for z in _draw_blocks(gaussian_sampler(b, seed), n)) / n
     return w / np.trace(w).real
 
 
@@ -308,7 +335,5 @@ def observable_bounds(a: np.ndarray) -> tuple:
 def projective_values(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
     """The bounded per-sample values <z, A z>/|z|^2 for draws from the
     correlation measure of b."""
-    z = draw(gaussian_sampler(b, seed), n)
-    values = np.einsum("ni,ij,nj->n", z.conj(), np.asarray(a, dtype=np.complex128), z).real
-    norms_sq = np.einsum("ni,ni->n", z.conj(), z).real
+    values, norms_sq = _quadratic_forms(b, np.asarray(a, dtype=np.complex128), n, seed)
     return values / norms_sq

@@ -7,8 +7,9 @@ Gram-root singular values for the trace norm, dense superoperator and
 permutation matrices for liftings, perturbations and adjoints, and
 per-matrix-unit loops for Choi matrices and reduced dynamics, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
-search, a dense grid scan for the diagonal-mixing criterion, and the inverse
-reindexing of ``liftings.components``.
+search, a dense grid scan for the diagonal-mixing criterion, the inverse
+reindexing of ``liftings.components``, and one-shot Gaussian draws with
+three-index einsum estimators and a single-GEMM empirical state.
 """
 
 from functools import lru_cache
@@ -19,6 +20,7 @@ import numpy as np
 from statelift.config import tolerances
 from statelift.errors import ConstraintViolation
 from statelift.liftings import Witness, WitnessConfig, apply_lifting
+from statelift.measures import gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import basis_g, basis_g_star, hermitian_basis, random_density
 
@@ -261,3 +263,27 @@ def diag_mixing_positive_scan(
         return False
     prod_margin = 64 * eps * (np.abs(left) * np.abs(right) + b * b)
     return not np.any(left * right - b * b < -prod_margin)
+
+
+def draw_one_shot(sampler, n: int) -> np.ndarray:
+    """All n Gaussian rows z = M g from a single standard_normal call."""
+    parts = philox_rng(sampler.seed).standard_normal((n, sampler.dim, 2))
+    g = np.sqrt(0.5) * (parts[..., 0] + 1j * parts[..., 1])
+    return g @ sampler.factor.T
+
+
+def estimate_expectation_einsum(b: np.ndarray, a: np.ndarray, n: int, seed) -> tuple:
+    """(estimate, stderr, self_normalized, per-sample values <z,Az>/|z|^2) from
+    the whole draw at once and a three-index einsum."""
+    z = draw_one_shot(gaussian_sampler(b, seed), n)
+    values = np.einsum("ni,ij,nj->n", z.conj(), np.asarray(a, dtype=np.complex128), z).real
+    norms_sq = np.einsum("ni,ni->n", z.conj(), z).real
+    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+    return float(values.mean()), stderr, float(values.sum() / norms_sq.sum()), values / norms_sq
+
+
+def empirical_state_dense(b: np.ndarray, n: int, seed) -> np.ndarray:
+    """(1/n) sum_i z_i z_i^dagger over the whole draw in one GEMM, unit trace."""
+    z = draw_one_shot(gaussian_sampler(b, seed), n)
+    w = (z.T @ z.conj()) / n
+    return w / np.trace(w).real

@@ -248,6 +248,42 @@ def test_exit_code_constraint_violation(tmp_path, capsys):
     assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
 
 
+@pytest.mark.parametrize("verb", ["estimate", "empirical"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_exit_code_non_positive_sample_count(tmp_path, capsys, verb, n):
+    write_matrix(tmp_path / "B.mat", random_density(2, seed=16))
+    write_matrix(tmp_path / "A.mat", random_hermitian(2, seed=17))
+    extra = ("--obs", tmp_path / "A.mat") if verb == "estimate" else ("--out", tmp_path / "e.mat")
+    assert run(tmp_path, verb, "--state", tmp_path / "B.mat", *extra,
+               "--n", n, "--seed", 18) == EXIT_CONSTRAINT
+    assert "sample count must be positive" in capsys.readouterr().err
+    assert last_record(tmp_path)["command"] == verb
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+    assert not (tmp_path / "e.mat").exists()
+
+
+def test_exit_code_unwritable_output(tmp_path, capsys):
+    write_matrix(tmp_path / "B.mat", random_density(2, seed=19))
+    assert run(tmp_path, "empirical", "--state", tmp_path / "B.mat", "--n", 100, "--seed", 20,
+               "--out", tmp_path / "missing" / "e.mat") == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith("error: format:")
+    assert last_record(tmp_path)["command"] == "empirical"
+    assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
+
+
+def test_unmapped_exception_leaves_a_run_record(tmp_path, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("statelift.measures.empirical_state", fail)
+    write_matrix(tmp_path / "B.mat", random_density(2, seed=21))
+    with pytest.raises(RuntimeError, match="boom"):
+        run(tmp_path, "empirical", "--state", tmp_path / "B.mat", "--n", 100, "--seed", 22,
+            "--out", tmp_path / "e.mat")
+    assert last_record(tmp_path)["command"] == "empirical"
+    assert last_record(tmp_path)["exit_code"] is None
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

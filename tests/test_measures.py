@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,18 @@ from statelift import (
     split_lift,
     trace_norm,
 )
+from statelift import measures
 from statelift.measures import observable_bounds, projective_values
 from statelift.rng import philox_rng
+
+from oracles import draw_one_shot, empirical_state_dense, estimate_expectation_einsum
+
+
+def block_rows(d: int) -> int:
+    return measures._DRAW_BLOCK_BYTES // (16 * d)
+
+
+ROWS_64 = block_rows(64)
 
 
 # --- classical measures -------------------------------------------------------
@@ -371,6 +383,56 @@ def test_per_sample_values_bounded():
     lo, hi = observable_bounds(a)
     assert values.min() >= lo - 1e-12
     assert values.max() <= hi + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, ROWS_64 - 1, ROWS_64, ROWS_64 + 1, 3 * ROWS_64 + 7])
+def test_blocked_draw_matches_one_shot_draw(n):
+    sampler = gaussian_sampler(random_density(64, seed=60), seed=61)
+    assert np.array_equal(draw(sampler, n), draw_one_shot(sampler, n))
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_streamed_estimators_match_einsum_oracles(d):
+    n = 2 * block_rows(d) + 7
+    a = random_hermitian(d, seed=62)
+    b = random_density(d, seed=63)
+    estimate, stderr, self_normalized, values = estimate_expectation_einsum(b, a, n, 64)
+    res = estimate_expectation(b, a, n, seed=64)
+    assert res.estimate == pytest.approx(estimate, abs=1e-12)
+    assert res.stderr == pytest.approx(stderr, abs=1e-12)
+    assert res.self_normalized == pytest.approx(self_normalized, abs=1e-12)
+    assert np.max(np.abs(projective_values(b, a, n, seed=64) - values)) <= 1e-12
+    emp = empirical_state(b, n, seed=65)
+    assert np.max(np.abs(emp - empirical_state_dense(b, n, 65))) <= 1e-12
+
+
+@pytest.mark.parametrize("estimator", ["estimate", "empirical"])
+def test_streamed_estimator_memory_is_bounded(estimator):
+    # the whole draw at d = 64, n = 5e4 is 49 MiB of complex rows
+    a = random_hermitian(64, seed=66)
+    b = random_density(64, seed=67)
+    tracemalloc.start()
+    try:
+        if estimator == "estimate":
+            estimate_expectation(b, a, 50_000, seed=68)
+        else:
+            empirical_state(b, 50_000, seed=68)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_count_must_be_positive(n):
+    a = random_hermitian(2, seed=69)
+    b = random_density(2, seed=70)
+    for call in (lambda: draw(gaussian_sampler(b, seed=71), n),
+                 lambda: estimate_expectation(b, a, n, seed=71),
+                 lambda: empirical_state(b, n, seed=71),
+                 lambda: projective_values(b, a, n, seed=71)):
+        with pytest.raises(ConstraintViolation, match="sample count must be positive"):
+            call()
 
 
 # --- projectivization and empirical states --------------------------------------------
