@@ -6,7 +6,9 @@ formats, and every run appends a JSON record (command, input digests,
 parameters, outputs, timing) to the run log.
 
 Exit codes: 0 success, 2 usage, 3 format error or unreadable/unwritable file,
-4 dimension mismatch, 5 constraint violation, 6 no-go falsifier.
+4 dimension mismatch, 5 constraint violation, 6 no-go falsifier, 7 numerical
+failure (a linear-algebra routine that did not converge or met a singular
+matrix).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ EXIT_FORMAT = 3
 EXIT_DIMENSION = 4
 EXIT_CONSTRAINT = 5
 EXIT_FALSIFIER = 6
+EXIT_NUMERICAL = 7
 
 _FLOAT = "{:.17g}"
 
@@ -394,6 +397,9 @@ def main(argv=None) -> int:
     except ConstraintViolation as exc:
         print(f"error: constraint: {exc}", file=sys.stderr)
         code = EXIT_CONSTRAINT
+    except np.linalg.LinAlgError as exc:
+        print(f"error: numerical: {exc}", file=sys.stderr)
+        code = EXIT_NUMERICAL
     finally:
         run.record["exit_code"] = code
         run.record["elapsed_s"] = round(time.perf_counter() - start, 6)

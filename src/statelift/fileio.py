@@ -15,23 +15,26 @@ import numpy as np
 
 from .errors import FormatError
 
-_FLOAT = "{:.17g}"
-# complex entries are converted this many lines at a time, which bounds the
+# entries are read and written this many lines at a time, which bounds the
 # memory their token strings take
 _BLOCK = 2**12
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{_FLOAT.format(z.real)} {_FLOAT.format(z.imag)}"
-
-
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, header: list, values: np.ndarray, per_line: int = 1) -> None:
+    """Write the header lines and then the float64 ``values``, ``per_line`` to
+    a line with 17 significant digits each, to a temp file renamed over
+    ``path``.  Each block of ``_BLOCK`` lines is formatted by one %-format."""
+    rows = np.asarray(values, dtype=np.float64).reshape(-1, per_line)
+    line = " ".join(["%.17g"] * per_line) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".statelift-")
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.write("".join(h + "\n" for h in header))
+            for start in range(0, len(rows), _BLOCK):
+                block = rows[start : start + _BLOCK]
+                handle.write(line * len(block) % tuple(block.ravel().tolist()))
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -39,6 +42,11 @@ def _atomic_write(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             raise FormatError(f"{path}: {exc}") from exc
         raise
+
+
+def _complex_parts(m) -> np.ndarray:
+    """The ``re im`` float pairs of a complex array, in C order."""
+    return np.ascontiguousarray(m, dtype=np.complex128).reshape(-1).view(np.float64)
 
 
 class _Reader:
@@ -128,9 +136,7 @@ def write_matrix(path: str, m: np.ndarray) -> None:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise FormatError(f"matrix files hold square matrices, got shape {m.shape}")
-    lines = ["statelift/matrix v1", f"dim {m.shape[0]}"]
-    lines += [_fmt_complex(z) for z in m.reshape(-1)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["statelift/matrix v1", f"dim {m.shape[0]}"], _complex_parts(m), 2)
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -143,9 +149,7 @@ def read_matrix(path: str) -> np.ndarray:
 
 def write_vector(path: str, v: np.ndarray) -> None:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    lines = ["statelift/vector v1", f"dim {v.size}"]
-    lines += [_fmt_complex(z) for z in v]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["statelift/vector v1", f"dim {v.size}"], _complex_parts(v), 2)
 
 
 def read_vector(path: str) -> np.ndarray:
@@ -157,9 +161,8 @@ def read_vector(path: str) -> np.ndarray:
 
 
 def write_lifting(path: str, f) -> None:
-    lines = ["statelift/lifting v1", f"dims {f.ds} {f.de}"]
-    lines += [_fmt_complex(z) for z in np.asarray(f.matrix).reshape(-1)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = ["statelift/lifting v1", f"dims {f.ds} {f.de}"]
+    _atomic_write(path, header, _complex_parts(f.matrix), 2)
 
 
 def read_lifting(path: str):
@@ -174,9 +177,8 @@ def read_lifting(path: str):
 
 
 def write_reduction(path: str, m) -> None:
-    lines = ["statelift/reduction v1", f"dims {m.ds} {m.de}"]
-    lines += [_fmt_complex(z) for z in np.asarray(m.matrix).reshape(-1)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = ["statelift/reduction v1", f"dims {m.ds} {m.de}"]
+    _atomic_write(path, header, _complex_parts(m.matrix), 2)
 
 
 def read_reduction(path: str):
@@ -192,9 +194,7 @@ def read_reduction(path: str):
 
 def write_measure(path: str, weights: np.ndarray) -> None:
     weights = np.asarray(weights, dtype=float).reshape(-1)
-    lines = ["statelift/measure v1", f"support {weights.size}"]
-    lines += [_FLOAT.format(w) for w in weights]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["statelift/measure v1", f"support {weights.size}"], weights)
 
 
 def read_measure(path: str) -> np.ndarray:
@@ -209,9 +209,7 @@ def write_product_measure(path: str, mu: np.ndarray) -> None:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2:
         raise FormatError(f"product measures are 2-d, got shape {mu.shape}")
-    lines = ["statelift/measure2 v1", f"shape {mu.shape[0]} {mu.shape[1]}"]
-    lines += [_FLOAT.format(w) for w in mu.reshape(-1)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["statelift/measure2 v1", f"shape {mu.shape[0]} {mu.shape[1]}"], mu)
 
 
 def read_product_measure(path: str) -> np.ndarray:
@@ -226,9 +224,7 @@ def write_lift_table(path: str, table: np.ndarray) -> None:
     table = np.asarray(table, dtype=float)
     if table.ndim != 3 or table.shape[0] != table.shape[1]:
         raise FormatError(f"lift tables have shape (q, q, p), got {table.shape}")
-    lines = ["statelift/table v1", f"shape {table.shape[0]} {table.shape[2]}"]
-    lines += [_FLOAT.format(w) for w in table.reshape(-1)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["statelift/table v1", f"shape {table.shape[0]} {table.shape[2]}"], table)
 
 
 def read_lift_table(path: str) -> np.ndarray:

@@ -19,7 +19,7 @@ constraints must lose positivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -236,39 +236,44 @@ _CHUNK_BYTES = 4 * 2**20
 
 
 def _family(ds: int, config: WitnessConfig):
-    """The canonical witness family as sections ``(count, inputs)``: the
-    rank-one Hermitian basis, then the boundary mixtures g_kl + t*g_kk + p*g_ll
-    and g*_kl + t*g_kk + p*g_ll of each pair k < l, then ``extra`` seeded
+    """The canonical witness family as sections ``(count, inputs, pair)``: the
+    rank-one Hermitian basis, then for each pair k < l its boundary mixtures
+    g_kl + t*g_kk + p*g_ll and g*_kl + t*g_kk + p*g_ll, then ``extra`` seeded
     random densities.
 
     ``inputs(a, b)`` stacks members a..b-1 of a section, each with the same
     bits as when built on its own.  A section is set up when the search
     reaches it, and members are built only for the chunks that ask for them.
+    ``pair`` is None, except for the mixtures of k < l, where it is
+    ``(k, l, defect)``: every member is a state on span{e_k, e_l} whose
+    trace-normalized form has no eigenvalue below -defect.
     """
     basis = _basis(ds)
     members = basis.members
-    yield len(members), lambda a, b: members[a:b]
+    yield len(members), lambda a, b: members[a:b], None
 
     us = np.logspace(np.log10(config.u_min), np.log10(1.0 + config.t_max), config.num_t)
     t, p = (us - 1.0)[:, None, None], (1.0 / us - 1.0)[:, None, None]
-    # per pair k < l: the positions of g_kl, g*_kl, g_kk and g_ll in the basis
-    pairs = np.stack([basis.plain, basis.star, basis.diag[basis.k], basis.diag[basis.l]], axis=1)
-    width = 2 * len(us)  # members per pair: plain and star at each t
+    # A member's (k, l) block is [[1+t, b], [conj(b), 1+p]] with |b| = 1, exactly
+    # as computed here.  As t and p are rounded, its determinant (1+t)(1+p) - 1
+    # is not quite 0; when it is -d, the trace-normalized member has no
+    # eigenvalue below -d/2 - u, and d is computed here to within 2u.
+    defect = max(0.0, float(np.max(1.0 - (1.0 + t) * (1.0 + p)))) + 2 * np.finfo(float).eps
 
-    def mixtures(a, b):
-        q, r = np.divmod(np.arange(a, b), width)
-        j, star = np.divmod(r, 2)
-        gkl, gst, gkk, gll = pairs[q].T
-        return members[np.where(star, gst, gkl)] + t[j] * members[gkk] + p[j] * members[gll]
+    def mixtures(q, a, b):
+        j, star = np.divmod(np.arange(a, b), 2)  # plain and star at each t
+        g = members[np.where(star, basis.star[q], basis.plain[q])]
+        return g + t[j] * members[basis.diag[basis.k[q]]] + p[j] * members[basis.diag[basis.l[q]]]
 
-    yield len(pairs) * width, mixtures
+    for q, (k, l) in enumerate(zip(basis.k, basis.l)):
+        yield 2 * len(us), partial(mixtures, q), (int(k), int(l), defect)
 
     children = spawn_seeds(config.seed, max(config.extra, 0))
 
     def densities(a, b):
         return np.stack([random_density(ds, seed=philox_rng(c)) for c in children[a:b]])
 
-    yield len(children), densities
+    yield len(children), densities, None
 
 
 class _Screen:
@@ -303,7 +308,7 @@ class _Screen:
 
     def __init__(self, f: Lifting, tol: float):
         ds, m = f.ds, f.ds**2
-        self.tol, self.dim = tol, f.ds * f.de
+        self.tol, self.ds, self.dim = tol, ds, f.ds * f.de
         # units[c, r] is column c*ds + r of the matrix: the transposed image of E_rc
         units = f.matrix.T.reshape(ds, ds, self.dim, self.dim)
         parts = np.conj(units.transpose(1, 0, 3, 2), order="C")
@@ -313,6 +318,7 @@ class _Screen:
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
         self.slack = np.finfo(float).eps * (self.dim**2 + m + 10)
+        self.pair_slack = np.finfo(float).eps * (4 * self.dim**2 + m + 10)
         # every chunk's H is formed here, so a chunk allocates only its Cholesky factor
         self.cap = max(1, _CHUNK_BYTES // (16 * self.dim**2))
         self.buffer = np.empty((self.cap, self.dim**2), dtype=np.complex128)
@@ -335,6 +341,44 @@ class _Screen:
             return False
         return True
 
+    def certifies(self, k: int, l: int, defect: float) -> bool:
+        """A sufficient test that no state on span{e_k, e_l} whose eigenvalues
+        are >= -``defect`` has an image with an eigenvalue below -tol, made
+        with one Cholesky factorization of the pair's Choi block.
+
+        For psi = a e_k + b e_l, H(psi psi^dagger) = V^dagger B V with
+        B = [[P_kk, P_kl], [P_lk, P_ll]], of size 2n, V = [conj(a) I; conj(b) I]
+        and ||V||^2 = tr(psi psi^dagger).  So lambda_min(B) >= -delta gives
+        lambda_min(H(rho)) >= -delta tr(rho) for every positive rho on the
+        span, and a Hermitian member x with eigenvalues >= -eta has
+        lambda_min(H(x)) >= -delta (tr(x) + 2 eta) - ||B|| eta.  B comes
+        conjugated, as B^T, from ``parts``, and ``defect`` bounds eta.
+
+        Write N for the sum of the column norms ||M_rc|| with r, c in {k, l},
+        so that ||B||_F <= N, and |x_rc| <= 1 for a trace-normalized x.  The
+        computed B carries one rounding per entry (u N in norm), the tol/2
+        shift one more.  A Cholesky factorization of B + (tol/2) I at size 2n
+        that succeeds proves lambda_min(B) >= -tol/2 - (2n (2n + 1) + 2)
+        u (N + tol) (Higham, Thm 10.5).  The exact path's GEMV, Hermitian
+        part and ``eigvalsh`` are off by about (m + n + 7) u N.  So when
+        eps (4 n^2 + m + 10) (N + tol) + 2 defect (N + tol) <= tol/2, with
+        eps = 2u, no member of the pair has an eigenvalue below -tol on the
+        exact path, and the pair may be skipped.
+        """
+        units = [k * self.ds + k, k * self.ds + l, l * self.ds + k, l * self.ds + l]
+        scale = self.norms[units].sum() + self.tol
+        if (self.pair_slack + 2 * defect) * scale > self.tol / 2:
+            return False
+        n = self.dim
+        block = self.parts[units].reshape(2, 2, n, n).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+        diag = np.arange(2 * n)
+        block[diag, diag] += self.tol / 2
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
 
 def positivity_witness_search(
     f: Lifting,
@@ -345,11 +389,14 @@ def positivity_witness_search(
     eigenvalue below -tol, or None if the whole family maps to positive
     operators.
 
-    The family is walked in chunks that double from one member up to about
-    4 MB of images.  A chunk that passes the Cholesky screen of
-    :class:`_Screen` is skipped; any other chunk is evaluated member by member
-    with ``apply_lifting`` and ``eigvalsh``, in canonical order, so the
-    witness and its eigenvalue are those of the exact path.
+    The boundary mixtures of a pair k < l are skipped as a whole when the
+    pair's Choi block passes :meth:`_Screen.certifies`, which is tried when
+    the walk reaches the pair.  Everything else is walked in chunks that
+    double from one member up to about 4 MB of images.  A chunk that passes
+    the Cholesky screen of :class:`_Screen` is skipped; any other chunk is
+    evaluated member by member with ``apply_lifting`` and ``eigvalsh``, in
+    canonical order, so the witness and its eigenvalue are those of the exact
+    path.
     """
     if tol is None:
         tol = tolerances.psd
@@ -357,7 +404,9 @@ def positivity_witness_search(
         config = WitnessConfig()
     screen = _Screen(f, tol)
     size = 1
-    for count, inputs in _family(f.ds, config):
+    for count, inputs, pair in _family(f.ds, config):
+        if pair is not None and screen.certifies(*pair):
+            continue
         a = 0
         while a < count:
             b = min(a + size, count)

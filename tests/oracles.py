@@ -8,8 +8,9 @@ permutation matrices for liftings, perturbations and adjoints, and
 per-matrix-unit loops for Choi matrices and reduced dynamics, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
 search, a dense grid scan for the diagonal-mixing criterion, the inverse
-reindexing of ``liftings.components``, and one-shot Gaussian draws with
-three-index einsum estimators and a single-GEMM empirical state.
+reindexing of ``liftings.components``, one-shot Gaussian draws with
+three-index einsum estimators and a single-GEMM empirical state, and file
+text formatted one entry at a time.
 """
 
 from functools import lru_cache
@@ -287,3 +288,15 @@ def empirical_state_dense(b: np.ndarray, n: int, seed) -> np.ndarray:
     z = draw_one_shot(gaussian_sampler(b, seed), n)
     w = (z.T @ z.conj()) / n
     return w / np.trace(w).real
+
+
+def file_text_per_entry(header, entries) -> str:
+    """The text of a statelift file: the header lines, then one line per
+    entry, ``re im`` for a complex entry, each number by ``str.format``."""
+    lines = list(header)
+    for z in entries:
+        if np.iscomplexobj(z):
+            lines.append(f"{'{:.17g}'.format(z.real)} {'{:.17g}'.format(z.imag)}")
+        else:
+            lines.append("{:.17g}".format(z))
+    return "\n".join(lines) + "\n"

@@ -284,6 +284,20 @@ def test_unmapped_exception_leaves_a_run_record(tmp_path, monkeypatch):
     assert last_record(tmp_path)["exit_code"] is None
 
 
+def test_exit_code_numerical_failure(tmp_path, capsys, monkeypatch):
+    from statelift.cli import EXIT_NUMERICAL
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("statelift.liftings.analysis_report", fail)
+    write_lifting(tmp_path / "F.lift", product_lifting(random_density(2, seed=23), 2))
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift") == EXIT_NUMERICAL == 7
+    assert capsys.readouterr().err == "error: numerical: SVD did not converge\n"
+    assert last_record(tmp_path)["command"] == "analyze"
+    assert last_record(tmp_path)["exit_code"] == EXIT_NUMERICAL
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -3,6 +3,7 @@ import pytest
 
 from statelift import FormatError, Lifting, product_lifting, random_density
 from statelift.fileio import (
+    _BLOCK,
     read_lift_table,
     read_lifting,
     read_matrix,
@@ -20,6 +21,8 @@ from statelift.fileio import (
 )
 from statelift.observables import adjoint_lifting
 from statelift.rng import philox_rng
+
+from oracles import file_text_per_entry
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -176,3 +179,33 @@ def test_write_is_deterministic(tmp_path):
     write_matrix(p1, m)
     write_matrix(p2, m)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 1e16, 1e17]
+
+
+def test_block_writers_match_per_entry_text(tmp_path):
+    # more than two blocks of entries, and a count that is no multiple of _BLOCK
+    rng = philox_rng(5)
+    n = 2 * _BLOCK + 7
+    values = rng.standard_normal(2 * n) * 10.0 ** rng.integers(-300, 300, 2 * n)
+    values[: 2 * len(_SPECIAL)] = np.repeat(_SPECIAL, 2)
+    values[2 * len(_SPECIAL) : 4 * len(_SPECIAL)] = np.tile(_SPECIAL, 2)
+    v = values.view(np.complex128)
+    write_vector(tmp_path / "v.vec", v)
+    want = file_text_per_entry(["statelift/vector v1", f"dim {n}"], v)
+    assert (tmp_path / "v.vec").read_bytes() == want.encode()
+
+    m = v[: 65 * 65].reshape(65, 65)
+    write_matrix(tmp_path / "m.mat", m)
+    want = file_text_per_entry(["statelift/matrix v1", "dim 65"], m.reshape(-1))
+    assert (tmp_path / "m.mat").read_bytes() == want.encode()
+
+    f = product_lifting(random_density(4, seed=6), 4)
+    write_lifting(tmp_path / "f.lift", f)
+    want = file_text_per_entry(["statelift/lifting v1", "dims 4 4"], f.matrix.reshape(-1))
+    assert (tmp_path / "f.lift").read_bytes() == want.encode()
+
+    write_measure(tmp_path / "u.measure", values[:n])
+    want = file_text_per_entry(["statelift/measure v1", f"support {n}"], values[:n])
+    assert (tmp_path / "u.measure").read_bytes() == want.encode()

@@ -312,6 +312,10 @@ def _lifting_of_kind(kind, ds, de, seed):
         return kraus_lifting([np.kron(np.eye(ds), v)], d, ds)
     if kind == "perturbed":
         return perturbed_product_lifting(d, ds, 1e-2, seed=seed + 2)
+    if kind == "transpose":
+        # rho -> rho^T (x) D is positive but not completely positive
+        m = product_lifting(d, ds).matrix.reshape(-1, ds, ds).transpose(0, 2, 1)
+        return Lifting(ds, de, m.reshape(-1, ds * ds))
     if kind == "large":
         # rounding noise in its images outweighs tol: only the exact path decides
         return Lifting(ds, de, 1e7 * product_lifting(d, ds).matrix)
@@ -340,14 +344,16 @@ def test_witness_family_matches_loops(ds):
     for config in (WitnessConfig(), WitnessConfig(num_t=3, extra=4)):
         want = [x.tobytes() for x in witness_candidates_loops(ds, config)]
         got = []
-        for count, inputs in _family(ds, config):
+        for count, inputs, _ in _family(ds, config):
             cuts = sorted({0, min(1, count), count // 3, count})
             got += [x.tobytes() for a, b in zip(cuts, cuts[1:]) for x in inputs(a, b)]
         assert got == want
 
 
 @pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (8, 4), (8, 8)])
-@pytest.mark.parametrize("kind", ["product", "kraus_local", "perturbed", "entangling", "large"])
+@pytest.mark.parametrize(
+    "kind", ["product", "kraus_local", "perturbed", "entangling", "large", "transpose"]
+)
 def test_witness_search_matches_loops(kind, ds, de):
     f = _lifting_of_kind(kind, ds, de, seed=700 + ds * de)
     for config in (WitnessConfig(), WitnessConfig(extra=0)):
@@ -375,6 +381,74 @@ def test_witness_search_planted_in_basis(member, scale):
     if scale > 1:
         assert np.array_equal(got.state, g / np.trace(g).real)
         assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
+
+
+def _pairs(ds):
+    return {pair[:2]: (inputs, pair) for _, inputs, pair in _family(ds, WitnessConfig()) if pair}
+
+
+@pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (8, 4)])
+def test_pair_certificates_of_product_and_transposed_liftings(ds, de):
+    # the Choi blocks of rho -> rho (x) D are positive, those of its transpose
+    # rho -> rho^T (x) D are not, though the transpose maps states to states
+    product = _lifting_of_kind("product", ds, de, seed=820)
+    transpose = _lifting_of_kind("transpose", ds, de, seed=820)
+    pairs = [pair for _, pair in _pairs(ds).values()]
+    assert len(pairs) == ds * (ds - 1) // 2
+    assert all(_Screen(product, tolerances.psd).certifies(*pair) for pair in pairs)
+    assert not any(_Screen(transpose, tolerances.psd).certifies(*pair) for pair in pairs)
+
+
+def test_pair_certificates_wait_for_the_walk(monkeypatch):
+    # a witness among the basis members costs no pair factorization
+    tried = []
+    certifies = _Screen.certifies
+
+    def counted(screen, k, l, defect):
+        tried.append((k, l))
+        return certifies(screen, k, l, defect)
+
+    monkeypatch.setattr(_Screen, "certifies", counted)
+    d = random_density(4, seed=830)
+    got = positivity_witness_search(perturbed_product_lifting(d, 4, 1e-2, seed=831))
+    assert np.array_equal(got.state, hermitian_basis(4)[0])
+    assert tried == []
+    assert positivity_witness_search(product_lifting(d, 4)) is None
+    assert tried == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+# At (4, 4) the boundary mixtures of the pair (1, 2) are 80 members: plain and
+# star at each of the 40 values of t.  Member 0 is the plain one at the first
+# t, member 79 the star one at the last t.
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("member", [0, 79])
+def test_witness_search_planted_in_pair_mixture(member, scale):
+    ds, de, k, l = 4, 4, 1, 2
+    inputs, pair = _pairs(ds)[(k, l)]
+    x = inputs(member, member + 1)[0]
+    x = x / np.trace(x).real
+    # psi spans the member's range, chi its kernel on span{e_k, e_l}; the
+    # functional tr(A y) is 1 at the member and falls off fast around it, also
+    # at the basis members g_kk and g_ll, which are close to the ends of the curve
+    vecs = np.zeros((ds, 2), dtype=complex)
+    vecs[[k, l]] = np.linalg.eigh(x[np.ix_([k, l], [k, l])])[1]
+    chi, psi = vecs.T
+    a = np.outer(psi, psi.conj()) - 1e5 * np.outer(chi, chi.conj())
+    # w lies in the kernel of every y (x) D, so F(y) has the eigenvalue -c tr(A y)
+    d = np.diag([0.4, 0.3, 0.3, 0.0]).astype(complex)
+    w = np.kron(np.eye(ds)[0], np.eye(de)[3])
+    c = scale * tolerances.psd
+    images = [kron(g, d) - c * np.trace(a @ g).real * np.outer(w, w)
+              for g in hermitian_basis(ds)]
+    f = _lifting_from_images(ds, de, images)
+    assert not _Screen(f, tolerances.psd).certifies(*pair)
+    got = positivity_witness_search(f)
+    _assert_same_witness(got, positivity_witness_search_loops(f))
+    if scale > 1:
+        assert np.array_equal(got.state, x)
+        assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
+    else:
+        assert got is None
 
 
 @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
