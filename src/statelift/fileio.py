@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import os
 import tempfile
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import FormatError
 
-# entries are read and written this many lines at a time, which bounds the
-# memory their token strings take
+# entries are written this many lines at a time, which bounds the memory
+# their token strings take
 _BLOCK = 2**12
 
 
@@ -50,24 +52,18 @@ def _complex_parts(m) -> np.ndarray:
 
 
 class _Reader:
-    def __init__(self, path: str, kind: str):
+    """The lines of an open file, read in order; blank lines are skipped."""
+
+    def __init__(self, path: str, handle):
         self.path = path
-        try:
-            with open(path) as handle:
-                self.lines = [ln for ln in map(str.strip, handle) if ln]
-        except OSError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        self.pos = 0
-        header = self.next(f"header 'statelift/{kind} v1'")
-        if header != f"statelift/{kind} v1":
-            raise FormatError(f"{path}: bad header {header!r}, expected statelift/{kind} v1")
+        self.handle = handle
 
     def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError(f"{self.path}: unexpected end of file, expected {what}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+        for line in iter(self.handle.readline, ""):
+            line = line.strip()
+            if line:
+                return line
+        raise FormatError(f"{self.path}: unexpected end of file, expected {what}")
 
     def field(self, name: str, count: int = 1):
         parts = self.next(f"field '{name}'").split()
@@ -81,55 +77,57 @@ class _Reader:
             raise FormatError(f"{self.path}: {name} must be positive")
         return values
 
-    def complex_entries(self, n: int) -> np.ndarray:
-        """n 're im' lines, each number read by float().
+    def entries(self, n: int, per_line: int) -> np.ndarray:
+        """The rest of the file as n lines of per_line floats, shape (n, per_line).
 
-        A block of lines is joined with " | " between lines and split into
-        tokens, and every third token is dropped.  As "|" is no number, the
-        rest converts exactly when the tokens ran re, im, "|", re, im, ...,
-        that is, when every line is a pair: otherwise a "|" stays among them.
-        A block that does not convert is scanned line by line, which names
-        the first bad entry.
+        numpy's C reader converts each number with the dtoa that float() uses,
+        so the bits are float()'s.  A file it does not read as exactly n such
+        lines, or that makes it warn, is scanned line by line instead: the
+        scan names the first bad entry, and reads what only float() reads,
+        such as 1_0.
         """
-        out = np.empty(n, dtype=np.complex128)
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            lines = self.lines[self.pos : self.pos + stop - start]
-            tokens = " | ".join(lines).split()
-            count = len(lines)
-            if count == stop - start and len(tokens) == 3 * count - 1:
-                del tokens[2::3]
-                try:
-                    values = np.fromiter(map(float, tokens), np.float64, 2 * count)
-                except ValueError:
-                    pass
-                else:
-                    out.view(np.float64)[2 * start : 2 * stop] = values
-                    self.pos += count
-                    continue
-            for i in range(start, stop):
-                parts = self.next(f"entry {i + 1}/{n}").split()
-                if len(parts) != 2:
-                    raise FormatError(f"{self.path}: entry {i + 1} is not a 're im' pair")
-                try:
-                    out[i] = complex(float(parts[0]), float(parts[1]))
-                except ValueError as exc:
-                    raise FormatError(f"{self.path}: non-numeric entry {i + 1}") from exc
-        return out
+        start = self.handle.tell()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(self.handle, dtype=np.float64, comments=None, ndmin=2)
+            if values.shape == (n, per_line):
+                return values
+        except (ValueError, Warning):
+            pass
+        self.handle.seek(start)
+        return self._scan(n, per_line)
 
-    def real_entries(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=float)
-        for i in range(n):
-            line = self.next(f"entry {i + 1}/{n}")
+    def _scan(self, n: int, per_line: int) -> np.ndarray:
+        """``entries`` read a line at a time with float()."""
+        values = []
+        for i in range(1, n + 1):
+            line = self.next(f"entry {i}/{n}")
+            parts = line.split() if per_line > 1 else [line]
+            if len(parts) != per_line:
+                raise FormatError(f"{self.path}: entry {i} is not a 're im' pair")
             try:
-                out[i] = float(line)
+                values.extend(map(float, parts))
             except ValueError as exc:
-                raise FormatError(f"{self.path}: non-numeric entry {i + 1}") from exc
-        return out
-
-    def done(self) -> None:
-        if self.pos != len(self.lines):
+                raise FormatError(f"{self.path}: non-numeric entry {i}") from exc
+        if any(map(str.strip, self.handle)):
             raise FormatError(f"{self.path}: trailing data after entry list")
+        return np.array(values).reshape(n, per_line)
+
+
+@contextmanager
+def _reading(path: str, kind: str):
+    """A reader of the file at ``path``, past its ``statelift/<kind> v1`` header."""
+    try:
+        handle = open(path)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    with handle:
+        r = _Reader(path, handle)
+        header = r.next(f"header 'statelift/{kind} v1'")
+        if header != f"statelift/{kind} v1":
+            raise FormatError(f"{path}: bad header {header!r}, expected statelift/{kind} v1")
+        yield r
 
 
 def write_matrix(path: str, m: np.ndarray) -> None:
@@ -140,11 +138,10 @@ def write_matrix(path: str, m: np.ndarray) -> None:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    r = _Reader(path, "matrix")
-    (dim,) = r.field("dim")
-    entries = r.complex_entries(dim * dim)
-    r.done()
-    return entries.reshape(dim, dim)
+    with _reading(path, "matrix") as r:
+        (dim,) = r.field("dim")
+        entries = r.entries(dim * dim, 2)
+    return entries.view(np.complex128).reshape(dim, dim)
 
 
 def write_vector(path: str, v: np.ndarray) -> None:
@@ -153,11 +150,10 @@ def write_vector(path: str, v: np.ndarray) -> None:
 
 
 def read_vector(path: str) -> np.ndarray:
-    r = _Reader(path, "vector")
-    (dim,) = r.field("dim")
-    entries = r.complex_entries(dim)
-    r.done()
-    return entries
+    with _reading(path, "vector") as r:
+        (dim,) = r.field("dim")
+        entries = r.entries(dim, 2)
+    return entries.view(np.complex128).reshape(dim)
 
 
 def write_lifting(path: str, f) -> None:
@@ -168,12 +164,11 @@ def write_lifting(path: str, f) -> None:
 def read_lifting(path: str):
     from .liftings import Lifting
 
-    r = _Reader(path, "lifting")
-    ds, de = r.field("dims", 2)
-    rows, cols = (ds * de) ** 2, ds * ds
-    entries = r.complex_entries(rows * cols)
-    r.done()
-    return Lifting(ds, de, entries.reshape(rows, cols))
+    with _reading(path, "lifting") as r:
+        ds, de = r.field("dims", 2)
+        rows, cols = (ds * de) ** 2, ds * ds
+        entries = r.entries(rows * cols, 2)
+    return Lifting(ds, de, entries.view(np.complex128).reshape(rows, cols))
 
 
 def write_reduction(path: str, m) -> None:
@@ -184,12 +179,11 @@ def write_reduction(path: str, m) -> None:
 def read_reduction(path: str):
     from .observables import ReductionMap
 
-    r = _Reader(path, "reduction")
-    ds, de = r.field("dims", 2)
-    rows, cols = ds * ds, (ds * de) ** 2
-    entries = r.complex_entries(rows * cols)
-    r.done()
-    return ReductionMap(ds, de, entries.reshape(rows, cols))
+    with _reading(path, "reduction") as r:
+        ds, de = r.field("dims", 2)
+        rows, cols = ds * ds, (ds * de) ** 2
+        entries = r.entries(rows * cols, 2)
+    return ReductionMap(ds, de, entries.view(np.complex128).reshape(rows, cols))
 
 
 def write_measure(path: str, weights: np.ndarray) -> None:
@@ -198,11 +192,10 @@ def write_measure(path: str, weights: np.ndarray) -> None:
 
 
 def read_measure(path: str) -> np.ndarray:
-    r = _Reader(path, "measure")
-    (support,) = r.field("support")
-    entries = r.real_entries(support)
-    r.done()
-    return entries
+    with _reading(path, "measure") as r:
+        (support,) = r.field("support")
+        entries = r.entries(support, 1)
+    return entries.reshape(support)
 
 
 def write_product_measure(path: str, mu: np.ndarray) -> None:
@@ -213,10 +206,9 @@ def write_product_measure(path: str, mu: np.ndarray) -> None:
 
 
 def read_product_measure(path: str) -> np.ndarray:
-    r = _Reader(path, "measure2")
-    nq, np_ = r.field("shape", 2)
-    entries = r.real_entries(nq * np_)
-    r.done()
+    with _reading(path, "measure2") as r:
+        nq, np_ = r.field("shape", 2)
+        entries = r.entries(nq * np_, 1)
     return entries.reshape(nq, np_)
 
 
@@ -228,8 +220,7 @@ def write_lift_table(path: str, table: np.ndarray) -> None:
 
 
 def read_lift_table(path: str) -> np.ndarray:
-    r = _Reader(path, "table")
-    nq, np_ = r.field("shape", 2)
-    entries = r.real_entries(nq * nq * np_)
-    r.done()
+    with _reading(path, "table") as r:
+        nq, np_ = r.field("shape", 2)
+        entries = r.entries(nq * nq * np_, 1)
     return entries.reshape(nq, nq, np_)

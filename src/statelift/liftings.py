@@ -144,22 +144,24 @@ def basis_images(f: Lifting) -> np.ndarray:
     O(dim^2 * ds^4).
     """
     ds, dim = f.ds, f.ds * f.de
-    basis = _basis(ds)
-    k, l = basis.k, basis.l
+    diag = _basis(ds).diag
     # units[c, r] is column c*ds + r of the matrix: the transposed image of E_rc
     units = f.matrix.T.reshape(ds, ds, dim, dim)
     out = np.empty((ds * ds, dim, dim), dtype=np.complex128)
-    out[basis.diag] = units[np.arange(ds), np.arange(ds)]
-    # g_kl = E_kk + E_kl + E_lk + E_ll and g*_kl = E_kk + E_ll + i E_kl - i E_lk
-    ends = out[basis.diag[k]] + out[basis.diag[l]]
-    kl, lk = units[l, k], units[k, l]
-    stars = out[ds + len(k) :]
-    np.subtract(kl, lk, out=stars)
-    stars *= 1j
-    stars += ends
-    kl += lk
-    kl += ends
-    out[basis.plain] = kl
+    out[diag] = units.reshape(ds * ds, dim, dim)[:: ds + 1]
+    # g_kl = E_kk + E_kl + E_lk + E_ll and g*_kl = E_kk + E_ll + i E_kl - i E_lk.
+    # The pairs k < l of a row k sit together among the g's and among the
+    # stars, so each row is formed from views of units into views of out.
+    star = ds * (ds + 1) // 2
+    for k in range(ds - 1):
+        plain, stars = out[diag[k] + 1 : diag[k + 1]], out[star : star + ds - 1 - k]
+        kl, lk = units[k + 1 :, k], units[k, k + 1 :]
+        np.add(out[diag[k]], out[diag[k + 1 :]], out=plain)  # E_kk + E_ll, for now
+        np.subtract(kl, lk, out=stars)
+        stars *= 1j
+        stars += plain
+        plain += kl + lk
+        star += ds - 1 - k
     return out.transpose(0, 2, 1)
 
 

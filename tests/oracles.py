@@ -5,12 +5,13 @@ under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
 Gram-root singular values for the trace norm, dense superoperator and
 permutation matrices for liftings, perturbations and adjoints, and
-per-matrix-unit loops for Choi matrices and reduced dynamics, one
-``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
-search, a dense grid scan for the diagonal-mixing criterion, the inverse
-reindexing of ``liftings.components``, one-shot Gaussian draws with
-three-index einsum estimators and a single-GEMM empirical state, and file
-text formatted one entry at a time.
+per-matrix-unit loops for Choi matrices and reduced dynamics, basis images
+formed one member at a time, one ``apply_lifting`` and ``eigvalsh`` per
+candidate for the positivity witness search, a dense grid scan for the
+diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
+one-shot Gaussian draws with three-index einsum estimators and a single-GEMM
+empirical state, file text formatted one entry at a time, and files read one
+line at a time with float().
 """
 
 from functools import lru_cache
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from statelift.config import tolerances
-from statelift.errors import ConstraintViolation
+from statelift.errors import ConstraintViolation, FormatError
 from statelift.liftings import Witness, WitnessConfig, apply_lifting
 from statelift.measures import gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
@@ -136,6 +137,27 @@ def reduced_dynamics_loops(u: np.ndarray, lift, ds: int, de: int) -> np.ndarray:
             out = np.trace(w.reshape(ds, de, ds, de), axis1=1, axis2=3)
             m[:, c * ds + r] = out.T.ravel()
     return m
+
+
+def basis_images_per_member(f) -> np.ndarray:
+    """F(g) for each Hermitian basis member on its own, from the images of the
+    matrix units (the unvec'd columns): g_kk is E_kk's; g_kl and g*_kl are
+    (E_kl + E_lk) + (E_kk + E_ll) and i (E_kl - E_lk) + (E_kk + E_ll), summed
+    in this order."""
+    ds, dim = f.ds, f.ds * f.de
+
+    def image(r, c):
+        return f.matrix[:, c * ds + r].reshape(dim, dim, order="F")
+
+    out = []
+    for k in range(ds):
+        out.append(image(k, k))
+        for l in range(k + 1, ds):
+            out.append((image(k, l) + image(l, k)) + (image(k, k) + image(l, l)))
+    for k in range(ds):
+        for l in range(k + 1, ds):
+            out.append((image(k, l) - image(l, k)) * 1j + (image(k, k) + image(l, l)))
+    return np.ascontiguousarray(np.stack(out))
 
 
 def witness_candidates_loops(ds: int, config: WitnessConfig):
@@ -300,3 +322,58 @@ def file_text_per_entry(header, entries) -> str:
         else:
             lines.append("{:.17g}".format(z))
     return "\n".join(lines) + "\n"
+
+
+# kind: the size field, its value count, the entry count it gives, numbers per entry
+FILE_KINDS = {
+    "matrix": ("dim", 1, lambda dim: dim * dim, 2),
+    "vector": ("dim", 1, lambda dim: dim, 2),
+    "lifting": ("dims", 2, lambda ds, de: (ds * de) ** 2 * ds * ds, 2),
+    "reduction": ("dims", 2, lambda ds, de: ds * ds * (ds * de) ** 2, 2),
+    "measure": ("support", 1, lambda support: support, 1),
+    "measure2": ("shape", 2, lambda nq, np_: nq * np_, 1),
+    "table": ("shape", 2, lambda nq, np_: nq * nq * np_, 1),
+}
+
+
+def read_file_per_line(path, kind: str):
+    """The size values and the float64 entries, shape (n, numbers per entry),
+    of a ``statelift/<kind> v1`` file, read from its list of non-blank
+    stripped lines one line at a time with float().  A bad file raises the
+    FormatError the library's reader raises, naming the first bad line."""
+    name, count, size, per_line = FILE_KINDS[kind]
+    with open(path) as handle:
+        lines = iter([ln for ln in map(str.strip, handle) if ln])
+
+    def take(what):
+        line = next(lines, None)
+        if line is None:
+            raise FormatError(f"{path}: unexpected end of file, expected {what}")
+        return line
+
+    header = take(f"header 'statelift/{kind} v1'")
+    if header != f"statelift/{kind} v1":
+        raise FormatError(f"{path}: bad header {header!r}, expected statelift/{kind} v1")
+    parts = take(f"field '{name}'").split()
+    if parts[0] != name or len(parts) != count + 1:
+        raise FormatError(f"{path}: expected '{name}' with {count} value(s)")
+    try:
+        values = [int(p) for p in parts[1:]]
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-integer in field '{name}'") from exc
+    if min(values) < 1:
+        raise FormatError(f"{path}: {name} must be positive")
+    n = size(*values)
+    entries = []
+    for i in range(1, n + 1):
+        line = take(f"entry {i}/{n}")
+        parts = line.split() if per_line == 2 else [line]
+        if len(parts) != per_line:
+            raise FormatError(f"{path}: entry {i} is not a 're im' pair")
+        try:
+            entries += [float(p) for p in parts]
+        except ValueError as exc:
+            raise FormatError(f"{path}: non-numeric entry {i}") from exc
+    if next(lines, None) is not None:
+        raise FormatError(f"{path}: trailing data after entry list")
+    return values, np.array(entries, dtype=np.float64).reshape(n, per_line)

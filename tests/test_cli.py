@@ -229,6 +229,23 @@ def test_exit_code_format_error(tmp_path, capsys):
     assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
 
 
+def test_exit_code_oversized_size_field(tmp_path, capsys):
+    # the size fields ask for far more entries than the files hold
+    (tmp_path / "f.lift").write_text("statelift/lifting v1\ndims 1000 1000\n1 0\n")
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "f.lift") == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("error: format:")
+    assert "unexpected end of file, expected entry 2/1000000000000000000" in err
+    assert last_record(tmp_path)["command"] == "analyze"
+    assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
+    (tmp_path / "W.mat").write_text("statelift/matrix v1\ndim 3000000\n1 0\n")
+    assert run(tmp_path, "reduce", "--state", tmp_path / "W.mat", "--dims", "2,2",
+               "--out", tmp_path / "o.mat") == EXIT_FORMAT
+    assert "expected entry 2/9000000000000" in capsys.readouterr().err
+    assert last_record(tmp_path)["command"] == "reduce"
+    assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
+
+
 def test_exit_code_dimension_mismatch(tmp_path, capsys):
     write_matrix(tmp_path / "W.mat", np.eye(5, dtype=complex) / 5)
     assert run(tmp_path, "reduce", "--state", tmp_path / "W.mat", "--dims", "2,2",

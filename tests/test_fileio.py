@@ -1,7 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from statelift import FormatError, Lifting, product_lifting, random_density
+from statelift.liftings import perturbed_product_lifting
 from statelift.fileio import (
     _BLOCK,
     read_lift_table,
@@ -22,7 +26,7 @@ from statelift.fileio import (
 from statelift.observables import adjoint_lifting
 from statelift.rng import philox_rng
 
-from oracles import file_text_per_entry
+from oracles import FILE_KINDS, file_text_per_entry, read_file_per_line
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -209,3 +213,160 @@ def test_block_writers_match_per_entry_text(tmp_path):
     write_measure(tmp_path / "u.measure", values[:n])
     want = file_text_per_entry(["statelift/measure v1", f"support {n}"], values[:n])
     assert (tmp_path / "u.measure").read_bytes() == want.encode()
+
+
+def test_oversized_size_field_rejected_without_allocating(tmp_path):
+    # the size fields ask for 10^18 and 9*10^12 entries; the files hold one
+    cases = (("lifting", "dims 1000 1000", read_lifting, 10**18),
+             ("matrix", "dim 3000000", read_matrix, 9 * 10**12))
+    for kind, size, reader, n in cases:
+        path = tmp_path / f"big.{kind}"
+        path.write_text(f"statelift/{kind} v1\n{size}\n1 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"end of file, expected entry 2/{n}$"):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_empty_entry_list_rejected_without_warning(tmp_path):
+    path = tmp_path / "empty.mat"
+    for body in ("", "\n\n", " \t\n\r\n"):
+        path.write_text("statelift/matrix v1\ndim 2\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FormatError, match="end of file, expected entry 1/4$"):
+                read_matrix(path)
+        assert not caught
+
+
+def test_read_lifting_memory(tmp_path):
+    f = perturbed_product_lifting(random_density(8, seed=7), 8, 1e-3, 8)
+    path = tmp_path / "f.lift"
+    write_lifting(path, f)
+    tracemalloc.start()
+    try:
+        back = read_lifting(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.matrix, f.matrix)
+    assert peak < 2 * f.matrix.nbytes
+
+
+# the library's reader of each kind, giving its float64 entries in file order
+_READERS = {
+    "matrix": read_matrix,
+    "vector": read_vector,
+    "lifting": lambda path: read_lifting(path).matrix,
+    "reduction": lambda path: read_reduction(path).matrix,
+    "measure": read_measure,
+    "measure2": read_product_measure,
+    "table": read_lift_table,
+}
+_FORMATS = ("%.17g", "%.16g", "%.15g", "%.3g", "%r", "%.20e", "%.25f")
+_SPACES = (" ", "  ", "\t", " \t ", "\x0c")
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+          2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _random_doubles(rng, n):
+    """n doubles from random bit patterns: about a quarter subnormal or zero
+    and a sixteenth inf or nan, led by the edge cases."""
+    bits = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    exponent = np.uint64(0x7FF << 52)
+    pick = rng.random(n)
+    bits[pick < 0.25] &= ~exponent
+    bits[pick > 15 / 16] |= exponent
+    values = bits.view(np.float64)
+    values[: len(_EDGES)] = _EDGES[:n]
+    return values
+
+
+def _random_file(rng, kind, *, messy):
+    """The text of a random ``kind`` file, each number in a format drawn
+    from _FORMATS.  A messy file also has blank
+    lines, leading, trailing and inner runs of whitespace, CRLF line ends,
+    and two numbers written with an underscore."""
+    name, count, size, per_line = FILE_KINDS[kind]
+    fields = [int(v) for v in rng.integers(1, 4 if count == 2 else 40, count)]
+    values = _random_doubles(rng, per_line * size(*fields))
+    if kind == "lifting":
+        # liftings hold finite entries only, also once %.3g rounds them
+        values[~(np.abs(values) < 1e300)] = 0.0
+    formats = rng.integers(0, len(_FORMATS), values.size)
+    numbers = [_FORMATS[i] % v for i, v in zip(formats, values.tolist())]
+    if messy:
+        for i in rng.integers(0, len(numbers), 2):
+            numbers[i] = "1_0" if rng.random() < 0.5 else "-2_5e-1_0"
+
+    def space():
+        return _SPACES[rng.integers(len(_SPACES))] if messy else " "
+
+    lines = [f"statelift/{kind} v1", " ".join(map(str, [name, *fields]))]
+    for i in range(0, len(numbers), per_line):
+        line = space().join(numbers[i : i + per_line])
+        if messy and rng.random() < 0.3:
+            line = space() + line + space()
+        lines.append(line)
+        if messy and rng.random() < 0.1:
+            lines.append(["", " ", "\t", "  \t "][rng.integers(4)])
+    end = "\r\n" if messy and rng.random() < 0.5 else "\n"
+    return end.join(lines) + end
+
+
+def _read_both(path, kind):
+    """The entries that the library's reader and the float() oracle read, as
+    uint64 bit patterns, or the FormatError message of each."""
+    outcomes = []
+    for read in (_READERS[kind], lambda p: read_file_per_line(p, kind)[1]):
+        try:
+            outcomes.append(np.asarray(read(path)).view(np.float64).reshape(-1).view(np.uint64))
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _damaged(rng, text):
+    """``text`` with one of its entry lines damaged, or a line added or cut."""
+    lines = text.splitlines(keepends=True)
+    i = int(rng.integers(2, len(lines)))
+    how = rng.integers(6)
+    if how == 0:
+        lines[i] = "x " + lines[i]
+    elif how == 1:
+        lines[i] = lines[i].rstrip() + " 0\n"
+    elif how == 2:
+        lines[i] = lines[i].split()[0] + "\n" if lines[i].split() else "1 2 3\n"
+    elif how == 3:
+        lines[i] = lines[i].replace("e", "e+e", 1).replace(".", "..", 1)
+    elif how == 4:
+        del lines[i:]
+    else:
+        lines.append("0 0\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+def test_reader_matches_float_oracle(tmp_path, kind):
+    rng = philox_rng(91 + sorted(FILE_KINDS).index(kind))
+    path = tmp_path / f"corpus.{kind}"
+    for trial in range(16):
+        text = _random_file(rng, kind, messy=trial % 2 == 1)
+        path.write_bytes(text.encode())
+        mine, oracle = _read_both(path, kind)
+        assert not isinstance(oracle, str), oracle
+        assert np.array_equal(mine, oracle)
+        if trial % 2 == 0:
+            # a tidy file holds no underscore, so the oracle reads each
+            # number as float() reads its text
+            texts = text.split()[3 + FILE_KINDS[kind][1] :]
+            assert np.array_equal(oracle, np.array([float(t) for t in texts]).view(np.uint64))
+        for _ in range(4):
+            path.write_bytes(_damaged(rng, text).encode())
+            mine, oracle = _read_both(path, kind)
+            assert isinstance(mine, str) == isinstance(oracle, str)
+            assert np.array_equal(mine, oracle) if isinstance(mine, np.ndarray) else mine == oracle

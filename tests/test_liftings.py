@@ -42,6 +42,7 @@ from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import hermitian_basis, random_hermitian
 
 from oracles import (
+    basis_images_per_member,
     diag_mixing_positive_scan,
     reassemble,
     positivity_witness_search_loops,
@@ -510,6 +511,29 @@ def test_basis_images_match_apply_lifting(ds, de):
     p = product_lifting(random_density(de, seed=812), ds)
     for g, w in zip(hermitian_basis(ds), basis_images(p)):
         assert np.array_equal(w, apply_lifting(p, g))
+
+
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 3), (5, 2), (8, 4)])
+def test_basis_images_keep_the_per_member_sums(ds, de):
+    rng = philox_rng(813)
+    shape = ((ds * de) ** 2, ds * ds)
+    f = Lifting(ds, de, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    want = basis_images_per_member(f)
+    got = np.ascontiguousarray(basis_images(f))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_basis_images_memory_stays_near_the_output():
+    f = product_lifting(random_density(4, seed=814), 16)
+    basis_images(f)
+    tracemalloc.start()
+    try:
+        out = basis_images(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # images are written into the output a row of pairs at a time
+    assert peak <= 1.5 * out.nbytes
 
 
 # --- structure diagnostics ------------------------------------------------------
