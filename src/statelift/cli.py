@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -86,6 +87,18 @@ def _parse_dims(text: str) -> tuple:
     return ds, de
 
 
+def _nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ConstraintViolation(f"--{name} must be nonnegative, got {value}")
+
+
+def _print_measure(prefix: str, mu) -> None:
+    for i, (weight, v) in enumerate(zip(mu.weights, mu.vectors)):
+        print(f"{prefix}weight[{i}] = {_f(weight)}")
+        for j, z in enumerate(v):
+            print(f"{prefix}vector[{i}][{j}] = {_c(z)}")
+
+
 def _cmd_lift(args, run: _Run) -> int:
     rho = states.validate_density(fileio.read_matrix(run.input(args.state)))
     d = fileio.read_matrix(run.input(args.ref))
@@ -122,9 +135,7 @@ def _cmd_analyze(args, run: _Run) -> int:
     print(f"tol = {_f(tol)}")
     print(f"hermiticity_deviation = {_f(report.hermiticity_deviation)}")
     print(f"trace_deviation = {_f(report.trace_deviation)}")
-    if isinstance(verdict, liftings.Product):
-        print(f"residual = {_f(verdict.residual)}")
-    elif isinstance(verdict, liftings.Inconclusive):
+    if isinstance(verdict, (liftings.Product, liftings.Inconclusive)):
         print(f"residual = {_f(verdict.residual)}")
     elif isinstance(verdict, liftings.ViolatesPositivity):
         print(f"witness_min_eigenvalue = {_f(verdict.min_eigenvalue)}")
@@ -155,6 +166,8 @@ def _cmd_purify(args, run: _Run) -> int:
 
 
 def _cmd_evolve(args, run: _Run) -> int:
+    if not math.isfinite(args.t):
+        raise ConstraintViolation(f"--t must be finite, got {args.t}")
     h = fileio.read_matrix(run.input(args.ham))
     d = states.validate_density(fileio.read_matrix(run.input(args.ref)))
     rho = states.validate_density(fileio.read_matrix(run.input(args.state)))
@@ -187,14 +200,8 @@ def _cmd_choquet(args, run: _Run) -> int:
         )
         print(f"max_cross_fidelity = {_f(cross)}")
         _print_matrix("state", w)
-        for i, (weight, v) in enumerate(zip(mu1.weights, mu1.vectors)):
-            print(f"mu1.weight[{i}] = {_f(weight)}")
-            for j, z in enumerate(v):
-                print(f"mu1.vector[{i}][{j}] = {_c(z)}")
-        for i, (weight, v) in enumerate(zip(mu2.weights, mu2.vectors)):
-            print(f"mu2.weight[{i}] = {_f(weight)}")
-            for j, z in enumerate(v):
-                print(f"mu2.vector[{i}][{j}] = {_c(z)}")
+        _print_measure("mu1.", mu1)
+        _print_measure("mu2.", mu2)
         return EXIT_OK
     if args.state is None:
         raise FormatError("choquet needs --state or --witness")
@@ -203,14 +210,12 @@ def _cmd_choquet(args, run: _Run) -> int:
     print(f"entries = {len(mu)}")
     back = measures.choquet_reconstruct(mu)
     print(f"reconstruction_error = {_f(trace_norm(back - w))}")
-    for i, (weight, v) in enumerate(zip(mu.weights, mu.vectors)):
-        print(f"weight[{i}] = {_f(weight)}")
-        for j, z in enumerate(v):
-            print(f"vector[{i}][{j}] = {_c(z)}")
+    _print_measure("", mu)
     return EXIT_OK
 
 
 def _cmd_estimate(args, run: _Run) -> int:
+    _nonnegative("seed", args.seed)
     b = fileio.read_matrix(run.input(args.state))
     a = fileio.read_matrix(run.input(args.obs))
     result = measures.estimate_expectation(b, a, args.n, args.seed)
@@ -224,6 +229,7 @@ def _cmd_estimate(args, run: _Run) -> int:
 
 
 def _cmd_empirical(args, run: _Run) -> int:
+    _nonnegative("seed", args.seed)
     b = fileio.read_matrix(run.input(args.state))
     w = measures.empirical_state(b, args.n, args.seed)
     fileio.write_matrix(run.output(args.out), w)
@@ -268,6 +274,10 @@ def _cmd_classical_lift(args, run: _Run) -> int:
 
 
 def _cmd_nogo(args, run: _Run) -> int:
+    if args.ds < 1 or args.de < 1:
+        raise DimensionMismatch(f"--ds and --de must be positive, got {args.ds} and {args.de}")
+    _nonnegative("trials", args.trials)
+    _nonnegative("seed", args.seed)
     tol = args.tol if args.tol is not None else default_residual_tol()
     outcome = liftings.no_go_sweep(args.ds, args.de, args.trials, args.eps, args.seed, tol)
     print(f"trials = {args.trials}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 @dataclass
 class Tolerances:
     hermitian: float = 1e-9   # max entry of |A - A^dagger| for Hermiticity tests
-    spectral: float = 1e-9    # eigendecomposition residual / orthonormality
     psd: float = 1e-9         # eigenvalue floor: PSD means lambda_min >= -psd
     trace: float = 1e-10      # trace-constraint and partial-trace deviations
     residual: float = 1e-8    # analyzer threshold separating product from inconclusive

@@ -117,17 +117,22 @@ class _Reader:
 
 @contextmanager
 def _reading(path: str, kind: str):
-    """A reader of the file at ``path``, past its ``statelift/<kind> v1`` header."""
+    """A reader of the file at ``path``, past its ``statelift/<kind> v1`` header.
+
+    Bytes that are not UTF-8, wherever the read meets them, are a FormatError."""
     try:
-        handle = open(path)
+        handle = open(path, encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     with handle:
         r = _Reader(path, handle)
-        header = r.next(f"header 'statelift/{kind} v1'")
-        if header != f"statelift/{kind} v1":
-            raise FormatError(f"{path}: bad header {header!r}, expected statelift/{kind} v1")
-        yield r
+        try:
+            header = r.next(f"header 'statelift/{kind} v1'")
+            if header != f"statelift/{kind} v1":
+                raise FormatError(f"{path}: bad header {header!r}, expected statelift/{kind} v1")
+            yield r
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def write_matrix(path: str, m: np.ndarray) -> None:

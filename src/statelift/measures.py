@@ -172,22 +172,16 @@ def measure_lift_state(sigma: np.ndarray, sys_vectors, env_vectors) -> np.ndarra
     split lift yields a non-product W.
     """
     sigma = np.asarray(sigma, dtype=float)
-    sys_vectors = [np.asarray(v, dtype=np.complex128) for v in sys_vectors]
-    env_vectors = [np.asarray(v, dtype=np.complex128) for v in env_vectors]
-    if sigma.shape != (len(sys_vectors), len(env_vectors)):
+    vs = np.array(list(sys_vectors), dtype=np.complex128)
+    ve = np.array(list(env_vectors), dtype=np.complex128)
+    if sigma.shape != (len(vs), len(ve)):
         raise DimensionMismatch(
             f"sigma shape {sigma.shape} does not match the projector families "
-            f"({len(sys_vectors)}, {len(env_vectors)})"
+            f"({len(vs)}, {len(ve)})"
         )
-    ds = sys_vectors[0].size
-    de = env_vectors[0].size
-    w = np.zeros((ds * de, ds * de), dtype=np.complex128)
-    for s, vs in enumerate(sys_vectors):
-        ps = pure_projector(vs)
-        for e, ve in enumerate(env_vectors):
-            if sigma[s, e] != 0.0:
-                w += sigma[s, e] * np.kron(ps, pure_projector(ve))
-    return w
+    dim = vs.shape[1] * ve.shape[1]
+    w = np.einsum("se,sa,sb,ei,ej->aibj", sigma, vs, vs.conj(), ve, ve.conj(), optimize=True)
+    return w.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import frobenius, kron, partial_trace_env, unvec, vec
-from .liftings import Lifting
-from .states import hermitian_basis, validate_density
+from .linalg import frobenius, unvec, vec
+from .liftings import Lifting, basis_images
+from .states import validate_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,13 +63,14 @@ def check_unit_reduction(r: ReductionMap) -> float:
     """Max deviation of R(B (x) Id) from B over the Hermitian basis.
 
     Vanishes exactly when the pre-adjoint lifting satisfies the partial-trace
-    constraint.
+    constraint.  B -> R(B (x) Id) is the matrix U read off the environment
+    diagonal of the split, and U - Id acts on the basis as a lifting, de = 1.
     """
-    eye_env = np.eye(r.de)
-    worst = 0.0
-    for b in hermitian_basis(r.ds):
-        worst = max(worst, frobenius(apply_reduction(r, kron(b, eye_env)) - b))
-    return worst
+    ds = r.ds
+    u = np.einsum("obiai->oba", r.matrix.reshape(ds * ds, ds, r.de, ds, r.de))
+    u = u.reshape(ds * ds, ds * ds)
+    u[np.diag_indices(ds * ds)] -= 1.0
+    return max((frobenius(w) for w in basis_images(Lifting(ds, 1, u))), default=0.0)
 
 
 def reduce_observable(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -88,4 +89,4 @@ def reduce_observable(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
     ds = a.shape[0] // de
     if ds < 1:
         raise ConstraintViolation("observable smaller than the environment")
-    return partial_trace_env(a @ kron(np.eye(ds), d), ds, de)
+    return np.einsum("aibj,ji->ab", a.reshape(ds, de, ds, de), d)

@@ -104,14 +104,6 @@ def validate_density(w: np.ndarray, tol: float | None = None) -> np.ndarray:
     return w
 
 
-def is_density(w: np.ndarray, tol: float | None = None) -> bool:
-    try:
-        validate_density(w, tol)
-    except ConstraintViolation:
-        return False
-    return True
-
-
 def numerical_rank(w: np.ndarray) -> int:
     vals = np.linalg.eigvalsh(as_matrix(w))
     top = float(np.max(np.abs(vals), initial=0.0))
@@ -135,12 +127,10 @@ def purify(s: np.ndarray, de: int) -> np.ndarray:
         raise ConstraintViolation(
             f"environment dimension {de} is smaller than the state rank {rank}"
         )
-    a = np.zeros(ds * de, dtype=np.complex128)
-    for i in range(rank):
-        lam = max(float(dec.eigenvalues[i]), 0.0)
-        f = np.zeros(de, dtype=np.complex128)
-        f[i] = 1.0
-        a += np.sqrt(lam) * np.kron(dec.vectors[:, i], f)
+    # column i of the (ds, de) split; adding into zeros leaves no -0.0
+    a = np.zeros((ds, de), dtype=np.complex128)
+    a[:, :rank] += np.sqrt(np.maximum(dec.eigenvalues[:rank], 0.0)) * dec.vectors[:, :rank]
+    a = a.reshape(-1)
     return a / np.linalg.norm(a)
 
 

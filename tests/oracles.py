@@ -5,8 +5,10 @@ under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
 Gram-root singular values for the trace norm, dense superoperator and
 permutation matrices for liftings, perturbations and adjoints, and
-per-matrix-unit loops for Choi matrices and reduced dynamics, basis images
-formed one member at a time, one ``apply_lifting`` and ``eigvalsh`` per
+per-matrix-unit loops for Choi matrices, reduced dynamics and Kraus
+liftings, dense Kronecker products for the unit-reduction check, observable
+reduction, the product residual and purification, basis images formed one
+member at a time, one ``apply_lifting`` and ``eigvalsh`` per
 candidate for the positivity witness search, a dense grid scan for the
 diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
 one-shot Gaussian draws with three-index einsum estimators and a single-GEMM
@@ -22,9 +24,16 @@ import numpy as np
 from statelift.config import tolerances
 from statelift.errors import ConstraintViolation, FormatError
 from statelift.liftings import Witness, WitnessConfig, apply_lifting
+from statelift.linalg import spectral
 from statelift.measures import gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
-from statelift.states import basis_g, basis_g_star, hermitian_basis, random_density
+from statelift.states import (
+    basis_g,
+    basis_g_star,
+    hermitian_basis,
+    numerical_rank,
+    random_density,
+)
 
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,6 +146,63 @@ def reduced_dynamics_loops(u: np.ndarray, lift, ds: int, de: int) -> np.ndarray:
             out = np.trace(w.reshape(ds, de, ds, de), axis1=1, axis2=3)
             m[:, c * ds + r] = out.T.ravel()
     return m
+
+
+def kraus_lifting_loops(ks, reference: np.ndarray, ds: int) -> np.ndarray:
+    """Lifting matrix of rho -> sum_n K_n (rho (x) reference) K_n^dagger:
+    column c*ds + r is the column stacking of the image of E_rc (x) reference,
+    one dense Kronecker product and 2n GEMMs per matrix unit."""
+    de = reference.shape[0]
+    dim = ds * de
+    m = np.empty((dim * dim, ds * ds), dtype=np.complex128)
+    for c in range(ds):
+        for r in range(ds):
+            unit = np.zeros((ds, ds), dtype=np.complex128)
+            unit[r, c] = 1.0
+            y = np.kron(unit, reference)
+            m[:, c * ds + r] = sum(k @ y @ k.conj().T for k in ks).T.ravel()
+    return m
+
+
+def unit_reduction_loops(r) -> float:
+    """Max Frobenius deviation of R(B (x) Id) from B over the Hermitian basis,
+    one dense Kronecker product and one GEMV over the whole reduction matrix
+    per basis member."""
+    worst = 0.0
+    for b in hermitian_basis(r.ds):
+        image = r.matrix @ np.kron(b, np.eye(r.de)).T.ravel()
+        worst = max(worst, float(np.linalg.norm(image.reshape(r.ds, r.ds).T - b)))
+    return worst
+
+
+def reduce_observable_kron(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """tr_env(A (Id (x) reference)) with a dense Kronecker product and GEMM."""
+    de = reference.shape[0]
+    ds = a.shape[0] // de
+    return ptrace_env_loops(a @ np.kron(np.eye(ds), reference), ds, de)
+
+
+def residual_kron(ds: int, images: np.ndarray, reference: np.ndarray) -> float:
+    """Max Frobenius distance of each basis image from g (x) reference, with
+    one dense Kronecker product per member."""
+    return max(
+        (float(np.linalg.norm(w - np.kron(g, reference)))
+         for g, w in zip(hermitian_basis(ds), images)),
+        default=0.0,
+    )
+
+
+def purify_kron(s: np.ndarray, de: int) -> np.ndarray:
+    """sum_i sqrt(lambda_i) u_i (x) f_i accumulated one Kronecker product per
+    spectral pair, normalized."""
+    dec = spectral(s)
+    rank = numerical_rank(s)
+    a = np.zeros(s.shape[0] * de, dtype=np.complex128)
+    for i in range(rank):
+        f = np.zeros(de, dtype=np.complex128)
+        f[i] = 1.0
+        a += np.sqrt(max(float(dec.eigenvalues[i]), 0.0)) * np.kron(dec.vectors[:, i], f)
+    return a / np.linalg.norm(a)
 
 
 def basis_images_per_member(f) -> np.ndarray:

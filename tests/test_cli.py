@@ -246,6 +246,54 @@ def test_exit_code_oversized_size_field(tmp_path, capsys):
     assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
 
 
+def test_exit_code_undecodable_input(tmp_path, capsys):
+    (tmp_path / "W.mat").write_bytes(b"statelift/matrix v1\ndim 1\n1 \xff\n")
+    assert run(tmp_path, "reduce", "--state", tmp_path / "W.mat", "--dims", "1,1",
+               "--out", tmp_path / "o.mat") == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err == f"error: format: {tmp_path / 'W.mat'}: not UTF-8 text (invalid start byte)\n"
+    record = last_record(tmp_path)
+    assert record["command"] == "reduce"
+    assert record["exit_code"] == EXIT_FORMAT
+    assert record["outputs"] == []
+    assert not (tmp_path / "o.mat").exists()
+
+
+# Every input named here is missing, so a run that read one would exit 3.
+OUT_OF_RANGE = [
+    (["nogo", "--ds", 2, "--de", 2, "--trials", -1, "--eps", 1e-2, "--seed", 1],
+     EXIT_CONSTRAINT, "--trials must be nonnegative, got -1"),
+    (["nogo", "--ds", 0, "--de", 2, "--trials", 1, "--eps", 1e-2, "--seed", 1],
+     EXIT_DIMENSION, "--ds and --de must be positive, got 0 and 2"),
+    (["nogo", "--ds", 2, "--de", -3, "--trials", 1, "--eps", 1e-2, "--seed", 1],
+     EXIT_DIMENSION, "--ds and --de must be positive, got 2 and -3"),
+    (["nogo", "--ds", 2, "--de", 2, "--trials", 1, "--eps", 1e-2, "--seed", -1],
+     EXIT_CONSTRAINT, "--seed must be nonnegative, got -1"),
+    (["estimate", "--state", "B.mat", "--obs", "A.mat", "--n", 10, "--seed", -2],
+     EXIT_CONSTRAINT, "--seed must be nonnegative, got -2"),
+    (["empirical", "--state", "B.mat", "--n", 10, "--seed", -3, "--out", "e.mat"],
+     EXIT_CONSTRAINT, "--seed must be nonnegative, got -3"),
+    (["evolve", "--ham", "H.mat", "--ref", "D.mat", "--state", "rho.mat", "--t", "nan",
+      "--out", "out.mat"], EXIT_CONSTRAINT, "--t must be finite, got nan"),
+    (["evolve", "--ham", "H.mat", "--ref", "D.mat", "--state", "rho.mat", "--t", "inf",
+      "--out", "out.mat"], EXIT_CONSTRAINT, "--t must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", OUT_OF_RANGE)
+def test_exit_code_out_of_range_number(tmp_path, capsys, argv, code, message):
+    argv = [tmp_path / a if str(a).endswith(".mat") else a for a in argv]
+    assert run(tmp_path, *argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {'dimension' if code == EXIT_DIMENSION else 'constraint'}: {message}\n"
+    record = last_record(tmp_path)
+    assert record["command"] == argv[0]
+    assert record["exit_code"] == code
+    assert record["inputs"] == {} and record["outputs"] == []
+    assert not any(tmp_path.glob("*.mat"))
+
+
 def test_exit_code_dimension_mismatch(tmp_path, capsys):
     write_matrix(tmp_path / "W.mat", np.eye(5, dtype=complex) / 5)
     assert run(tmp_path, "reduce", "--state", tmp_path / "W.mat", "--dims", "2,2",

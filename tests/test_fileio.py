@@ -128,6 +128,20 @@ def test_non_numeric_entry_rejected(tmp_path):
             read_matrix(path)
 
 
+def test_undecodable_bytes_rejected(tmp_path):
+    path = tmp_path / "bytes.mat"
+    head, size, entries = b"statelift/matrix v1\n", b"dim 70\n", b"1 0\n" * 4900
+    for text in (
+        b"statelift/matrix v1\xff\n" + size + entries,  # in the header
+        head + b"dim 7\xe90\n" + entries,  # in the size line
+        head + size + b"1 \xff\n" + entries[4:],  # in the first entry
+        head + size + entries[:-4] + b"\xff 0\n",  # past the decoder's first chunk
+    ):
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            read_matrix(path)
+
+
 def test_entry_not_a_pair_rejected(tmp_path):
     path = tmp_path / "pairs.mat"
     for bad, number in (("1 0 0", 2), ("1", 4097), ("1 0 2 0", 4900)):

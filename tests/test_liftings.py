@@ -44,7 +44,9 @@ from statelift.states import hermitian_basis, random_hermitian
 from oracles import (
     basis_images_per_member,
     diag_mixing_positive_scan,
+    kraus_lifting_loops,
     reassemble,
+    residual_kron,
     positivity_witness_search_loops,
     witness_candidates_loops,
     product_lifting_loops,
@@ -145,6 +147,49 @@ def test_kraus_identity_family_is_product():
     fk = kraus_lifting([np.eye(6)], d, 3)
     fd = product_lifting(d, 3)
     assert np.array_equal(fk.matrix, fd.matrix)
+
+
+def normalized_kraus_family(n, dim, seed):
+    """n Kraus operators, the row blocks of a random isometry, so that
+    sum K^dagger K = Id; for n > 1 none of them is unitary."""
+    rng = philox_rng(seed)
+    g = rng.standard_normal((n * dim, dim)) + 1j * rng.standard_normal((n * dim, dim))
+    return list(np.linalg.qr(g)[0].reshape(n, dim, dim))
+
+
+ORACLE_DIMS = [(1, 3), (2, 2), (3, 5), (8, 4)]
+
+
+@pytest.mark.parametrize("ds, de", ORACLE_DIMS)
+def test_kraus_lifting_matches_per_unit_loops(ds, de):
+    dim = ds * de
+    d = random_density(de, seed=60)
+    families = [
+        [np.eye(dim)],
+        [swap_matrix(ds)] if ds == de else [np.eye(dim)[::-1]],
+        normalized_kraus_family(1, dim, 61),
+        normalized_kraus_family(3, dim, 62),
+        normalized_kraus_family(5, dim, 63),
+    ]
+    for ks in families:
+        expected = kraus_lifting_loops(ks, d, ds)
+        got = kraus_lifting(ks, d, ds).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("ds, de", ORACLE_DIMS)
+def test_product_residual_is_bit_equal_to_kron_loop(ds, de):
+    d = random_density(de, seed=64)
+    for f in (
+        product_lifting(d, ds),
+        perturbed_product_lifting(d, ds, 1e-3, seed=65),
+        kraus_lifting(normalized_kraus_family(3, ds * de, 66), d, ds),
+    ):
+        images = basis_images(f)
+        for reference in (d, extract_reference(f), random_density(de, seed=67)):
+            got = np.float64(product_residual(f, reference))
+            want = np.float64(residual_kron(ds, images, reference))
+            assert got.view(np.uint64) == want.view(np.uint64)
 
 
 def test_kraus_unitary_preserves_state():

@@ -261,6 +261,21 @@ def test_measure_lift_state_product():
     assert np.max(np.abs(w - kron(rho, d))) < 1e-14
 
 
+def test_measure_lift_state_matches_kron_sum():
+    # more vectors than dimensions, none orthogonal, some weights zero
+    rng = philox_rng(4)
+    sys_vecs = list(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    env_vecs = list(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+    sigma = rng.uniform(0, 1, (4, 5)) * (rng.uniform(0, 1, (4, 5)) > 0.3)
+    w = measure_lift_state(sigma, sys_vecs, env_vecs)
+    expected = sum(
+        sigma[s, e] * kron(pure_projector(vs), pure_projector(ve))
+        for s, vs in enumerate(sys_vecs)
+        for e, ve in enumerate(env_vecs)
+    )
+    assert np.max(np.abs(w - expected)) < 1e-13
+
+
 def test_measure_lift_state_split_is_non_product():
     sys_vecs = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
     env_vecs = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]

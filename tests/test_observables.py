@@ -23,7 +23,7 @@ from statelift import (
 from statelift.linalg import matrix_unit
 from statelift.rng import philox_rng
 
-from oracles import transpose_permutation
+from oracles import reduce_observable_kron, transpose_permutation, unit_reduction_loops
 
 
 def random_complex(rng, d):
@@ -143,6 +143,48 @@ def test_unit_reduction_scales_linearly_with_defect():
         devs.append(check_unit_reduction(adjoint_lifting(Lifting(2, 2, bumped))))
     assert devs[1] == pytest.approx(2 * devs[0], rel=1e-6)
     assert devs[2] == pytest.approx(4 * devs[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 5), (8, 4)])
+def test_unit_reduction_matches_kron_loop(ds, de):
+    d = random_density(de, seed=30)
+    base = product_lifting(d, ds).matrix
+    rng = philox_rng(31)
+    bumped = base.copy()
+    bumped[0, 0] += 1e-3
+    maps = [base, bumped]
+    for eps in (1e-3, 1.0):
+        noise = rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape)
+        maps.append(base + eps * noise)
+    for m in maps:
+        r = adjoint_lifting(Lifting(ds, de, m))
+        want = unit_reduction_loops(r)
+        # both routes round sums whose terms are as large as |g|_F <= 2
+        assert abs(check_unit_reduction(r) - want) <= 1e-14 * max(want, 1.0)
+
+
+def test_unit_reduction_memory_stays_near_ds4():
+    r = adjoint_lifting(product_lifting(random_density(4, seed=32), 16))
+    check_unit_reduction(r)  # builds the cached Hermitian basis
+    tracemalloc.start()
+    try:
+        assert check_unit_reduction(r) < 1e-13
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # B -> R(B (x) Id) and its basis images hold ds^4 entries, 1 MB each at
+    # (16, 4); the reduction matrix itself is 16 MB
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 5), (8, 4)])
+def test_reduce_observable_matches_kron_route(ds, de):
+    d = random_density(de, seed=33)
+    rng = philox_rng(34)
+    for _ in range(3):
+        a = random_complex(rng, ds * de)
+        diff = reduce_observable(a, d) - reduce_observable_kron(a, d)
+        assert np.max(np.abs(diff)) <= 1e-14 * ds * de * np.max(np.abs(a))
 
 
 def test_reduce_observable_unital():

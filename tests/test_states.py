@@ -17,6 +17,9 @@ from statelift import (
     trace_norm,
     vec,
 )
+from statelift.states import numerical_rank
+
+from oracles import purify_kron
 
 
 # --- basis family ---------------------------------------------------------
@@ -145,6 +148,16 @@ def test_purify_gram_blocks():
     a = purify(s, 2)
     gram = environment_gram(a, 3, 2)
     assert np.max(np.abs(gram - s)) < 1e-10
+
+
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 5), (8, 4)])
+def test_purify_is_bit_equal_to_kron_loop(ds, de):
+    states = [np.diag(np.arange(ds, 0, -1) / (ds * (ds + 1) / 2)).astype(complex)]
+    states += [random_density(ds, rank=rank, seed=70 + rank)
+               for rank in range(1, min(ds, de) + 1)]
+    for s in states:
+        if numerical_rank(s) <= de:
+            assert np.array_equal(purify(s, de).view(np.uint64), purify_kron(s, de).view(np.uint64))
 
 
 def test_purify_insufficient_environment():
