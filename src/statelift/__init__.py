@@ -23,7 +23,6 @@ from .linalg import (
     hermiticity_defect,
     is_hermitian,
     is_psd,
-    kron,
     pairing,
     partial_trace_env,
     partial_trace_sys,
@@ -98,7 +97,6 @@ from .states import (
     pure_projector,
     random_density,
     random_hermitian,
-    random_pure,
     validate_density,
 )
 

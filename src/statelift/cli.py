@@ -92,6 +92,12 @@ def _nonnegative(name: str, value: int) -> None:
         raise ConstraintViolation(f"--{name} must be nonnegative, got {value}")
 
 
+def _finite_nonnegative(name: str, value: float) -> float:
+    if not 0 <= value < math.inf:
+        raise ConstraintViolation(f"--{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def _print_measure(prefix: str, mu) -> None:
     for i, (weight, v) in enumerate(zip(mu.weights, mu.vectors)):
         print(f"{prefix}weight[{i}] = {_f(weight)}")
@@ -121,6 +127,7 @@ def _cmd_reduce(args, run: _Run) -> int:
 
 
 def _cmd_analyze(args, run: _Run) -> int:
+    tol = default_residual_tol() if args.tol is None else _finite_nonnegative("tol", args.tol)
     f = fileio.read_lifting(run.input(args.lifting))
     if args.dims is not None:
         ds, de = _parse_dims(args.dims)
@@ -128,7 +135,6 @@ def _cmd_analyze(args, run: _Run) -> int:
             raise DimensionMismatch(
                 f"--dims {ds},{de} does not match the stored lifting ({f.ds},{f.de})"
             )
-    tol = args.tol if args.tol is not None else default_residual_tol()
     report = liftings.analysis_report(f, tol)
     verdict = report.verdict
     print(f"verdict = {liftings.verdict_name(verdict)}")
@@ -278,7 +284,8 @@ def _cmd_nogo(args, run: _Run) -> int:
         raise DimensionMismatch(f"--ds and --de must be positive, got {args.ds} and {args.de}")
     _nonnegative("trials", args.trials)
     _nonnegative("seed", args.seed)
-    tol = args.tol if args.tol is not None else default_residual_tol()
+    _finite_nonnegative("eps", args.eps)
+    tol = default_residual_tol() if args.tol is None else _finite_nonnegative("tol", args.tol)
     outcome = liftings.no_go_sweep(args.ds, args.de, args.trials, args.eps, args.seed, tol)
     print(f"trials = {args.trials}")
     print(f"ds = {args.ds}")
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     params = {
-        k: v
+        k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
         for k, v in vars(args).items()
         if k not in ("func", "run_log") and not callable(v)
     }
@@ -415,7 +422,7 @@ def main(argv=None) -> int:
         run.record["elapsed_s"] = round(time.perf_counter() - start, 6)
         try:
             with open(args.run_log, "a") as handle:
-                handle.write(json.dumps(run.record, sort_keys=True) + "\n")
+                handle.write(json.dumps(run.record, sort_keys=True, allow_nan=False) + "\n")
         except OSError as exc:
             print(f"warning: could not append run log: {exc}", file=sys.stderr)
     return code

@@ -7,8 +7,11 @@ complex matrices of composite dimension <= 64.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+
+from .errors import ConstraintViolation
 
 
 @dataclass
@@ -28,6 +31,12 @@ KRAUS_TOL = 1e-9       # |sum K^dagger K - Id|_F allowed for a Kraus family
 def default_residual_tol() -> float:
     """Analyzer residual threshold, honouring the STATELIFT_TOL override."""
     env = os.environ.get("STATELIFT_TOL")
-    if env is not None:
-        return float(env)
-    return tolerances.residual
+    if env is None:
+        return tolerances.residual
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise ConstraintViolation(f"STATELIFT_TOL must be finite and nonnegative, got {env!r}")
+    return tol

@@ -1,11 +1,11 @@
 """Composite-system unitary evolution and the induced reduced dynamics.
 
-The reduced channel rho -> tr_env(U(t) (rho (x) D) U(t)^dagger) depends
-linearly on the initial system state because the initial composite state is
-produced by the product lifting.  The channel of any lifting is assembled from
-its matrix by index maps: one batched product with U and one einsum for
-U^dagger and the partial trace.  No semigroup property is claimed or checked:
-reduced dynamics is non-Markovian in general.
+The reduced channel rho -> tr_env(U(t) (rho (x) D) U(t)^dagger) is linear in
+rho because rho (x) D is the product lifting, the only affine right inverse of
+the partial trace; U and D fix it, and it is contracted on the split of U.  The
+channel of any other lifting is assembled from its matrix by index maps: one
+batched product with U and one einsum for U^dagger and the partial trace.  No
+semigroup property is claimed: reduced dynamics is non-Markovian in general.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .liftings import check_trace_constraint, product_lifting
+from .liftings import check_trace_constraint
 from .liftings import apply_lifting  # unused here; perfbench/selftest.py checks this alias
 from .linalg import partial_trace_sys, spectral, unvec, vec
+from .states import validate_density
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryEvolution:
-    """exp(-i t H) together with its generator (hbar = 1)."""
+    """exp(-i t H) (hbar = 1)."""
 
     matrix: np.ndarray
-    hamiltonian: np.ndarray
-    time: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +60,7 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> UnitaryEvolution:
     dec = spectral(h)
     phases = np.exp(-1j * t * dec.eigenvalues)
     u = (dec.vectors * phases) @ dec.vectors.conj().T
-    return UnitaryEvolution(u, np.asarray(h, dtype=np.complex128), float(t))
+    return UnitaryEvolution(u)
 
 
 def evolve(w: np.ndarray, u: UnitaryEvolution) -> np.ndarray:
@@ -73,16 +72,23 @@ def evolve(w: np.ndarray, u: UnitaryEvolution) -> np.ndarray:
 
 
 def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> ReducedChannel:
-    """The channel rho -> tr_env(U(t) (rho (x) reference) U(t)^dagger)."""
+    """The channel rho -> tr_env(U(t) (rho (x) reference) U(t)^dagger).
+
+    Entry [b, a, c, r] of the split channel, Lambda(E_rc)[a, b], is sum_ij
+    (U (Id (x) D))[a, i, r, j] conj(U[b, i, c, j]), batched over (b, a)."""
     h = np.asarray(h, dtype=np.complex128)
     de = np.asarray(reference).shape[0]
     if h.shape[0] % de != 0:
         raise DimensionMismatch(
             f"Hamiltonian dim {h.shape[0]} does not factor over environment dim {de}"
         )
-    f = product_lifting(reference, h.shape[0] // de)
-    # a right inverse by construction, so check_trace_constraint is skipped
-    return reduced_dynamics_from_lifting(h, f, t, allow_non_right_inverse=True)
+    d = validate_density(reference)
+    ds = h.shape[0] // de
+    u = unitary_from_hamiltonian(h, t).matrix.reshape(ds, de, ds, de)
+    w = (u @ d).transpose(0, 1, 3, 2)  # [a, i, j, r]
+    uc = u.conj().transpose(0, 2, 1, 3)  # [b, c, i, j]
+    out = np.matmul(uc.reshape(ds, 1, ds, de * de), w.reshape(1, ds, de * de, ds))
+    return ReducedChannel(ds, out.reshape(ds * ds, ds * ds))
 
 
 def reduced_dynamics_from_lifting(

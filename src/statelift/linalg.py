@@ -22,8 +22,6 @@ import numpy as np
 from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 
-kron = np.kron
-
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex128 matrix, rejecting non-finite entries."""
@@ -46,13 +44,6 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     if v.size != dim * dim:
         raise DimensionMismatch(f"vector of length {v.size} is not {dim}x{dim}")
     return v.reshape((dim, dim), order="F")
-
-
-def matrix_unit(r: int, c: int, dim: int) -> np.ndarray:
-    """The matrix unit E_rc."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[r, c] = 1.0
-    return m
 
 
 def _split_composite(w: np.ndarray, ds: int, de: int) -> np.ndarray:

@@ -43,14 +43,11 @@ def validate_lift_table(table: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise DimensionMismatch(
             f"lift table must have shape (q, q, p), got {table.shape}"
         )
-    nq = table.shape[0]
-    for q in range(nq):
-        delta = np.zeros(nq)
-        delta[q] = 1.0
-        if np.max(np.abs(marginal(table[q]) - delta)) > tol:
-            raise ConstraintViolation(
-                f"lift table entry q={q} does not have marginal delta_{q}"
-            )
+    deviation = np.abs(table.sum(axis=2) - np.eye(table.shape[0]))  # row q: marginal of q
+    bad = np.flatnonzero(np.max(deviation, axis=1, initial=0.0) > tol)
+    if bad.size:
+        q = bad[0]
+        raise ConstraintViolation(f"lift table entry q={q} does not have marginal delta_{q}")
     return table
 
 
@@ -81,8 +78,7 @@ def split_lift(q1_mask, p1: int, p2: int, np_: int) -> np.ndarray:
     if not mask.any() or mask.all():
         raise ConstraintViolation("the mask must be a nonempty proper subset of Q")
     table = np.zeros((nq, nq, np_))
-    for q in range(nq):
-        table[q, q, p1 if mask[q] else p2] = 1.0
+    table[np.arange(nq), np.arange(nq), np.where(mask, p1, p2)] = 1.0
     return table
 
 

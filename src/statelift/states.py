@@ -58,13 +58,6 @@ def pure_projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def random_pure(d: int, seed) -> np.ndarray:
-    """Haar-ish random unit vector from a seeded complex Gaussian."""
-    rng = philox_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def random_hermitian(d: int, seed, scale: float = 1.0) -> np.ndarray:
     rng = philox_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -35,6 +35,16 @@ from statelift.states import (
     random_density,
 )
 
+# shared test helpers, not oracles: numpy's Kronecker product and the matrix units
+kron = np.kron
+
+
+def matrix_unit(r: int, c: int, dim: int) -> np.ndarray:
+    """The matrix unit E_rc."""
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m[r, c] = 1.0
+    return m
+
 
 def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, n = a.shape[0], b.shape[0]

@@ -29,7 +29,6 @@ from statelift import (
     environment_gram,
     estimate_expectation,
     is_cptp,
-    kron,
     marginal,
     measure_lift_state,
     nonaffine_witness,
@@ -49,11 +48,10 @@ from statelift import (
     trace_norm,
 )
 from statelift.cli import main as cli_main
-from statelift.linalg import matrix_unit
 from statelift.measures import empirical_state, observable_bounds, projective_values
 from statelift.rng import philox_rng
 
-from oracles import diag_mixing_positive_scan
+from oracles import diag_mixing_positive_scan, kron, matrix_unit
 
 F17 = "{:.17g}".format
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,6 @@ from statelift import (
     choi_matrix,
     evolve,
     is_cptp,
-    kron,
     product_lifting,
     random_density,
     random_hermitian,
@@ -18,7 +19,7 @@ from statelift import (
 )
 from statelift.rng import philox_rng
 
-from oracles import choi_matrix_loops, reduced_dynamics_loops, transpose_permutation
+from oracles import choi_matrix_loops, kron, reduced_dynamics_loops, transpose_permutation
 
 
 def exchange_hamiltonian():
@@ -198,6 +199,21 @@ def test_reduced_dynamics_matches_loops(ds, de):
     f = product_lifting(d, ds)
     lam = reduced_dynamics_from_lifting(h, f, 0.9)
     assert np.max(np.abs(lam.matrix - loops)) <= 1e-14
+
+
+@pytest.mark.parametrize("ds, de, bound", [(16, 4, 4e6), (32, 2, 40e6)])
+def test_reduced_dynamics_memory_stays_near_the_channel(ds, de, bound):
+    h = random_hermitian(ds * de, seed=29)
+    d = random_density(de, seed=30)
+    tracemalloc.start()
+    try:
+        reduced_dynamics_map(h, d, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the channel is 1 MB at (16, 4) and 17 MB at (32, 2); assembling it from the
+    # product-lifting matrix, de^2 times its size, peaked at 52 and 218 MB
+    assert peak < bound
 
 
 def test_reduced_dynamics_from_explicit_lifting():

@@ -22,7 +22,6 @@ from statelift import (
     diag_mixing_positive,
     extract_reference,
     kraus_lifting,
-    kron,
     partial_trace_env,
     perturbed_product_lifting,
     positivity_witness_search,
@@ -45,6 +44,7 @@ from oracles import (
     basis_images_per_member,
     diag_mixing_positive_scan,
     kraus_lifting_loops,
+    kron,
     reassemble,
     residual_kron,
     positivity_witness_search_loops,

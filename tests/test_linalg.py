@@ -5,7 +5,6 @@ from statelift import (
     ConstraintViolation,
     DimensionMismatch,
     is_psd,
-    kron,
     pairing,
     partial_trace_env,
     partial_trace_sys,
@@ -17,7 +16,7 @@ from statelift import (
 from statelift.rng import philox_rng
 from statelift.states import basis_g, random_density, random_hermitian
 
-from oracles import bell_projector, kron_loops, psd_by_char_poly, ptrace_env_loops, ptrace_sys_loops, trace_norm_gram
+from oracles import bell_projector, kron, kron_loops, psd_by_char_poly, ptrace_env_loops, ptrace_sys_loops, trace_norm_gram
 
 
 def random_complex(rng, d):

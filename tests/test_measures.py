@@ -14,7 +14,6 @@ from statelift import (
     estimate_expectation,
     gaussian_sampler,
     is_product_measure,
-    kron,
     marginal,
     measure_lift_state,
     nonaffine_witness,
@@ -29,10 +28,10 @@ from statelift import (
     trace_norm,
 )
 from statelift import measures
-from statelift.measures import observable_bounds, projective_values
+from statelift.measures import observable_bounds, projective_values, validate_lift_table
 from statelift.rng import philox_rng
 
-from oracles import draw_one_shot, empirical_state_dense, estimate_expectation_einsum
+from oracles import draw_one_shot, empirical_state_dense, estimate_expectation_einsum, kron
 
 
 def block_rows(d: int) -> int:
@@ -166,6 +165,29 @@ def test_split_lift_validation():
         split_lift(np.array([True, True]), 0, 1, 2)  # not a proper subset
     with pytest.raises(ConstraintViolation):
         split_lift(np.array([True, False]), 1, 1, 2)  # equal points
+
+
+def test_split_lift_table_entries():
+    mask = np.array([True, False, False, True, False])
+    table = split_lift(mask, 2, 0, 3)
+    expected = np.zeros((5, 5, 3))
+    for q in range(5):
+        expected[q, q, 2 if mask[q] else 0] = 1.0
+    assert np.array_equal(table, expected)
+
+
+def test_lift_table_marginals_are_checked_per_entry():
+    table = split_lift(np.array([True, False, True]), 0, 1, 2)
+    table[2, 2] *= 1 + 1e-13  # within the 1e-12 tolerance
+    assert validate_lift_table(table) is not None
+    for first, later in ((0, 2), (1, 2), (2, None)):
+        bad = table.copy()
+        bad[first, (first + 1) % 3, 1] += 1e-9  # mass off the diagonal of entry `first`
+        if later is not None:
+            bad[later, later, 0] -= 1e-9
+        with pytest.raises(ConstraintViolation, match=f"^lift table entry q={first} does not "
+                           f"have marginal delta_{first}$"):
+            classical_lift(bad, np.ones(3))
 
 
 # --- Choquet decomposition -----------------------------------------------------------

@@ -13,17 +13,15 @@ from statelift import (
     check_trace_constraint,
     check_unit_reduction,
     hermitian_basis,
-    kron,
     pairing,
     product_lifting,
     random_density,
     random_hermitian,
     reduce_observable,
 )
-from statelift.linalg import matrix_unit
 from statelift.rng import philox_rng
 
-from oracles import reduce_observable_kron, transpose_permutation, unit_reduction_loops
+from oracles import kron, matrix_unit, reduce_observable_kron, transpose_permutation, unit_reduction_loops
 
 
 def random_complex(rng, d):
