@@ -153,12 +153,8 @@ def _cmd_analyze(args, run: _Run) -> int:
     for k, v in sorted(structure.diag_reference_mismatch.items()):
         print(f"structure.diag_reference_mismatch[{k}] = {_f(v)}")
     for (k, l), pair in sorted(structure.pairs.items()):
-        tag = f"structure.pair[{k},{l}]"
-        print(f"{tag}.off_support = {_f(pair.off_support)}")
-        print(f"{tag}.off_support_star = {_f(pair.off_support_star)}")
-        print(f"{tag}.component_mismatch = {_f(pair.component_mismatch)}")
-        print(f"{tag}.phase_mismatch = {_f(pair.phase_mismatch)}")
-        print(f"{tag}.reference_mismatch = {_f(pair.reference_mismatch)}")
+        for name, v in vars(pair).items():  # in field order
+            print(f"structure.pair[{k},{l}].{name} = {_f(v)}")
     _print_matrix("reference", report.reference)
     return EXIT_OK
 

@@ -167,8 +167,9 @@ def basis_images(f: Lifting) -> np.ndarray:
     return out.transpose(0, 2, 1)
 
 
-def _hermiticity_deviation(images: np.ndarray) -> float:
-    return max((frobenius(w - w.conj().T) for w in images), default=0.0)
+def _hermiticity_deviations(images: np.ndarray) -> np.ndarray:
+    """||F(g) - F(g)^dagger||_F for every basis image F(g)."""
+    return np.array([frobenius(w - w.conj().T) for w in images])
 
 
 def _trace_deviations(ds: int, de: int, images: np.ndarray):
@@ -195,7 +196,7 @@ def check_trace_constraint(f: Lifting) -> float:
 
 def check_hermiticity_preserving(f: Lifting) -> float:
     """Max Frobenius deviation of F(g) from self-adjointness over the basis."""
-    return _hermiticity_deviation(basis_images(f))
+    return float(np.max(_hermiticity_deviations(basis_images(f)), initial=0.0))
 
 
 def extract_reference(f: Lifting) -> np.ndarray:
@@ -237,6 +238,9 @@ class Witness:
 
 # Screened chunks hold at most this many bytes of images.
 _CHUNK_BYTES = 4 * 2**20
+# F(E_kl) from F(g_kk), F(g_ll), F(g_kl) and F(g*_kl):
+# g_kl - i g*_kl = 2 E_kl + (1 - i) (g_kk + g_ll)
+_OFF_DIAGONAL = np.array([-(1 - 1j) / 2, -(1 - 1j) / 2, 0.5, -0.5j])
 
 
 def _family(ds: int, config: WitnessConfig):
@@ -280,118 +284,146 @@ def _family(ds: int, config: WitnessConfig):
     yield len(children), densities, None
 
 
+def _has_cholesky(h: np.ndarray, shift: float) -> bool:
+    """Whether every h + shift I in the stack h, shifted in place, has a Cholesky factor."""
+    n = h.shape[-1]
+    h.reshape(-1, n * n)[:, :: n + 1] += shift  # the diagonals: h is contiguous, so a view
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class _Screen:
     """A sufficient test that no member of a chunk has an image with an
-    eigenvalue below -tol, cheaper than the per-member ``eigvalsh``.
+    eigenvalue below -tol, cheaper than the per-member ``eigvalsh``, read from
+    the basis images F(g_j) and their Hermiticity deviations dev_j.
 
-    Write M_rc for the column of the lifting matrix that holds F(E_rc), and
-    x for a trace-normalized member, with the bits ``apply_lifting`` gets.
-    The screen stores the Hermitian matrix-unit images
-    P_rc = (F(E_rc) + F(E_cr)^dagger)/2, transposed, and forms
-    H = sum_rc x_rc P_rc = (F(x) + F(x^dagger)^dagger)/2 for a whole chunk
-    with one GEMM over the units the chunk touches.  H comes out transposed,
-    which is its complex conjugate and has the same Cholesky verdict.  The
-    chunk passes when every H has a Cholesky factor of H + (tol/2) I.
+    Write x for a trace-normalized member, with the bits ``apply_lifting``
+    gets, and r for its coordinates Re x_kk, Re x_kl and Im x_kl (k < l).
+    The Hermitian completion x~ of its upper triangle has the coordinates
+    c = r, but for Re x_kk - sum_l (Re x_kl + Im x_kl) on g_kk.  One real
+    GEMM over the images a chunk touches forms H = sum_j c_j F(g_j)^T, the
+    transpose of F(x~), and the chunk passes when every H + (tol/2) I has a
+    Cholesky factor.  A basis member's c is one-hot, so its H is exact.
 
-    The tol/2 margin covers rounding and the members' asymmetry.  Write u
-    for the unit roundoff, n for dim, m for ds^2, A = sum_rc |x_rc| ||M_rc||
-    and S = sum_rc |x_rc - conj(x_cr)| ||M_rc||, which is 0 except for random
-    densities that differ from their adjoint in the last bits.  Then
-    ||F(x)||_F <= A, and H lies within S/2 of the Hermitian part of F(x).
-    The exact path's image of x (one GEMV, then the Hermitian part) lies
-    within about (m + 6) u A of that part in Frobenius norm.  The computed H,
-    whose P_rc carry one rounding each and of which Cholesky reads one
-    triangle, lies within about sqrt(2) (m + 7) u (A + S) of H.  A Cholesky
-    factorization that succeeds proves lambda_min >= -tol/2 - n (n + 1) u
-    (A + tol) (Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm 10.5), and ``eigvalsh`` is off by about n u A.  So when
-    eps (n^2 + m + 10) (A + tol) + S/2 <= tol/2, with eps = 2u, a passing
-    member is one the exact path finds no eigenvalue below -tol for.  A
-    chunk with a member that breaks that bound goes to the exact path.
+    Write u for the unit roundoff, n for dim, m for ds^2, M_rc for the column
+    that holds F(E_rc), N_j = sum_rc |g_j[r, c]| ||M_rc||, I = sum_j |c_j|
+    ||F(g_j)||, R = sum_j |r_j| N_j, D = sum_j |c_j| dev_j, A = sum_rc |x_rc|
+    ||M_rc|| and S = sum_rc |x_rc - conj(x_cr)| ||M_rc||, which is 0 but for
+    random densities that differ from their adjoint in the last bits.  The
+    GEMM is off by m u I, the images and c by (2 ds + 6) u R, the triangle that
+    Cholesky reads by D/2 from the Hermitian part, F(x~) by S from F(x), and
+    the exact path (GEMV, Hermitian part, ``eigvalsh``) by (m + n + 7) u A.
+    A Cholesky factor proves lambda_min >= -tol/2 - n (n + 1) u (I + tol)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5).  So,
+    with eps = 2u, a passing member that meets eps (n^2 + m + 10)
+    (I + R + A + tol) + D + S <= tol/2 has no eigenvalue below -tol on the
+    exact path.  The screen charges I, R and D as sum_j (|c_j| + |r_j|) w_j,
+    with w_j = eps (n^2 + m + 10) (||F(g_j)|| + N_j) + dev_j, and sends a
+    chunk with a member that breaks the bound to the exact path.
     """
 
-    def __init__(self, f: Lifting, tol: float):
-        ds, m = f.ds, f.ds**2
-        self.tol, self.ds, self.dim = tol, ds, f.ds * f.de
-        # units[c, r] is column c*ds + r of the matrix: the transposed image of E_rc
-        units = f.matrix.T.reshape(ds, ds, self.dim, self.dim)
-        parts = np.conj(units.transpose(1, 0, 3, 2), order="C")
-        parts += units
-        parts /= 2
-        self.parts = parts.reshape(m, -1)
+    def __init__(self, f: Lifting, images: np.ndarray, tol: float, deviations=None):
+        ds, m, n = f.ds, f.ds**2, f.ds * f.de
+        self.tol, self.ds, self.dim = tol, ds, n
+        b = self.basis = _basis(ds)
+        rows, cols = np.triu_indices(ds)
+        # r in a member's float64 view: Re x_kl at 2 (k ds + l), k <= l, then Im x_kl, k < l
+        self.coords = np.concatenate([2 * (rows * ds + cols), 2 * (b.k * ds + b.l) + 1])
+        # c on g_kk is r @ diagonal[:, k]: -1 on the members that hold e_k, 1 on g_kk
+        self.diagonal = -np.diagonal(b.members, axis1=1, axis2=2).real
+        self.diagonal[b.diag, np.arange(ds)] = 1
+        # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
+        self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
+        self.stack = self.images.reshape(m, -1).view(np.float64)
+        self.deviations = _hermiticity_deviations(images) if deviations is None else deviations
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
-        self.slack = np.finfo(float).eps * (self.dim**2 + m + 10)
-        self.pair_slack = np.finfo(float).eps * (4 * self.dim**2 + m + 10)
+        self.spread = np.abs(b.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
+        self.slack = np.finfo(float).eps * (n**2 + m + 10)
+        self.pair_slack = np.finfo(float).eps * (4 * n**2 + m + 16)
+        image_norms = np.sqrt(np.einsum("ij,ij->i", self.stack, self.stack))
+        self.weights = self.slack * (image_norms + self.spread) + self.deviations
         # every chunk's H is formed here, so a chunk allocates only its Cholesky factor
-        self.cap = max(1, _CHUNK_BYTES // (16 * self.dim**2))
-        self.buffer = np.empty((self.cap, self.dim**2), dtype=np.complex128)
+        self.cap = max(1, _CHUNK_BYTES // (16 * n * n))
+        self.buffer = np.empty((self.cap, 2 * n * n))
 
     def passes(self, xs: np.ndarray) -> bool:
         xs = xs / np.trace(xs, axis1=1, axis2=2).real[:, None, None]
         n = len(xs)
         vecs = xs.transpose(0, 2, 1).reshape(n, -1)  # column-stacked, as in apply_lifting
-        skew = np.abs(vecs - xs.conj().reshape(n, -1)) @ self.norms  # S, from vec(x^dagger)
-        if np.max(self.slack * (np.abs(vecs) @ self.norms + self.tol) + skew / 2) > self.tol / 2:
+        r = xs.view(np.float64).reshape(n, -1)[:, self.coords]
+        c = r.copy()
+        c[:, self.basis.diag] = r @ self.diagonal
+        # A and S, from vec(x) and vec(x^dagger), then I, R and D
+        margin = (self.slack * np.abs(vecs) + np.abs(vecs - xs.conj().reshape(n, -1))) @ self.norms
+        margin += (np.abs(c) + np.abs(r)) @ self.weights
+        if np.max(margin) + self.slack * self.tol > self.tol / 2:
             return False
-        used = np.flatnonzero(vecs.any(axis=0))
-        parts = self.parts if len(used) == len(self.parts) else self.parts[used]
-        h = np.matmul(vecs[:, used], parts, out=self.buffer[:n]).reshape(n, self.dim, self.dim)
-        diag = np.arange(self.dim)
-        h[:, diag, diag] += self.tol / 2
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        used = np.flatnonzero(c.any(axis=0))  # a slice when the images are adjacent
+        span = slice(used[0], used[-1] + 1) if used[-1] + 1 - used[0] == len(used) else used
+        h = np.matmul(c[:, span], self.stack[span], out=self.buffer[:n])
+        return _has_cholesky(h.view(np.complex128).reshape(n, self.dim, self.dim), self.tol / 2)
+
+    def _pair(self, k: int, l: int) -> list:
+        """Positions of g_kk, g_ll, g_kl and g*_kl among the basis images."""
+        q = k * (2 * self.ds - k - 1) // 2 + l - k - 1
+        return [self.basis.diag[k], self.basis.diag[l], self.basis.plain[q], self.basis.star[q]]
+
+    def block(self, k: int, l: int) -> np.ndarray:
+        """B^T of :meth:`certifies`: F(g_kk)^T, F(g_ll)^T on the diagonal, F(E_kl)^T =
+        (F(g_kl)^T - i F(g*_kl)^T - (1 - i) (F(g_kk)^T + F(g_ll)^T))/2 below, its adjoint above."""
+        j, n = self._pair(k, l), self.dim
+        block = np.empty((2 * n, 2 * n), dtype=np.complex128)
+        block[:n, :n], block[n:, n:] = self.images[j[0]], self.images[j[1]]
+        block[n:, :n] = (_OFF_DIAGONAL @ self.images[j].reshape(4, -1)).reshape(n, n)
+        block[:n, n:] = block[n:, :n].conj().T
+        return block
 
     def certifies(self, k: int, l: int, defect: float) -> bool:
         """A sufficient test that no state on span{e_k, e_l} whose eigenvalues
         are >= -``defect`` has an image with an eigenvalue below -tol, made
         with one Cholesky factorization of the pair's Choi block.
 
-        For psi = a e_k + b e_l, H(psi psi^dagger) = V^dagger B V with
-        B = [[P_kk, P_kl], [P_lk, P_ll]], of size 2n, V = [conj(a) I; conj(b) I]
-        and ||V||^2 = tr(psi psi^dagger).  So lambda_min(B) >= -delta gives
-        lambda_min(H(rho)) >= -delta tr(rho) for every positive rho on the
-        span, and a Hermitian member x with eigenvalues >= -eta has
-        lambda_min(H(x)) >= -delta (tr(x) + 2 eta) - ||B|| eta.  B comes
-        conjugated, as B^T, from ``parts``, and ``defect`` bounds eta.
+        For psi = a e_k + b e_l, Herm F(psi psi^dagger) = V^dagger B V with
+        B = [[P_kk, P_kl], [P_lk, P_ll]], P_rc = (F(E_rc) + F(E_cr)^dagger)/2,
+        V = [conj(a) I; conj(b) I] and ||V||^2 = tr(psi psi^dagger).  So
+        lambda_min(B) >= -delta gives lambda_min(Herm F(rho)) >= -delta tr(rho)
+        for every positive rho on the span, and a Hermitian member x with
+        eigenvalues >= -eta has lambda_min(Herm F(x)) >= -delta (tr(x) + 2 eta)
+        - ||B|| eta.  ``defect`` bounds eta.
 
-        Write N for the sum of the column norms ||M_rc|| with r, c in {k, l},
-        so that ||B||_F <= N, and |x_rc| <= 1 for a trace-normalized x.  The
-        computed B carries one rounding per entry (u N in norm), the tol/2
-        shift one more.  A Cholesky factorization of B + (tol/2) I at size 2n
-        that succeeds proves lambda_min(B) >= -tol/2 - (2n (2n + 1) + 2)
-        u (N + tol) (Higham, Thm 10.5).  The exact path's GEMV, Hermitian
-        part and ``eigvalsh`` are off by about (m + n + 7) u N.  So when
-        eps (4 n^2 + m + 10) (N + tol) + 2 defect (N + tol) <= tol/2, with
-        eps = 2u, no member of the pair has an eigenvalue below -tol on the
-        exact path, and the pair may be skipped.
+        :meth:`block` reads B^T from four images, and the triangle that
+        Cholesky reads lies within 1.25 sum_j dev_j of it, over the four.
+        With N = N_j of g_kl, ||B||_F <= N; the images and their recombination
+        put about 25 u N into the block, the shift one more rounding.  A
+        Cholesky factor of the block + (tol/2) I proves lambda_min >= -tol/2 -
+        (2n (2n + 1) + 2) u (N + tol) (Higham, Thm 10.5), and the exact path
+        is off by about (m + n + 7) u N.  So when eps (4 n^2 + m + 16) (N +
+        tol) + 2 defect (N + tol) + 2 sum_j dev_j <= tol/2, no member of the
+        pair has an eigenvalue below -tol on the exact path.
         """
-        units = [k * self.ds + k, k * self.ds + l, l * self.ds + k, l * self.ds + l]
-        scale = self.norms[units].sum() + self.tol
-        if (self.pair_slack + 2 * defect) * scale > self.tol / 2:
+        j = self._pair(k, l)
+        scale = self.spread[j[2]] + self.tol
+        if (self.pair_slack + 2 * defect) * scale + 2 * self.deviations[j].sum() > self.tol / 2:
             return False
-        n = self.dim
-        block = self.parts[units].reshape(2, 2, n, n).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-        diag = np.arange(2 * n)
-        block[diag, diag] += self.tol / 2
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        return _has_cholesky(self.block(k, l), self.tol / 2)
 
 
 def positivity_witness_search(
     f: Lifting,
     tol: float | None = None,
     config: WitnessConfig | None = None,
+    *,
+    images: np.ndarray | None = None,
+    deviations: np.ndarray | None = None,
 ):
     """First trace-normalized input in the canonical family whose image has an
     eigenvalue below -tol, or None if the whole family maps to positive
-    operators.
+    operators.  ``images`` and ``deviations`` are ``basis_images(f)`` and the
+    images' Hermiticity deviations, formed here when not given.
 
     The boundary mixtures of a pair k < l are skipped as a whole when the
     pair's Choi block passes :meth:`_Screen.certifies`, which is tried when
@@ -406,7 +438,9 @@ def positivity_witness_search(
         tol = tolerances.psd
     if config is None:
         config = WitnessConfig()
-    screen = _Screen(f, tol)
+    if images is None:
+        images = basis_images(f)
+    screen = _Screen(f, images, tol, deviations)
     size = 1
     for count, inputs, pair in _family(f.ds, config):
         if pair is not None and screen.certifies(*pair):
@@ -452,27 +486,14 @@ class StructureReport:
 
     @property
     def max_deviation(self) -> float:
-        worst = 0.0
-        for v in self.diag_off_support.values():
-            worst = max(worst, v)
-        for v in self.diag_reference_mismatch.values():
-            worst = max(worst, v)
-        for p in self.pairs.values():
-            worst = max(
-                worst,
-                p.off_support,
-                p.off_support_star,
-                p.component_mismatch,
-                p.phase_mismatch,
-                p.reference_mismatch,
-            )
-        return worst
+        values = [*self.diag_off_support.values(), *self.diag_reference_mismatch.values()]
+        values += [v for p in self.pairs.values() for v in vars(p).values()]
+        return max(values, default=0.0)
 
 
 def _off_support_mass(blocks: np.ndarray, support) -> float:
     masked = blocks.copy()
-    for k, l in support:
-        masked[k, l] = 0.0
+    masked[tuple(np.transpose(support))] = 0.0
     return float(np.linalg.norm(masked))
 
 
@@ -598,12 +619,13 @@ class AnalysisReport:
         return _reference(self.images, self.de)
 
 
-def _verdict(f, images, herm, trace, tol, witness_config):
+def _verdict(f, images, deviations, herm, trace, tol, witness_config):
     if herm > tolerances.hermitian:
         return ViolatesHermiticity(herm)
     if trace[0] > tolerances.trace:
         return ViolatesTrace(*trace)
-    witness = positivity_witness_search(f, config=witness_config)
+    witness = positivity_witness_search(f, config=witness_config, images=images,
+                                        deviations=deviations)
     if witness is not None:
         return ViolatesPositivity(witness.state, witness.min_eigenvalue)
     reference = _reference(images, f.de)
@@ -622,9 +644,10 @@ def analysis_report(
     if tol is None:
         tol = default_residual_tol()
     images = basis_images(f)
-    herm = _hermiticity_deviation(images)
+    deviations = _hermiticity_deviations(images)
+    herm = float(np.max(deviations, initial=0.0))
     trace = _trace_deviations(f.ds, f.de, images)
-    verdict = _verdict(f, images, herm, trace, tol, witness_config)
+    verdict = _verdict(f, images, deviations, herm, trace, tol, witness_config)
     return AnalysisReport(f.ds, f.de, verdict, herm, trace[0], images)
 
 

@@ -127,10 +127,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
 

@@ -43,6 +43,8 @@ def validate_lift_table(table: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise DimensionMismatch(
             f"lift table must have shape (q, q, p), got {table.shape}"
         )
+    if not np.all(np.isfinite(table)):
+        raise ConstraintViolation("lift table has non-finite entries")
     deviation = np.abs(table.sum(axis=2) - np.eye(table.shape[0]))  # row q: marginal of q
     bad = np.flatnonzero(np.max(deviation, axis=1, initial=0.0) > tol)
     if bad.size:
@@ -62,6 +64,8 @@ def classical_lift(table: np.ndarray, upsilon: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"measure support {upsilon.shape} does not match table {table.shape[:1]}"
         )
+    if not np.all(np.isfinite(upsilon)):
+        raise ConstraintViolation("measure has non-finite weights")
     return np.einsum("q,qab->ab", upsilon, table)
 
 

@@ -8,9 +8,9 @@ permutation matrices for liftings, perturbations and adjoints, and
 per-matrix-unit loops for Choi matrices, reduced dynamics and Kraus
 liftings, dense Kronecker products for the unit-reduction check, observable
 reduction, the product residual and purification, basis images formed one
-member at a time, one ``apply_lifting`` and ``eigvalsh`` per
-candidate for the positivity witness search, a dense grid scan for the
-diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
+member at a time, pair Choi blocks from Hermitian matrix-unit images, one
+``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
+search, a dense grid scan for the diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
 one-shot Gaussian draws with three-index einsum estimators and a single-GEMM
 empirical state, file text formatted one entry at a time, and files read one
 line at a time with float().
@@ -234,6 +234,21 @@ def basis_images_per_member(f) -> np.ndarray:
         for l in range(k + 1, ds):
             out.append((image(k, l) - image(l, k)) * 1j + (image(k, k) + image(l, l)))
     return np.ascontiguousarray(np.stack(out))
+
+
+def pair_block_parts(f, k: int, l: int) -> np.ndarray:
+    """B_kl^T for the pair k < l, from the Hermitian matrix-unit images
+    P_rc = (F(E_rc) + F(E_cr)^dagger)/2 of the columns of the lifting matrix:
+    the transpose of [[P_kk, P_kl], [P_lk, P_ll]]."""
+    ds, dim = f.ds, f.ds * f.de
+    # units[c, r] is column c*ds + r of the matrix: the transposed image of E_rc
+    units = f.matrix.T.reshape(ds, ds, dim, dim)
+    parts = np.conj(units.transpose(1, 0, 3, 2), order="C")
+    parts += units
+    parts /= 2
+    parts = parts.reshape(ds * ds, dim, dim)
+    picked = parts[[k * ds + k, k * ds + l, l * ds + k, l * ds + l]]
+    return picked.reshape(2, 2, dim, dim).transpose(0, 2, 1, 3).reshape(2 * dim, 2 * dim)
 
 
 def witness_candidates_loops(ds: int, config: WitnessConfig):

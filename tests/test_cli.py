@@ -226,6 +226,31 @@ def test_classical_lift_table_verb(tmp_path, capsys):
     assert np.allclose(mu, [[0.2, 0.0], [0.0, 0.3], [0.0, 0.5]], atol=0)
 
 
+@pytest.mark.parametrize("source", ["table", "upsilon"])
+def test_classical_lift_rejects_non_finite_inputs(tmp_path, capsys, source):
+    # a NaN used to pass the marginal check, get written and fail later in the SVD
+    from statelift.fileio import write_lift_table, write_measure
+    from statelift.measures import split_lift
+
+    if source == "table":
+        table = split_lift(np.array([True, False, False]), 0, 1, 2)
+        table[1, 1, 0] = np.nan
+        write_lift_table(tmp_path / "f.tbl", table)
+        argv = ("--table", tmp_path / "f.tbl")
+        message = "lift table has non-finite entries"
+    else:
+        write_measure(tmp_path / "u.measure", np.array([0.5, np.nan, 0.5]))
+        argv = ("--split", "0,2", "--q", 3, "--upsilon", tmp_path / "u.measure")
+        message = "measure has non-finite weights"
+    assert run(tmp_path, "classical-lift", *argv, "--out", tmp_path / "mu.m2") == EXIT_CONSTRAINT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: constraint: {message}\n"
+    assert not (tmp_path / "mu.m2").exists()
+    assert last_record(tmp_path)["command"] == "classical-lift"
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+
+
 def test_nogo_verb(tmp_path, capsys):
     assert run(tmp_path, "nogo", "--ds", 2, "--de", 2, "--trials", 20,
                "--eps", 1e-2, "--seed", 5) == 0

@@ -36,7 +36,7 @@ from statelift import (
 )
 from statelift.config import tolerances
 from statelift.dynamics import unitary_from_hamiltonian
-from statelift.liftings import _Screen, _family
+from statelift.liftings import _basis, _Screen, _family
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import hermitian_basis, random_hermitian
 
@@ -45,6 +45,7 @@ from oracles import (
     diag_mixing_positive_scan,
     kraus_lifting_loops,
     kron,
+    pair_block_parts,
     reassemble,
     residual_kron,
     positivity_witness_search_loops,
@@ -429,6 +430,10 @@ def test_witness_search_planted_in_basis(member, scale):
         assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
 
 
+def _screen(f):
+    return _Screen(f, basis_images(f), tolerances.psd)
+
+
 def _pairs(ds):
     return {pair[:2]: (inputs, pair) for _, inputs, pair in _family(ds, WitnessConfig()) if pair}
 
@@ -441,8 +446,30 @@ def test_pair_certificates_of_product_and_transposed_liftings(ds, de):
     transpose = _lifting_of_kind("transpose", ds, de, seed=820)
     pairs = [pair for _, pair in _pairs(ds).values()]
     assert len(pairs) == ds * (ds - 1) // 2
-    assert all(_Screen(product, tolerances.psd).certifies(*pair) for pair in pairs)
-    assert not any(_Screen(transpose, tolerances.psd).certifies(*pair) for pair in pairs)
+    assert all(_screen(product).certifies(*pair) for pair in pairs)
+    assert not any(_screen(transpose).certifies(*pair) for pair in pairs)
+
+
+@pytest.mark.parametrize("kind", ["product", "kraus_local", "perturbed", "transpose", "generic"])
+@pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (8, 4)])
+def test_pair_block_from_four_images_matches_matrix_unit_parts(ds, de, kind):
+    # the block is read from F(g_kk), F(g_ll), F(g_kl) and F(g*_kl); the oracle
+    # takes the Hermitian parts of the matrix-unit images.  They differ by the
+    # images' Hermiticity deviations (at most 1.25 sum dev_j over the four) and
+    # by rounding, about 25 u N for the images and the recombination and u N
+    # for the oracle, where N sums the norms of the pair's four columns
+    if kind == "generic":  # a lifting that does not preserve Hermiticity
+        rng = philox_rng(822)
+        shape = ((ds * de) ** 2, ds * ds)
+        f = Lifting(ds, de, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    else:
+        f = _lifting_of_kind(kind, ds, de, seed=821)
+    screen = _screen(f)
+    for k, l in zip(*np.triu_indices(ds, 1)):
+        units = [k * ds + k, k * ds + l, l * ds + k, l * ds + l]
+        bound = (1.25 * screen.deviations[screen._pair(k, l)].sum()
+                 + 13 * np.finfo(float).eps * screen.norms[units].sum())
+        assert np.linalg.norm(screen.block(k, l) - pair_block_parts(f, k, l)) <= bound
 
 
 def test_pair_certificates_wait_for_the_walk(monkeypatch):
@@ -487,7 +514,7 @@ def test_witness_search_planted_in_pair_mixture(member, scale):
     images = [kron(g, d) - c * np.trace(a @ g).real * np.outer(w, w)
               for g in hermitian_basis(ds)]
     f = _lifting_from_images(ds, de, images)
-    assert not _Screen(f, tolerances.psd).certifies(*pair)
+    assert not _screen(f).certifies(*pair)
     got = positivity_witness_search(f)
     _assert_same_witness(got, positivity_witness_search_loops(f))
     if scale > 1:
@@ -539,10 +566,27 @@ def test_witness_search_planted_in_hermiticity_defect(column, scale):
         assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
 
 
+@pytest.mark.parametrize("entry", [1, 2])
+def test_witness_search_planted_in_pair_hermiticity_defect(entry):
+    # F(E_00) = E_00 + c E_10 (entry 1) or E_00 + c E_01 (entry 2), with c =
+    # 3.6 tol, for the identity map: the basis members stay above -0.9 tol,
+    # while the Hermitian part of a boundary mixture of the pair (0, 1) near
+    # |a|^2 = 3/4 has the eigenvalue -c |a|^3 |b|, down to -1.17 tol.  The
+    # lower triangle of the Choi block, which Cholesky reads, shows c in one of
+    # the two cases only
+    m = product_lifting(np.eye(1), 2).matrix.copy()
+    m[entry, 0] = 3.6 * tolerances.psd
+    f = Lifting(2, 1, m)
+    assert not _screen(f).certifies(*_pairs(2)[(0, 1)][1])
+    got = positivity_witness_search(f)
+    _assert_same_witness(got, positivity_witness_search_loops(f))
+    assert got.state[0, 1] != 0 and got.state[0, 0] != got.state[1, 1]
+
+
 def test_screen_fails_members_far_from_hermitian():
     # for the identity map the screen's H is x itself, while the exact path sees
     # the Hermitian part of x, here with the eigenvalue -1/2
-    screen = _Screen(product_lifting(np.eye(1), 2), tolerances.psd)
+    screen = _screen(product_lifting(np.eye(1), 2))
     for x in (np.array([[1.0, 3.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [3.0, 1.0]])):
         assert not screen.passes(x[None].astype(complex))
 
@@ -766,9 +810,35 @@ def test_witness_search_memory_stays_near_one_image_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the screen stores one stack of Hermitian matrix-unit images, f.matrix.nbytes;
-    # a chunk's images, its Cholesky factors and the units it gathers add the rest
+    # called alone, the search forms the basis images, f.matrix.nbytes; a
+    # chunk's H and its Cholesky factors add the rest
     assert peak < 2.5 * f.matrix.nbytes
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_witness_search_reads_the_images_it_is_handed():
+    f = product_lifting(random_density(2, seed=46), 32)
+    images = basis_images(f)
+    # 64 MB of images at (32, 2): a copy of the stack, or of its Hermitian
+    # parts, would show; a chunk's H and its Cholesky factors take 8 MB
+    assert _peak_bytes(lambda: positivity_witness_search(f, images=images)) < 24 * 2**20
+
+
+@pytest.mark.parametrize("ds, de, bound_mb", [(16, 4, 35), (32, 2, 100)])
+def test_analysis_report_holds_one_image_stack(ds, de, bound_mb):
+    f = product_lifting(random_density(de, seed=47), ds)
+    _basis(ds)  # the canonical basis is cached for every later call
+    # the images take 16 MB at (16, 4) and 64 MB at (32, 2); a second stack
+    # built for the witness screen took the peak to 49 and 148 MB
+    assert _peak_bytes(lambda: analysis_report(f)) < bound_mb * 2**20
 
 
 def test_perturbed_lifting_stays_in_hypothesis_set():
