@@ -6,7 +6,6 @@ from .config import Tolerances, tolerances
 from .dynamics import (
     CptpCheck,
     ReducedChannel,
-    UnitaryEvolution,
     apply_channel,
     choi_matrix,
     evolve,
@@ -39,8 +38,6 @@ from .liftings import (
     ViolatesHermiticity,
     ViolatesPositivity,
     ViolatesTrace,
-    Witness,
-    WitnessConfig,
     analysis_report,
     analyze,
     apply_lifting,

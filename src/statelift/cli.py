@@ -268,8 +268,9 @@ def _cmd_classical_lift(args, run: _Run) -> int:
     lifted = measures.classical_lift(table, upsilon)
     fileio.write_product_measure(run.output(args.out), lifted)
     print(f"out = {args.out}")
-    print(f"product_rank = {measures.product_rank(lifted)}")
-    print(f"is_product = {str(measures.is_product_measure(lifted)).lower()}")
+    rank = measures.product_rank(lifted)
+    print(f"product_rank = {rank}")
+    print(f"is_product = {str(rank <= 1).lower()}")
     marg = measures.marginal(lifted)
     print(f"marginal_error = {_f(float(np.max(np.abs(marg - upsilon))))}")
     return EXIT_OK

@@ -23,13 +23,6 @@ from .states import validate_density
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryEvolution:
-    """exp(-i t H) (hbar = 1)."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ReducedChannel:
     """A linear map on system operators, stored on vectorized operators."""
 
@@ -55,20 +48,19 @@ class CptpCheck:
         return self.ok
 
 
-def unitary_from_hamiltonian(h: np.ndarray, t: float) -> UnitaryEvolution:
-    """U(t) = exp(-i t H) via the spectral decomposition of the Hamiltonian."""
+def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
+    """U(t) = exp(-i t H) (hbar = 1) via the spectral decomposition of the Hamiltonian."""
     dec = spectral(h)
     phases = np.exp(-1j * t * dec.eigenvalues)
-    u = (dec.vectors * phases) @ dec.vectors.conj().T
-    return UnitaryEvolution(u)
+    return (dec.vectors * phases) @ dec.vectors.conj().T
 
 
-def evolve(w: np.ndarray, u: UnitaryEvolution) -> np.ndarray:
+def evolve(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Conjugate a state by the unitary: U W U^dagger."""
     w = np.asarray(w, dtype=np.complex128)
-    if w.shape != u.matrix.shape:
-        raise DimensionMismatch(f"state shape {w.shape} vs unitary {u.matrix.shape}")
-    return u.matrix @ w @ u.matrix.conj().T
+    if w.shape != u.shape:
+        raise DimensionMismatch(f"state shape {w.shape} vs unitary {u.shape}")
+    return u @ w @ u.conj().T
 
 
 def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> ReducedChannel:
@@ -84,26 +76,21 @@ def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> Redu
         )
     d = validate_density(reference)
     ds = h.shape[0] // de
-    u = unitary_from_hamiltonian(h, t).matrix.reshape(ds, de, ds, de)
+    u = unitary_from_hamiltonian(h, t).reshape(ds, de, ds, de)
     w = (u @ d).transpose(0, 1, 3, 2)  # [a, i, j, r]
     uc = u.conj().transpose(0, 2, 1, 3)  # [b, c, i, j]
     out = np.matmul(uc.reshape(ds, 1, ds, de * de), w.reshape(1, ds, de * de, ds))
     return ReducedChannel(ds, out.reshape(ds * ds, ds * ds))
 
 
-def reduced_dynamics_from_lifting(
-    h: np.ndarray,
-    lifting,
-    t: float,
-    allow_non_right_inverse: bool = False,
-) -> ReducedChannel:
+def reduced_dynamics_from_lifting(h: np.ndarray, lifting, t: float) -> ReducedChannel:
     """Reduced dynamics through an explicit lifting instead of a reference state.
 
     Only right inverses of the partial trace give the correct initial
-    condition; anything else (e.g. a generic Kraus lifting) is rejected unless
-    ``allow_non_right_inverse`` is set.  Split as [C, R, n], the lifting matrix
-    holds F(E_rc)[R, C] for n = c*ds + r; y[C, a*de + i, n] = (U F(E_rc))[a*de + i, C]
-    and column n of the channel is vec tr_env(U F(E_rc) U^dagger).
+    condition; anything else (e.g. a generic Kraus lifting) is rejected.
+    Split as [C, R, n], the lifting matrix holds F(E_rc)[R, C] for
+    n = c*ds + r; y[C, a*de + i, n] = (U F(E_rc))[a*de + i, C] and column n
+    of the channel is vec tr_env(U F(E_rc) U^dagger).
     """
     h = np.asarray(h, dtype=np.complex128)
     ds, de = lifting.ds, lifting.de
@@ -111,15 +98,12 @@ def reduced_dynamics_from_lifting(
         raise DimensionMismatch(
             f"Hamiltonian shape {h.shape} does not match the lifting ({ds}*{de})"
         )
-    if not allow_non_right_inverse:
-        deviation = check_trace_constraint(lifting)
-        if deviation > tolerances.trace:
-            raise ConstraintViolation(
-                f"lifting is not a right inverse of the partial trace "
-                f"(deviation {deviation:.3e}); pass allow_non_right_inverse=True "
-                f"to use it anyway"
-            )
-    u = unitary_from_hamiltonian(h, t).matrix
+    deviation = check_trace_constraint(lifting)
+    if deviation > tolerances.trace:
+        raise ConstraintViolation(
+            f"lifting is not a right inverse of the partial trace (deviation {deviation:.3e})"
+        )
+    u = unitary_from_hamiltonian(h, t)
     y = (u @ lifting.matrix.reshape(ds * de, ds * de, ds * ds)).reshape(ds * de, ds, de, ds * ds)
     out = np.einsum("cain,bic->ban", y, u.conj().reshape(ds, de, ds * de), optimize=True)
     return ReducedChannel(ds, out.reshape(ds * ds, ds * ds))
@@ -142,11 +126,11 @@ def choi_matrix(lam: ReducedChannel) -> np.ndarray:
     return lam.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def is_cptp(lam: ReducedChannel, tol: float | None = None) -> CptpCheck:
-    """Complete positivity (Choi PSD) plus trace preservation (tr_out Choi = Id);
-    truthy when both hold, and keeps the minimal Choi eigenvalue."""
-    if tol is None:
-        tol = tolerances.psd
+def is_cptp(lam: ReducedChannel) -> CptpCheck:
+    """Complete positivity (Choi PSD) plus trace preservation (tr_out Choi = Id),
+    both within ``tolerances.psd``; truthy when both hold, and keeps the
+    minimal Choi eigenvalue."""
+    tol = tolerances.psd
     choi = choi_matrix(lam)
     lam_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     if lam_min < -tol:

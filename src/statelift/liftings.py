@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import KRAUS_TOL, default_residual_tol, tolerances
+from .config import DIAG_MIXING_TOL, KRAUS_TOL, default_residual_tol, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .linalg import frobenius, unvec, vec
 from .rng import philox_rng, spawn_seeds
@@ -176,7 +176,8 @@ def _trace_deviations(ds: int, de: int, images: np.ndarray):
     """Trace-norm deviations of tr_env(F(g)) from g: the worst and its g."""
     basis = _basis(ds).members
     reduced = np.einsum("naibi->nab", images.reshape(-1, ds, de, ds, de))
-    devs = np.linalg.svd(reduced - basis, compute_uv=False).sum(axis=1)
+    reduced -= basis
+    devs = np.linalg.svd(reduced, compute_uv=False).sum(axis=1)
     worst = int(np.argmax(devs))
     return float(devs[worst]), basis[worst].copy()
 
@@ -213,29 +214,12 @@ def extract_reference(f: Lifting) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessConfig:
-    """Grid for the positivity search.
-
-    ``num_t`` boundary points are taken with u = 1 + t log-spaced in
-    [u_min, 1 + t_max] and p = 1/u - 1, so every sampled (t, p) lies on the
-    boundary curve (1+t)(1+p) = 1; ``extra`` seeded random densities are
-    appended as a backstop.
-    """
-
-    num_t: int = 40
-    u_min: float = 1e-3
-    t_max: float = 1e3
-    extra: int = 100
-    seed: int = 7
-
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    state: np.ndarray  # unit-trace positive input whose image is negative
-    min_eigenvalue: float
-
-
+# The boundary mixtures of a pair are taken at u = 1 + t log-spaced in
+# [1e-3, 1 + 1e3] and p = 1/u - 1, so every sampled (t, p) lies on the boundary
+# curve (1+t)(1+p) = 1.  The family ends with _BACKSTOP random densities, the
+# children of _BACKSTOP_SEED.
+_BOUNDARY_U = np.logspace(np.log10(1e-3), np.log10(1.0 + 1e3), 40)
+_BACKSTOP, _BACKSTOP_SEED = 100, 7
 # Screened chunks hold at most this many bytes of images.
 _CHUNK_BYTES = 4 * 2**20
 # F(E_kl) from F(g_kk), F(g_ll), F(g_kl) and F(g*_kl):
@@ -243,10 +227,19 @@ _CHUNK_BYTES = 4 * 2**20
 _OFF_DIAGONAL = np.array([-(1 - 1j) / 2, -(1 - 1j) / 2, 0.5, -0.5j])
 
 
-def _family(ds: int, config: WitnessConfig):
+@lru_cache(maxsize=16)
+def _backstop(ds: int) -> np.ndarray:
+    """The family's random densities, stacked and read-only: shared by every search."""
+    children = spawn_seeds(_BACKSTOP_SEED, _BACKSTOP)
+    densities = np.stack([random_density(ds, seed=philox_rng(c)) for c in children])
+    densities.setflags(write=False)
+    return densities
+
+
+def _family(ds: int):
     """The canonical witness family as sections ``(count, inputs, pair)``: the
     rank-one Hermitian basis, then for each pair k < l its boundary mixtures
-    g_kl + t*g_kk + p*g_ll and g*_kl + t*g_kk + p*g_ll, then ``extra`` seeded
+    g_kl + t*g_kk + p*g_ll and g*_kl + t*g_kk + p*g_ll, then the seeded
     random densities.
 
     ``inputs(a, b)`` stacks members a..b-1 of a section, each with the same
@@ -260,8 +253,7 @@ def _family(ds: int, config: WitnessConfig):
     members = basis.members
     yield len(members), lambda a, b: members[a:b], None
 
-    us = np.logspace(np.log10(config.u_min), np.log10(1.0 + config.t_max), config.num_t)
-    t, p = (us - 1.0)[:, None, None], (1.0 / us - 1.0)[:, None, None]
+    t, p = (_BOUNDARY_U - 1.0)[:, None, None], (1.0 / _BOUNDARY_U - 1.0)[:, None, None]
     # A member's (k, l) block is [[1+t, b], [conj(b), 1+p]] with |b| = 1, exactly
     # as computed here.  As t and p are rounded, its determinant (1+t)(1+p) - 1
     # is not quite 0; when it is -d, the trace-normalized member has no
@@ -274,14 +266,10 @@ def _family(ds: int, config: WitnessConfig):
         return g + t[j] * members[basis.diag[basis.k[q]]] + p[j] * members[basis.diag[basis.l[q]]]
 
     for q, (k, l) in enumerate(zip(basis.k, basis.l)):
-        yield 2 * len(us), partial(mixtures, q), (int(k), int(l), defect)
+        yield 2 * len(_BOUNDARY_U), partial(mixtures, q), (int(k), int(l), defect)
 
-    children = spawn_seeds(config.seed, max(config.extra, 0))
-
-    def densities(a, b):
-        return np.stack([random_density(ds, seed=philox_rng(c)) for c in children[a:b]])
-
-    yield len(children), densities, None
+    densities = _backstop(ds)
+    yield len(densities), lambda a, b: densities[a:b], None
 
 
 def _has_cholesky(h: np.ndarray, shift: float) -> bool:
@@ -297,8 +285,9 @@ def _has_cholesky(h: np.ndarray, shift: float) -> bool:
 
 class _Screen:
     """A sufficient test that no member of a chunk has an image with an
-    eigenvalue below -tol, cheaper than the per-member ``eigvalsh``, read from
-    the basis images F(g_j) and their Hermiticity deviations dev_j.
+    eigenvalue below -tol, tol = ``tolerances.psd``, cheaper than the
+    per-member ``eigvalsh``, read from the basis images F(g_j) and their
+    Hermiticity deviations dev_j.
 
     Write x for a trace-normalized member, with the bits ``apply_lifting``
     gets, and r for its coordinates Re x_kk, Re x_kl and Im x_kl (k < l).
@@ -325,9 +314,9 @@ class _Screen:
     chunk with a member that breaks the bound to the exact path.
     """
 
-    def __init__(self, f: Lifting, images: np.ndarray, tol: float, deviations=None):
+    def __init__(self, f: Lifting, images: np.ndarray, deviations=None):
         ds, m, n = f.ds, f.ds**2, f.ds * f.de
-        self.tol, self.ds, self.dim = tol, ds, n
+        self.tol, self.ds, self.dim = tolerances.psd, ds, n
         b = self.basis = _basis(ds)
         rows, cols = np.triu_indices(ds)
         # r in a member's float64 view: Re x_kl at 2 (k ds + l), k <= l, then Im x_kl, k < l
@@ -414,16 +403,15 @@ class _Screen:
 
 def positivity_witness_search(
     f: Lifting,
-    tol: float | None = None,
-    config: WitnessConfig | None = None,
     *,
     images: np.ndarray | None = None,
     deviations: np.ndarray | None = None,
 ):
-    """First trace-normalized input in the canonical family whose image has an
-    eigenvalue below -tol, or None if the whole family maps to positive
-    operators.  ``images`` and ``deviations`` are ``basis_images(f)`` and the
-    images' Hermiticity deviations, formed here when not given.
+    """:class:`ViolatesPositivity` with the first trace-normalized input in the
+    canonical family whose image has an eigenvalue below -``tolerances.psd``,
+    or None if the whole family maps to positive operators.  ``images`` and
+    ``deviations`` are ``basis_images(f)`` and the images' Hermiticity
+    deviations, formed here when not given.
 
     The boundary mixtures of a pair k < l are skipped as a whole when the
     pair's Choi block passes :meth:`_Screen.certifies`, which is tried when
@@ -434,15 +422,11 @@ def positivity_witness_search(
     canonical order, so the witness and its eigenvalue are those of the exact
     path.
     """
-    if tol is None:
-        tol = tolerances.psd
-    if config is None:
-        config = WitnessConfig()
     if images is None:
         images = basis_images(f)
-    screen = _Screen(f, images, tol, deviations)
+    screen = _Screen(f, images, deviations)
     size = 1
-    for count, inputs, pair in _family(f.ds, config):
+    for count, inputs, pair in _family(f.ds):
         if pair is not None and screen.certifies(*pair):
             continue
         a = 0
@@ -454,8 +438,8 @@ def positivity_witness_search(
                     state = x / np.trace(x).real
                     w = apply_lifting(f, state)
                     lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
-                    if lam < -tol:
-                        return Witness(state, lam)
+                    if lam < -screen.tol:
+                        return ViolatesPositivity(state, lam)
             a, size = b, min(2 * size, screen.cap)
     return None
 
@@ -619,15 +603,14 @@ class AnalysisReport:
         return _reference(self.images, self.de)
 
 
-def _verdict(f, images, deviations, herm, trace, tol, witness_config):
+def _verdict(f, images, deviations, herm, trace, tol):
     if herm > tolerances.hermitian:
         return ViolatesHermiticity(herm)
     if trace[0] > tolerances.trace:
         return ViolatesTrace(*trace)
-    witness = positivity_witness_search(f, config=witness_config, images=images,
-                                        deviations=deviations)
+    witness = positivity_witness_search(f, images=images, deviations=deviations)
     if witness is not None:
-        return ViolatesPositivity(witness.state, witness.min_eigenvalue)
+        return witness
     reference = _reference(images, f.de)
     residual = _residual(f.ds, images, reference)
     if residual <= tol:
@@ -635,11 +618,7 @@ def _verdict(f, images, deviations, herm, trace, tol, witness_config):
     return Inconclusive(residual)
 
 
-def analysis_report(
-    f: Lifting,
-    tol: float | None = None,
-    witness_config: WitnessConfig | None = None,
-) -> AnalysisReport:
+def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     """:func:`analyze` with the deviations and basis images it read."""
     if tol is None:
         tol = default_residual_tol()
@@ -647,17 +626,13 @@ def analysis_report(
     deviations = _hermiticity_deviations(images)
     herm = float(np.max(deviations, initial=0.0))
     trace = _trace_deviations(f.ds, f.de, images)
-    verdict = _verdict(f, images, deviations, herm, trace, tol, witness_config)
+    verdict = _verdict(f, images, deviations, herm, trace, tol)
     return AnalysisReport(f.ds, f.de, verdict, herm, trace[0], images)
 
 
-def analyze(
-    f: Lifting,
-    tol: float | None = None,
-    witness_config: WitnessConfig | None = None,
-):
+def analyze(f: Lifting, tol: float | None = None):
     """Classify a lifting: hermiticity -> trace -> positivity -> factorization."""
-    return analysis_report(f, tol, witness_config).verdict
+    return analysis_report(f, tol).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +640,13 @@ def analyze(
 # ---------------------------------------------------------------------------
 
 
-def diag_mixing_positive(a: float, b: float, c: float, tol: float = 1e-12) -> bool:
+def diag_mixing_positive(a: float, b: float, c: float) -> bool:
     """Closed form for the inclusion of the region (1+t)(1+p) >= 1, t+1 >= 0
     in the region (b+at)(b+cp) >= b^2, b+at >= 0: holds iff a = c <= b."""
     for name, v in (("a", a), ("b", b), ("c", c)):
         if v < 0:
             raise ConstraintViolation(f"{name} must be nonnegative, got {v}")
-    return abs(a - c) <= tol and a <= b + tol
+    return abs(a - c) <= DIAG_MIXING_TOL and a <= b + DIAG_MIXING_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,8 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T), initial=0.0))
 
 
-def is_hermitian(a: np.ndarray, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = tolerances.hermitian
-    return hermiticity_defect(a) <= tol
+def is_hermitian(a: np.ndarray) -> bool:
+    return hermiticity_defect(a) <= tolerances.hermitian
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -94,14 +92,12 @@ class PsdCheck:
         return self.ok
 
 
-def is_psd(a: np.ndarray, tol: float | None = None) -> PsdCheck:
-    """Test membership in the positive cone: lambda_min(A) >= -tol.
+def is_psd(a: np.ndarray) -> PsdCheck:
+    """Test membership in the positive cone: lambda_min(A) >= -tolerances.psd.
 
     Raises ConstraintViolation for inputs that are not Hermitian within the
     configured Hermiticity tolerance.
     """
-    if tol is None:
-        tol = tolerances.psd
     a = as_matrix(a)
     if not is_hermitian(a):
         raise ConstraintViolation(
@@ -110,7 +106,7 @@ def is_psd(a: np.ndarray, tol: float | None = None) -> PsdCheck:
         )
     vals, vecs = np.linalg.eigh(hermitian_part(a))
     lam = float(vals[0])
-    return PsdCheck(lam >= -tol, lam, vecs[:, 0])
+    return PsdCheck(lam >= -tolerances.psd, lam, vecs[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +127,10 @@ class SpectralDecomposition:
         return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
 
 
-def spectral(a: np.ndarray, tol: float | None = None) -> SpectralDecomposition:
+def spectral(a: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with fixed conventions."""
-    if tol is None:
-        tol = tolerances.hermitian
     a = as_matrix(a)
-    if hermiticity_defect(a) > tol:
+    if not is_hermitian(a):
         raise ConstraintViolation(
             f"spectral() requires a Hermitian input (defect {hermiticity_defect(a):.3e})"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerances
+from .config import MARGINAL_TOL, PRODUCT_RANK_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .linalg import hermiticity_defect, spectral
 from .rng import philox_rng
@@ -35,7 +35,7 @@ def marginal(mu: np.ndarray) -> np.ndarray:
     return mu.sum(axis=1)
 
 
-def validate_lift_table(table: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_lift_table(table: np.ndarray) -> np.ndarray:
     """A lift table assigns to each source point q a measure on Q x P whose
     marginal is the Dirac measure at q."""
     table = np.asarray(table, dtype=float)
@@ -46,7 +46,7 @@ def validate_lift_table(table: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if not np.all(np.isfinite(table)):
         raise ConstraintViolation("lift table has non-finite entries")
     deviation = np.abs(table.sum(axis=2) - np.eye(table.shape[0]))  # row q: marginal of q
-    bad = np.flatnonzero(np.max(deviation, axis=1, initial=0.0) > tol)
+    bad = np.flatnonzero(np.max(deviation, axis=1, initial=0.0) > MARGINAL_TOL)
     if bad.size:
         q = bad[0]
         raise ConstraintViolation(f"lift table entry q={q} does not have marginal delta_{q}")
@@ -86,13 +86,13 @@ def split_lift(q1_mask, p1: int, p2: int, np_: int) -> np.ndarray:
     return table
 
 
-def product_rank(mu: np.ndarray, rel_tol: float = 1e-10) -> int:
+def product_rank(mu: np.ndarray) -> int:
     """Numerical rank of the weight matrix; a product measure has rank <= 1."""
     mu = np.asarray(mu, dtype=float)
     svals = np.linalg.svd(mu, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    return int(np.sum(svals > PRODUCT_RANK_TOL * svals[0]))
 
 
 def is_product_measure(mu: np.ndarray) -> bool:

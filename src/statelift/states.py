@@ -58,10 +58,10 @@ def pure_projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def random_hermitian(d: int, seed, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(d: int, seed) -> np.ndarray:
     rng = philox_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
 def random_density(d: int, rank: int | None = None, seed=0) -> np.ndarray:
@@ -79,17 +79,15 @@ def random_density(d: int, rank: int | None = None, seed=0) -> np.ndarray:
     return w / np.trace(w).real
 
 
-def validate_density(w: np.ndarray, tol: float | None = None) -> np.ndarray:
+def validate_density(w: np.ndarray) -> np.ndarray:
     """Check Hermiticity, positivity and unit trace; return the input."""
-    if tol is None:
-        tol = tolerances.psd
     w = as_matrix(w)
     if hermiticity_defect(w) > tolerances.hermitian:
         raise ConstraintViolation(
             f"state is not Hermitian (defect {hermiticity_defect(w):.3e})"
         )
     lam_min = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
-    if lam_min < -tol:
+    if lam_min < -tolerances.psd:
         raise ConstraintViolation(f"state is not positive (lambda_min {lam_min:.3e})")
     tr = complex(np.trace(w))
     if abs(tr - 1.0) > UNIT_TRACE_TOL:

@@ -23,7 +23,7 @@ import numpy as np
 
 from statelift.config import tolerances
 from statelift.errors import ConstraintViolation, FormatError
-from statelift.liftings import Witness, WitnessConfig, apply_lifting
+from statelift.liftings import ViolatesPositivity, apply_lifting
 from statelift.linalg import spectral
 from statelift.measures import gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
@@ -251,12 +251,13 @@ def pair_block_parts(f, k: int, l: int) -> np.ndarray:
     return picked.reshape(2, 2, dim, dim).transpose(0, 2, 1, 3).reshape(2 * dim, 2 * dim)
 
 
-def witness_candidates_loops(ds: int, config: WitnessConfig):
+def witness_candidates_loops(ds: int):
     """The canonical witness family, one member at a time: the Hermitian
-    basis, the boundary mixtures of each pair k < l, the random densities."""
+    basis, the boundary mixtures of each pair k < l at 40 log-spaced u = 1 + t
+    in [1e-3, 1 + 1e3], then 100 random densities seeded from 7."""
     for g in hermitian_basis(ds):
         yield g
-    us = np.logspace(np.log10(config.u_min), np.log10(1.0 + config.t_max), config.num_t)
+    us = np.logspace(np.log10(1e-3), np.log10(1.0 + 1e3), 40)
     for k in range(ds):
         for l in range(k + 1, ds):
             gkk = basis_g(k, k, ds)
@@ -268,24 +269,19 @@ def witness_candidates_loops(ds: int, config: WitnessConfig):
                 p = 1.0 / u - 1.0
                 yield gkl + t * gkk + p * gll
                 yield gst + t * gkk + p * gll
-    if config.extra > 0:
-        for child in spawn_seeds(config.seed, config.extra):
-            yield random_density(ds, seed=philox_rng(child))
+    for child in spawn_seeds(7, 100):
+        yield random_density(ds, seed=philox_rng(child))
 
 
-def positivity_witness_search_loops(f, tol=None, config=None):
+def positivity_witness_search_loops(f):
     """The witness search with one ``apply_lifting`` and one ``eigvalsh`` per
     candidate, in canonical order."""
-    if tol is None:
-        tol = tolerances.psd
-    if config is None:
-        config = WitnessConfig()
-    for x in witness_candidates_loops(f.ds, config):
+    for x in witness_candidates_loops(f.ds):
         state = x / np.trace(x).real
         w = apply_lifting(f, state)
         lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
-        if lam < -tol:
-            return Witness(state, lam)
+        if lam < -tolerances.psd:
+            return ViolatesPositivity(state, lam)
     return None
 
 

@@ -195,7 +195,7 @@ def criterion_reduced_dynamics():
         out = apply_channel(lam, rho)
         trace_dev = abs(np.trace(out).real - 1.0)
         worst_trace = max(worst_trace, trace_dev)
-        if not is_cptp(lam, tol=1e-9):
+        if not is_cptp(lam):
             return False, f"trial {k} not CPTP", ""
         choi_min = float(np.linalg.eigvalsh(choi_matrix(lam))[0])
         worst_choi = min(worst_choi, choi_min)

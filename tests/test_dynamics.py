@@ -35,13 +35,13 @@ def exchange_hamiltonian():
 def test_unitary_at_zero_time():
     h = random_hermitian(4, seed=1)
     u = unitary_from_hamiltonian(h, 0.0)
-    assert np.max(np.abs(u.matrix - np.eye(4))) < 1e-12
+    assert np.max(np.abs(u - np.eye(4))) < 1e-12
 
 
 def test_unitary_diagonal_hamiltonian():
     omega = np.array([0.3, -1.2, 2.5])
     u = unitary_from_hamiltonian(np.diag(omega).astype(complex), 0.7)
-    assert np.max(np.abs(u.matrix - np.diag(np.exp(-1j * 0.7 * omega)))) < 1e-12
+    assert np.max(np.abs(u - np.diag(np.exp(-1j * 0.7 * omega)))) < 1e-12
 
 
 def test_unitary_group_law():
@@ -49,21 +49,21 @@ def test_unitary_group_law():
     rng = philox_rng(3)
     for _ in range(5):
         t, s = rng.uniform(-2, 2, 2)
-        u_ts = unitary_from_hamiltonian(h, t + s).matrix
-        u_t = unitary_from_hamiltonian(h, t).matrix
-        u_s = unitary_from_hamiltonian(h, s).matrix
+        u_ts = unitary_from_hamiltonian(h, t + s)
+        u_t = unitary_from_hamiltonian(h, t)
+        u_s = unitary_from_hamiltonian(h, s)
         assert np.max(np.abs(u_ts - u_t @ u_s)) < 1e-9
 
 
 def test_unitary_matches_scipy_expm():
     h = random_hermitian(4, seed=4)
-    u = unitary_from_hamiltonian(h, 1.3).matrix
+    u = unitary_from_hamiltonian(h, 1.3)
     assert np.max(np.abs(u - scipy.linalg.expm(-1.3j * h))) < 1e-10
 
 
 def test_unitarity():
     h = random_hermitian(6, seed=5)
-    u = unitary_from_hamiltonian(h, 2.1).matrix
+    u = unitary_from_hamiltonian(h, 2.1)
     assert np.linalg.norm(u.conj().T @ u - np.eye(6)) < 1e-9
 
 
@@ -192,7 +192,7 @@ def test_reduced_map_is_cptp():
 def test_reduced_dynamics_matches_loops(ds, de):
     h = random_hermitian(ds * de, seed=27)
     d = random_density(de, seed=28)
-    u = unitary_from_hamiltonian(h, 0.9).matrix
+    u = unitary_from_hamiltonian(h, 0.9)
     loops = reduced_dynamics_loops(u, lambda x: np.kron(x, d), ds, de)
     assert np.max(np.abs(reduced_dynamics_map(h, d, 0.9).matrix - loops)) <= 1e-14
     # with check_trace_constraint, which reads the basis images of the lifting
@@ -217,7 +217,7 @@ def test_reduced_dynamics_memory_stays_near_the_channel(ds, de, bound):
 
 
 def test_reduced_dynamics_from_explicit_lifting():
-    from statelift import ConstraintViolation, kraus_lifting
+    from statelift import ConstraintViolation, apply_lifting, kraus_lifting, perturbed_product_lifting
 
     h = random_hermitian(4, seed=24)
     d = random_density(2, seed=25)
@@ -229,7 +229,15 @@ def test_reduced_dynamics_from_explicit_lifting():
     with pytest.raises(ConstraintViolation):
         reduced_dynamics_map(h, 2 * d, 0.6)
 
-    # a non-right-inverse lifting needs the explicit opt-in flag
+    # a right inverse that is not a product map gives the channel of its own matrix
+    f = perturbed_product_lifting(d, 2, 1e-2, seed=26)
+    lam = reduced_dynamics_from_lifting(h, f, 0.6)
+    u = unitary_from_hamiltonian(h, 0.6)
+    loops = reduced_dynamics_loops(u, lambda x: apply_lifting(f, x), 2, 2)
+    assert np.max(np.abs(lam.matrix - loops)) <= 1e-14
+    assert np.max(np.abs(lam.matrix - lam_ref.matrix)) > 1e-4
+
+    # a lifting that is not a right inverse is rejected
     swap = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -237,11 +245,6 @@ def test_reduced_dynamics_from_explicit_lifting():
     f_swap = kraus_lifting([swap], d, 2)
     with pytest.raises(ConstraintViolation, match="right inverse"):
         reduced_dynamics_from_lifting(h, f_swap, 0.6)
-    lam = reduced_dynamics_from_lifting(h, f_swap, 0.6, allow_non_right_inverse=True)
-    assert is_cptp(lam)  # still a channel, just with the wrong initial condition
-    u = unitary_from_hamiltonian(h, 0.6).matrix
-    loops = reduced_dynamics_loops(u, lambda x: swap @ np.kron(x, d) @ swap.T, 2, 2)
-    assert np.max(np.abs(lam.matrix - loops)) <= 1e-14
 
 
 def test_transpose_channel_not_completely_positive():

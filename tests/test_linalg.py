@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from statelift import (
     unvec,
     vec,
 )
+from statelift.config import tolerances
 from statelift.rng import philox_rng
 from statelift.states import basis_g, random_density, random_hermitian
 
@@ -119,10 +122,17 @@ def test_ptrace_adjoint_identity():
 # --- positivity ---------------------------------------------------------
 
 
+def test_tolerances_are_fixed():
+    # every threshold is decided in statelift.config; none is set at run time
+    with pytest.raises(FrozenInstanceError):
+        tolerances.psd = 1e-6
+    assert tolerances.psd == 1e-9
+
+
 def test_is_psd_diagonal_cases():
     check = is_psd(np.diag([1.0, 0.0]).astype(complex))
     assert check and check.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
-    check = is_psd(np.diag([1.0, -0.1]).astype(complex), tol=1e-9)
+    check = is_psd(np.diag([1.0, -0.1]).astype(complex))
     assert not check
     assert check.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
     assert abs(abs(check.witness[1]) - 1.0) < 1e-12  # witness is e_2
