@@ -303,7 +303,8 @@ def _cmd_nogo(args, run: _Run) -> int:
     return EXIT_FALSIFIER if outcome.falsifiers else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verbs=None) -> argparse.ArgumentParser:
+    """The command-line parser; only the verbs in ``verbs`` (default: all) get their options."""
     parser = argparse.ArgumentParser(
         prog="statelift",
         description="Partial traces, state liftings, and measure representations "
@@ -313,85 +314,82 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path of the JSON-lines run log")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("lift", help="tensor a state with a reference state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_lift)
+    def verb(name, func, help):
+        wanted = verbs is None or name in verbs
+        p = sub.add_parser(name, help=help, add_help=wanted)  # the others are never parsed
+        p.set_defaults(func=func)
+        return p if wanted else None
 
-    p = sub.add_parser("reduce", help="partial trace of a composite state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--dims", required=True, help="dS,dE")
-    p.add_argument("--side", choices=("env", "sys"), default="env")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reduce)
+    if p := verb("lift", _cmd_lift, "tensor a state with a reference state"):
+        p.add_argument("--state", required=True)
+        p.add_argument("--ref", required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("analyze", help="classify a lifting (product or violation)")
-    p.add_argument("--lifting", required=True)
-    p.add_argument("--dims", help="dS,dE cross-check against the stored dims")
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_analyze)
+    if p := verb("reduce", _cmd_reduce, "partial trace of a composite state"):
+        p.add_argument("--state", required=True)
+        p.add_argument("--dims", required=True, help="dS,dE")
+        p.add_argument("--side", choices=("env", "sys"), default="env")
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("purify", help="pure composite vector reducing to a state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--denv", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_purify)
+    if p := verb("analyze", _cmd_analyze, "classify a lifting (product or violation)"):
+        p.add_argument("--lifting", required=True)
+        p.add_argument("--dims", help="dS,dE cross-check against the stored dims")
+        p.add_argument("--tol", type=float)
 
-    p = sub.add_parser("evolve", help="reduced dynamics of a lifted state")
-    p.add_argument("--ham", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--emit-channel")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evolve)
+    if p := verb("purify", _cmd_purify, "pure composite vector reducing to a state"):
+        p.add_argument("--state", required=True)
+        p.add_argument("--denv", type=int, required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("choquet", help="spectral projector decomposition of a state")
-    p.add_argument("--state")
-    p.add_argument("--witness", action="store_true",
-                   help="emit the two-measures-one-state witness instead")
-    p.set_defaults(func=_cmd_choquet)
+    if p := verb("evolve", _cmd_evolve, "reduced dynamics of a lifted state"):
+        p.add_argument("--ham", required=True)
+        p.add_argument("--ref", required=True)
+        p.add_argument("--state", required=True)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--emit-channel")
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("estimate", help="Monte-Carlo estimate of tr(AB)")
-    p.add_argument("--state", required=True)
-    p.add_argument("--obs", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_estimate)
+    if p := verb("choquet", _cmd_choquet, "spectral projector decomposition of a state"):
+        p.add_argument("--state")
+        p.add_argument("--witness", action="store_true",
+                       help="emit the two-measures-one-state witness instead")
 
-    p = sub.add_parser("empirical", help="Monte-Carlo reconstruction of a state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_empirical)
+    if p := verb("estimate", _cmd_estimate, "Monte-Carlo estimate of tr(AB)"):
+        p.add_argument("--state", required=True)
+        p.add_argument("--obs", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("classical-lift", help="lift a finite measure to a product space")
-    p.add_argument("--upsilon", help="measure file over Q (default: uniform)")
-    p.add_argument("--table", help="lift table file")
-    p.add_argument("--split", help="comma-separated indices of the Q1 half")
-    p.add_argument("--q", type=int, help="size of Q (with --split)")
-    p.add_argument("--p1", type=int, default=0)
-    p.add_argument("--p2", type=int, default=1)
-    p.add_argument("--psize", type=int, help="size of P (default max(p1,p2)+1)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_classical_lift)
+    if p := verb("empirical", _cmd_empirical, "Monte-Carlo reconstruction of a state"):
+        p.add_argument("--state", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("nogo", help="randomized factorization sweep")
-    p.add_argument("--ds", type=int, required=True)
-    p.add_argument("--de", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_nogo)
+    if p := verb("classical-lift", _cmd_classical_lift, "lift a finite measure to a product space"):
+        p.add_argument("--upsilon", help="measure file over Q (default: uniform)")
+        p.add_argument("--table", help="lift table file")
+        p.add_argument("--split", help="comma-separated indices of the Q1 half")
+        p.add_argument("--q", type=int, help="size of Q (with --split)")
+        p.add_argument("--p1", type=int, default=0)
+        p.add_argument("--p2", type=int, default=1)
+        p.add_argument("--psize", type=int, help="size of P (default max(p1,p2)+1)")
+        p.add_argument("--out", required=True)
+
+    if p := verb("nogo", _cmd_nogo, "randomized factorization sweep"):
+        p.add_argument("--ds", type=int, required=True)
+        p.add_argument("--de", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--tol", type=float)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(set(argv)).parse_args(argv)  # the options of the verb in argv only
     params = {
         k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
         for k, v in vars(args).items()

@@ -34,6 +34,7 @@ KRAUS_TOL = 1e-9          # |sum K^dagger K - Id|_F allowed for a Kraus family
 MARGINAL_TOL = 1e-12      # max entry of |marginal - Dirac| allowed for a lift-table row
 PRODUCT_RANK_TOL = 1e-10  # relative singular-value cutoff for the rank of a measure
 DIAG_MIXING_TOL = 1e-12   # slack in a = c <= b of the diagonal-mixing criterion
+PERTURBATION_FLOOR = 1e-9  # Frobenius norm at or below which a perturbation draw is redrawn
 
 
 def default_residual_tol() -> float:

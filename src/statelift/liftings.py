@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DIAG_MIXING_TOL, KRAUS_TOL, default_residual_tol, tolerances
+from .config import DIAG_MIXING_TOL, KRAUS_TOL, PERTURBATION_FLOOR, default_residual_tol, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .linalg import frobenius, unvec, vec
 from .rng import philox_rng, spawn_seeds
@@ -125,12 +125,22 @@ class _Basis(NamedTuple):
 
 
 @lru_cache(maxsize=16)
+def _triangle(dim: int) -> tuple:
+    """The upper triangle's rows and columns, those off the diagonal and their mask, read-only."""
+    rows, cols = np.triu_indices(dim)
+    off = rows != cols
+    maps = (rows, cols, rows[off], cols[off], off)
+    for a in maps:
+        a.setflags(write=False)
+    return maps
+
+
+@lru_cache(maxsize=16)
 def _basis(ds: int) -> _Basis:
-    rows, cols = np.triu_indices(ds)
-    k, l = np.triu_indices(ds, 1)
+    rows, _, k, l, off = _triangle(ds)
     star = len(rows) + np.arange(len(k))
     members = np.stack(hermitian_basis(ds))
-    basis = _Basis(members, np.flatnonzero(rows == cols), k, l, np.flatnonzero(rows != cols), star)
+    basis = _Basis(members, np.flatnonzero(~off), k, l, np.flatnonzero(off), star)
     for a in basis:
         a.setflags(write=False)  # shared by every caller
     return basis
@@ -654,6 +664,20 @@ def diag_mixing_positive(a: float, b: float, c: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _basis_inverse(ds: int) -> np.ndarray:
+    """The inverse of the stacked basis vecs, read-only: column c*ds + r holds E_rc on the basis,
+    which is g_kk for E_kk and, for k < l, _OFF_DIAGONAL for E_kl and its conjugate for E_lk."""
+    b = _basis(ds)
+    inv = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
+    inv[b.diag, np.arange(ds) * (ds + 1)] = 1
+    at = np.stack([b.diag[b.k], b.diag[b.l], b.plain, b.star])
+    inv[at, b.l * ds + b.k] = _OFF_DIAGONAL[:, None]
+    inv[at, b.k * ds + b.l] = _OFF_DIAGONAL.conj()[:, None]
+    inv.setflags(write=False)
+    return inv
+
+
 def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     """Random lifting-shaped direction: Hermiticity-preserving, annihilated by
     the partial-trace constraint, Frobenius-normalized.
@@ -668,10 +692,7 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     """
     rng = philox_rng(seed)
     dim, n = ds * de, ds * ds
-    g_inv = np.linalg.inv(np.column_stack([vec(h) for h in hermitian_basis(ds)]))
-    rows, cols = np.triu_indices(dim)
-    pair_rows, pair_cols = np.triu_indices(dim, 1)
-    off = rows != cols
+    rows, cols, pair_rows, pair_cols, off = _triangle(dim)
     for _ in range(8):
         g, star = np.split(rng.standard_normal((dim * dim, n)), [len(rows)])
         # transposed images, so that entry [c, r] sits at vec index c*dim + r
@@ -683,11 +704,11 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
         ends = np.zeros((dim, dim, n))
         ends[pair_rows, pair_cols] = g[off] + star
         images[np.diag_indices(dim)] += ends.sum(0) + ends.sum(1)
-        blocks = (images.reshape(dim * dim, n) @ g_inv).reshape(ds, de, ds, de, n)
+        blocks = (images.reshape(dim * dim, n) @ _basis_inverse(ds)).reshape(ds, de, ds, de, n)
         p = np.einsum("aibic->abc", blocks) / de
         blocks -= np.einsum("abc,ij->aibjc", p, np.eye(de))
         norm = float(np.linalg.norm(blocks))
-        if norm > 1e-9:
+        if norm > PERTURBATION_FLOOR:
             return blocks.reshape(dim * dim, n) / norm
     raise ConstraintViolation("could not draw a non-degenerate perturbation")
 

@@ -4,7 +4,8 @@ Everything here is computed by a route different from the implementation
 under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
 Gram-root singular values for the trace norm, dense superoperator and
-permutation matrices for liftings, perturbations and adjoints, and
+permutation matrices for liftings, perturbations and adjoints, the
+perturbation with ``np.linalg.inv`` of the stacked Hermitian basis, and
 per-matrix-unit loops for Choi matrices, reduced dynamics and Kraus
 liftings, dense Kronecker products for the unit-reduction check, observable
 reduction, the product residual and purification, basis images formed one
@@ -119,6 +120,34 @@ def random_perturbation_dense(ds: int, de: int, seed) -> np.ndarray:
         norm = float(np.linalg.norm(m))
         if norm > 1e-9:
             return m / norm
+    raise AssertionError("could not draw a non-degenerate perturbation")
+
+
+def random_perturbation_inv(ds: int, de: int, seed) -> np.ndarray:
+    """``liftings.random_perturbation`` as it was built with ``np.linalg.inv`` of
+    the stacked Hermitian basis and fresh ``np.triu_indices`` on every call: the
+    same scatter and the same GEMM, so its bits are the reference."""
+    rng = philox_rng(seed)
+    dim, n = ds * de, ds * ds
+    g_inv = np.linalg.inv(np.column_stack([h.T.ravel() for h in hermitian_basis(ds)]))
+    rows, cols = np.triu_indices(dim)
+    pair_rows, pair_cols = np.triu_indices(dim, 1)
+    off = rows != cols
+    for _ in range(8):
+        g, star = np.split(rng.standard_normal((dim * dim, n)), [len(rows)])
+        images = np.zeros((dim, dim, n), dtype=np.complex128)
+        images[rows, cols] = g
+        images[pair_rows, pair_cols] -= 1j * star
+        images[pair_cols, pair_rows] = g[off] + 1j * star
+        ends = np.zeros((dim, dim, n))
+        ends[pair_rows, pair_cols] = g[off] + star
+        images[np.diag_indices(dim)] += ends.sum(0) + ends.sum(1)
+        blocks = (images.reshape(dim * dim, n) @ g_inv).reshape(ds, de, ds, de, n)
+        p = np.einsum("aibic->abc", blocks) / de
+        blocks -= np.einsum("abc,ij->aibjc", p, np.eye(de))
+        norm = float(np.linalg.norm(blocks))
+        if norm > 1e-9:
+            return blocks.reshape(dim * dim, n) / norm
     raise AssertionError("could not draw a non-degenerate perturbation")
 
 

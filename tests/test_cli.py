@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import statelift
 from statelift import (
+    Lifting,
     partial_trace_env,
     product_lifting,
     random_density,
@@ -12,8 +18,9 @@ from statelift import (
     reduced_dynamics_from_lifting,
     trace_norm,
 )
-from statelift.cli import EXIT_CONSTRAINT, EXIT_DIMENSION, EXIT_FORMAT, main
+from statelift.cli import EXIT_CONSTRAINT, EXIT_DIMENSION, EXIT_FORMAT, build_parser, main
 from statelift.fileio import read_matrix, read_product_measure, read_vector, write_lifting, write_matrix
+from statelift.linalg import vec
 
 from oracles import bell_projector, kron, ptrace_env_loops
 
@@ -498,3 +505,96 @@ def test_run_log_records_seed(tmp_path, capsys):
     assert record["params"]["seed"] == 42
     assert str(tmp_path / "B.mat") in record["inputs"]
     assert record["outputs"] == [str(tmp_path / "emp.mat")]
+
+
+# --- several calls in one process, and the parser of one verb ------------------
+
+
+def _sequence(lifting):
+    nogo = ["nogo", "--ds", 2, "--de", 2, "--trials", 3, "--eps", 1e-2, "--seed", 1]
+    return [
+        ["analyze", "--lifting", lifting, "--tol", 1e-5],
+        ["analyze", "--lifting", lifting],  # the default or STATELIFT_TOL again
+        [*nogo, "--tol", 1e-5],
+        nogo,
+        ["nogo", "--ds", 2],  # usage error: required options missing
+        ["analyze", "--lifting", lifting, "--dims", "2,2"],
+        ["choquet", "--witness"],  # a different verb straight after analyze
+    ]
+
+
+def _record(log):
+    """The run record a call appended, without its timing, or None."""
+    if not log.exists():
+        return None
+    (record,) = [json.loads(line) for line in log.read_text().splitlines()]
+    del record["elapsed_s"]
+    return record
+
+
+@pytest.mark.parametrize("env_tol", [None, "1e-6"])
+def test_calls_in_one_process_match_a_fresh_process(tmp_path, capsys, monkeypatch, env_tol):
+    # residual sqrt(12) 1e-6 with no witness: product at --tol 1e-5, inconclusive below,
+    # so a --tol that outlived its call would change the verdict of the next one
+    m = product_lifting(np.diag([0.6, 0.4]), 2).matrix.copy()
+    m[:, 0] += 1e-6 * vec(np.diag([1.0, -1.0, 0.0, 0.0]))
+    m[:, 3] -= 1e-6 * vec(np.diag([0.0, 0.0, 1.0, -1.0]))
+    write_lifting(tmp_path / "F.lift", Lifting(2, 2, m))
+    calls = [[str(a) for a in argv] for argv in _sequence(tmp_path / "F.lift")]
+    env = {k: v for k, v in os.environ.items() if k != "STATELIFT_TOL"}
+    package = str(Path(statelift.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+    if env_tol is None:
+        monkeypatch.delenv("STATELIFT_TOL", raising=False)
+    else:
+        env["STATELIFT_TOL"] = env_tol
+        monkeypatch.setenv("STATELIFT_TOL", env_tol)
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "statelift.cli", "--run-log", str(tmp_path / f"fresh{i}.jsonl"),
+             *argv], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+        )
+        for i, argv in enumerate(calls)
+    ]
+    codes, outs = [], []
+    try:
+        for i, (argv, proc) in enumerate(zip(calls, fresh)):
+            log = tmp_path / f"inprocess{i}.jsonl"
+            try:
+                codes.append(main(["--run-log", str(log), *argv]))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            outs.append(capsys.readouterr().out)
+            fresh_out = proc.communicate(timeout=120)[0]
+            assert (codes[-1], outs[-1]) == (proc.returncode, fresh_out), argv
+            assert _record(log) == _record(tmp_path / f"fresh{i}.jsonl"), argv
+    finally:
+        for proc in fresh:
+            proc.kill()
+            proc.wait()
+    assert "verdict = product" in outs[0] and "verdict = inconclusive" in outs[1]
+    assert codes == [0, 0, 0, 0, 2, 0, 0] and _record(tmp_path / "inprocess4.jsonl") is None
+
+
+VERBS = ["lift", "reduce", "analyze", "purify", "evolve", "choquet", "estimate", "empirical",
+         "classical-lift", "nogo"]
+
+
+def _help(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    out = capsys.readouterr()
+    return exit_.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [[v, "--help"] for v in VERBS] + [
+    ["--help"], ["nogo"], ["analyze", "--lifting"], ["analyse"], ["--run-log", "nogo"], [],
+])
+def test_parser_of_the_verbs_in_argv_matches_the_full_parser(argv, capsys):
+    # main builds only the options of the verbs named in argv; help, usage and errors stay the same
+    code, out, err = _help(main, argv, capsys)
+    assert (code, out, err) == _help(build_parser().parse_args, argv, capsys)
+    if "--help" in argv:
+        assert code == 0 and "-h, --help" in out and not err
+    else:
+        assert code == 2 and err.startswith("usage: statelift") and not out

@@ -35,7 +35,7 @@ from statelift import (
 )
 from statelift.config import tolerances
 from statelift.dynamics import unitary_from_hamiltonian
-from statelift.liftings import _basis, _Screen, _family
+from statelift.liftings import _basis, _basis_inverse, _Screen, _family, _triangle
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import hermitian_basis, random_hermitian
 
@@ -53,6 +53,7 @@ from oracles import (
     ptrace_env_loops,
     ptrace_env_superop,
     random_perturbation_dense,
+    random_perturbation_inv,
 )
 
 
@@ -789,6 +790,28 @@ def test_random_perturbation_matches_dense_oracle(ds, de):
         delta = random_perturbation(ds, de, seed=100 + seed)
         dense = random_perturbation_dense(ds, de, seed=100 + seed)
         assert np.max(np.abs(delta - dense)) <= 1e-13
+
+
+def test_basis_inverse_matches_linalg_inv():
+    # values, not bits: np.linalg.inv puts -0.0 at some zeros from ds = 5 on
+    for ds in range(1, 9):
+        dense = np.linalg.inv(np.column_stack([vec(h) for h in hermitian_basis(ds)]))
+        assert np.array_equal(_basis_inverse(ds), dense)
+
+
+def test_cached_index_maps_are_read_only():
+    for a in (_basis_inverse(3), *_triangle(12)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8)])
+def test_random_perturbation_bits_match_inv_oracle(ds, de):
+    for seed in range(5):
+        delta = random_perturbation(ds, de, seed=200 + seed)
+        oracle = random_perturbation_inv(ds, de, seed=200 + seed)
+        assert np.array_equal(delta.view(np.uint64), oracle.view(np.uint64))
 
 
 def test_random_perturbation_memory_stays_below_dense_basis():
