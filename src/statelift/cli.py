@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -400,6 +401,12 @@ def main(argv=None) -> int:
     code = None  # stays None in the record of a run that ends in an unmapped exception
     try:
         code = args.func(args, run)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError as exc:
+        print(f"error: format: stdout: {exc}", file=sys.stderr)
+        with open(os.devnull, "w") as devnull:  # what is left to flush at exit goes nowhere
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        code = EXIT_FORMAT
     except FormatError as exc:
         print(f"error: format: {exc}", file=sys.stderr)
         code = EXIT_FORMAT

@@ -57,9 +57,11 @@ class _Reader:
     def __init__(self, path: str, handle):
         self.path = path
         self.handle = handle
+        self.lines = 0  # physical lines read so far
 
     def next(self, what: str) -> str:
         for line in iter(self.handle.readline, ""):
+            self.lines += 1
             line = line.strip()
             if line:
                 return line
@@ -80,22 +82,23 @@ class _Reader:
     def entries(self, n: int, per_line: int) -> np.ndarray:
         """The rest of the file as n lines of per_line floats, shape (n, per_line).
 
-        numpy's C reader converts each number with the dtoa that float() uses,
-        so the bits are float()'s.  A file it does not read as exactly n such
-        lines, or that makes it warn, is scanned line by line instead: the
-        scan names the first bad entry, and reads what only float() reads,
-        such as 1_0.
+        numpy's C reader, given the path and the lines read so far, reads in
+        blocks and converts with the dtoa of float(), so the bits are float()'s.
+        A file it does not read as exactly n such lines, that makes it warn or
+        that it would decompress is scanned line by line instead: the scan
+        names the first bad entry, and reads what only float() reads, e.g. 1_0.
         """
-        start = self.handle.tell()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = np.loadtxt(self.handle, dtype=np.float64, comments=None, ndmin=2)
-            if values.shape == (n, per_line):
-                return values
-        except (ValueError, Warning):
-            pass
-        self.handle.seek(start)
+        path = os.path.abspath(self.path)  # numpy would fetch a relative "scheme://host/..." path
+        if not path.endswith((".gz", ".bz2", ".xz", ".lzma")):  # numpy decompresses these
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    values = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2,
+                                        skiprows=self.lines, encoding="utf-8")
+                if values.shape == (n, per_line):
+                    return values
+            except (ValueError, Warning):
+                pass
         return self._scan(n, per_line)
 
     def _scan(self, n: int, per_line: int) -> np.ndarray:

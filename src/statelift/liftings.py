@@ -695,29 +695,38 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     rows, cols, pair_rows, pair_cols, off = _triangle(dim)
     for _ in range(8):
         g, star = np.split(rng.standard_normal((dim * dim, n)), [len(rows)])
-        # transposed images, so that entry [c, r] sits at vec index c*dim + r
-        images = np.zeros((dim, dim, n), dtype=np.complex128)
+        # transposed images, so that entry [c, r] sits at vec index c*dim + r; all are set
+        images = np.empty((dim, dim, n), dtype=np.complex128)
         images[rows, cols] = g
-        images[pair_rows, pair_cols] -= 1j * star
-        images[pair_cols, pair_rows] = g[off] + 1j * star
+        images[pair_cols, pair_rows] = g[off]
+        images.imag[pair_rows, pair_cols] = -star
+        images.imag[pair_cols, pair_rows] = star
         # member (k, l), k < l, and its star also carry ones at (k, k) and (l, l)
         ends = np.zeros((dim, dim, n))
         ends[pair_rows, pair_cols] = g[off] + star
         images[np.diag_indices(dim)] += ends.sum(0) + ends.sum(1)
+        del g, star, ends  # freed before the GEMM allocates its product
         blocks = (images.reshape(dim * dim, n) @ _basis_inverse(ds)).reshape(ds, de, ds, de, n)
         p = np.einsum("aibic->abc", blocks) / de
-        blocks -= np.einsum("abc,ij->aibjc", p, np.eye(de))
+        blocks[:, range(de), :, range(de)] -= p  # p (x) Id, which is zero off these blocks
         norm = float(np.linalg.norm(blocks))
         if norm > PERTURBATION_FLOOR:
-            return blocks.reshape(dim * dim, n) / norm
+            return np.divide(blocks, norm, out=blocks).reshape(dim * dim, n)
     raise ConstraintViolation("could not draw a non-degenerate perturbation")
 
 
 def perturbed_product_lifting(reference: np.ndarray, ds: int, eps: float, seed) -> Lifting:
-    """Product lifting plus eps times a random constraint-respecting direction."""
-    base = product_lifting(reference, ds)
-    delta = random_perturbation(ds, base.de, seed)
-    return Lifting(ds, base.de, base.matrix + eps * delta)
+    """Product lifting plus eps times a random constraint-respecting direction, built in the
+    direction's array: D^T + eps*delta where ``product_lifting`` sets D^T, 0.0 + eps*delta elsewhere."""
+    d = validate_density(reference)
+    de = d.shape[0]
+    m = random_perturbation(ds, de, seed)
+    m *= eps
+    at, (c, r) = m.reshape(ds, de, ds, de, ds, ds), np.ogrid[:ds, :ds]
+    product = d.T + at[c, :, r, :, c, r]
+    m += 0.0  # -0.0 reads +0.0, as in a sum with the product lifting's zeros
+    at[c, :, r, :, c, r] = product
+    return Lifting(ds, de, m)
 
 
 _VERDICT_NAMES = {

@@ -5,7 +5,8 @@ under test: explicit index loops for partial traces and tensor products,
 characteristic-polynomial coefficients (principal-minor sums) for positivity,
 Gram-root singular values for the trace norm, dense superoperator and
 permutation matrices for liftings, perturbations and adjoints, the
-perturbation with ``np.linalg.inv`` of the stacked Hermitian basis, and
+perturbation with ``np.linalg.inv`` of the stacked Hermitian basis, the
+perturbed lifting as the sum of two dense matrices, and
 per-matrix-unit loops for Choi matrices, reduced dynamics and Kraus
 liftings, dense Kronecker products for the unit-reduction check, observable
 reduction, the product residual and purification, basis images formed one
@@ -24,7 +25,7 @@ import numpy as np
 
 from statelift.config import tolerances
 from statelift.errors import ConstraintViolation, FormatError
-from statelift.liftings import ViolatesPositivity, apply_lifting
+from statelift.liftings import ViolatesPositivity, apply_lifting, product_lifting
 from statelift.linalg import spectral
 from statelift.measures import gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
@@ -149,6 +150,14 @@ def random_perturbation_inv(ds: int, de: int, seed) -> np.ndarray:
         if norm > 1e-9:
             return blocks.reshape(dim * dim, n) / norm
     raise AssertionError("could not draw a non-degenerate perturbation")
+
+
+def perturbed_product_lifting_sum(reference: np.ndarray, ds: int, eps: float, seed) -> np.ndarray:
+    """The matrix of ``liftings.perturbed_product_lifting`` as it was built: the
+    dense product lifting plus eps times the perturbation, so its bits are the
+    reference, -0.0 read as +0.0 where the product lifting holds zeros."""
+    de = np.asarray(reference).shape[0]
+    return product_lifting(reference, ds).matrix + eps * random_perturbation_inv(ds, de, seed)
 
 
 def transpose_permutation(d: int) -> np.ndarray:

@@ -453,6 +453,25 @@ def test_exit_code_unwritable_output(tmp_path, capsys):
     assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
 
 
+def test_exit_code_closed_stdout(tmp_path):
+    env = dict(os.environ)
+    package = str(Path(statelift.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)  # so every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "statelift.cli", "--run-log", str(tmp_path / "runs.jsonl"),
+             "classical-lift", "--split", "0", "--q", "2", "--out", str(tmp_path / "mu.m2")],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_FORMAT
+    assert proc.stderr == "error: format: stdout: [Errno 32] Broken pipe\n"  # no traceback
+    assert last_record(tmp_path)["exit_code"] == EXIT_FORMAT
+
+
 def test_unmapped_exception_leaves_a_run_record(tmp_path, monkeypatch):
     def fail(*args):
         raise RuntimeError("boom")

@@ -8,6 +8,7 @@ from statelift import FormatError, Lifting, product_lifting, random_density
 from statelift.liftings import perturbed_product_lifting
 from statelift.fileio import (
     _BLOCK,
+    _Reader,
     read_lift_table,
     read_lifting,
     read_matrix,
@@ -156,15 +157,32 @@ def test_entry_not_a_pair_rejected(tmp_path):
         read_matrix(path)
 
 
-def test_reader_whitespace_and_float_syntax(tmp_path):
+def test_reader_whitespace_and_float_syntax(tmp_path, monkeypatch):
     path = tmp_path / "ws.mat"
-    text = ("statelift/matrix v1\r\n\r\ndim 2\r\n1_0\t-0.0\r\n\n  2   3e-1  \n\t\n"
+    # five physical lines, "\r" one of their ends, come before the entries
+    text = ("\n \r\tstatelift/matrix v1\r\n\r\ndim 2\r\n1_0\t-0.0\r\n\n  2   3e-1  \n\t\n"
             "-inf nan\r\n\n4\t\t 5\n")
     path.write_bytes(text.encode())
     got = read_matrix(path)
     want = np.array([[10.0 - 0.0j, 2 + 0.3j], [complex(-np.inf, np.nan), 4 + 5j]])
     assert np.array_equal(got, want, equal_nan=True)
     assert np.signbit(got[0, 0].imag)
+    # with 10 for 1_0, numpy reads the entries from the path past those lines, and nothing is scanned
+    path.write_bytes(text.replace("1_0", "10").encode())
+    monkeypatch.setattr(_Reader, "_scan", lambda *args: pytest.fail("the entries were scanned"))
+    got = read_matrix(path)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.signbit(got[0, 0].imag)
+
+
+def test_reader_reads_names_numpy_would_decompress_or_fetch(tmp_path, monkeypatch):
+    # numpy opens a path by its name: it decompresses these suffixes and fetches URLs
+    m = random_density(3, seed=5)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    for name in ("m.mat.gz", "m.mat.bz2", "m.mat.xz", "m.mat.lzma", "http://host/m.mat"):
+        write_matrix(name, m)
+        assert np.array_equal(read_matrix(name).view(np.uint64), m.view(np.uint64))
 
 
 def test_trailing_data_rejected(tmp_path):

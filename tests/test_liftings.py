@@ -44,6 +44,7 @@ from oracles import (
     diag_mixing_positive_scan,
     kraus_lifting_loops,
     kron,
+    perturbed_product_lifting_sum,
     pair_block_parts,
     reassemble,
     residual_kron,
@@ -812,6 +813,29 @@ def test_random_perturbation_bits_match_inv_oracle(ds, de):
         delta = random_perturbation(ds, de, seed=200 + seed)
         oracle = random_perturbation_inv(ds, de, seed=200 + seed)
         assert np.array_equal(delta.view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8)])
+@pytest.mark.parametrize("eps", [1e-2, 1e-8, 0.0])
+def test_perturbed_lifting_bits_match_the_dense_sum(ds, de, eps):
+    # eps = 0 makes -0.0 products, which the sum with the product lifting's zeros reads
+    # as +0.0, and which a -0.0 of the reference keeps
+    for seed in range(3):
+        d = random_density(de, seed=300 + seed)
+        signed = d.copy()
+        signed.imag[np.diag_indices(de)] = -0.0
+        for ref in (d, signed):
+            got = perturbed_product_lifting(ref, ds, eps, seed=310 + seed).matrix
+            want = perturbed_product_lifting_sum(ref, ds, eps, seed=310 + seed)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_perturbed_lifting_memory_stays_below_the_dense_sum():
+    d = random_density(8, seed=46)
+    perturbed_product_lifting(d, 8, 1e-2, seed=47)
+    # the lifting is 4 MB at (8, 8); the dense product lifting and the two
+    # temporaries of its sum with eps * delta took the peak to 20 MB
+    assert _peak_bytes(lambda: perturbed_product_lifting(d, 8, 1e-2, seed=47)) < 16 * 2**20
 
 
 def test_random_perturbation_memory_stays_below_dense_basis():
