@@ -69,8 +69,8 @@ def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> Redu
     Entry [b, a, c, r] of the split channel, Lambda(E_rc)[a, b], is sum_ij
     (U (Id (x) D))[a, i, r, j] conj(U[b, i, c, j]), batched over (b, a)."""
     h = np.asarray(h, dtype=np.complex128)
-    de = np.asarray(reference).shape[0]
-    if h.shape[0] % de != 0:
+    de = np.shape(reference)[0] if np.ndim(reference) else 0
+    if de == 0 or h.shape[0] % de != 0:
         raise DimensionMismatch(
             f"Hamiltonian dim {h.shape[0]} does not factor over environment dim {de}"
         )

@@ -164,34 +164,39 @@ def read_vector(path: str) -> np.ndarray:
     return entries.view(np.complex128).reshape(dim)
 
 
+# The lifting and reduction formats: dims ds de, then ds^2 (ds de)^2 complex entries.
+def _write_map(path: str, kind: str, m) -> None:
+    header = [f"statelift/{kind} v1", f"dims {m.ds} {m.de}"]
+    _atomic_write(path, header, _complex_parts(m.matrix), 2)
+
+
+def _read_map(path: str, kind: str):
+    with _reading(path, kind) as r:
+        ds, de = r.field("dims", 2)
+        entries = r.entries(ds**2 * (ds * de) ** 2, 2)
+    return ds, de, entries.view(np.complex128)
+
+
 def write_lifting(path: str, f) -> None:
-    header = ["statelift/lifting v1", f"dims {f.ds} {f.de}"]
-    _atomic_write(path, header, _complex_parts(f.matrix), 2)
+    _write_map(path, "lifting", f)
 
 
 def read_lifting(path: str):
     from .liftings import Lifting
 
-    with _reading(path, "lifting") as r:
-        ds, de = r.field("dims", 2)
-        rows, cols = (ds * de) ** 2, ds * ds
-        entries = r.entries(rows * cols, 2)
-    return Lifting(ds, de, entries.view(np.complex128).reshape(rows, cols))
+    ds, de, entries = _read_map(path, "lifting")
+    return Lifting(ds, de, entries.reshape((ds * de) ** 2, ds * ds))
 
 
 def write_reduction(path: str, m) -> None:
-    header = ["statelift/reduction v1", f"dims {m.ds} {m.de}"]
-    _atomic_write(path, header, _complex_parts(m.matrix), 2)
+    _write_map(path, "reduction", m)
 
 
 def read_reduction(path: str):
     from .observables import ReductionMap
 
-    with _reading(path, "reduction") as r:
-        ds, de = r.field("dims", 2)
-        rows, cols = ds * ds, (ds * de) ** 2
-        entries = r.entries(rows * cols, 2)
-    return ReductionMap(ds, de, entries.view(np.complex128).reshape(rows, cols))
+    ds, de, entries = _read_map(path, "reduction")
+    return ReductionMap(ds, de, entries.reshape(ds * ds, (ds * de) ** 2))
 
 
 def write_measure(path: str, weights: np.ndarray) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -111,17 +110,25 @@ def components(w: np.ndarray, ds: int, de: int) -> np.ndarray:
 
 
 class _Basis(NamedTuple):
-    """The canonical Hermitian basis as a stack, with where its members sit:
-    ``diag[k]`` is the position of g_kk; the q-th pair k < l in row-major
-    order has k = ``k[q]``, l = ``l[q]`` and g_kl, g*_kl at ``plain[q]``,
-    ``star[q]``."""
+    """The canonical Hermitian basis as a stack, with where its members sit, built once per ds
+    and read-only: ``diag[k]`` is the position of g_kk; the q-th pair k < l in row-major order
+    has k = ``k[q]``, l = ``l[q]`` and g_kk, g_ll, g_kl, g*_kl at ``pairs[q]``.  ``coords``
+    and ``diagonal`` give a member's coordinates r and c of :class:`_Screen`, and ``inverse``
+    is the inverse of the stacked basis vecs."""
 
     members: np.ndarray
     diag: np.ndarray
     k: np.ndarray
     l: np.ndarray
-    plain: np.ndarray
-    star: np.ndarray
+    pairs: np.ndarray
+    coords: np.ndarray
+    diagonal: np.ndarray
+    inverse: np.ndarray
+
+
+# F(E_kl) from F(g_kk), F(g_ll), F(g_kl) and F(g*_kl):
+# g_kl - i g*_kl = 2 E_kl + (1 - i) (g_kk + g_ll)
+_OFF_DIAGONAL = np.array([-(1 - 1j) / 2, -(1 - 1j) / 2, 0.5, -0.5j])
 
 
 @lru_cache(maxsize=16)
@@ -137,10 +144,22 @@ def _triangle(dim: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _basis(ds: int) -> _Basis:
-    rows, _, k, l, off = _triangle(ds)
-    star = len(rows) + np.arange(len(k))
+    rows, cols, k, l, off = _triangle(ds)
     members = np.stack(hermitian_basis(ds))
-    basis = _Basis(members, np.flatnonzero(~off), k, l, np.flatnonzero(off), star)
+    diag = np.flatnonzero(~off)
+    pairs = np.stack([diag[k], diag[l], np.flatnonzero(off), len(rows) + np.arange(len(k))], 1)
+    # r at 2 (k ds + l) for Re x_kl, k <= l, then at 2 (k ds + l) + 1 for Im x_kl, k < l
+    coords = np.concatenate([2 * (rows * ds + cols), 2 * (k * ds + l) + 1])
+    # c on g_kk is r @ diagonal[:, k]: -1 on the members that hold e_k, 1 on g_kk
+    diagonal = -np.diagonal(members, axis1=1, axis2=2).real
+    diagonal[diag, np.arange(ds)] = 1
+    # column c*ds + r holds E_rc on the basis: g_kk for E_kk and, for k < l,
+    # _OFF_DIAGONAL on the pair's members for E_kl and its conjugate for E_lk
+    inverse = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
+    inverse[diag, np.arange(ds) * (ds + 1)] = 1
+    inverse[pairs.T, l * ds + k] = _OFF_DIAGONAL[:, None]
+    inverse[pairs.T, k * ds + l] = _OFF_DIAGONAL.conj()[:, None]
+    basis = _Basis(members, diag, k, l, pairs, coords, diagonal, inverse)
     for a in basis:
         a.setflags(write=False)  # shared by every caller
     return basis
@@ -229,12 +248,15 @@ def extract_reference(f: Lifting) -> np.ndarray:
 # curve (1+t)(1+p) = 1.  The family ends with _BACKSTOP random densities, the
 # children of _BACKSTOP_SEED.
 _BOUNDARY_U = np.logspace(np.log10(1e-3), np.log10(1.0 + 1e3), 40)
+_T, _P = (_BOUNDARY_U - 1.0)[:, None, None], (1.0 / _BOUNDARY_U - 1.0)[:, None, None]
+# A mixture's (k, l) block is [[1+t, b], [conj(b), 1+p]] with |b| = 1, exactly as
+# computed.  As t and p are rounded, its determinant (1+t)(1+p) - 1 is not quite 0;
+# when it is -d, the trace-normalized mixture has no eigenvalue below -d/2 - u.
+# d is computed here to within 2u, so _DEFECT bounds it.
+_DEFECT = max(0.0, float(np.max(1.0 - (1.0 + _T) * (1.0 + _P)))) + 2 * np.finfo(float).eps
 _BACKSTOP, _BACKSTOP_SEED = 100, 7
 # Screened chunks hold at most this many bytes of images.
 _CHUNK_BYTES = 4 * 2**20
-# F(E_kl) from F(g_kk), F(g_ll), F(g_kl) and F(g*_kl):
-# g_kl - i g*_kl = 2 E_kl + (1 - i) (g_kk + g_ll)
-_OFF_DIAGONAL = np.array([-(1 - 1j) / 2, -(1 - 1j) / 2, 0.5, -0.5j])
 
 
 @lru_cache(maxsize=16)
@@ -255,28 +277,21 @@ def _family(ds: int):
     ``inputs(a, b)`` stacks members a..b-1 of a section, each with the same
     bits as when built on its own.  A section is set up when the search
     reaches it, and members are built only for the chunks that ask for them.
-    ``pair`` is None, except for the mixtures of k < l, where it is
-    ``(k, l, defect)``: every member is a state on span{e_k, e_l} whose
-    trace-normalized form has no eigenvalue below -defect.
+    ``pair`` is None, except for the mixtures of the q-th pair k < l, where it
+    is q: every member is a state on span{e_k, e_l} whose trace-normalized form
+    has no eigenvalue below -``_DEFECT``.
     """
     basis = _basis(ds)
     members = basis.members
     yield len(members), lambda a, b: members[a:b], None
 
-    t, p = (_BOUNDARY_U - 1.0)[:, None, None], (1.0 / _BOUNDARY_U - 1.0)[:, None, None]
-    # A member's (k, l) block is [[1+t, b], [conj(b), 1+p]] with |b| = 1, exactly
-    # as computed here.  As t and p are rounded, its determinant (1+t)(1+p) - 1
-    # is not quite 0; when it is -d, the trace-normalized member has no
-    # eigenvalue below -d/2 - u, and d is computed here to within 2u.
-    defect = max(0.0, float(np.max(1.0 - (1.0 + t) * (1.0 + p)))) + 2 * np.finfo(float).eps
-
     def mixtures(q, a, b):
-        j, star = np.divmod(np.arange(a, b), 2)  # plain and star at each t
-        g = members[np.where(star, basis.star[q], basis.plain[q])]
-        return g + t[j] * members[basis.diag[basis.k[q]]] + p[j] * members[basis.diag[basis.l[q]]]
+        kk, ll, plain, star = basis.pairs[q]
+        j, starred = np.divmod(np.arange(a, b), 2)  # plain and star at each t
+        return members[np.where(starred, star, plain)] + _T[j] * members[kk] + _P[j] * members[ll]
 
-    for q, (k, l) in enumerate(zip(basis.k, basis.l)):
-        yield 2 * len(_BOUNDARY_U), partial(mixtures, q), (int(k), int(l), defect)
+    for q in range(len(basis.pairs)):
+        yield 2 * len(_BOUNDARY_U), partial(mixtures, q), q
 
     densities = _backstop(ds)
     yield len(densities), lambda a, b: densities[a:b], None
@@ -325,22 +340,16 @@ class _Screen:
     """
 
     def __init__(self, f: Lifting, images: np.ndarray, deviations=None):
-        ds, m, n = f.ds, f.ds**2, f.ds * f.de
-        self.tol, self.ds, self.dim = tolerances.psd, ds, n
-        b = self.basis = _basis(ds)
-        rows, cols = np.triu_indices(ds)
-        # r in a member's float64 view: Re x_kl at 2 (k ds + l), k <= l, then Im x_kl, k < l
-        self.coords = np.concatenate([2 * (rows * ds + cols), 2 * (b.k * ds + b.l) + 1])
-        # c on g_kk is r @ diagonal[:, k]: -1 on the members that hold e_k, 1 on g_kk
-        self.diagonal = -np.diagonal(b.members, axis1=1, axis2=2).real
-        self.diagonal[b.diag, np.arange(ds)] = 1
+        m, n = f.ds**2, f.ds * f.de
+        self.tol, self.dim = tolerances.psd, n
+        self.basis = _basis(f.ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
         self.stack = self.images.reshape(m, -1).view(np.float64)
         self.deviations = _hermiticity_deviations(images) if deviations is None else deviations
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
-        self.spread = np.abs(b.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
+        self.spread = np.abs(self.basis.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
         self.slack = np.finfo(float).eps * (n**2 + m + 10)
         self.pair_slack = np.finfo(float).eps * (4 * n**2 + m + 16)
         image_norms = np.sqrt(np.einsum("ij,ij->i", self.stack, self.stack))
@@ -353,9 +362,9 @@ class _Screen:
         xs = xs / np.trace(xs, axis1=1, axis2=2).real[:, None, None]
         n = len(xs)
         vecs = xs.transpose(0, 2, 1).reshape(n, -1)  # column-stacked, as in apply_lifting
-        r = xs.view(np.float64).reshape(n, -1)[:, self.coords]
+        r = xs.view(np.float64).reshape(n, -1)[:, self.basis.coords]
         c = r.copy()
-        c[:, self.basis.diag] = r @ self.diagonal
+        c[:, self.basis.diag] = r @ self.basis.diagonal
         # A and S, from vec(x) and vec(x^dagger), then I, R and D
         margin = (self.slack * np.abs(vecs) + np.abs(vecs - xs.conj().reshape(n, -1))) @ self.norms
         margin += (np.abs(c) + np.abs(r)) @ self.weights
@@ -366,25 +375,21 @@ class _Screen:
         h = np.matmul(c[:, span], self.stack[span], out=self.buffer[:n])
         return _has_cholesky(h.view(np.complex128).reshape(n, self.dim, self.dim), self.tol / 2)
 
-    def _pair(self, k: int, l: int) -> list:
-        """Positions of g_kk, g_ll, g_kl and g*_kl among the basis images."""
-        q = k * (2 * self.ds - k - 1) // 2 + l - k - 1
-        return [self.basis.diag[k], self.basis.diag[l], self.basis.plain[q], self.basis.star[q]]
-
-    def block(self, k: int, l: int) -> np.ndarray:
+    def block(self, q: int) -> np.ndarray:
         """B^T of :meth:`certifies`: F(g_kk)^T, F(g_ll)^T on the diagonal, F(E_kl)^T =
         (F(g_kl)^T - i F(g*_kl)^T - (1 - i) (F(g_kk)^T + F(g_ll)^T))/2 below, its adjoint above."""
-        j, n = self._pair(k, l), self.dim
+        j, n = self.basis.pairs[q], self.dim
         block = np.empty((2 * n, 2 * n), dtype=np.complex128)
         block[:n, :n], block[n:, n:] = self.images[j[0]], self.images[j[1]]
         block[n:, :n] = (_OFF_DIAGONAL @ self.images[j].reshape(4, -1)).reshape(n, n)
         block[:n, n:] = block[n:, :n].conj().T
         return block
 
-    def certifies(self, k: int, l: int, defect: float) -> bool:
-        """A sufficient test that no state on span{e_k, e_l} whose eigenvalues
-        are >= -``defect`` has an image with an eigenvalue below -tol, made
-        with one Cholesky factorization of the pair's Choi block.
+    def certifies(self, q: int) -> bool:
+        """A sufficient test that no state on span{e_k, e_l}, for the q-th pair
+        k < l, whose eigenvalues are >= -``_DEFECT`` has an image with an
+        eigenvalue below -tol, made with one Cholesky factorization of the
+        pair's Choi block.
 
         For psi = a e_k + b e_l, Herm F(psi psi^dagger) = V^dagger B V with
         B = [[P_kk, P_kl], [P_lk, P_ll]], P_rc = (F(E_rc) + F(E_cr)^dagger)/2,
@@ -392,7 +397,7 @@ class _Screen:
         lambda_min(B) >= -delta gives lambda_min(Herm F(rho)) >= -delta tr(rho)
         for every positive rho on the span, and a Hermitian member x with
         eigenvalues >= -eta has lambda_min(Herm F(x)) >= -delta (tr(x) + 2 eta)
-        - ||B|| eta.  ``defect`` bounds eta.
+        - ||B|| eta.  ``_DEFECT`` bounds eta.
 
         :meth:`block` reads B^T from four images, and the triangle that
         Cholesky reads lies within 1.25 sum_j dev_j of it, over the four.
@@ -401,14 +406,14 @@ class _Screen:
         Cholesky factor of the block + (tol/2) I proves lambda_min >= -tol/2 -
         (2n (2n + 1) + 2) u (N + tol) (Higham, Thm 10.5), and the exact path
         is off by about (m + n + 7) u N.  So when eps (4 n^2 + m + 16) (N +
-        tol) + 2 defect (N + tol) + 2 sum_j dev_j <= tol/2, no member of the
+        tol) + 2 _DEFECT (N + tol) + 2 sum_j dev_j <= tol/2, no member of the
         pair has an eigenvalue below -tol on the exact path.
         """
-        j = self._pair(k, l)
+        j = self.basis.pairs[q]
         scale = self.spread[j[2]] + self.tol
-        if (self.pair_slack + 2 * defect) * scale + 2 * self.deviations[j].sum() > self.tol / 2:
+        if (self.pair_slack + 2 * _DEFECT) * scale + 2 * self.deviations[j].sum() > self.tol / 2:
             return False
-        return _has_cholesky(self.block(k, l), self.tol / 2)
+        return _has_cholesky(self.block(q), self.tol / 2)
 
 
 def positivity_witness_search(
@@ -437,7 +442,7 @@ def positivity_witness_search(
     screen = _Screen(f, images, deviations)
     size = 1
     for count, inputs, pair in _family(f.ds):
-        if pair is not None and screen.certifies(*pair):
+        if pair is not None and screen.certifies(pair):
             continue
         a = 0
         while a < count:
@@ -501,10 +506,10 @@ def _structure(ds: int, de: int, images: np.ndarray) -> StructureReport:
         diag_off[k] = _off_support_mass(blocks, [(k, k)])
         diag_ref[k] = frobenius(blocks[k, k] - a)
     pairs = {}
-    for q, (k, l) in enumerate(combinations(range(ds), 2)):
+    for k, l, (_, _, plain, star) in zip(basis.k.tolist(), basis.l.tolist(), basis.pairs):
         support = [(k, k), (k, l), (l, k), (l, l)]
-        blocks = components(images[basis.plain[q]], ds, de)
-        sblocks = components(images[basis.star[q]], ds, de)
+        blocks = components(images[plain], ds, de)
+        sblocks = components(images[star], ds, de)
         carried = [blocks[k, k], blocks[k, l], blocks[l, k], blocks[l, l]]
         mismatch = max(
             frobenius(x - y) for i, x in enumerate(carried) for y in carried[i + 1 :]
@@ -664,20 +669,6 @@ def diag_mixing_positive(a: float, b: float, c: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _basis_inverse(ds: int) -> np.ndarray:
-    """The inverse of the stacked basis vecs, read-only: column c*ds + r holds E_rc on the basis,
-    which is g_kk for E_kk and, for k < l, _OFF_DIAGONAL for E_kl and its conjugate for E_lk."""
-    b = _basis(ds)
-    inv = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
-    inv[b.diag, np.arange(ds) * (ds + 1)] = 1
-    at = np.stack([b.diag[b.k], b.diag[b.l], b.plain, b.star])
-    inv[at, b.l * ds + b.k] = _OFF_DIAGONAL[:, None]
-    inv[at, b.k * ds + b.l] = _OFF_DIAGONAL.conj()[:, None]
-    inv.setflags(write=False)
-    return inv
-
-
 def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     """Random lifting-shaped direction: Hermiticity-preserving, annihilated by
     the partial-trace constraint, Frobenius-normalized.
@@ -693,26 +684,25 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     rng = philox_rng(seed)
     dim, n = ds * de, ds * ds
     rows, cols, pair_rows, pair_cols, off = _triangle(dim)
-    for _ in range(8):
-        g, star = np.split(rng.standard_normal((dim * dim, n)), [len(rows)])
-        # transposed images, so that entry [c, r] sits at vec index c*dim + r; all are set
-        images = np.empty((dim, dim, n), dtype=np.complex128)
-        images[rows, cols] = g
-        images[pair_cols, pair_rows] = g[off]
-        images.imag[pair_rows, pair_cols] = -star
-        images.imag[pair_cols, pair_rows] = star
-        # member (k, l), k < l, and its star also carry ones at (k, k) and (l, l)
-        ends = np.zeros((dim, dim, n))
-        ends[pair_rows, pair_cols] = g[off] + star
-        images[np.diag_indices(dim)] += ends.sum(0) + ends.sum(1)
-        del g, star, ends  # freed before the GEMM allocates its product
-        blocks = (images.reshape(dim * dim, n) @ _basis_inverse(ds)).reshape(ds, de, ds, de, n)
-        p = np.einsum("aibic->abc", blocks) / de
-        blocks[:, range(de), :, range(de)] -= p  # p (x) Id, which is zero off these blocks
-        norm = float(np.linalg.norm(blocks))
-        if norm > PERTURBATION_FLOOR:
-            return np.divide(blocks, norm, out=blocks).reshape(dim * dim, n)
-    raise ConstraintViolation("could not draw a non-degenerate perturbation")
+    g, star = np.split(rng.standard_normal((dim * dim, n)), [len(rows)])
+    # transposed images, so that entry [c, r] sits at vec index c*dim + r; all are set
+    images = np.empty((dim, dim, n), dtype=np.complex128)
+    images[rows, cols] = g
+    images[pair_cols, pair_rows] = g[off]
+    images.imag[pair_rows, pair_cols] = -star
+    images.imag[pair_cols, pair_rows] = star
+    # member (k, l), k < l, and its star also carry ones at (k, k) and (l, l)
+    ends = np.zeros((dim, dim, n))
+    ends[pair_rows, pair_cols] = g[off] + star
+    images[np.diag_indices(dim)] += ends.sum(0) + ends.sum(1)
+    del g, star, ends  # freed before the GEMM allocates its product
+    blocks = (images.reshape(dim * dim, n) @ _basis(ds).inverse).reshape(ds, de, ds, de, n)
+    p = np.einsum("aibic->abc", blocks) / de
+    blocks[:, range(de), :, range(de)] -= p  # p (x) Id, which is zero off these blocks
+    norm = float(np.linalg.norm(blocks))
+    if norm <= PERTURBATION_FLOOR:  # de = 1, where the partial-trace completion is everything
+        raise ConstraintViolation("could not draw a non-degenerate perturbation")
+    return np.divide(blocks, norm, out=blocks).reshape(dim * dim, n)
 
 
 def perturbed_product_lifting(reference: np.ndarray, ds: int, eps: float, seed) -> Lifting:

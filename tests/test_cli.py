@@ -266,6 +266,15 @@ def test_nogo_verb(tmp_path, capsys):
     assert int(report["count[violates_positivity]"]) + int(report["count[product]"]) == 20
 
 
+def test_nogo_without_environment_exits_constraint(tmp_path, capsys):
+    # with de = 1 the partial-trace completion is the whole draw, so every draw is degenerate
+    assert run(tmp_path, "nogo", "--ds", 2, "--de", 1, "--trials", 3,
+               "--eps", 1e-2, "--seed", 5) == EXIT_CONSTRAINT
+    captured = capsys.readouterr()
+    assert captured.err == "error: constraint: could not draw a non-degenerate perturbation\n"
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+
+
 def test_nogo_falsifier_exit_code(tmp_path, capsys, monkeypatch):
     # a falsifier cannot be produced honestly, so fake the sweep outcome
     from statelift import liftings

@@ -17,6 +17,7 @@ from statelift import (
     reduced_dynamics_map,
     unitary_from_hamiltonian,
 )
+from statelift.errors import DimensionMismatch
 from statelift.rng import philox_rng
 
 from oracles import choi_matrix_loops, kron, reduced_dynamics_loops, transpose_permutation
@@ -95,6 +96,13 @@ def test_reduced_map_at_zero_time_is_identity():
     d = random_density(2, seed=10)
     lam = reduced_dynamics_map(h, d, 0.0)
     assert np.max(np.abs(lam.matrix - np.eye(9))) < 1e-12
+
+
+@pytest.mark.parametrize("reference", [0.5, np.zeros((0, 0)), np.ones(2) / 2])
+def test_reduced_map_rejects_a_reference_that_is_not_a_matrix(reference):
+    # a 0-d or empty reference used to raise IndexError or ZeroDivisionError
+    with pytest.raises(DimensionMismatch):
+        reduced_dynamics_map(np.eye(4), reference, 0.5)
 
 
 def test_reduced_map_non_interacting_factorizes():

@@ -14,6 +14,7 @@ from statelift import (
     analyze,
     apply_lifting,
     basis_g,
+    basis_g_star,
     basis_images,
     check_hermiticity_preserving,
     check_trace_constraint,
@@ -35,7 +36,7 @@ from statelift import (
 )
 from statelift.config import tolerances
 from statelift.dynamics import unitary_from_hamiltonian
-from statelift.liftings import _basis, _basis_inverse, _Screen, _family, _triangle
+from statelift.liftings import _basis, _Screen, _family, _triangle
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import hermitian_basis, random_hermitian
 
@@ -438,7 +439,8 @@ def _screen(f):
 
 
 def _pairs(ds):
-    return {pair[:2]: (inputs, pair) for _, inputs, pair in _family(ds) if pair}
+    k, l = _basis(ds).k.tolist(), _basis(ds).l.tolist()
+    return {(k[q], l[q]): (inputs, q) for _, inputs, q in _family(ds) if q is not None}
 
 
 @pytest.mark.parametrize("ds, de", [(2, 3), (4, 4), (8, 4)])
@@ -449,8 +451,8 @@ def test_pair_certificates_of_product_and_transposed_liftings(ds, de):
     transpose = _lifting_of_kind("transpose", ds, de, seed=820)
     pairs = [pair for _, pair in _pairs(ds).values()]
     assert len(pairs) == ds * (ds - 1) // 2
-    assert all(_screen(product).certifies(*pair) for pair in pairs)
-    assert not any(_screen(transpose).certifies(*pair) for pair in pairs)
+    assert all(_screen(product).certifies(q) for q in pairs)
+    assert not any(_screen(transpose).certifies(q) for q in pairs)
 
 
 @pytest.mark.parametrize("kind", ["product", "kraus_local", "perturbed", "transpose", "generic"])
@@ -468,11 +470,11 @@ def test_pair_block_from_four_images_matches_matrix_unit_parts(ds, de, kind):
     else:
         f = _lifting_of_kind(kind, ds, de, seed=821)
     screen = _screen(f)
-    for k, l in zip(*np.triu_indices(ds, 1)):
+    for q, (k, l) in enumerate(zip(*np.triu_indices(ds, 1))):
         units = [k * ds + k, k * ds + l, l * ds + k, l * ds + l]
-        bound = (1.25 * screen.deviations[screen._pair(k, l)].sum()
+        bound = (1.25 * screen.deviations[_basis(ds).pairs[q]].sum()
                  + 13 * np.finfo(float).eps * screen.norms[units].sum())
-        assert np.linalg.norm(screen.block(k, l) - pair_block_parts(f, k, l)) <= bound
+        assert np.linalg.norm(screen.block(q) - pair_block_parts(f, k, l)) <= bound
 
 
 def test_pair_certificates_wait_for_the_walk(monkeypatch):
@@ -480,9 +482,9 @@ def test_pair_certificates_wait_for_the_walk(monkeypatch):
     tried = []
     certifies = _Screen.certifies
 
-    def counted(screen, k, l, defect):
-        tried.append((k, l))
-        return certifies(screen, k, l, defect)
+    def counted(screen, q):
+        tried.append((int(screen.basis.k[q]), int(screen.basis.l[q])))
+        return certifies(screen, q)
 
     monkeypatch.setattr(_Screen, "certifies", counted)
     d = random_density(4, seed=830)
@@ -517,7 +519,7 @@ def test_witness_search_planted_in_pair_mixture(member, scale):
     images = [kron(g, d) - c * np.trace(a @ g).real * np.outer(w, w)
               for g in hermitian_basis(ds)]
     f = _lifting_from_images(ds, de, images)
-    assert not _screen(f).certifies(*pair)
+    assert not _screen(f).certifies(pair)
     got = positivity_witness_search(f)
     _assert_same_witness(got, positivity_witness_search_loops(f))
     if scale > 1:
@@ -578,7 +580,7 @@ def test_witness_search_planted_in_pair_hermiticity_defect(entry):
     m = product_lifting(np.eye(1), 2).matrix.copy()
     m[entry, 0] = 3.6 * tolerances.psd
     f = Lifting(2, 1, m)
-    assert not _screen(f).certifies(*_pairs(2)[(0, 1)][1])
+    assert not _screen(f).certifies(_pairs(2)[(0, 1)][1])
     got = positivity_witness_search(f)
     _assert_same_witness(got, positivity_witness_search_loops(f))
     assert got.witness[0, 1] != 0 and got.witness[0, 0] != got.witness[1, 1]
@@ -797,14 +799,37 @@ def test_basis_inverse_matches_linalg_inv():
     # values, not bits: np.linalg.inv puts -0.0 at some zeros from ds = 5 on
     for ds in range(1, 9):
         dense = np.linalg.inv(np.column_stack([vec(h) for h in hermitian_basis(ds)]))
-        assert np.array_equal(_basis_inverse(ds), dense)
+        assert np.array_equal(_basis(ds).inverse, dense)
 
 
 def test_cached_index_maps_are_read_only():
-    for a in (_basis_inverse(3), *_triangle(12)):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0
+    for ds in range(1, 9):
+        for a in (*_basis(ds), *_triangle(ds + 4)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+@pytest.mark.parametrize("ds", range(1, 9))
+def test_basis_table_pairs_and_coordinates(ds):
+    b = _basis(ds)
+    assert np.array_equal(b.members, np.stack(hermitian_basis(ds)))
+    assert np.array_equal(b.members[b.diag], np.stack([basis_g(k, k, ds) for k in range(ds)]))
+    # the pairs k < l in row-major order, one row each
+    assert np.array_equal([b.k, b.l], np.triu_indices(ds, 1)) and len(b.pairs) == len(b.k)
+    for row, k, l in zip(b.pairs, b.k, b.l):
+        want = [basis_g(k, k, ds), basis_g(l, l, ds), basis_g(k, l, ds), basis_g_star(k, l, ds)]
+        assert np.array_equal(b.members[row], np.stack(want))
+    # Hermitian completion of the upper triangle, for a Hermitian x and a general one
+    rng = philox_rng(840 + ds)
+    for x in (random_hermitian(ds, seed=850 + ds),
+              rng.standard_normal((ds, ds)) + 1j * rng.standard_normal((ds, ds))):
+        upper = np.triu(x, 1)
+        completion = upper + upper.conj().T + np.diag(x.diagonal().real)
+        r = x.view(np.float64).reshape(-1)[b.coords]
+        c = r.copy()
+        c[b.diag] = r @ b.diagonal
+        assert np.allclose(np.einsum("j,jab->ab", c, b.members), completion, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8)])
