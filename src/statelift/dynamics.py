@@ -18,7 +18,7 @@ from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .liftings import check_trace_constraint
 from .liftings import apply_lifting  # unused here; perfbench/selftest.py checks this alias
-from .linalg import partial_trace_sys, spectral, unvec, vec
+from .linalg import as_matrix, partial_trace_sys, spectral, unvec, vec
 from .states import validate_density
 
 
@@ -50,6 +50,8 @@ class CptpCheck:
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """U(t) = exp(-i t H) (hbar = 1) via the spectral decomposition of the Hamiltonian."""
+    if not np.isfinite(t):
+        raise ConstraintViolation(f"t must be finite, got {t}")
     dec = spectral(h)
     phases = np.exp(-1j * t * dec.eigenvalues)
     return (dec.vectors * phases) @ dec.vectors.conj().T
@@ -68,7 +70,7 @@ def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> Redu
 
     Entry [b, a, c, r] of the split channel, Lambda(E_rc)[a, b], is sum_ij
     (U (Id (x) D))[a, i, r, j] conj(U[b, i, c, j]), batched over (b, a)."""
-    h = np.asarray(h, dtype=np.complex128)
+    h = as_matrix(h)
     de = np.shape(reference)[0] if np.ndim(reference) else 0
     if de == 0 or h.shape[0] % de != 0:
         raise DimensionMismatch(
@@ -112,7 +114,7 @@ def reduced_dynamics_from_lifting(h: np.ndarray, lifting, t: float) -> ReducedCh
 def apply_channel(lam: ReducedChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (lam.ds, lam.ds):
-        raise DimensionMismatch(f"state shape {rho.shape}, channel expects ({lam.ds},) * 2")
+        raise DimensionMismatch(f"state shape {rho.shape}, channel expects {(lam.ds,) * 2}")
     return unvec(lam.matrix @ vec(rho), lam.ds)
 
 

@@ -261,9 +261,11 @@ _CHUNK_BYTES = 4 * 2**20
 
 @lru_cache(maxsize=16)
 def _backstop(ds: int) -> np.ndarray:
-    """The family's random densities, stacked and read-only: shared by every search."""
+    """The family's random densities, stacked and read-only: shared by every search.  Each is
+    Hermitized, (d + d^dagger)/2, so that every member of the family equals its adjoint."""
     children = spawn_seeds(_BACKSTOP_SEED, _BACKSTOP)
     densities = np.stack([random_density(ds, seed=philox_rng(c)) for c in children])
+    densities = (densities + densities.conj().transpose(0, 2, 1)) / 2
     densities.setflags(write=False)
     return densities
 
@@ -316,37 +318,35 @@ class _Screen:
 
     Write x for a trace-normalized member, with the bits ``apply_lifting``
     gets, and r for its coordinates Re x_kk, Re x_kl and Im x_kl (k < l).
-    The Hermitian completion x~ of its upper triangle has the coordinates
-    c = r, but for Re x_kk - sum_l (Re x_kl + Im x_kl) on g_kk.  One real
-    GEMM over the images a chunk touches forms H = sum_j c_j F(g_j)^T, the
-    transpose of F(x~), and the chunk passes when every H + (tol/2) I has a
-    Cholesky factor.  A basis member's c is one-hot, so its H is exact.
+    Every member equals its adjoint, so x has the coordinates c = r, but for
+    Re x_kk - sum_l (Re x_kl + Im x_kl) on g_kk.  One real GEMM over the
+    images a chunk touches forms H = sum_j c_j F(g_j)^T, the transpose of
+    F(x), and the chunk passes when every H + (tol/2) I has a Cholesky
+    factor.  A basis member's c is one-hot, so its H is exact.
 
     Write u for the unit roundoff, n for dim, m for ds^2, M_rc for the column
     that holds F(E_rc), N_j = sum_rc |g_j[r, c]| ||M_rc||, I = sum_j |c_j|
-    ||F(g_j)||, R = sum_j |r_j| N_j, D = sum_j |c_j| dev_j, A = sum_rc |x_rc|
-    ||M_rc|| and S = sum_rc |x_rc - conj(x_cr)| ||M_rc||, which is 0 but for
-    random densities that differ from their adjoint in the last bits.  The
-    GEMM is off by m u I, the images and c by (2 ds + 6) u R, the triangle that
-    Cholesky reads by D/2 from the Hermitian part, F(x~) by S from F(x), and
+    ||F(g_j)||, R = sum_j |r_j| N_j, D = sum_j |c_j| dev_j and A = sum_rc
+    |x_rc| ||M_rc||.  The GEMM is off by m u I, the images and c by (2 ds + 6)
+    u R, the triangle that Cholesky reads by D/2 from the Hermitian part, and
     the exact path (GEMV, Hermitian part, ``eigvalsh``) by (m + n + 7) u A.
     A Cholesky factor proves lambda_min >= -tol/2 - n (n + 1) u (I + tol)
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5).  So,
     with eps = 2u, a passing member that meets eps (n^2 + m + 10)
-    (I + R + A + tol) + D + S <= tol/2 has no eigenvalue below -tol on the
-    exact path.  The screen charges I, R and D as sum_j (|c_j| + |r_j|) w_j,
+    (I + R + A + tol) + D <= tol/2 has no eigenvalue below -tol on the exact
+    path.  The screen charges I, R and D as sum_j (|c_j| + |r_j|) w_j,
     with w_j = eps (n^2 + m + 10) (||F(g_j)|| + N_j) + dev_j, and sends a
     chunk with a member that breaks the bound to the exact path.
     """
 
-    def __init__(self, f: Lifting, images: np.ndarray, deviations=None):
+    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
         m, n = f.ds**2, f.ds * f.de
         self.tol, self.dim = tolerances.psd, n
         self.basis = _basis(f.ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
         self.stack = self.images.reshape(m, -1).view(np.float64)
-        self.deviations = _hermiticity_deviations(images) if deviations is None else deviations
+        self.deviations = deviations
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
         self.spread = np.abs(self.basis.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
@@ -361,12 +361,11 @@ class _Screen:
     def passes(self, xs: np.ndarray) -> bool:
         xs = xs / np.trace(xs, axis1=1, axis2=2).real[:, None, None]
         n = len(xs)
-        vecs = xs.transpose(0, 2, 1).reshape(n, -1)  # column-stacked, as in apply_lifting
         r = xs.view(np.float64).reshape(n, -1)[:, self.basis.coords]
         c = r.copy()
         c[:, self.basis.diag] = r @ self.basis.diagonal
-        # A and S, from vec(x) and vec(x^dagger), then I, R and D
-        margin = (self.slack * np.abs(vecs) + np.abs(vecs - xs.conj().reshape(n, -1))) @ self.norms
+        # A, from vec(x) as in apply_lifting, then I, R and D
+        margin = self.slack * np.abs(xs.transpose(0, 2, 1).reshape(n, -1)) @ self.norms
         margin += (np.abs(c) + np.abs(r)) @ self.weights
         if np.max(margin) + self.slack * self.tol > self.tol / 2:
             return False
@@ -416,17 +415,11 @@ class _Screen:
         return _has_cholesky(self.block(q), self.tol / 2)
 
 
-def positivity_witness_search(
-    f: Lifting,
-    *,
-    images: np.ndarray | None = None,
-    deviations: np.ndarray | None = None,
-):
+def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
     """:class:`ViolatesPositivity` with the first trace-normalized input in the
     canonical family whose image has an eigenvalue below -``tolerances.psd``,
-    or None if the whole family maps to positive operators.  ``images`` and
-    ``deviations`` are ``basis_images(f)`` and the images' Hermiticity
-    deviations, formed here when not given.
+    or None if the whole family maps to positive operators.  ``screen`` is the
+    :class:`_Screen` of ``basis_images(f)``, built here when not given.
 
     The boundary mixtures of a pair k < l are skipped as a whole when the
     pair's Choi block passes :meth:`_Screen.certifies`, which is tried when
@@ -437,9 +430,9 @@ def positivity_witness_search(
     canonical order, so the witness and its eigenvalue are those of the exact
     path.
     """
-    if images is None:
+    if screen is None:
         images = basis_images(f)
-    screen = _Screen(f, images, deviations)
+        screen = _Screen(f, images, _hermiticity_deviations(images))
     size = 1
     for count, inputs, pair in _family(f.ds):
         if pair is not None and screen.certifies(pair):
@@ -618,31 +611,29 @@ class AnalysisReport:
         return _reference(self.images, self.de)
 
 
-def _verdict(f, images, deviations, herm, trace, tol):
-    if herm > tolerances.hermitian:
-        return ViolatesHermiticity(herm)
-    if trace[0] > tolerances.trace:
-        return ViolatesTrace(*trace)
-    witness = positivity_witness_search(f, images=images, deviations=deviations)
-    if witness is not None:
-        return witness
-    reference = _reference(images, f.de)
-    residual = _residual(f.ds, images, reference)
-    if residual <= tol:
-        return Product(reference, residual)
-    return Inconclusive(residual)
-
-
 def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     """:func:`analyze` with the deviations and basis images it read."""
     if tol is None:
         tol = default_residual_tol()
+    elif not 0 <= tol < np.inf:
+        raise ConstraintViolation(f"tol must be finite and nonnegative, got {tol}")
     images = basis_images(f)
     deviations = _hermiticity_deviations(images)
     herm = float(np.max(deviations, initial=0.0))
     trace = _trace_deviations(f.ds, f.de, images)
-    verdict = _verdict(f, images, deviations, herm, trace, tol)
-    return AnalysisReport(f.ds, f.de, verdict, herm, trace[0], images)
+    report = partial(AnalysisReport, f.ds, f.de, hermiticity_deviation=herm,
+                     trace_deviation=trace[0], images=images)
+    if herm > tolerances.hermitian:
+        return report(ViolatesHermiticity(herm))
+    if trace[0] > tolerances.trace:
+        return report(ViolatesTrace(*trace))
+    screen = _Screen(f, images, deviations)
+    witness = positivity_witness_search(f, screen)
+    if witness is not None:
+        return report(witness)
+    reference = _reference(images, f.de)
+    residual = _residual(f.ds, images, reference)
+    return report(Product(reference, residual) if residual <= tol else Inconclusive(residual))
 
 
 def analyze(f: Lifting, tol: float | None = None):

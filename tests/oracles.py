@@ -292,7 +292,8 @@ def pair_block_parts(f, k: int, l: int) -> np.ndarray:
 def witness_candidates_loops(ds: int):
     """The canonical witness family, one member at a time: the Hermitian
     basis, the boundary mixtures of each pair k < l at 40 log-spaced u = 1 + t
-    in [1e-3, 1 + 1e3], then 100 random densities seeded from 7."""
+    in [1e-3, 1 + 1e3], then 100 random densities seeded from 7, each
+    Hermitized as (d + d^dagger)/2."""
     for g in hermitian_basis(ds):
         yield g
     us = np.logspace(np.log10(1e-3), np.log10(1.0 + 1e3), 40)
@@ -308,7 +309,8 @@ def witness_candidates_loops(ds: int):
                 yield gkl + t * gkk + p * gll
                 yield gst + t * gkk + p * gll
     for child in spawn_seeds(7, 100):
-        yield random_density(ds, seed=philox_rng(child))
+        d = random_density(ds, seed=philox_rng(child))
+        yield (d + d.conj().T) / 2
 
 
 def positivity_witness_search_loops(f):

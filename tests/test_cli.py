@@ -11,7 +11,10 @@ import scipy.linalg
 import statelift
 from statelift import (
     Lifting,
+    analysis_report,
+    analyze,
     partial_trace_env,
+    perturbed_product_lifting,
     product_lifting,
     random_density,
     random_hermitian,
@@ -114,6 +117,35 @@ def test_analyze_dims_crosscheck(fixtures, capsys):
     assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift",
                "--dims", "2,3") == EXIT_DIMENSION
     assert capsys.readouterr().err.startswith("error: dimension:")
+
+
+def test_analyze_stretched_column_prints_violates_hermiticity(fixtures, capsys):
+    tmp_path, _, d = fixtures
+    m = product_lifting(d, 2).matrix.copy()
+    m[:, 1] *= 1 + 1e-6
+    f = Lifting(2, 2, m)
+    write_lifting(tmp_path / "F.lift", f)
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift") == 0
+    report = report_lines(capsys)
+    assert report["verdict"] == "violates_hermiticity"
+    assert float(report["hermiticity_deviation"]) == analysis_report(f).hermiticity_deviation
+
+
+def test_analyze_perturbed_prints_its_witness(fixtures, capsys):
+    tmp_path, _, d = fixtures
+    f = perturbed_product_lifting(d, 3, 1e-2, seed=64)
+    write_lifting(tmp_path / "F.lift", f)
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift") == 0
+    report = report_lines(capsys)
+    assert report["verdict"] == "violates_positivity"
+    verdict = analyze(f)
+    assert float(report["witness_min_eigenvalue"]) == verdict.min_eigenvalue
+    witness = np.empty((3, 3), dtype=complex)
+    for r in range(3):
+        for c in range(3):
+            re, im = map(float, report[f"witness[{r},{c}]"].split())
+            witness[r, c] = complex(re, im)
+    assert np.array_equal(witness.view(np.uint64), verdict.witness.view(np.uint64))
 
 
 def test_purify_verb(tmp_path):
@@ -418,6 +450,45 @@ def test_non_finite_params_are_recorded_as_strings(tmp_path, capsys):
     assert evolve["params"]["t"] == "nan"
     assert (nogo["params"]["eps"], nogo["params"]["tol"]) == ("-inf", "inf")
     assert evolve["exit_code"] == nogo["exit_code"] == EXIT_CONSTRAINT
+
+
+# Branches that fail before any output is written; F.lift, H.mat, D.mat and
+# rho.mat exist, and mu.m2 and out.mat must not.
+REJECTED = [
+    (["analyze", "--lifting", "F.lift", "--dims", "3"],
+     EXIT_DIMENSION, "--dims expects 'dS,dE', got '3'"),
+    (["analyze", "--lifting", "F.lift", "--dims", "0,2"],
+     EXIT_DIMENSION, "--dims must be positive, got '0,2'"),
+    (["choquet"], EXIT_FORMAT, "choquet needs --state or --witness"),
+    (["classical-lift", "--split", "0", "--out", "mu.m2"],
+     EXIT_DIMENSION, "--split requires --q (size of Q)"),
+    (["classical-lift", "--split", "a", "--q", 2, "--out", "mu.m2"],
+     EXIT_FORMAT, "--split expects comma-separated indices, got 'a'"),
+    (["classical-lift", "--split", "5", "--q", 2, "--out", "mu.m2"],
+     EXIT_DIMENSION, "--split indices out of range for Q of size 2"),
+    (["classical-lift", "--out", "mu.m2"], EXIT_FORMAT, "provide either --table or --split"),
+    (["evolve", "--ham", "H.mat", "--ref", "D.mat", "--state", "rho.mat", "--t", 1.0,
+      "--out", "out.mat"],
+     EXIT_DIMENSION, "Hamiltonian dim 4 does not match state 3 and environment 2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", REJECTED)
+def test_exit_code_rejected_arguments(tmp_path, capsys, argv, code, message):
+    write_lifting(tmp_path / "F.lift", product_lifting(random_density(2, seed=65), 3))
+    write_matrix(tmp_path / "H.mat", random_hermitian(4, seed=66))
+    write_matrix(tmp_path / "D.mat", random_density(2, seed=67))
+    write_matrix(tmp_path / "rho.mat", random_density(3, seed=68))
+    argv = [tmp_path / a if str(a).endswith((".mat", ".lift", ".m2")) else a for a in argv]
+    assert run(tmp_path, *argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {'format' if code == EXIT_FORMAT else 'dimension'}: {message}\n"
+    record = last_record(tmp_path)
+    assert record["command"] == argv[0]
+    assert record["exit_code"] == code
+    assert record["outputs"] == []
+    assert not (tmp_path / "mu.m2").exists() and not (tmp_path / "out.mat").exists()
 
 
 def test_exit_code_dimension_mismatch(tmp_path, capsys):

@@ -17,7 +17,7 @@ from statelift import (
     reduced_dynamics_map,
     unitary_from_hamiltonian,
 )
-from statelift.errors import DimensionMismatch
+from statelift.errors import ConstraintViolation, DimensionMismatch
 from statelift.rng import philox_rng
 
 from oracles import choi_matrix_loops, kron, reduced_dynamics_loops, transpose_permutation
@@ -103,6 +103,33 @@ def test_reduced_map_rejects_a_reference_that_is_not_a_matrix(reference):
     # a 0-d or empty reference used to raise IndexError or ZeroDivisionError
     with pytest.raises(DimensionMismatch):
         reduced_dynamics_map(np.eye(4), reference, 0.5)
+
+
+@pytest.mark.parametrize("h, message", [
+    (0.5, r"expected a square matrix, got shape \(\)"),  # used to raise IndexError
+    (np.eye(4)[0], r"expected a square matrix, got shape \(4,\)"),
+    (np.ones((4, 2)), r"expected a square matrix, got shape \(4, 2\)"),
+    (np.eye(3), "Hamiltonian dim 3 does not factor over environment dim 2"),
+])
+def test_reduced_map_rejects_a_hamiltonian_that_does_not_fit(h, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        reduced_dynamics_map(h, np.eye(2) / 2, 1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_rejected(t):
+    # exp(-i t H) at such t used to give an all-NaN channel, and is_cptp a LinAlgError
+    with pytest.raises(ConstraintViolation, match="t must be finite"):
+        unitary_from_hamiltonian(np.eye(2), t)
+    with pytest.raises(ConstraintViolation, match="t must be finite"):
+        reduced_dynamics_map(np.eye(4), np.eye(2) / 2, t)
+
+
+def test_apply_channel_names_the_shape_it_expects():
+    lam = reduced_dynamics_map(np.eye(4), np.eye(2) / 2, 1.0)
+    with pytest.raises(DimensionMismatch) as info:
+        apply_channel(lam, np.eye(3))
+    assert str(info.value) == "state shape (3, 3), channel expects (2, 2)"
 
 
 def test_reduced_map_non_interacting_factorizes():

@@ -8,6 +8,7 @@ from statelift import (
     Inconclusive,
     Lifting,
     Product,
+    ViolatesHermiticity,
     ViolatesPositivity,
     ViolatesTrace,
     analysis_report,
@@ -22,6 +23,7 @@ from statelift import (
     diag_mixing_positive,
     extract_reference,
     kraus_lifting,
+    no_go_sweep,
     partial_trace_env,
     perturbed_product_lifting,
     positivity_witness_search,
@@ -36,7 +38,7 @@ from statelift import (
 )
 from statelift.config import tolerances
 from statelift.dynamics import unitary_from_hamiltonian
-from statelift.liftings import _basis, _Screen, _family, _triangle
+from statelift.liftings import _basis, _family, _hermiticity_deviations, _Screen, _triangle
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import hermitian_basis, random_hermitian
 
@@ -435,7 +437,8 @@ def test_witness_search_planted_in_basis(member, scale):
 
 
 def _screen(f):
-    return _Screen(f, basis_images(f))
+    images = basis_images(f)
+    return _Screen(f, images, _hermiticity_deviations(images))
 
 
 def _pairs(ds):
@@ -586,12 +589,29 @@ def test_witness_search_planted_in_pair_hermiticity_defect(entry):
     assert got.witness[0, 1] != 0 and got.witness[0, 0] != got.witness[1, 1]
 
 
-def test_screen_fails_members_far_from_hermitian():
-    # for the identity map the screen's H is x itself, while the exact path sees
-    # the Hermitian part of x, here with the eigenvalue -1/2
-    screen = _screen(product_lifting(np.eye(1), 2))
-    for x in (np.array([[1.0, 3.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [3.0, 1.0]])):
-        assert not screen.passes(x[None].astype(complex))
+def test_witness_family_members_equal_their_adjoints():
+    # the screen reads a member's upper triangle only, so its bound holds for
+    # members that equal their adjoints; the random densities are Hermitized
+    for ds in range(1, 9):
+        for count, inputs, _ in _family(ds):
+            xs = inputs(0, count)
+            assert np.array_equal(xs, xs.conj().transpose(0, 2, 1))
+    # planted as at (4, 4) above, here at (3, 2), where the first random
+    # density can differ from its adjoint in the last bits, depending on the BLAS
+    ds, de = 3, 2
+    x = random_density(ds, seed=philox_rng(spawn_seeds(7, 1)[0]))
+    x = (x + x.conj().T) / 2
+    k, l = np.triu_indices(ds, 1)
+    q = int(np.argmin(x[k, l].real))
+    assert x[k, l][q].real < 0
+    images = [np.zeros((ds * de, ds * de), dtype=complex) for _ in range(ds * ds)]
+    images[_basis(ds).pairs[q, 2]][0, 0] = (1 + 1e-3) * tolerances.psd / -x[k, l][q].real
+    f = _lifting_from_images(ds, de, images)
+    got = positivity_witness_search(f)
+    _assert_same_witness(got, positivity_witness_search_loops(f))
+    assert np.array_equal(got.witness, x / np.trace(x).real)
+    assert np.array_equal(got.witness, got.witness.conj().T)
+    assert got.min_eigenvalue == pytest.approx(-(1 + 1e-3) * tolerances.psd, rel=1e-6)
 
 
 @pytest.mark.parametrize("ds, de", [(2, 3), (3, 2), (8, 4)])
@@ -687,6 +707,30 @@ def test_analyze_entangling_kraus_violates_trace():
     d = random_density(2, seed=34)
     f = kraus_lifting([swap_matrix(2)], d, 2)
     assert isinstance(analyze(f), ViolatesTrace)
+
+
+def test_analyze_stretched_column_violates_hermiticity():
+    # F(E_10) = (1 + 1e-6) E_10 (x) D: the images of g_01 and g*_01 are off
+    # their adjoints by 1e-6 sqrt(2) ||D||_F
+    d = random_density(2, seed=35)
+    m = product_lifting(d, 2).matrix.copy()
+    m[:, 1] *= 1 + 1e-6
+    report = analysis_report(Lifting(2, 2, m))
+    assert isinstance(report.verdict, ViolatesHermiticity)
+    assert report.verdict.max_deviation == report.hermiticity_deviation
+    assert report.hermiticity_deviation == pytest.approx(
+        1e-6 * np.sqrt(2) * np.linalg.norm(d), rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_analyzer_rejects_a_tol_out_of_range(tol):
+    # nan and -1.0 gave inconclusive, inf gave product
+    f = product_lifting(random_density(2, seed=1), 2)
+    with pytest.raises(ConstraintViolation, match="tol must be finite and nonnegative"):
+        analyze(f, tol)
+    with pytest.raises(ConstraintViolation, match="tol must be finite and nonnegative"):
+        no_go_sweep(2, 2, 1, 1e-2, 1, tol)
+    assert isinstance(analyze(f, 0.0), Product)
 
 
 def second_order_lifting(delta):
@@ -899,10 +943,10 @@ def _peak_bytes(call):
 
 def test_witness_search_reads_the_images_it_is_handed():
     f = product_lifting(random_density(2, seed=46), 32)
-    images = basis_images(f)
+    screen = _screen(f)
     # 64 MB of images at (32, 2): a copy of the stack, or of its Hermitian
     # parts, would show; a chunk's H and its Cholesky factors take 8 MB
-    assert _peak_bytes(lambda: positivity_witness_search(f, images=images)) < 24 * 2**20
+    assert _peak_bytes(lambda: positivity_witness_search(f, screen)) < 24 * 2**20
 
 
 @pytest.mark.parametrize("ds, de, bound_mb", [(16, 4, 35), (32, 2, 100)])
