@@ -10,7 +10,7 @@ semigroup property is claimed: reduced dynamics is non-Markovian in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class ReducedChannel:
 
     ds: int
     matrix: np.ndarray  # shape (ds**2, ds**2)
+    # [a, i, c, j] = K_ij[a, c]: reduced_dynamics_map's Kraus stack, set when de < ds
+    kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.complex128))
@@ -82,7 +84,11 @@ def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> Redu
     w = (u @ d).transpose(0, 1, 3, 2)  # [a, i, j, r]
     uc = u.conj().transpose(0, 2, 1, 3)  # [b, c, i, j]
     out = np.matmul(uc.reshape(ds, 1, ds, de * de), w.reshape(1, ds, de * de, ds))
-    return ReducedChannel(ds, out.reshape(ds * ds, ds * ds))
+    lam = ReducedChannel(ds, out.reshape(ds * ds, ds * ds))
+    if de < ds:  # K_ij = sqrt(d_j) (Id (x) <i|) U (Id (x) |v_j>) for D = sum_j d_j v_j v_j^dagger
+        vals, vecs = np.linalg.eigh(d)
+        object.__setattr__(lam, "kraus", u @ (vecs * np.sqrt(np.clip(vals, 0.0, None))))
+    return lam
 
 
 def reduced_dynamics_from_lifting(h: np.ndarray, lifting, t: float) -> ReducedChannel:
@@ -131,10 +137,16 @@ def choi_matrix(lam: ReducedChannel) -> np.ndarray:
 def is_cptp(lam: ReducedChannel) -> CptpCheck:
     """Complete positivity (Choi PSD) plus trace preservation (tr_out Choi = Id),
     both within ``tolerances.psd``; truthy when both hold, and keeps the
-    minimal Choi eigenvalue."""
+    minimal Choi eigenvalue.  With a Kraus stack, Choi = sum vec(K) vec(K)^dagger
+    has rank at most de^2 < ds^2, so its minimum is min(0, lambda_min) of the
+    de^2 x de^2 Gram of the vec(K) (Choi, Linear Algebra Appl. 10, 285 (1975))."""
     tol = tolerances.psd
     choi = choi_matrix(lam)
-    lam_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+    if lam.kraus is None:
+        lam_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+    else:
+        k = lam.kraus.transpose(0, 2, 1, 3).reshape(lam.ds**2, -1)
+        lam_min = min(float(np.linalg.eigvalsh(k.conj().T @ k)[0]), 0.0)
     if lam_min < -tol:
         return CptpCheck(False, lam_min)
     reduced = partial_trace_sys(choi, lam.ds, lam.ds)

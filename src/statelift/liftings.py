@@ -611,12 +611,17 @@ class AnalysisReport:
         return _reference(self.images, self.de)
 
 
+def _residual_tol(tol: float | None) -> float:
+    if tol is None:
+        return default_residual_tol()
+    if not 0 <= tol < np.inf:
+        raise ConstraintViolation(f"tol must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     """:func:`analyze` with the deviations and basis images it read."""
-    if tol is None:
-        tol = default_residual_tol()
-    elif not 0 <= tol < np.inf:
-        raise ConstraintViolation(f"tol must be finite and nonnegative, got {tol}")
+    tol = _residual_tol(tol)
     images = basis_images(f)
     deviations = _hermiticity_deviations(images)
     herm = float(np.max(deviations, initial=0.0))
@@ -741,6 +746,7 @@ def no_go_sweep(
     """Analyze `trials` random constraint-respecting perturbations of random
     product liftings.  Every trial must come back as a product or as a
     hypothesis violation; an inconclusive verdict is a falsifier."""
+    tol = _residual_tol(tol)
     verdicts = []
     counts = {name: 0 for name in _VERDICT_NAMES.values()}
     falsifiers = []

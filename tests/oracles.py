@@ -7,10 +7,10 @@ Gram-root singular values for the trace norm, dense superoperator and
 permutation matrices for liftings, perturbations and adjoints, the
 perturbation with ``np.linalg.inv`` of the stacked Hermitian basis, the
 perturbed lifting as the sum of two dense matrices, and
-per-matrix-unit loops for Choi matrices, reduced dynamics and Kraus
-liftings, dense Kronecker products for the unit-reduction check, observable
-reduction, the product residual and purification, basis images formed one
-member at a time, pair Choi blocks from Hermitian matrix-unit images, one
+per-matrix-unit loops for Choi matrices, a full Choi ``eigvalsh`` for the
+CP margin, reduced dynamics and Kraus liftings, dense Kronecker products for
+the unit-reduction check, observable reduction, the product residual and
+purification, basis images formed one member at a time, pair Choi blocks from Hermitian matrix-unit images, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
 search, a dense grid scan for the diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
 one-shot Gaussian draws with three-index einsum estimators and a single-GEMM
@@ -179,6 +179,13 @@ def choi_matrix_loops(channel: np.ndarray, d: int) -> np.ndarray:
             unit[i, j] = 1.0
             choi += np.kron(channel[:, j * d + i].reshape(d, d).T, unit)
     return choi
+
+
+def choi_min_eigenvalue_full(channel: np.ndarray, d: int) -> float:
+    """lambda_min of the full d^2 x d^2 Choi matrix: eigvalsh of the Hermitian
+    part of the per-matrix-unit Kronecker sum."""
+    choi = choi_matrix_loops(channel, d)
+    return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
 
 
 def reduced_dynamics_loops(u: np.ndarray, lift, ds: int, de: int) -> np.ndarray:

@@ -22,10 +22,11 @@ from statelift import (
     trace_norm,
 )
 from statelift.cli import EXIT_CONSTRAINT, EXIT_DIMENSION, EXIT_FORMAT, build_parser, main
+from statelift.config import tolerances
 from statelift.fileio import read_matrix, read_product_measure, read_vector, write_lifting, write_matrix
 from statelift.linalg import vec
 
-from oracles import bell_projector, kron, ptrace_env_loops
+from oracles import bell_projector, choi_min_eigenvalue_full, kron, ptrace_env_loops
 
 
 def run(tmp_path, *argv):
@@ -189,7 +190,16 @@ def test_evolve_matches_expm_and_the_lifting_route(tmp_path, capsys, ds, de):
     assert run(tmp_path, "evolve", "--ham", tmp_path / "H.mat", "--ref", tmp_path / "D.mat",
                "--state", tmp_path / "rho.mat", "--t", "0.7",
                "--emit-channel", tmp_path / "C.mat", "--out", tmp_path / "rho_t.mat") == 0
-    assert report_lines(capsys)["cptp"] == "true"
+    report = report_lines(capsys)
+    assert report["cptp"] == "true"
+    # de < ds reads the Kraus Gram, whose minimum is 0 where the full Choi
+    # eigvalsh gives rounding noise; de >= ds prints the full Choi minimum
+    margin = float(report["choi_min_eigenvalue"])
+    oracle = choi_min_eigenvalue_full(read_matrix(tmp_path / "C.mat"), ds)
+    assert margin >= -tolerances.psd
+    assert abs(margin - oracle) <= 1e-12
+    if de >= ds:
+        assert report["choi_min_eigenvalue"] == f"{oracle:.17g}"
     u = scipy.linalg.expm(-0.7j * h)
     want = ptrace_env_loops(u @ kron(rho, d) @ u.conj().T, ds, de)
     assert np.max(np.abs(read_matrix(tmp_path / "rho_t.mat") - want)) < 1e-12

@@ -20,7 +20,13 @@ from statelift import (
 from statelift.errors import ConstraintViolation, DimensionMismatch
 from statelift.rng import philox_rng
 
-from oracles import choi_matrix_loops, kron, reduced_dynamics_loops, transpose_permutation
+from oracles import (
+    choi_matrix_loops,
+    choi_min_eigenvalue_full,
+    kron,
+    reduced_dynamics_loops,
+    transpose_permutation,
+)
 
 
 def exchange_hamiltonian():
@@ -221,6 +227,42 @@ def test_reduced_map_is_cptp():
         d = random_density(de, seed=500 + k)
         lam = reduced_dynamics_map(h, d, t)
         assert is_cptp(lam)
+
+
+@pytest.mark.parametrize("rank", [None, 1])
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 2), (2, 4), (4, 4), (16, 4)])
+def test_cptp_margin_matches_the_full_choi_oracle(ds, de, rank):
+    h = random_hermitian(ds * de, seed=31)
+    d = random_density(de, rank=rank, seed=32)
+    lam = reduced_dynamics_map(h, d, 0.8)
+    check = is_cptp(lam)
+    oracle = choi_min_eigenvalue_full(lam.matrix, ds)
+    assert check.ok
+    if de >= ds:
+        # the Choi route, unchanged
+        assert lam.kraus is None
+        assert np.float64(check.choi_min_eigenvalue).view(np.uint64) == np.float64(oracle).view(np.uint64)
+        return
+    # the Gram route: at most de^2 Kraus operators, so the Choi minimum is 0 up to rounding
+    assert check.choi_min_eigenvalue <= 0.0
+    assert abs(check.choi_min_eigenvalue - oracle) <= 1e-12
+    ks = lam.kraus.transpose(1, 3, 0, 2).reshape(de * de, ds, ds)
+    rho = random_density(ds, seed=33)
+    got = sum(k @ rho @ k.conj().T for k in ks)
+    assert np.max(np.abs(got - apply_channel(lam, rho))) <= 1e-14
+    assert np.max(np.abs(sum(k.conj().T @ k for k in ks) - np.eye(ds))) <= 1e-13
+
+
+def test_lifting_route_carries_no_kraus_stack():
+    h = random_hermitian(8, seed=34)
+    d = random_density(2, seed=35)
+    lam = reduced_dynamics_from_lifting(h, product_lifting(d, 4), 0.8)
+    assert lam.kraus is None
+    margin = np.float64(is_cptp(lam).choi_min_eigenvalue)
+    assert margin.view(np.uint64) == np.float64(choi_min_eigenvalue_full(lam.matrix, 4)).view(np.uint64)
+    # only reduced_dynamics_map sets the stack
+    with pytest.raises(TypeError):
+        ReducedChannel(4, lam.matrix, kraus=reduced_dynamics_map(h, d, 0.8).kraus)
 
 
 @pytest.mark.parametrize("ds, de", [(2, 3), (8, 8), (16, 4), (32, 2)])

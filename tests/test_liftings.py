@@ -36,6 +36,7 @@ from statelift import (
     unvec,
     vec,
 )
+from statelift import liftings
 from statelift.config import tolerances
 from statelift.dynamics import unitary_from_hamiltonian
 from statelift.liftings import _basis, _family, _hermiticity_deviations, _Screen, _triangle
@@ -731,6 +732,18 @@ def test_analyzer_rejects_a_tol_out_of_range(tol):
     with pytest.raises(ConstraintViolation, match="tol must be finite and nonnegative"):
         no_go_sweep(2, 2, 1, 1e-2, 1, tol)
     assert isinstance(analyze(f, 0.0), Product)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_no_go_sweep_checks_tol_before_any_trial(monkeypatch, tol, trials):
+    # 0 trials returned an empty outcome, and 1 trial built its perturbation first
+    def no_trial(*args):
+        raise AssertionError("a trial ran before tol was checked")
+
+    monkeypatch.setattr(liftings, "perturbed_product_lifting", no_trial)
+    with pytest.raises(ConstraintViolation, match="tol must be finite and nonnegative"):
+        no_go_sweep(2, 2, trials, 1e-2, 1, tol)
 
 
 def second_order_lifting(delta):
