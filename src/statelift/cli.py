@@ -50,7 +50,8 @@ def _digest(path: str) -> str:
     h = hashlib.sha256()
     try:
         with open(path, "rb") as handle:
-            h.update(handle.read())
+            for block in iter(lambda: handle.read(2**20), b""):  # 1 MiB at a time
+                h.update(block)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return h.hexdigest()

@@ -18,7 +18,7 @@ from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .liftings import check_trace_constraint
 from .liftings import apply_lifting  # unused here; perfbench/selftest.py checks this alias
-from .linalg import as_matrix, partial_trace_sys, spectral, unvec, vec
+from .linalg import as_matrix, spectral, unvec, vec
 from .states import validate_density
 
 
@@ -141,13 +141,19 @@ def is_cptp(lam: ReducedChannel) -> CptpCheck:
     has rank at most de^2 < ds^2, so its minimum is min(0, lambda_min) of the
     de^2 x de^2 Gram of the vec(K) (Choi, Linear Algebra Appl. 10, 285 (1975))."""
     tol = tolerances.psd
-    choi = choi_matrix(lam)
     if lam.kraus is None:
+        choi = choi_matrix(lam)
         lam_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     else:
         k = lam.kraus.transpose(0, 2, 1, 3).reshape(lam.ds**2, -1)
         lam_min = min(float(np.linalg.eigvalsh(k.conj().T @ k)[0]), 0.0)
     if lam_min < -tol:
         return CptpCheck(False, lam_min)
-    reduced = partial_trace_sys(choi, lam.ds, lam.ds)
+    reduced = _output_trace(lam)
     return CptpCheck(float(np.max(np.abs(reduced - np.eye(lam.ds)))) <= tol, lam_min)
+
+
+def _output_trace(lam: ReducedChannel) -> np.ndarray:
+    """tr_out Choi without the Choi matrix: [i, j] is tr Lambda(E_ij), the trace of the split
+    channel matrix [b, a, j, i] over (b, a)."""
+    return np.trace(lam.matrix.reshape((lam.ds,) * 4), axis1=0, axis2=1).T

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DIAG_MIXING_TOL, KRAUS_TOL, PERTURBATION_FLOOR, default_residual_tol, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import frobenius, unvec, vec
+from .linalg import frobenius, frobenius_norms, unvec, vec
 from .rng import philox_rng, spawn_seeds
 from .states import hermitian_basis, random_density, validate_density
 
@@ -196,9 +196,20 @@ def basis_images(f: Lifting) -> np.ndarray:
     return out.transpose(0, 2, 1)
 
 
+def _chunks(count: int, item_bytes: int) -> list:
+    """Slices that walk a stack of count items, each holding at most _CHUNK_BYTES / 16 of them."""
+    step = max(1, _CHUNK_BYTES // 16 // item_bytes)
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
 def _hermiticity_deviations(images: np.ndarray) -> np.ndarray:
-    """||F(g) - F(g)^dagger||_F for every basis image F(g)."""
-    return np.array([frobenius(w - w.conj().T) for w in images])
+    """||F(g) - F(g)^dagger||_F for every basis image F(g), a chunk at a time: each difference
+    is formed in C order, as w - w.conj().T lays it out, so its norm has the bits of that."""
+    out = np.empty(len(images))
+    for c in _chunks(len(images), images[0].nbytes):
+        d = np.conj(images[c].transpose(0, 2, 1), order="C")
+        out[c] = frobenius_norms(np.subtract(images[c], d, out=d))
+    return out
 
 
 def _trace_deviations(ds: int, de: int, images: np.ndarray):
@@ -255,7 +266,8 @@ _T, _P = (_BOUNDARY_U - 1.0)[:, None, None], (1.0 / _BOUNDARY_U - 1.0)[:, None, 
 # d is computed here to within 2u, so _DEFECT bounds it.
 _DEFECT = max(0.0, float(np.max(1.0 - (1.0 + _T) * (1.0 + _P)))) + 2 * np.finfo(float).eps
 _BACKSTOP, _BACKSTOP_SEED = 100, 7
-# Screened chunks hold at most this many bytes of images.
+# Screened chunks hold at most this many bytes of images, and the chunks of the norm
+# passes a sixteenth of it, so that a chunk and its copies stay in a core's L2 cache.
 _CHUNK_BYTES = 4 * 2**20
 
 
@@ -483,48 +495,40 @@ class StructureReport:
         return max(values, default=0.0)
 
 
-def _off_support_mass(blocks: np.ndarray, support) -> float:
-    masked = blocks.copy()
-    masked[tuple(np.transpose(support))] = 0.0
-    return float(np.linalg.norm(masked))
-
-
 def _structure(ds: int, de: int, images: np.ndarray) -> StructureReport:
+    """The block diagnostics of images laid out as ``basis_images`` lays them out.  Each norm has
+    the bits of ``frobenius`` of its one-block difference, laid out as numpy lays that out: in C
+    order against a, in the blocks' transposed memory order otherwise, and C-ordered copies of
+    the components, carried blocks zeroed, for the off-support masses."""
+    basis, m = _basis(ds), ds * ds
     a = _reference(images, de)
-    basis = _basis(ds)
-    diag_off = {}
-    diag_ref = {}
-    for k in range(ds):
-        blocks = components(images[basis.diag[k]], ds, de)
-        diag_off[k] = _off_support_mass(blocks, [(k, k)])
-        diag_ref[k] = frobenius(blocks[k, k] - a)
-    pairs = {}
-    for k, l, (_, _, plain, star) in zip(basis.k.tolist(), basis.l.tolist(), basis.pairs):
-        support = [(k, k), (k, l), (l, k), (l, l)]
-        blocks = components(images[plain], ds, de)
-        sblocks = components(images[star], ds, de)
-        carried = [blocks[k, k], blocks[k, l], blocks[l, k], blocks[l, l]]
-        mismatch = max(
-            frobenius(x - y) for i, x in enumerate(carried) for y in carried[i + 1 :]
-        )
-        phase = max(
-            frobenius(sblocks[k, k] - (-1j) * sblocks[k, l]),
-            frobenius(sblocks[k, k] - 1j * sblocks[l, k]),
-            frobenius(sblocks[k, k] - sblocks[l, l]),
-        )
-        ref = max(
-            frobenius(blocks[k, l] - a),
-            frobenius((-1j) * sblocks[k, l] - a),
-            frobenius(sblocks[k, k] - a),
-        )
-        pairs[(k, l)] = PairStructure(
-            off_support=_off_support_mass(blocks, support),
-            off_support_star=_off_support_mass(sblocks, support),
-            component_mismatch=mismatch,
-            phase_mismatch=phase,
-            reference_mismatch=ref,
-        )
-    return StructureReport(diag_off, diag_ref, pairs)
+    # split[j, l, y, k, x] = F(g_j)[k de + x, l de + y], as the transposed images sit in memory
+    split = images.transpose(0, 2, 1).reshape(m, ds, de, ds, de)
+    blocks = split.transpose(0, 3, 1, 4, 2)  # [j, k, l, x, y] = components(images[j])
+    off = np.empty(m)
+    for c in _chunks(m, images[0].nbytes):
+        masked = np.array(blocks[c], order="C")
+        masked[basis.members[c] != 0] = 0.0
+        off[c] = frobenius_norms(masked)
+    k, l, plain, star = basis.k, basis.l, basis.pairs[:, 2], basis.pairs[:, 3]
+    # the blocks kk, kl, lk and ll of each pair's images, each transposed, as it sits in memory
+    at = (np.stack([k, k, l, l], 1), np.stack([k, l, k, l], 1))
+    transposed = split.transpose(0, 3, 1, 2, 4)
+    p, s = (np.ascontiguousarray(transposed[(q[:, None], *at)]) for q in (plain, star))
+    i, j = np.triu_indices(4, 1)
+    phases = np.array([-1j, 1j, 1])[:, None, None]
+    within = np.concatenate([p[:, i] - p[:, j], s[:, :1] - phases * s[:, 1:]], axis=1)
+    within = frobenius_norms(within.reshape(-1, de, de)).reshape(-1, 9)
+    r = np.arange(ds)
+    against = np.concatenate([blocks[basis.diag, r, r], blocks[plain, k, l],
+                              -1j * blocks[star, k, l], blocks[star, k, k]])
+    against = frobenius_norms(against - a)
+    fields = [off[plain], off[star], within[:, :6].max(1), within[:, 6:].max(1),
+              against[ds:].reshape(3, -1).max(0)]
+    pairs = zip(zip(k.tolist(), l.tolist()), np.stack(fields, 1).tolist())
+    return StructureReport(dict(enumerate(off[basis.diag].tolist())),
+                           dict(enumerate(against[:ds].tolist())),
+                           {kl: PairStructure(*v) for kl, v in pairs})
 
 
 def structure_report(f: Lifting) -> StructureReport:
@@ -580,9 +584,15 @@ class Inconclusive:
 
 
 def _residual(ds: int, images: np.ndarray, reference: np.ndarray) -> float:
-    products = (g[:, None, :, None] * reference[:, None, :] for g in _basis(ds).members)
-    deviations = (frobenius(w - p.reshape(w.shape)) for p, w in zip(products, images))
-    return max(deviations, default=0.0)
+    """Max ||F(g) - g (x) reference||_F over the basis, a chunk at a time: each difference is
+    F(g) in C order, as numpy lays it out, less g (x) reference on the blocks where g is nonzero."""
+    members, de, worst = _basis(ds).members, len(reference), 0.0
+    for c in _chunks(len(images), images[0].nbytes):
+        d, g = np.array(images[c], order="C"), members[c]
+        j, k, l = np.nonzero(g)
+        d.reshape(-1, ds, de, ds, de)[j, k, :, l] -= g[j, k, l, None, None] * reference
+        worst = max(worst, float(np.max(frobenius_norms(d))))
+    return worst
 
 
 def product_residual(f: Lifting, reference: np.ndarray) -> float:

@@ -152,8 +152,19 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(as_matrix(a), compute_uv=False)))
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """||stack[n]||_F for every n, with the bits of ``np.linalg.norm(stack[n])``: the same BLAS
+    dots over the real and imaginary parts of the item in its memory order (ravel order 'K'),
+    taken once per item by a (n, 1, size) @ (n, size, 1) matmul of the contiguous items."""
+    axes = sorted(range(1, stack.ndim), key=lambda i: -abs(stack.strides[i]))
+    size = int(np.prod(stack.shape[1:]))
+    flat = np.ascontiguousarray(stack.transpose(0, *axes)).reshape(len(stack), 1, size)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(p @ p.transpose(0, 2, 1) for p in parts)).reshape(-1)
+
+
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    return float(frobenius_norms(np.asarray(a)[None])[0])
 
 
 def pairing(a: np.ndarray, w: np.ndarray) -> complex:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import frobenius, unvec, vec
+from .linalg import frobenius_norms, unvec, vec
 from .liftings import Lifting, basis_images
 from .states import validate_density
 
@@ -70,7 +70,7 @@ def check_unit_reduction(r: ReductionMap) -> float:
     u = np.einsum("obiai->oba", r.matrix.reshape(ds * ds, ds, r.de, ds, r.de))
     u = u.reshape(ds * ds, ds * ds)
     u[np.diag_indices(ds * ds)] -= 1.0
-    return max((frobenius(w) for w in basis_images(Lifting(ds, 1, u))), default=0.0)
+    return float(np.max(frobenius_norms(basis_images(Lifting(ds, 1, u)))))
 
 
 def reduce_observable(a: np.ndarray, reference: np.ndarray) -> np.ndarray:

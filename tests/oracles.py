@@ -10,7 +10,9 @@ perturbed lifting as the sum of two dense matrices, and
 per-matrix-unit loops for Choi matrices, a full Choi ``eigvalsh`` for the
 CP margin, reduced dynamics and Kraus liftings, dense Kronecker products for
 the unit-reduction check, observable reduction, the product residual and
-purification, basis images formed one member at a time, pair Choi blocks from Hermitian matrix-unit images, one
+purification, one ``np.linalg.norm`` per item for the analyzer's structure,
+residual, Hermiticity and unit-reduction diagnostics, basis images formed one
+member at a time, pair Choi blocks from Hermitian matrix-unit images, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
 search, a dense grid scan for the diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
 one-shot Gaussian draws with three-index einsum estimators and a single-GEMM
@@ -25,7 +27,18 @@ import numpy as np
 
 from statelift.config import tolerances
 from statelift.errors import ConstraintViolation, FormatError
-from statelift.liftings import ViolatesPositivity, apply_lifting, product_lifting
+from statelift.liftings import (
+    Lifting,
+    PairStructure,
+    StructureReport,
+    ViolatesPositivity,
+    _basis,
+    _reference,
+    apply_lifting,
+    basis_images,
+    components,
+    product_lifting,
+)
 from statelift.linalg import spectral
 from statelift.measures import gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
@@ -245,6 +258,80 @@ def residual_kron(ds: int, images: np.ndarray, reference: np.ndarray) -> float:
          for g, w in zip(hermitian_basis(ds), images)),
         default=0.0,
     )
+
+
+def frobenius(a: np.ndarray) -> float:
+    """One item's Frobenius norm, as ``np.linalg.norm`` computes it."""
+    return float(np.linalg.norm(np.asarray(a)))
+
+
+# The analyzer's diagnostics one Frobenius norm per item, as the package
+# computed them before its stacked passes; every value must keep its bits.
+
+
+def hermiticity_deviations_loops(images: np.ndarray) -> np.ndarray:
+    """||F(g) - F(g)^dagger||_F for every basis image F(g)."""
+    return np.array([frobenius(w - w.conj().T) for w in images])
+
+
+def residual_loops(ds: int, images: np.ndarray, reference: np.ndarray) -> float:
+    products = (g[:, None, :, None] * reference[:, None, :] for g in _basis(ds).members)
+    deviations = (frobenius(w - p.reshape(w.shape)) for p, w in zip(products, images))
+    return max(deviations, default=0.0)
+
+
+def unit_reduction_per_image(r) -> float:
+    """Max deviation of R(B (x) Id) from B over the Hermitian basis, one norm
+    per basis image of U - Id read as a lifting with de = 1."""
+    ds = r.ds
+    u = np.einsum("obiai->oba", r.matrix.reshape(ds * ds, ds, r.de, ds, r.de))
+    u = u.reshape(ds * ds, ds * ds)
+    u[np.diag_indices(ds * ds)] -= 1.0
+    return max((frobenius(w) for w in basis_images(Lifting(ds, 1, u))), default=0.0)
+
+
+def _off_support_mass(blocks: np.ndarray, support) -> float:
+    masked = blocks.copy()
+    masked[tuple(np.transpose(support))] = 0.0
+    return float(np.linalg.norm(masked))
+
+
+def structure_loops(ds: int, de: int, images: np.ndarray) -> StructureReport:
+    a = _reference(images, de)
+    basis = _basis(ds)
+    diag_off = {}
+    diag_ref = {}
+    for k in range(ds):
+        blocks = components(images[basis.diag[k]], ds, de)
+        diag_off[k] = _off_support_mass(blocks, [(k, k)])
+        diag_ref[k] = frobenius(blocks[k, k] - a)
+    pairs = {}
+    for k, l, (_, _, plain, star) in zip(basis.k.tolist(), basis.l.tolist(), basis.pairs):
+        support = [(k, k), (k, l), (l, k), (l, l)]
+        blocks = components(images[plain], ds, de)
+        sblocks = components(images[star], ds, de)
+        carried = [blocks[k, k], blocks[k, l], blocks[l, k], blocks[l, l]]
+        mismatch = max(
+            frobenius(x - y) for i, x in enumerate(carried) for y in carried[i + 1 :]
+        )
+        phase = max(
+            frobenius(sblocks[k, k] - (-1j) * sblocks[k, l]),
+            frobenius(sblocks[k, k] - 1j * sblocks[l, k]),
+            frobenius(sblocks[k, k] - sblocks[l, l]),
+        )
+        ref = max(
+            frobenius(blocks[k, l] - a),
+            frobenius((-1j) * sblocks[k, l] - a),
+            frobenius(sblocks[k, k] - a),
+        )
+        pairs[(k, l)] = PairStructure(
+            off_support=_off_support_mass(blocks, support),
+            off_support_star=_off_support_mass(sblocks, support),
+            component_mismatch=mismatch,
+            phase_mismatch=phase,
+            reference_mismatch=ref,
+        )
+    return StructureReport(diag_off, diag_ref, pairs)
 
 
 def purify_kron(s: np.ndarray, de: int) -> np.ndarray:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from statelift import (
     reduced_dynamics_from_lifting,
     trace_norm,
 )
+from statelift import cli
 from statelift.cli import EXIT_CONSTRAINT, EXIT_DIMENSION, EXIT_FORMAT, build_parser, main
 from statelift.config import tolerances
 from statelift.fileio import read_matrix, read_product_measure, read_vector, write_lifting, write_matrix
@@ -614,6 +617,26 @@ def test_run_log_records_seed(tmp_path, capsys):
     assert record["params"]["seed"] == 42
     assert str(tmp_path / "B.mat") in record["inputs"]
     assert record["outputs"] == [str(tmp_path / "emp.mat")]
+
+
+def test_run_record_digest_reads_its_input_in_blocks(tmp_path):
+    # 6 MiB and a partial block: hashed whole, the file would be held at once
+    path = tmp_path / "big.bin"
+    data = np.random.default_rng(16).bytes(6 * 2**20 + 12345)
+    path.write_bytes(data)
+    want = hashlib.sha256(data).hexdigest()
+    del data
+    tracemalloc.start()
+    try:
+        got = cli._digest(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2.5 * 2**20
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    assert cli._digest(str(empty)) == hashlib.sha256(b"").hexdigest()
 
 
 # --- several calls in one process, and the parser of one verb ------------------

@@ -17,7 +17,9 @@ from statelift import (
     reduced_dynamics_map,
     unitary_from_hamiltonian,
 )
+from statelift import dynamics
 from statelift.errors import ConstraintViolation, DimensionMismatch
+from statelift.linalg import partial_trace_sys
 from statelift.rng import philox_rng
 
 from oracles import (
@@ -251,6 +253,23 @@ def test_cptp_margin_matches_the_full_choi_oracle(ds, de, rank):
     got = sum(k @ rho @ k.conj().T for k in ks)
     assert np.max(np.abs(got - apply_channel(lam, rho))) <= 1e-14
     assert np.max(np.abs(sum(k.conj().T @ k for k in ks) - np.eye(ds))) <= 1e-13
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 2), (8, 8), (16, 4), (32, 2)])
+def test_trace_preservation_is_read_from_the_channel_matrix(ds, de, monkeypatch):
+    lam = reduced_dynamics_map(random_hermitian(ds * de, seed=36), random_density(de, seed=37), 0.8)
+    lifted = reduced_dynamics_from_lifting(random_hermitian(ds * de, seed=38),
+                                           product_lifting(random_density(de, seed=39), ds), 0.8)
+    for channel in (lam, lifted):
+        want = partial_trace_sys(choi_matrix(channel), ds, ds)
+        got = np.ascontiguousarray(dynamics._output_trace(channel))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not is_cptp(ReducedChannel(ds, 1.01 * lam.matrix)).ok  # CP, but not TP
+    # the Gram route forms no Choi matrix at all
+    monkeypatch.setattr(dynamics, "choi_matrix", None)
+    assert (lam.kraus is not None) == (de < ds)
+    if lam.kraus is not None:
+        assert is_cptp(lam).ok
 
 
 def test_lifting_route_carries_no_kraus_stack():

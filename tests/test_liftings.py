@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -39,12 +40,15 @@ from statelift import (
 from statelift import liftings
 from statelift.config import tolerances
 from statelift.dynamics import unitary_from_hamiltonian
-from statelift.liftings import _basis, _family, _hermiticity_deviations, _Screen, _triangle
+from statelift.liftings import PairStructure, _basis, _family, _hermiticity_deviations, _Screen, _triangle
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import hermitian_basis, random_hermitian
 
 from oracles import (
     basis_images_per_member,
+    hermiticity_deviations_loops,
+    residual_loops,
+    structure_loops,
     diag_mixing_positive_scan,
     kraus_lifting_loops,
     kron,
@@ -669,6 +673,60 @@ def test_structure_report_flags_violations():
     d = random_density(2, seed=27)
     f = perturbed_product_lifting(d, 3, 1e-2, seed=28)
     assert structure_report(f).max_deviation > 1e-6
+
+
+def _diagnosed_liftings(ds, de):
+    """Liftings of every verdict, with the kinds whose every diagnostic is nonzero."""
+    d = random_density(de, seed=70)
+    stretched = product_lifting(d, ds).matrix.copy()
+    stretched[:, min(1, ds * ds - 1)] *= 1 + 1e-6  # F(E_10), or F(E_00) when ds = 1
+    kinds = ("product", "kraus_local", "transpose", "entangling")
+    return {
+        **{kind: _lifting_of_kind(kind, ds, de, 71) for kind in kinds},
+        "perturbed 1e-2": perturbed_product_lifting(d, ds, 1e-2, seed=72),
+        "perturbed 1e-8": perturbed_product_lifting(d, ds, 1e-8, seed=72),
+        "stretched": Lifting(ds, de, stretched),
+    }
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _structure_columns(report):
+    """Every diagnostic of a report, field by field, with the keys it is read under."""
+    columns = {"diag_off_support": report.diag_off_support,
+               "diag_reference_mismatch": report.diag_reference_mismatch}
+    for field in dataclasses.fields(PairStructure):
+        columns[field.name] = {kl: getattr(p, field.name) for kl, p in report.pairs.items()}
+    return columns
+
+
+DIAGNOSED_DIMS = [(1, 3), (2, 2), (3, 2), (2, 3), (4, 4), (8, 4), (4, 8), (8, 8), (16, 4)]
+
+
+@pytest.mark.parametrize("ds, de", DIAGNOSED_DIMS)
+def test_stacked_diagnostics_keep_the_bits_of_the_loops(ds, de):
+    for kind, f in _diagnosed_liftings(ds, de).items():
+        images = basis_images(f)
+        report = analysis_report(f)
+        got = _structure_columns(report.structure)
+        for name, column in _structure_columns(structure_loops(ds, de, images)).items():
+            assert list(got[name]) == list(column), (kind, name)
+            assert np.array_equal(_bits(list(got[name].values())), _bits(list(column.values()))), (kind, name)
+        if kind == "entangling" and ds > 2:
+            # every diagnostic is nonzero, but a's own mismatch with the block it is read from
+            values = [v for name, column in got.items() for key, v in column.items()
+                      if (name, key) != ("diag_reference_mismatch", 0)]
+            assert min(values) > 0
+        deviations = hermiticity_deviations_loops(images)
+        assert np.array_equal(_bits(_hermiticity_deviations(images)), _bits(deviations)), kind
+        assert _bits(report.hermiticity_deviation) == _bits(max(deviations)), kind
+        for reference in (extract_reference(f), random_density(de, seed=73)):
+            residual = product_residual(f, reference)
+            assert _bits(residual) == _bits(residual_loops(ds, images, reference)), kind
+            # the residual does not depend on how the reference is laid out
+            assert _bits(product_residual(f, np.asfortranarray(reference))) == _bits(residual)
 
 
 # --- analyzer -------------------------------------------------------------------

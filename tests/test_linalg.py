@@ -16,6 +16,7 @@ from statelift import (
     vec,
 )
 from statelift.config import tolerances
+from statelift.linalg import frobenius, frobenius_norms
 from statelift.rng import philox_rng
 from statelift.states import basis_g, random_density, random_hermitian
 
@@ -253,3 +254,42 @@ def test_non_contiguous_inputs_accepted():
     w = random_complex(philox_rng(20), 4)
     assert trace_norm(w.T) == pytest.approx(trace_norm(np.ascontiguousarray(w.T)), abs=1e-12)
     assert partial_trace_env(np.asfortranarray(kron(np.eye(2), np.eye(2))), 2, 2).shape == (2, 2)
+
+
+# --- stacked Frobenius norms ---------------------------------------------
+
+
+def _norm_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_frobenius_norms_keep_the_bits_of_linalg_norm():
+    # magnitudes spread over a few decades, so that the order of the sum shows in the bits
+    rng = philox_rng(21)
+    x = random_complex(rng, 60).reshape(10, 9, 40) * 10.0 ** rng.integers(-2, 3, (10, 9, 40))
+    stacks = {
+        "contiguous": x,
+        "transposed": x.transpose(0, 2, 1),
+        "strided": x[:, 1::2, ::3],
+        "reversed": x[:, ::-1],
+        "every other item": x[::2],
+        "fortran": np.asfortranarray(x),
+        "real": x.real,
+        "real transposed": x.real.transpose(0, 2, 1),
+        "vectors": x[:, 0],
+        "all zero": np.zeros_like(x),
+    }
+    for name, stack in stacks.items():
+        want = [np.linalg.norm(item) for item in stack]
+        assert np.array_equal(_norm_bits(frobenius_norms(stack)), _norm_bits(want)), name
+        assert np.array_equal(_norm_bits([frobenius(item) for item in stack]), _norm_bits(want)), name
+    # the memory order matters: a C-ordered copy of the transposed items sums differently
+    t = x.transpose(0, 2, 1)
+    assert not np.array_equal(_norm_bits(frobenius_norms(t)),
+                              _norm_bits(frobenius_norms(np.ascontiguousarray(t))))
+
+
+def test_frobenius_norms_of_empty_stacks():
+    assert frobenius_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+    assert np.array_equal(frobenius_norms(np.zeros((2, 0, 4), dtype=complex)), [0.0, 0.0])
+    assert frobenius(np.zeros((0, 0))) == np.linalg.norm(np.zeros((0, 0))) == 0.0

@@ -13,15 +13,25 @@ from statelift import (
     check_trace_constraint,
     check_unit_reduction,
     hermitian_basis,
+    kraus_lifting,
     pairing,
+    perturbed_product_lifting,
     product_lifting,
     random_density,
     random_hermitian,
     reduce_observable,
 )
+from statelift.dynamics import unitary_from_hamiltonian
 from statelift.rng import philox_rng
 
-from oracles import kron, matrix_unit, reduce_observable_kron, transpose_permutation, unit_reduction_loops
+from oracles import (
+    kron,
+    matrix_unit,
+    reduce_observable_kron,
+    transpose_permutation,
+    unit_reduction_loops,
+    unit_reduction_per_image,
+)
 
 
 def random_complex(rng, d):
@@ -159,6 +169,19 @@ def test_unit_reduction_matches_kron_loop(ds, de):
         want = unit_reduction_loops(r)
         # both routes round sums whose terms are as large as |g|_F <= 2
         assert abs(check_unit_reduction(r) - want) <= 1e-14 * max(want, 1.0)
+
+
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 4), (8, 4), (4, 8), (16, 4)])
+def test_unit_reduction_keeps_the_bits_of_the_per_image_loop(ds, de):
+    d = random_density(de, seed=33)
+    u = unitary_from_hamiltonian(random_hermitian(ds * de, seed=34), 1.0)
+    bumped = product_lifting(d, ds).matrix.copy()
+    bumped[0, 0] += 1e-3
+    for f in (product_lifting(d, ds), Lifting(ds, de, bumped), kraus_lifting([u], d, ds),
+              perturbed_product_lifting(d, ds, 1e-2, seed=35)):
+        r = adjoint_lifting(f)
+        got, want = np.float64(check_unit_reduction(r)), np.float64(unit_reduction_per_image(r))
+        assert got.view(np.uint64) == want.view(np.uint64)
 
 
 def test_unit_reduction_memory_stays_near_ds4():
