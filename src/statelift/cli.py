@@ -236,9 +236,10 @@ def _cmd_empirical(args, run: _Run) -> int:
     _nonnegative("seed", args.seed)
     b = fileio.read_matrix(run.input(args.state))
     w = measures.empirical_state(b, args.n, args.seed)
+    error = trace_norm(w - b)  # rejects a non-finite w before it is written
     fileio.write_matrix(run.output(args.out), w)
     print(f"out = {args.out}")
-    print(f"trace_norm_error = {_f(trace_norm(w - b))}")
+    print(f"trace_norm_error = {_f(error)}")
     print(f"n = {args.n}")
     print(f"seed = {args.seed}")
     return EXIT_OK

@@ -18,7 +18,7 @@ from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .liftings import check_trace_constraint
 from .liftings import apply_lifting  # unused here; perfbench/selftest.py checks this alias
-from .linalg import as_matrix, spectral, unvec, vec
+from .linalg import apply_map, as_matrix, map_matrix, spectral
 from .states import validate_density
 
 
@@ -32,11 +32,7 @@ class ReducedChannel:
     kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.complex128))
-        if self.matrix.shape != (self.ds**2, self.ds**2):
-            raise DimensionMismatch(
-                f"channel matrix shape {self.matrix.shape}, expected {(self.ds**2,) * 2}"
-            )
+        object.__setattr__(self, "matrix", map_matrix(self.matrix, (self.ds**2,) * 2, "channel"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +114,7 @@ def reduced_dynamics_from_lifting(h: np.ndarray, lifting, t: float) -> ReducedCh
 
 
 def apply_channel(lam: ReducedChannel, rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (lam.ds, lam.ds):
-        raise DimensionMismatch(f"state shape {rho.shape}, channel expects {(lam.ds,) * 2}")
-    return unvec(lam.matrix @ vec(rho), lam.ds)
+    return apply_map(lam.matrix, rho, "channel", "state")
 
 
 def choi_matrix(lam: ReducedChannel) -> np.ndarray:

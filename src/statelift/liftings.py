@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DIAG_MIXING_TOL, KRAUS_TOL, PERTURBATION_FLOOR, default_residual_tol, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import frobenius, frobenius_norms, unvec, vec
+from .linalg import apply_map, frobenius, frobenius_norms, map_matrix
 from .rng import philox_rng, spawn_seeds
 from .states import hermitian_basis, random_density, validate_density
 
@@ -40,12 +40,8 @@ class Lifting:
     matrix: np.ndarray  # shape ((ds*de)**2, ds**2)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.complex128))
-        expected = ((self.ds * self.de) ** 2, self.ds**2)
-        if self.matrix.shape != expected:
-            raise DimensionMismatch(
-                f"lifting matrix shape {self.matrix.shape}, expected {expected}"
-            )
+        shape = ((self.ds * self.de) ** 2, self.ds**2)
+        object.__setattr__(self, "matrix", map_matrix(self.matrix, shape, "lifting"))
         if not np.all(np.isfinite(self.matrix.view(np.float64))):
             raise ConstraintViolation("lifting matrix has non-finite entries")
 
@@ -95,10 +91,7 @@ def kraus_lifting(ks, reference: np.ndarray, ds: int) -> Lifting:
 
 def apply_lifting(f: Lifting, x: np.ndarray) -> np.ndarray:
     """Image of a system operator under the lifting."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (f.ds, f.ds):
-        raise DimensionMismatch(f"operator shape {x.shape}, lifting expects ({f.ds}, {f.ds})")
-    return unvec(f.matrix @ vec(x), f.ds * f.de)
+    return apply_map(f.matrix, x, "lifting", "operator")
 
 
 def components(w: np.ndarray, ds: int, de: int) -> np.ndarray:
@@ -222,8 +215,9 @@ def _trace_deviations(ds: int, de: int, images: np.ndarray):
     return float(devs[worst]), basis[worst].copy()
 
 
-def _reference(images: np.ndarray, de: int) -> np.ndarray:
-    return images[0, :de, :de].copy()
+def _reference(f: Lifting) -> np.ndarray:
+    """The (0, 0) block of F(g_00) = F(E_00), whose vec is column 0 of the matrix."""
+    return f.matrix[:, 0].reshape((f.ds * f.de,) * 2).T[: f.de, : f.de].copy()
 
 
 def check_trace_constraint(f: Lifting) -> float:
@@ -246,7 +240,7 @@ def extract_reference(f: Lifting) -> np.ndarray:
     For a product lifting this is the reference state itself; it is a purely
     diagnostic read-out and is defined for invalid liftings too.
     """
-    return _reference(basis_images(f), f.de)
+    return _reference(f)
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +489,12 @@ class StructureReport:
         return max(values, default=0.0)
 
 
-def _structure(ds: int, de: int, images: np.ndarray) -> StructureReport:
+def _structure(ds: int, de: int, images: np.ndarray, a: np.ndarray) -> StructureReport:
     """The block diagnostics of images laid out as ``basis_images`` lays them out.  Each norm has
     the bits of ``frobenius`` of its one-block difference, laid out as numpy lays that out: in C
     order against a, in the blocks' transposed memory order otherwise, and C-ordered copies of
     the components, carried blocks zeroed, for the off-support masses."""
     basis, m = _basis(ds), ds * ds
-    a = _reference(images, de)
     # split[j, l, y, k, x] = F(g_j)[k de + x, l de + y], as the transposed images sit in memory
     split = images.transpose(0, 2, 1).reshape(m, ds, de, ds, de)
     blocks = split.transpose(0, 3, 1, 4, 2)  # [j, k, l, x, y] = components(images[j])
@@ -541,7 +534,7 @@ def structure_report(f: Lifting) -> StructureReport:
     +-i phases for the star family), and all carried blocks agree with the
     corner block a = F(g_00)^{00}.
     """
-    return _structure(f.ds, f.de, basis_images(f))
+    return _structure(f.ds, f.de, basis_images(f), _reference(f))
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +604,11 @@ class AnalysisReport:
     hermiticity_deviation: float
     trace_deviation: float
     images: np.ndarray  # basis_images of the lifting
+    reference: np.ndarray  # extract_reference of the lifting
 
     @property
     def structure(self) -> StructureReport:
-        return _structure(self.ds, self.de, self.images)
-
-    @property
-    def reference(self) -> np.ndarray:
-        return _reference(self.images, self.de)
+        return _structure(self.ds, self.de, self.images, self.reference)
 
 
 def _residual_tol(tol: float | None) -> float:
@@ -636,8 +626,9 @@ def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     deviations = _hermiticity_deviations(images)
     herm = float(np.max(deviations, initial=0.0))
     trace = _trace_deviations(f.ds, f.de, images)
+    reference = _reference(f)
     report = partial(AnalysisReport, f.ds, f.de, hermiticity_deviation=herm,
-                     trace_deviation=trace[0], images=images)
+                     trace_deviation=trace[0], images=images, reference=reference)
     if herm > tolerances.hermitian:
         return report(ViolatesHermiticity(herm))
     if trace[0] > tolerances.trace:
@@ -646,7 +637,6 @@ def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     witness = positivity_witness_search(f, screen)
     if witness is not None:
         return report(witness)
-    reference = _reference(images, f.de)
     residual = _residual(f.ds, images, reference)
     return report(Product(reference, residual) if residual <= tol else Inconclusive(residual))
 

@@ -15,6 +15,7 @@ All functions are pure; none mutates its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,23 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     if v.size != dim * dim:
         raise DimensionMismatch(f"vector of length {v.size} is not {dim}x{dim}")
     return v.reshape((dim, dim), order="F")
+
+
+def map_matrix(m, shape: tuple, kind: str) -> np.ndarray:
+    """A stored map's matrix on vecs as C-contiguous complex128, copied only when it is not."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    if m.shape != shape:
+        raise DimensionMismatch(f"{kind} matrix shape {m.shape}, expected {shape}")
+    return m
+
+
+def apply_map(m: np.ndarray, x, kind: str, what: str) -> np.ndarray:
+    """unvec(m @ vec(x)) for a stored map's matrix m of shape (n**2, d**2) and a d x d operand x."""
+    x = np.asarray(x, dtype=np.complex128)
+    d = math.isqrt(m.shape[1])
+    if x.shape != (d, d):
+        raise DimensionMismatch(f"{what} shape {x.shape}, {kind} expects ({d}, {d})")
+    return unvec(m @ vec(x), math.isqrt(m.shape[0]))
 
 
 def _split_composite(w: np.ndarray, ds: int, de: int) -> np.ndarray:

@@ -213,6 +213,8 @@ def gaussian_sampler(b: np.ndarray, seed) -> GaussianStateSampler:
         )
     roots = np.sqrt(np.where(dec.eigenvalues > tolerances.rank * top, dec.eigenvalues, 0.0))
     factor = (dec.vectors * roots) @ dec.vectors.conj().T
+    if not factor.any():  # every draw would be 0, and every normalized aggregate 0/0
+        raise ConstraintViolation("correlation operator is zero")
     return GaussianStateSampler(b.shape[0], factor, seed)
 
 
@@ -248,6 +250,8 @@ def draw(sampler: GaussianStateSampler, n: int) -> np.ndarray:
 
 def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
     """Rows <z, A z> and |z|^2 over n draws from the correlation measure of b."""
+    if np.shape(b) != a.shape:
+        raise DimensionMismatch(f"observable shape {a.shape}, state shape {np.shape(b)}")
     blocks = _draw_blocks(gaussian_sampler(b, seed), n)
     forms, start = np.empty((2, n)), 0
     for z in blocks:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import frobenius_norms, unvec, vec
+from .linalg import apply_map, frobenius_norms, map_matrix
 from .liftings import Lifting, basis_images
 from .states import validate_density
 
@@ -27,12 +27,8 @@ class ReductionMap:
     matrix: np.ndarray  # shape (ds**2, (ds*de)**2)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.complex128))
-        expected = (self.ds**2, (self.ds * self.de) ** 2)
-        if self.matrix.shape != expected:
-            raise DimensionMismatch(
-                f"reduction matrix shape {self.matrix.shape}, expected {expected}"
-            )
+        shape = (self.ds**2, (self.ds * self.de) ** 2)
+        object.__setattr__(self, "matrix", map_matrix(self.matrix, shape, "reduction"))
 
 
 def adjoint_lifting(f: Lifting) -> ReductionMap:
@@ -52,11 +48,7 @@ def adjoint_reduction(r: ReductionMap) -> Lifting:
 
 
 def apply_reduction(r: ReductionMap, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    dim = r.ds * r.de
-    if a.shape != (dim, dim):
-        raise DimensionMismatch(f"observable shape {a.shape}, expected ({dim}, {dim})")
-    return unvec(r.matrix @ vec(a), r.ds)
+    return apply_map(r.matrix, a, "reduction", "observable")
 
 
 def check_unit_reduction(r: ReductionMap) -> float:

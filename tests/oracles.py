@@ -33,7 +33,6 @@ from statelift.liftings import (
     StructureReport,
     ViolatesPositivity,
     _basis,
-    _reference,
     apply_lifting,
     basis_images,
     components,
@@ -297,7 +296,7 @@ def _off_support_mass(blocks: np.ndarray, support) -> float:
 
 
 def structure_loops(ds: int, de: int, images: np.ndarray) -> StructureReport:
-    a = _reference(images, de)
+    a = images[0, :de, :de].copy()  # the corner block of F(g_00)
     basis = _basis(ds)
     diag_off = {}
     diag_ref = {}

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,43 @@ def test_exit_code_non_positive_sample_count(tmp_path, capsys, verb, n):
     assert "sample count must be positive" in capsys.readouterr().err
     assert last_record(tmp_path)["command"] == verb
     assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+    assert not (tmp_path / "e.mat").exists()
+
+
+def test_estimate_with_an_observable_of_another_shape_exits_dimension(tmp_path, capsys):
+    write_matrix(tmp_path / "B.mat", random_density(4, seed=16))
+    write_matrix(tmp_path / "A.mat", random_hermitian(2, seed=17))
+    assert run(tmp_path, "estimate", "--state", tmp_path / "B.mat", "--obs", tmp_path / "A.mat",
+               "--n", 10, "--seed", 1) == EXIT_DIMENSION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dimension: observable shape (2, 2), state shape (4, 4)\n"
+    assert last_record(tmp_path)["exit_code"] == EXIT_DIMENSION
+
+
+@pytest.mark.parametrize("verb", ["estimate", "empirical"])
+def test_zero_correlation_operator_exits_constraint_before_writing(tmp_path, capsys, verb):
+    write_matrix(tmp_path / "zero.mat", np.zeros((2, 2), dtype=complex))
+    extra = ("--obs", tmp_path / "zero.mat") if verb == "estimate" else ("--out", tmp_path / "e.mat")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, verb, "--state", tmp_path / "zero.mat", *extra,
+                   "--n", 5, "--seed", 1) == EXIT_CONSTRAINT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: constraint: correlation operator is zero\n"
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+    assert last_record(tmp_path)["outputs"] == []
+    assert not (tmp_path / "e.mat").exists()
+
+
+def test_empirical_checks_its_state_before_writing_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("statelift.measures.empirical_state",
+                        lambda *args: np.full((2, 2), np.nan, dtype=complex))
+    write_matrix(tmp_path / "B.mat", random_density(2, seed=16))
+    assert run(tmp_path, "empirical", "--state", tmp_path / "B.mat", "--n", 5, "--seed", 1,
+               "--out", tmp_path / "e.mat") == EXIT_CONSTRAINT
+    assert capsys.readouterr() == ("", "error: constraint: matrix has non-finite entries\n")
     assert not (tmp_path / "e.mat").exists()
 
 

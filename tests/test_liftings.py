@@ -275,6 +275,28 @@ def test_extract_reference_mixture():
     assert abs(np.trace(got) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 2), (4, 4), (8, 4), (8, 8)])
+def test_extract_reference_is_the_corner_block_of_the_first_image(ds, de):
+    for kind, f in _diagnosed_liftings(ds, de).items():
+        corner = basis_images(f)[0, :de, :de].copy()
+        for got in (extract_reference(f), analysis_report(f).reference):
+            assert got.flags.c_contiguous and got.base is None, kind
+            assert np.array_equal(got.view(np.uint64), corner.view(np.uint64)), kind
+
+
+def test_extract_reference_reads_one_column_at_the_ceiling():
+    f = product_lifting(random_density(2, seed=16), 32)
+    corner = basis_images(f)[0, :2, :2].copy()
+    tracemalloc.start()
+    try:
+        got = extract_reference(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.view(np.uint64), corner.view(np.uint64))
+    assert peak < 2**20  # one 64 x 64 image, where the image stack takes 64 MiB
+
+
 # --- positivity witness search ------------------------------------------------
 
 

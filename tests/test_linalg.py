@@ -6,10 +6,18 @@ import pytest
 from statelift import (
     ConstraintViolation,
     DimensionMismatch,
+    Lifting,
+    ReducedChannel,
+    ReductionMap,
+    adjoint_lifting,
+    apply_channel,
+    apply_lifting,
+    apply_reduction,
     is_psd,
     pairing,
     partial_trace_env,
     partial_trace_sys,
+    product_lifting,
     spectral,
     trace_norm,
     unvec,
@@ -293,3 +301,41 @@ def test_frobenius_norms_of_empty_stacks():
     assert frobenius_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
     assert np.array_equal(frobenius_norms(np.zeros((2, 0, 4), dtype=complex)), [0.0, 0.0])
     assert frobenius(np.zeros((0, 0))) == np.linalg.norm(np.zeros((0, 0))) == 0.0
+
+
+# --- stored maps: shape, operand and non-finite checks -------------------------
+
+
+def _lifting_22():
+    return product_lifting(random_density(2, seed=2), 2)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Lifting(2, 2, np.zeros((16, 3))), DimensionMismatch,
+     "lifting matrix shape (16, 3), expected (16, 4)"),
+    (lambda: ReductionMap(2, 2, np.zeros((4, 15))), DimensionMismatch,
+     "reduction matrix shape (4, 15), expected (4, 16)"),
+    (lambda: ReducedChannel(2, np.zeros((4, 3))), DimensionMismatch,
+     "channel matrix shape (4, 3), expected (4, 4)"),
+    (lambda: apply_lifting(_lifting_22(), np.eye(3)), DimensionMismatch,
+     "operator shape (3, 3), lifting expects (2, 2)"),
+    (lambda: apply_reduction(adjoint_lifting(_lifting_22()), np.eye(3)), DimensionMismatch,
+     "observable shape (3, 3), reduction expects (4, 4)"),
+    (lambda: apply_channel(ReducedChannel(2, np.eye(4)), np.eye(3)), DimensionMismatch,
+     "state shape (3, 3), channel expects (2, 2)"),
+    (lambda: Lifting(1, 2, np.array([[1.0], [np.nan], [0.0], [0.0]])), ConstraintViolation,
+     "lifting matrix has non-finite entries"),
+], ids=["lifting-shape", "reduction-shape", "channel-shape", "lifting-operand",
+        "reduction-operand", "channel-operand", "lifting-non-finite"])
+def test_stored_maps_name_the_shape_they_expect(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_stored_maps_keep_a_contiguous_complex_matrix_without_a_copy():
+    m = np.zeros((4, 4), dtype=np.complex128)
+    assert ReducedChannel(2, m).matrix is m
+    lam = ReducedChannel(2, np.eye(4, dtype=np.float32).T)
+    assert lam.matrix.dtype == np.complex128 and lam.matrix.flags.c_contiguous

@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from statelift import (
     ConstraintViolation,
+    DimensionMismatch,
     choquet_reconstruct,
     choquet_spectral,
     classical_lift,
@@ -334,6 +336,29 @@ def test_sampler_factor_squares_to_correlation():
 def test_sampler_rejects_non_positive():
     with pytest.raises(ConstraintViolation):
         gaussian_sampler(np.diag([1.5, -0.5]).astype(complex), seed=22)
+
+
+@pytest.mark.parametrize("b", [np.zeros((2, 2)), -1e-20 * np.eye(3)])
+def test_sampler_rejects_a_zero_correlation_operator(b):
+    # every draw would be 0: empirical_state would divide 0 by 0 and estimate's ratio read nan
+    for call in (lambda: gaussian_sampler(b, seed=1), lambda: empirical_state(b, 5, seed=1),
+                 lambda: estimate_expectation(b, np.eye(len(b)), 5, seed=1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match="^correlation operator is zero$"):
+                call()
+
+
+@pytest.mark.parametrize("estimator", [estimate_expectation, projective_values])
+def test_estimators_reject_an_observable_of_another_shape_before_drawing(estimator, monkeypatch):
+    def fail(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(measures, "gaussian_sampler", fail)
+    monkeypatch.setattr(measures, "_draw_blocks", fail)
+    with pytest.raises(DimensionMismatch) as info:
+        estimator(random_density(4, seed=1), np.eye(2), 10, 1)
+    assert str(info.value) == "observable shape (2, 2), state shape (4, 4)"
 
 
 def test_draw_determinism_and_mean_norm():
