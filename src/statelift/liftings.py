@@ -9,11 +9,13 @@ an image with a negative eigenvalue, extracts the would-be reference state
 from the (0, 0) block of the image of the corner basis element, and measures
 the residual against the exact product map.
 
-The witness family consists of the rank-one Hermitian basis (``basis_g``,
-``basis_g_star``) plus the one-parameter positive mixtures
-``g + t*g_kk + p*g_ll`` and their star variants sampled on the boundary
-curve (1+t)(1+p) = 1, where any non-product map that satisfies the other
-constraints must lose positivity.
+The witness family is the rank-one Hermitian basis (``basis_g``, ``basis_g_star``),
+the positive mixtures ``g + t*g_kk + p*g_ll`` and their star variants on the
+boundary curve (1+t)(1+p) = 1, where any non-product map that satisfies the
+other constraints must lose positivity, and seeded random densities.  The
+search certifies each pair's Choi block once and walks only what the
+certificates leave open; a certified right inverse, product by the paper's
+theorem, skips the random densities.
 """
 
 from __future__ import annotations
@@ -305,6 +307,20 @@ def _family(ds: int):
     yield len(densities), lambda a, b: densities[a:b], None
 
 
+def _walk(f: Lifting, screen: _Screen):
+    """The sections ``(count, inputs)`` of :func:`positivity_witness_search`, in walk order."""
+    basis, family = _basis(f.ds), _family(f.ds)
+    yield 1, next(family)[1]
+    certified = np.array([screen.certifies(q) for q in range(len(basis.pairs))], dtype=bool)
+    rest = np.setdiff1d(np.arange(1, len(basis.members)), basis.pairs[certified])  # in canonical order
+    yield len(rest), lambda a, b: basis.members[rest[a:b]]
+    for done, (count, inputs, _) in zip(certified, family):  # ends before the densities are set up
+        if not done:
+            yield count, inputs
+    if not certified.all() or not screen.right_inverse(f):
+        yield next(family)[:2]
+
+
 def _has_cholesky(h: np.ndarray, shift: float) -> bool:
     """Whether every h + shift I in the stack h, shifted in place, has a Cholesky factor."""
     n = h.shape[-1]
@@ -345,14 +361,14 @@ class _Screen:
     chunk with a member that breaks the bound to the exact path.
     """
 
-    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
+    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray, trace=None):
         m, n = f.ds**2, f.ds * f.de
         self.tol, self.dim = tolerances.psd, n
         self.basis = _basis(f.ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
         self.stack = self.images.reshape(m, -1).view(np.float64)
-        self.deviations = deviations
+        self.deviations, self.trace = deviations, trace  # trace: the worst trace deviation, or None
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
         self.spread = np.abs(self.basis.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
@@ -420,29 +436,41 @@ class _Screen:
             return False
         return _has_cholesky(self.block(q), self.tol / 2)
 
+    def right_inverse(self, f: Lifting) -> bool:
+        """Whether f passes the Hermiticity and trace checks; the trace deviation, unless
+        handed in, is computed only when the Hermiticity check passes."""
+        if np.max(self.deviations, initial=0.0) > tolerances.hermitian:
+            return False
+        if self.trace is None:
+            self.trace = _trace_deviations(f.ds, f.de, self.images.transpose(0, 2, 1))[0]
+        return self.trace <= tolerances.trace
+
 
 def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
     """:class:`ViolatesPositivity` with the first trace-normalized input in the
     canonical family whose image has an eigenvalue below -``tolerances.psd``,
-    or None if the whole family maps to positive operators.  ``screen`` is the
-    :class:`_Screen` of ``basis_images(f)``, built here when not given.
+    or None.  ``screen`` is the :class:`_Screen` of ``basis_images(f)``, built
+    here when not given.
 
-    The boundary mixtures of a pair k < l are skipped as a whole when the
-    pair's Choi block passes :meth:`_Screen.certifies`, which is tried when
-    the walk reaches the pair.  Everything else is walked in chunks that
-    double from one member up to about 4 MB of images.  A chunk that passes
-    the Cholesky screen of :class:`_Screen` is skipped; any other chunk is
-    evaluated member by member with ``apply_lifting`` and ``eigvalsh``, in
-    canonical order, so the witness and its eigenvalue are those of the exact
-    path.
+    The walk screens g_00, certifies each pair once, in pair order, then walks
+    the basis members that no certified pair covers (g_kk is covered when a
+    certified pair holds k, g_kl and g*_kl when (k, l) is certified) and the
+    mixtures of the uncertified pairs, in canonical order.  A covered member
+    lies on a certified span, and its exact-path error is within the
+    certificate's slack, as its A is at most N of g_kl, so the first witness
+    does not move.  The random densities are skipped when every pair is
+    certified and f passes the Hermiticity and trace checks: applied to each
+    span{e_k, e_l}, the paper's theorem makes such a right inverse of tr_E the
+    product lifting.  Chunks double from one member up to about 4 MB of images;
+    one that fails the Cholesky screen of :class:`_Screen` is evaluated member
+    by member with ``apply_lifting`` and ``eigvalsh``, so the witness and its
+    eigenvalue are those of the exact path.
     """
     if screen is None:
         images = basis_images(f)
         screen = _Screen(f, images, _hermiticity_deviations(images))
     size = 1
-    for count, inputs, pair in _family(f.ds):
-        if pair is not None and screen.certifies(pair):
-            continue
+    for count, inputs in _walk(f, screen):
         a = 0
         while a < count:
             b = min(a + size, count)
@@ -633,8 +661,7 @@ def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
         return report(ViolatesHermiticity(herm))
     if trace[0] > tolerances.trace:
         return report(ViolatesTrace(*trace))
-    screen = _Screen(f, images, deviations)
-    witness = positivity_witness_search(f, screen)
+    witness = positivity_witness_search(f, _Screen(f, images, deviations, trace[0]))
     if witness is not None:
         return report(witness)
     residual = _residual(f.ds, images, reference)

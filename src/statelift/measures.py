@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import MARGINAL_TOL, PRODUCT_RANK_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import hermiticity_defect, spectral
+from .linalg import as_matrix, hermiticity_defect, spectral
 from .rng import philox_rng
 from .states import pure_projector, validate_density
 
@@ -202,7 +202,7 @@ class GaussianStateSampler:
 def gaussian_sampler(b: np.ndarray, seed) -> GaussianStateSampler:
     """Build the sampler for the unique zero-mean Gaussian measure with
     correlation operator b (spectral square root, rank-deficiency safe)."""
-    b = np.asarray(b, dtype=np.complex128)
+    b = as_matrix(b)
     if hermiticity_defect(b) > tolerances.hermitian:
         raise ConstraintViolation("correlation operator must be Hermitian")
     dec = spectral(b)
@@ -249,7 +249,10 @@ def draw(sampler: GaussianStateSampler, n: int) -> np.ndarray:
 
 
 def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
-    """Rows <z, A z> and |z|^2 over n draws from the correlation measure of b."""
+    """Rows <z, A z> and |z|^2 over n draws from the correlation measure of b; A is Hermitian."""
+    a = as_matrix(a)
+    if hermiticity_defect(a) > tolerances.hermitian:
+        raise ConstraintViolation("observable must be Hermitian")
     if np.shape(b) != a.shape:
         raise DimensionMismatch(f"observable shape {a.shape}, state shape {np.shape(b)}")
     blocks = _draw_blocks(gaussian_sampler(b, seed), n)
@@ -283,9 +286,6 @@ def estimate_expectation(b: np.ndarray, a: np.ndarray, n: int, seed) -> Estimate
     unbiased; the self-normalized variant (weights |z|^2 on values
     <z, A z>/|z|^2) is reported alongside.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if hermiticity_defect(a) > tolerances.hermitian:
-        raise ConstraintViolation("observable must be Hermitian")
     start = time.perf_counter()
     values, norms_sq = _quadratic_forms(b, a, n, seed)
     estimate = float(values.mean())
@@ -333,5 +333,5 @@ def observable_bounds(a: np.ndarray) -> tuple:
 def projective_values(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
     """The bounded per-sample values <z, A z>/|z|^2 for draws from the
     correlation measure of b."""
-    values, norms_sq = _quadratic_forms(b, np.asarray(a, dtype=np.complex128), n, seed)
+    values, norms_sq = _quadratic_forms(b, a, n, seed)
     return values / norms_sq

@@ -549,6 +549,16 @@ def test_estimate_with_an_observable_of_another_shape_exits_dimension(tmp_path, 
     assert last_record(tmp_path)["exit_code"] == EXIT_DIMENSION
 
 
+def test_estimate_with_a_non_finite_observable_exits_constraint(tmp_path, capsys):
+    # it printed estimate = nan and exited 0
+    write_matrix(tmp_path / "B.mat", random_density(2, seed=16))
+    write_matrix(tmp_path / "A.mat", np.array([[np.nan, 0], [0, 1]]))
+    assert run(tmp_path, "estimate", "--state", tmp_path / "B.mat", "--obs", tmp_path / "A.mat",
+               "--n", 10, "--seed", 1) == EXIT_CONSTRAINT
+    assert capsys.readouterr() == ("", "error: constraint: matrix has non-finite entries\n")
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+
+
 @pytest.mark.parametrize("verb", ["estimate", "empirical"])
 def test_zero_correlation_operator_exits_constraint_before_writing(tmp_path, capsys, verb):
     write_matrix(tmp_path / "zero.mat", np.zeros((2, 2), dtype=complex))

@@ -61,6 +61,7 @@ from oracles import (
     product_lifting_loops,
     ptrace_env_loops,
     ptrace_env_superop,
+    trace_norm_gram,
     random_perturbation_dense,
     random_perturbation_inv,
 )
@@ -523,6 +524,122 @@ def test_pair_certificates_wait_for_the_walk(monkeypatch):
     assert tried == []
     assert positivity_witness_search(product_lifting(d, 4)) is None
     assert tried == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call records its arguments, then runs; returns the record."""
+    calls, wrapped = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ds, de", [(4, 4), (8, 8)])
+def test_a_witness_at_member_0_tries_no_certificate(ds, de, monkeypatch):
+    # nogo's eps-1e-2 trials find their witness at g_00, before any pair is certified
+    certified = _count_calls(monkeypatch, _Screen, "certifies")
+    d = random_density(de, seed=840)
+    for seed in range(841, 844):
+        f = perturbed_product_lifting(d, ds, 1e-2, seed=seed)
+        for got in (analysis_report(f).verdict, positivity_witness_search(f)):
+            assert np.array_equal(got.witness, hermitian_basis(ds)[0])
+    assert certified == []
+
+
+@pytest.mark.parametrize("kind", ["product", "kraus_local"])
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4)])
+def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, de, monkeypatch):
+    # every pair certifies, so every basis member but g_00 is covered, and the lifting
+    # passes the Hermiticity and trace checks, so the random densities are not built
+    screened = _count_calls(monkeypatch, _Screen, "passes")
+    monkeypatch.setattr(liftings, "_backstop", lambda ds: pytest.fail("built the random densities"))
+    f = _lifting_of_kind(kind, ds, de, seed=850 + ds * de)
+    assert isinstance(analysis_report(f).verdict, Product)
+    assert positivity_witness_search(f) is None  # with a screen of its own
+    g00 = np.stack(hermitian_basis(ds)[:1])
+    assert len(screened) == 2 and all(np.array_equal(xs, g00) for _, xs in screened)
+
+
+# At (3, 2) the basis is g_00, g_01, g_02, g_11, g_12, g_22, g*_01, g*_02, g*_12.
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("member", [1, 3, 5, 8])
+def test_a_right_inverse_with_a_late_basis_witness(member, scale, monkeypatch):
+    # F(g) = g (x) D + c (k k^dagger) (x) X, with k in the kernel of g and tr X = 0, keeps
+    # F Hermitian and a right inverse of tr_E; g / tr g maps to -scale * tol on k (x) e_1
+    ds, de = 3, 2
+    certified = _count_calls(monkeypatch, _Screen, "certifies")
+    d = random_density(de, seed=860)
+    basis = hermitian_basis(ds)
+    g = basis[member]
+    k = np.linalg.eigh(g)[1][:, 0]
+    images = [kron(h, d) for h in basis]
+    images[member] = images[member] + scale * tolerances.psd * np.trace(g).real * kron(
+        np.outer(k, k.conj()), np.diag([1.0, -1.0]))
+    f = _lifting_from_images(ds, de, images)
+    report = analysis_report(f)
+    assert report.hermiticity_deviation <= tolerances.hermitian
+    assert report.trace_deviation <= tolerances.trace
+    _assert_same_witness(positivity_witness_search(f), positivity_witness_search_loops(f))
+    if scale > 1:
+        _assert_same_witness(report.verdict, positivity_witness_search_loops(f))
+        assert np.array_equal(report.verdict.witness, g / np.trace(g).real)
+    # one certificate per pair and search, whatever the witness
+    assert len(certified) == 2 * len(_basis(ds).pairs)
+
+
+@pytest.mark.parametrize("seed, trial, eps, kind", [(7, 54, 1e-8, Inconclusive),
+                                                    (1, 8, 1e-8, Product)])
+def test_a_near_threshold_lifting_with_uncertified_pairs_walks_the_random_densities(
+        seed, trial, eps, kind, monkeypatch):
+    # no_go_sweep(2, 2, ..., eps, seed)'s trial: no family member maps below -tol
+    built = _count_calls(monkeypatch, liftings, "_backstop")
+    d_seed, p_seed = spawn_seeds(seed, trial + 1)[trial].spawn(2)
+    d = random_density(2, seed=philox_rng(d_seed))
+    f = perturbed_product_lifting(d, 2, eps, philox_rng(p_seed))
+    assert not _screen(f).certifies(0)
+    assert isinstance(analyze(f), kind)
+    assert len(built) == 1
+
+
+# no_go_sweep's trials near the residual threshold, where the family's
+# witnesses are at most a few tol deep, and at eps 1e-9, where every pair of
+# most trials certifies and the random densities are skipped
+_NEAR_THRESHOLD = [((2, 2), 1e-8, 120), ((2, 2), 2e-8, 40), ((2, 2), 5e-8, 40),
+                   ((3, 2), 1e-8, 50), ((2, 2), 1e-9, 30), ((3, 2), 1e-9, 20)]
+
+
+def test_near_threshold_corpus_matches_the_full_family_oracle(monkeypatch):
+    built = _count_calls(monkeypatch, liftings, "_backstop")
+    names, skipped = [], 0
+    for (ds, de), eps, trials in _NEAR_THRESHOLD:
+        for child in spawn_seeds(870, trials):
+            d_seed, p_seed = child.spawn(2)
+            d = random_density(de, seed=philox_rng(d_seed))
+            f = perturbed_product_lifting(d, ds, eps, philox_rng(p_seed))
+            before = len(built)
+            got = analysis_report(f).verdict
+            # the oracle path: the Hermiticity and trace checks, one member of the full
+            # family at a time, then the residual
+            images = basis_images_per_member(f)
+            assert max(hermiticity_deviations_loops(images)) <= tolerances.hermitian
+            assert max(trace_norm_gram(ptrace_env_loops(w, ds, de) - g)
+                       for g, w in zip(hermitian_basis(ds), images)) <= tolerances.trace
+            want = positivity_witness_search_loops(f)
+            if want is None:
+                images = basis_images(f)
+                residual = residual_loops(ds, images, images[0, :de, :de].copy())
+                assert type(got) is (Product if residual <= tolerances.residual else Inconclusive)
+                assert got.residual == residual
+                skipped += len(built) == before
+            else:
+                _assert_same_witness(got, want)
+            names.append(type(got).__name__)
+    assert len(names) == 300 and skipped > 0
+    assert {"Product", "ViolatesPositivity"} <= set(names)
 
 
 # At (4, 4) the boundary mixtures of the pair (1, 2) are 80 members: plain and

@@ -361,6 +361,33 @@ def test_estimators_reject_an_observable_of_another_shape_before_drawing(estimat
     assert str(info.value) == "observable shape (2, 2), state shape (4, 4)"
 
 
+@pytest.mark.parametrize("call", [
+    lambda: estimate_expectation(np.eye(2), np.ones((2, 3)), 10, 1),
+    lambda: projective_values(np.eye(2), np.ones((2, 3)), 10, 1),
+    lambda: estimate_expectation(np.ones((2, 3)), np.ones((2, 3)), 10, 1),
+    lambda: gaussian_sampler(np.ones((2, 3)), 1),
+    lambda: empirical_state(np.ones((2, 3)), 10, 1),
+], ids=["estimate-obs", "projective-obs", "estimate-both", "sampler", "empirical"])
+def test_gaussian_estimators_reject_a_non_square_matrix_before_drawing(call, monkeypatch):
+    # numpy's broadcast ValueError came out of the Hermiticity check before
+    monkeypatch.setattr(measures, "_draw_blocks", lambda *args: pytest.fail("drew samples"))
+    with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        call()
+
+
+@pytest.mark.parametrize("estimator", [estimate_expectation, projective_values])
+@pytest.mark.parametrize("a, message", [
+    ([[0, 1], [0, 0]], "observable must be Hermitian"),
+    ([[np.nan, 0], [0, 1]], "matrix has non-finite entries"),
+], ids=["non-hermitian", "non-finite"])
+def test_estimators_reject_an_observable_before_drawing(estimator, a, message, monkeypatch):
+    # projective_values returned the real parts of <z, A z>/|z|^2 for the first A, and
+    # both estimators returned nan for the second
+    monkeypatch.setattr(measures, "_draw_blocks", lambda *args: pytest.fail("drew samples"))
+    with pytest.raises(ConstraintViolation, match=f"^{message}$"):
+        estimator(np.eye(2) / 2, a, 3, 1)
+
+
 def test_draw_determinism_and_mean_norm():
     b = np.eye(4, dtype=complex) / 4
     sampler = gaussian_sampler(b, seed=23)
