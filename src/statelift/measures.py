@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import MARGINAL_TOL, PRODUCT_RANK_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import as_matrix, hermiticity_defect, spectral
+from .linalg import as_matrix, hermitian_part, hermiticity_defect, spectral
 from .rng import philox_rng
 from .states import pure_projector, validate_density
 
@@ -222,21 +222,16 @@ _DRAW_BLOCK_BYTES = 2**20
 
 
 def _draw_blocks(sampler: GaussianStateSampler, n: int):
-    """Consecutive row blocks of draw(sampler, n), _DRAW_BLOCK_BYTES of normals
-    each, from one restarted Philox stream: together they carry the bits of a
-    single draw.  A trailing single row joins the block before it, because
+    """Row blocks of the unscaled complex normals g of draw(sampler, n), _DRAW_BLOCK_BYTES each,
+    from one restarted Philox stream.  A trailing single row joins the block before it, because
     numpy sends a one-row product to gemv, whose sums can differ from gemm's."""
     if n < 1:
         raise ConstraintViolation("sample count must be positive")
     rng = philox_rng(sampler.seed)
     rows = max(1, _DRAW_BLOCK_BYTES // (16 * sampler.dim))
     edges = [*range(0, max(n - 1, 1), rows), n]
-
-    def block(m: int) -> np.ndarray:
-        g = rng.standard_normal((m, sampler.dim, 2)).view(np.complex128)[..., 0]
-        g *= np.sqrt(0.5)
-        return g @ sampler.factor.T
-    return (block(stop - start) for start, stop in zip(edges, edges[1:]))
+    return (rng.standard_normal((stop - start, sampler.dim, 2)).view(np.complex128)[..., 0]
+            for start, stop in zip(edges, edges[1:]))
 
 
 def draw(sampler: GaussianStateSampler, n: int) -> np.ndarray:
@@ -245,22 +240,31 @@ def draw(sampler: GaussianStateSampler, n: int) -> np.ndarray:
     Deterministic in (sampler.seed, n): every call restarts the Philox stream,
     so repeated draws reproduce the same samples bit for bit.
     """
-    return np.concatenate(tuple(_draw_blocks(sampler, n)))
+    return np.concatenate([(g * np.sqrt(0.5)) @ sampler.factor.T for g in _draw_blocks(sampler, n)])
 
 
-def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
-    """Rows <z, A z> and |z|^2 over n draws from the correlation measure of b; A is Hermitian."""
+def _observable_spectrum(a: np.ndarray) -> tuple:
+    """eigh of Herm(A) for a finite Hermitian observable A."""
     a = as_matrix(a)
     if hermiticity_defect(a) > tolerances.hermitian:
         raise ConstraintViolation("observable must be Hermitian")
-    if np.shape(b) != a.shape:
-        raise DimensionMismatch(f"observable shape {a.shape}, state shape {np.shape(b)}")
-    blocks = _draw_blocks(gaussian_sampler(b, seed), n)
+    return np.linalg.eigh(hermitian_part(a))
+
+
+def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
+    """Rows <z, A z> = sum lam_k |y_k|^2 and |z|^2 = |y|^2 over n draws from the correlation
+    measure of b, with y = U^dagger z = g C for Herm(A) = U diag(lam) U^dagger."""
+    lam, u = _observable_spectrum(a)
+    if np.shape(b) != u.shape:
+        raise DimensionMismatch(f"observable shape {u.shape}, state shape {np.shape(b)}")
+    sampler = gaussian_sampler(b, seed)
+    blocks = _draw_blocks(sampler, n)
+    c, weights = np.sqrt(0.5) * (sampler.factor.T @ u.conj()), np.repeat(lam, 2)  # per (re, im) of y
     forms, start = np.empty((2, n)), 0
-    for z in blocks:
-        stop, zr = start + z.shape[0], z.view(np.float64)
-        np.einsum("nk,nk->n", zr, (z @ a.T).view(np.float64), out=forms[0, start:stop])
-        np.einsum("nk,nk->n", zr, zr, out=forms[1, start:stop])
+    for g in blocks:
+        stop, y = start + g.shape[0], (g @ c).view(np.float64)
+        np.matmul(np.square(y, out=y), weights, out=forms[0, start:stop])
+        np.sum(y, axis=1, out=forms[1, start:stop])
         start = stop
     return forms
 
@@ -317,16 +321,18 @@ def projectivize(z: np.ndarray) -> np.ndarray:
 
 def empirical_state(b: np.ndarray, n: int, seed) -> np.ndarray:
     """Monte-Carlo reconstruction of B as the norm-weighted pushforward average
-    (1/n) sum_i z_i z_i^dagger, renormalized to unit trace; PSD by construction
-    and converging to B at the usual 1/sqrt(n) rate."""
-    w = sum(z.T @ z.conj() for z in _draw_blocks(gaussian_sampler(b, seed), n)) / n
-    return w / np.trace(w).real
+    (1/n) sum_i z_i z_i^dagger = M G M^dagger / 2n, G the Gram of the normals, at unit
+    trace; exactly Hermitian, PSD, and converging to B at the usual 1/sqrt(n) rate."""
+    sampler = gaussian_sampler(b, seed)
+    gram = sum(g.T @ g.conj() for g in _draw_blocks(sampler, n))
+    w = sampler.factor @ gram @ sampler.factor.conj().T
+    return hermitian_part(w / np.trace(w).real)
 
 
 def observable_bounds(a: np.ndarray) -> tuple:
     """Eigenvalue range of a Hermitian observable; every single-sample value
     <z, A z>/|z|^2 lies inside it."""
-    vals = np.linalg.eigvalsh(np.asarray(a, dtype=np.complex128))
+    vals = _observable_spectrum(a)[0]
     return float(vals[0]), float(vals[-1])
 
 

@@ -482,17 +482,61 @@ def test_blocked_draw_matches_one_shot_draw(n):
 
 @pytest.mark.parametrize("d", [2, 16, 64])
 def test_streamed_estimators_match_einsum_oracles(d):
-    n = 2 * block_rows(d) + 7
+    # n = 1 has stderr inf, and at n = rows + 1 the trailing row joins the block before it
     a = random_hermitian(d, seed=62)
     b = random_density(d, seed=63)
-    estimate, stderr, self_normalized, values = estimate_expectation_einsum(b, a, n, 64)
-    res = estimate_expectation(b, a, n, seed=64)
-    assert res.estimate == pytest.approx(estimate, abs=1e-12)
-    assert res.stderr == pytest.approx(stderr, abs=1e-12)
-    assert res.self_normalized == pytest.approx(self_normalized, abs=1e-12)
-    assert np.max(np.abs(projective_values(b, a, n, seed=64) - values)) <= 1e-12
-    emp = empirical_state(b, n, seed=65)
-    assert np.max(np.abs(emp - empirical_state_dense(b, n, 65))) <= 1e-12
+    for n in (1, block_rows(d), block_rows(d) + 1, 2 * block_rows(d) + 7):
+        estimate, stderr, self_normalized, values = estimate_expectation_einsum(b, a, n, 64)
+        res = estimate_expectation(b, a, n, seed=64)
+        assert res.estimate == pytest.approx(estimate, abs=1e-12)
+        assert res.stderr == pytest.approx(stderr, abs=1e-12)
+        assert (res.stderr == float("inf")) == (n == 1)
+        assert res.self_normalized == pytest.approx(self_normalized, abs=1e-12)
+        assert np.max(np.abs(projective_values(b, a, n, seed=64) - values)) <= 1e-12
+        emp = empirical_state(b, n, seed=65)
+        assert np.max(np.abs(emp - empirical_state_dense(b, n, 65))) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_expectation(random_density(3, seed=1), random_hermitian(3, seed=2), 5, 1),
+    lambda: projective_values(random_density(3, seed=1), random_hermitian(3, seed=2), 5, 1),
+    lambda: empirical_state(random_density(3, seed=1), 5, 1),
+], ids=["estimate", "projective", "empirical"])
+def test_gaussian_estimators_draw_once_through_draw_blocks(call, monkeypatch):
+    # the tests that make _draw_blocks fail guard the estimators only while they draw through it
+    calls, blocks = [], measures._draw_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(measures, "_draw_blocks", counted)
+    call()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 64])
+def test_empirical_state_is_exactly_hermitian(d):
+    # at d = 2 and 3, |w - w^dagger| reached 2.8e-17 when the state was not symmetrized
+    b = random_density(d, seed=2)
+    for n in (1, block_rows(d), block_rows(d) + 1):
+        w = empirical_state(b, n, seed=5)
+        assert np.array_equal(w, w.conj().T)
+        assert np.all(w.diagonal().imag == 0)
+        assert np.trace(w).real == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("a, error, message", [
+    ([[0, 1], [0, 0]], ConstraintViolation, "observable must be Hermitian"),
+    ([[0, 0], [1, 0]], ConstraintViolation, "observable must be Hermitian"),
+    ([[np.nan, 0], [0, 1]], ConstraintViolation, "matrix has non-finite entries"),
+    (np.ones((2, 3)), DimensionMismatch, r"expected a square matrix, got shape \(2, 3\)"),
+], ids=["upper", "lower", "non-finite", "non-square"])
+def test_observable_bounds_checks_its_observable(a, error, message):
+    # eigvalsh read one triangle: (0, 0) for the upper, (-1, 1) for the lower, (0, -0) for
+    # the non-finite one, and numpy's LinAlgError for the non-square one
+    with pytest.raises(error, match=f"^{message}$"):
+        observable_bounds(a)
 
 
 @pytest.mark.parametrize("estimator", ["estimate", "empirical"])
