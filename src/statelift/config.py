@@ -1,8 +1,7 @@
 """Central numerical tolerances.
 
 Every comparison threshold of the package is decided here, as a field of the
-frozen ``tolerances`` or as a module constant; the search settings of the
-positivity witness family are the constants of ``liftings``.  Only the
+frozen ``tolerances`` or as a module constant.  Only the
 analyzer's residual threshold is chosen per call, and ``STATELIFT_TOL``
 overrides its default.  Values target dense complex matrices of composite
 dimension <= 64.

@@ -4,18 +4,18 @@ A lifting is a linear map from d_S x d_S operators to (d_S d_E) x (d_S d_E)
 operators, stored as a dense matrix acting on column-stacked vectorizations.
 The analyzer decides whether a candidate lifting is (numerically) of the
 product form rho -> rho (x) D: it checks Hermiticity preservation and the
-partial-trace constraint, searches a structured family of positive inputs for
-an image with a negative eigenvalue, extracts the would-be reference state
+partial-trace constraint, searches the pair spans span{e_k, e_l} for a state
+whose image has a negative eigenvalue, extracts the would-be reference state
 from the (0, 0) block of the image of the corner basis element, and measures
 the residual against the exact product map.
 
-The witness family is the rank-one Hermitian basis (``basis_g``, ``basis_g_star``),
-the positive mixtures ``g + t*g_kk + p*g_ll`` and their star variants on the
-boundary curve (1+t)(1+p) = 1, where any non-product map that satisfies the
-other constraints must lose positivity, and seeded random densities.  The
-search certifies each pair's Choi block once and walks only what the
-certificates leave open; a certified right inverse, product by the paper's
-theorem, skips the random densities.
+The paper's theorem, applied to each pair span, makes a right inverse of the
+partial trace that is positive on every pair span the product map, so a
+non-product one loses positivity on some pair span.  The witness family is
+the rank-one Hermitian basis (``basis_g``, ``basis_g_star``) and one seed per
+pair, read from the lowest eigenvector of the pair's Choi block.  The search
+certifies each pair's Choi block once and walks only what the certificates
+leave open.
 """
 
 from __future__ import annotations
@@ -250,75 +250,21 @@ def extract_reference(f: Lifting) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# The boundary mixtures of a pair are taken at u = 1 + t log-spaced in
-# [1e-3, 1 + 1e3] and p = 1/u - 1, so every sampled (t, p) lies on the boundary
-# curve (1+t)(1+p) = 1.  The family ends with _BACKSTOP random densities, the
-# children of _BACKSTOP_SEED.
-_BOUNDARY_U = np.logspace(np.log10(1e-3), np.log10(1.0 + 1e3), 40)
-_T, _P = (_BOUNDARY_U - 1.0)[:, None, None], (1.0 / _BOUNDARY_U - 1.0)[:, None, None]
-# A mixture's (k, l) block is [[1+t, b], [conj(b), 1+p]] with |b| = 1, exactly as
-# computed.  As t and p are rounded, its determinant (1+t)(1+p) - 1 is not quite 0;
-# when it is -d, the trace-normalized mixture has no eigenvalue below -d/2 - u.
-# d is computed here to within 2u, so _DEFECT bounds it.
-_DEFECT = max(0.0, float(np.max(1.0 - (1.0 + _T) * (1.0 + _P)))) + 2 * np.finfo(float).eps
-_BACKSTOP, _BACKSTOP_SEED = 100, 7
 # Screened chunks hold at most this many bytes of images, and the chunks of the norm
 # passes a sixteenth of it, so that a chunk and its copies stay in a core's L2 cache.
 _CHUNK_BYTES = 4 * 2**20
 
 
-@lru_cache(maxsize=16)
-def _backstop(ds: int) -> np.ndarray:
-    """The family's random densities, stacked and read-only: shared by every search.  Each is
-    Hermitized, (d + d^dagger)/2, so that every member of the family equals its adjoint."""
-    children = spawn_seeds(_BACKSTOP_SEED, _BACKSTOP)
-    densities = np.stack([random_density(ds, seed=philox_rng(c)) for c in children])
-    densities = (densities + densities.conj().transpose(0, 2, 1)) / 2
-    densities.setflags(write=False)
-    return densities
-
-
-def _family(ds: int):
-    """The canonical witness family as sections ``(count, inputs, pair)``: the
-    rank-one Hermitian basis, then for each pair k < l its boundary mixtures
-    g_kl + t*g_kk + p*g_ll and g*_kl + t*g_kk + p*g_ll, then the seeded
-    random densities.
-
-    ``inputs(a, b)`` stacks members a..b-1 of a section, each with the same
-    bits as when built on its own.  A section is set up when the search
-    reaches it, and members are built only for the chunks that ask for them.
-    ``pair`` is None, except for the mixtures of the q-th pair k < l, where it
-    is q: every member is a state on span{e_k, e_l} whose trace-normalized form
-    has no eigenvalue below -``_DEFECT``.
-    """
-    basis = _basis(ds)
-    members = basis.members
-    yield len(members), lambda a, b: members[a:b], None
-
-    def mixtures(q, a, b):
-        kk, ll, plain, star = basis.pairs[q]
-        j, starred = np.divmod(np.arange(a, b), 2)  # plain and star at each t
-        return members[np.where(starred, star, plain)] + _T[j] * members[kk] + _P[j] * members[ll]
-
-    for q in range(len(basis.pairs)):
-        yield 2 * len(_BOUNDARY_U), partial(mixtures, q), q
-
-    densities = _backstop(ds)
-    yield len(densities), lambda a, b: densities[a:b], None
-
-
-def _walk(f: Lifting, screen: _Screen):
-    """The sections ``(count, inputs)`` of :func:`positivity_witness_search`, in walk order."""
-    basis, family = _basis(f.ds), _family(f.ds)
-    yield 1, next(family)[1]
+def _walk(screen: _Screen):
+    """The sections ``(count, inputs)`` of :func:`positivity_witness_search`, in walk order:
+    ``inputs(a, b)`` stacks members a..b-1 of a section, built when a chunk asks for them."""
+    basis = screen.basis
+    yield 1, lambda a, b: basis.members[a:b]
     certified = np.array([screen.certifies(q) for q in range(len(basis.pairs))], dtype=bool)
     rest = np.setdiff1d(np.arange(1, len(basis.members)), basis.pairs[certified])  # in canonical order
     yield len(rest), lambda a, b: basis.members[rest[a:b]]
-    for done, (count, inputs, _) in zip(certified, family):  # ends before the densities are set up
-        if not done:
-            yield count, inputs
-    if not certified.all() or not screen.right_inverse(f):
-        yield next(family)[:2]
+    uncertified = np.flatnonzero(~certified)
+    yield len(uncertified), lambda a, b: np.stack([screen.seed(q) for q in uncertified[a:b]])
 
 
 def _has_cholesky(h: np.ndarray, shift: float) -> bool:
@@ -361,14 +307,14 @@ class _Screen:
     chunk with a member that breaks the bound to the exact path.
     """
 
-    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray, trace=None):
+    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
         m, n = f.ds**2, f.ds * f.de
         self.tol, self.dim = tolerances.psd, n
         self.basis = _basis(f.ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
         self.stack = self.images.reshape(m, -1).view(np.float64)
-        self.deviations, self.trace = deviations, trace  # trace: the worst trace deviation, or None
+        self.deviations = deviations
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
         self.spread = np.abs(self.basis.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
@@ -407,18 +353,15 @@ class _Screen:
         return block
 
     def certifies(self, q: int) -> bool:
-        """A sufficient test that no state on span{e_k, e_l}, for the q-th pair
-        k < l, whose eigenvalues are >= -``_DEFECT`` has an image with an
-        eigenvalue below -tol, made with one Cholesky factorization of the
-        pair's Choi block.
+        """A sufficient test that no basis member on span{e_k, e_l}, for the q-th
+        pair k < l, has an image with an eigenvalue below -tol, made with one
+        Cholesky factorization of the pair's Choi block.
 
         For psi = a e_k + b e_l, Herm F(psi psi^dagger) = V^dagger B V with
         B = [[P_kk, P_kl], [P_lk, P_ll]], P_rc = (F(E_rc) + F(E_cr)^dagger)/2,
         V = [conj(a) I; conj(b) I] and ||V||^2 = tr(psi psi^dagger).  So
         lambda_min(B) >= -delta gives lambda_min(Herm F(rho)) >= -delta tr(rho)
-        for every positive rho on the span, and a Hermitian member x with
-        eigenvalues >= -eta has lambda_min(Herm F(x)) >= -delta (tr(x) + 2 eta)
-        - ||B|| eta.  ``_DEFECT`` bounds eta.
+        for every positive rho on the span, the pair's basis members among them.
 
         :meth:`block` reads B^T from four images, and the triangle that
         Cholesky reads lies within 1.25 sum_j dev_j of it, over the four.
@@ -427,23 +370,51 @@ class _Screen:
         Cholesky factor of the block + (tol/2) I proves lambda_min >= -tol/2 -
         (2n (2n + 1) + 2) u (N + tol) (Higham, Thm 10.5), and the exact path
         is off by about (m + n + 7) u N.  So when eps (4 n^2 + m + 16) (N +
-        tol) + 2 _DEFECT (N + tol) + 2 sum_j dev_j <= tol/2, no member of the
-        pair has an eigenvalue below -tol on the exact path.
+        tol) + 2 sum_j dev_j <= tol/2, no basis member of the pair has an
+        eigenvalue below -tol on the exact path.
         """
         j = self.basis.pairs[q]
-        scale = self.spread[j[2]] + self.tol
-        if (self.pair_slack + 2 * _DEFECT) * scale + 2 * self.deviations[j].sum() > self.tol / 2:
+        slack = self.pair_slack * (self.spread[j[2]] + self.tol) + 2 * self.deviations[j].sum()
+        if slack > self.tol / 2:
             return False
         return _has_cholesky(self.block(q), self.tol / 2)
 
-    def right_inverse(self, f: Lifting) -> bool:
-        """Whether f passes the Hermiticity and trace checks; the trace deviation, unless
-        handed in, is computed only when the Hermiticity check passes."""
-        if np.max(self.deviations, initial=0.0) > tolerances.hermitian:
-            return False
-        if self.trace is None:
-            self.trace = _trace_deviations(f.ds, f.de, self.images.transpose(0, 2, 1))[0]
-        return self.trace <= tolerances.trace
+    def seed(self, q: int) -> np.ndarray:
+        """The q-th pair's candidate witness psi psi^dagger, psi on span{e_k, e_l}, from the
+        Hermitian part B of its Choi block.  With V of :meth:`certifies`, V w = conj(psi) (x) w
+        and Herm F(psi psi^dagger) = V^dagger B V = sum_rc psi_r conj(psi_c) B_rc.  The search
+        starts where the lowest eigenvector of B, read as a 2 x n matrix, is nearest a product:
+        at psi = conj(u_1), u_1 its top left singular vector.  That eigenvector need not be near
+        a product, so a compass search on the Bloch angles of psi, in steps of pi/2 down to
+        pi/64, then lowers lambda_min(V^dagger B V).  The result is Hermitized, so that it
+        equals its adjoint exactly."""
+        n = self.dim
+        block = self.block(q).T
+        block = (block + block.conj().T) / 2
+        u = np.linalg.svd(np.linalg.eigh(block)[1][:, 0].reshape(2, n))[0][:, 0]
+        parts = block.reshape(2, n, 2, n).transpose(0, 2, 1, 3)  # [r, c] = B_rc
+
+        def states(angles):  # psi = (cos(theta/2), e^{i phi} sin(theta/2)) for rows (theta, phi)
+            theta, phi = angles.T
+            return np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], 1)
+
+        def depths(angles):
+            psi = states(angles)
+            return np.linalg.eigvalsh(np.einsum("mr,rcij,mc->mij", psi, parts, psi.conj()))[:, 0]
+
+        angles = np.array([[2 * np.arccos(min(abs(u[0]), 1.0)), np.angle(u[0]) - np.angle(u[1])]])
+        best = depths(angles)[0]
+        for step in np.pi / 2.0 ** np.arange(1, 7):
+            while True:
+                moves = angles + step * np.vstack([np.eye(2), -np.eye(2)])
+                d = depths(moves)
+                if d.min() >= best:
+                    break
+                angles, best = moves[[d.argmin()]], d.min()
+        x = np.zeros(len(self.basis.diag), dtype=np.complex128)
+        x[[self.basis.k[q], self.basis.l[q]]] = states(angles)[0]
+        x = np.outer(x, x.conj())
+        return (x + x.conj().T) / 2
 
 
 def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
@@ -454,14 +425,13 @@ def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
 
     The walk screens g_00, certifies each pair once, in pair order, then walks
     the basis members that no certified pair covers (g_kk is covered when a
-    certified pair holds k, g_kl and g*_kl when (k, l) is certified) and the
-    mixtures of the uncertified pairs, in canonical order.  A covered member
-    lies on a certified span, and its exact-path error is within the
-    certificate's slack, as its A is at most N of g_kl, so the first witness
-    does not move.  The random densities are skipped when every pair is
-    certified and f passes the Hermiticity and trace checks: applied to each
-    span{e_k, e_l}, the paper's theorem makes such a right inverse of tr_E the
-    product lifting.  Chunks double from one member up to about 4 MB of images;
+    certified pair holds k, g_kl and g*_kl when (k, l) is certified), in
+    canonical order, and then the seed of each uncertified pair, in pair order
+    (:meth:`_Screen.seed`).  A covered member lies on a certified span, and its
+    exact-path error is within the certificate's slack, as its A is at most N
+    of g_kl, so the first witness does not move; a certified pair's seed holds
+    no witness either.  In each section, chunks double from one member up to
+    about 4 MB of images, so a witness among the first seeds costs no later one;
     one that fails the Cholesky screen of :class:`_Screen` is evaluated member
     by member with ``apply_lifting`` and ``eigvalsh``, so the witness and its
     eigenvalue are those of the exact path.
@@ -469,9 +439,8 @@ def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
     if screen is None:
         images = basis_images(f)
         screen = _Screen(f, images, _hermiticity_deviations(images))
-    size = 1
-    for count, inputs in _walk(f, screen):
-        a = 0
+    for count, inputs in _walk(screen):
+        a, size = 0, 1
         while a < count:
             b = min(a + size, count)
             xs = inputs(a, b)
@@ -598,8 +567,11 @@ class ViolatesPositivity:
 @dataclass(frozen=True, eq=False)
 class Inconclusive:
     """All hypothesis checks passed but the product residual exceeds the
-    threshold; indicates a tolerance problem or a positivity violation below
-    the search's resolution, never a valid non-product lifting."""
+    threshold; never a valid non-product lifting.  Such a lifting loses
+    positivity on some pair span, but no basis member or pair seed maps below
+    -``tolerances.psd``: a violation above that floor, such as a second-order
+    one (about -0.625 delta^2 for a residual of sqrt(12) delta), or a
+    tolerance problem."""
 
     residual: float
 
@@ -661,7 +633,7 @@ def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
         return report(ViolatesHermiticity(herm))
     if trace[0] > tolerances.trace:
         return report(ViolatesTrace(*trace))
-    witness = positivity_witness_search(f, _Screen(f, images, deviations, trace[0]))
+    witness = positivity_witness_search(f, _Screen(f, images, deviations))
     if witness is not None:
         return report(witness)
     residual = _residual(f.ds, images, reference)

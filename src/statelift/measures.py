@@ -251,22 +251,17 @@ def _observable_spectrum(a: np.ndarray) -> tuple:
     return np.linalg.eigh(hermitian_part(a))
 
 
-def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
-    """Rows <z, A z> = sum lam_k |y_k|^2 and |z|^2 = |y|^2 over n draws from the correlation
-    measure of b, with y = U^dagger z = g C for Herm(A) = U diag(lam) U^dagger."""
+def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed):
+    """Per block of n draws from the correlation measure of b, the rows <z, A z> = sum lam_k
+    |y_k|^2 and |z|^2 = |y|^2, with y = U^dagger z = g C for Herm(A) = U diag(lam) U^dagger."""
     lam, u = _observable_spectrum(a)
     if np.shape(b) != u.shape:
         raise DimensionMismatch(f"observable shape {u.shape}, state shape {np.shape(b)}")
     sampler = gaussian_sampler(b, seed)
     blocks = _draw_blocks(sampler, n)
     c, weights = np.sqrt(0.5) * (sampler.factor.T @ u.conj()), np.repeat(lam, 2)  # per (re, im) of y
-    forms, start = np.empty((2, n)), 0
-    for g in blocks:
-        stop, y = start + g.shape[0], (g @ c).view(np.float64)
-        np.matmul(np.square(y, out=y), weights, out=forms[0, start:stop])
-        np.sum(y, axis=1, out=forms[1, start:stop])
-        start = stop
-    return forms
+    squares = (np.square(y, out=y) for y in ((g @ c).view(np.float64) for g in blocks))
+    return ((y @ weights, y.sum(axis=1)) for y in squares)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,15 +283,22 @@ def estimate_expectation(b: np.ndarray, a: np.ndarray, n: int, seed) -> Estimate
     The norm-squared density of the state-representing measure cancels the
     norm-squared denominator of the integrand, so the plain average is
     unbiased; the self-normalized variant (weights |z|^2 on values
-    <z, A z>/|z|^2) is reported alongside.
+    <z, A z>/|z|^2) is reported alongside.  Each block's count, mean and sum
+    of squared deviations are merged into the running ones by Chan's pairwise
+    update, so memory stays O(block dim) whatever n.
     """
     start = time.perf_counter()
-    values, norms_sq = _quadratic_forms(b, a, n, seed)
-    estimate = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    self_normalized = float(values.sum() / norms_sq.sum())
+    count, mean, m2, value_sum, norm_sum = 0, 0.0, 0.0, 0.0, 0.0
+    for values, norms_sq in _quadratic_forms(b, a, n, seed):
+        k, block_mean = len(values), float(values.mean())
+        delta, count = block_mean - mean, count + k
+        mean += delta * k / count
+        m2 += float(np.square(values - block_mean).sum()) + delta * delta * (count - k) * k / count
+        value_sum += float(values.sum())
+        norm_sum += float(norms_sq.sum())
+    stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n)) if n > 1 else float("inf")
     return EstimateResult(
-        estimate, stderr, self_normalized, n, int(seed), time.perf_counter() - start
+        mean, stderr, value_sum / norm_sum, n, int(seed), time.perf_counter() - start
     )
 
 
@@ -339,5 +341,4 @@ def observable_bounds(a: np.ndarray) -> tuple:
 def projective_values(b: np.ndarray, a: np.ndarray, n: int, seed) -> np.ndarray:
     """The bounded per-sample values <z, A z>/|z|^2 for draws from the
     correlation measure of b."""
-    values, norms_sq = _quadratic_forms(b, a, n, seed)
-    return values / norms_sq
+    return np.concatenate([values / norms for values, norms in _quadratic_forms(b, a, n, seed)])

@@ -12,9 +12,10 @@ CP margin, reduced dynamics and Kraus liftings, dense Kronecker products for
 the unit-reduction check, observable reduction, the product residual and
 purification, one ``np.linalg.norm`` per item for the analyzer's structure,
 residual, Hermiticity and unit-reduction diagnostics, basis images formed one
-member at a time, pair Choi blocks from Hermitian matrix-unit images, one
+member at a time, pair Choi blocks from Hermitian matrix-unit images, pair
+seeds with the top singular vector from a 2 x 2 ``eigh`` and a dense V, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
-search, a dense grid scan for the diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
+search (and for the grid-and-backstop family it replaced), a dense grid scan for the diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
 one-shot Gaussian draws with three-index einsum estimators and a single-GEMM
 empirical state, file text formatted one entry at a time, and files read one
 line at a time with float().
@@ -382,11 +383,74 @@ def pair_block_parts(f, k: int, l: int) -> np.ndarray:
     return picked.reshape(2, 2, dim, dim).transpose(0, 2, 1, 3).reshape(2 * dim, 2 * dim)
 
 
-def witness_candidates_loops(ds: int):
+def pair_seed_loops(f, k: int, l: int) -> np.ndarray:
+    """The seed psi psi^dagger of the pair k < l: v, the lowest eigenvector of the Choi block
+    B of :func:`pair_block_parts`, read as a 2 x dim matrix, u_1 its top left singular vector
+    from the eigenvectors of v v^dagger, and psi = conj(u_1) on span{e_k, e_l}, then the
+    compass search on the Bloch angles of psi, in steps of pi/2 down to pi/64, with
+    lambda_min of V^dagger B V from the dense V = conj(psi) (x) Id."""
+    dim = f.ds * f.de
+    b = pair_block_parts(f, k, l).T
+    v = np.linalg.eigh(b)[1][:, 0].reshape(2, dim)
+    u = np.linalg.eigh(v @ v.conj().T)[1][:, -1]
+
+    def state(theta, phi):
+        return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+    def depth(theta, phi):
+        vmat = np.kron(np.conj(state(theta, phi))[:, None], np.eye(dim))
+        return np.linalg.eigvalsh(vmat.conj().T @ b @ vmat)[0]
+
+    theta, phi = 2 * np.arccos(min(abs(u[0]), 1.0)), np.angle(u[0]) - np.angle(u[1])
+    best = depth(theta, phi)
+    for step in [np.pi / 2**j for j in range(1, 7)]:
+        while True:
+            trials = [(theta + step, phi), (theta, phi + step),
+                      (theta - step, phi), (theta, phi - step)]
+            depths = [depth(*t) for t in trials]
+            j = int(np.argmin(depths))
+            if depths[j] >= best:
+                break
+            (theta, phi), best = trials[j], depths[j]
+    x = np.zeros(f.ds, dtype=np.complex128)
+    x[k], x[l] = state(theta, phi)
+    return np.outer(x, x.conj())
+
+
+def witness_candidates_loops(f):
     """The canonical witness family, one member at a time: the Hermitian
-    basis, the boundary mixtures of each pair k < l at 40 log-spaced u = 1 + t
-    in [1e-3, 1 + 1e3], then 100 random densities seeded from 7, each
-    Hermitized as (d + d^dagger)/2."""
+    basis, then the seed of each pair k < l, in row-major order."""
+    yield from hermitian_basis(f.ds)
+    for k, l in combinations(range(f.ds), 2):
+        yield pair_seed_loops(f, k, l)
+
+
+def positivity_witness_search_loops(f):
+    """The witness search with one ``apply_lifting`` and one ``eigvalsh`` per
+    candidate, in canonical order."""
+    return first_witness_loops(f, witness_candidates_loops(f))
+
+
+def first_witness_loops(f, candidates):
+    """:class:`ViolatesPositivity` at the first of the candidates whose trace-normalized image
+    has an eigenvalue below -``tolerances.psd``, or None."""
+    for x in candidates:
+        state = x / np.trace(x).real
+        w = apply_lifting(f, state)
+        lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+        if lam < -tolerances.psd:
+            return ViolatesPositivity(state, lam)
+    return None
+
+
+# The witness family as it was before the pair seeds: the basis, a grid of boundary mixtures
+# per pair and seeded random densities, kept as the reference that the seeds are counted against.
+
+
+def grid_witness_candidates_loops(ds: int):
+    """The Hermitian basis, the boundary mixtures of each pair k < l at 40
+    log-spaced u = 1 + t in [1e-3, 1 + 1e3], then 100 random densities seeded
+    from 7, each Hermitized as (d + d^dagger)/2."""
     for g in hermitian_basis(ds):
         yield g
     us = np.logspace(np.log10(1e-3), np.log10(1.0 + 1e3), 40)
@@ -406,16 +470,9 @@ def witness_candidates_loops(ds: int):
         yield (d + d.conj().T) / 2
 
 
-def positivity_witness_search_loops(f):
-    """The witness search with one ``apply_lifting`` and one ``eigvalsh`` per
-    candidate, in canonical order."""
-    for x in witness_candidates_loops(f.ds):
-        state = x / np.trace(x).real
-        w = apply_lifting(f, state)
-        lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
-        if lam < -tolerances.psd:
-            return ViolatesPositivity(state, lam)
-    return None
+def grid_witness_search_loops(f):
+    """The witness search over the grid-and-backstop family, one member at a time."""
+    return first_witness_loops(f, grid_witness_candidates_loops(f.ds))
 
 
 def psd_by_char_poly(a: np.ndarray, tol: float = 1e-9) -> bool:

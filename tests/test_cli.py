@@ -340,11 +340,10 @@ def test_nogo_falsifier_exit_code(tmp_path, capsys, monkeypatch):
     assert report["falsifiers"] == "1"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: trial 54 is inconclusive at a "
-                   "first-order violation (residual 1.04e-8), so the sweep exits 6")
 def test_fixed_nogo_sweep_has_no_falsifier(tmp_path, capsys):
     assert run(tmp_path, "nogo", "--ds", 2, "--de", 2, "--trials", 100,
                "--eps", 1e-8, "--seed", 7) == 0
+    assert report_lines(capsys)["falsifiers"] == "0"
 
 
 def test_exit_code_format_error(tmp_path, capsys):

@@ -556,6 +556,22 @@ def test_streamed_estimator_memory_is_bounded(estimator):
     assert peak < 16 * 2**20
 
 
+def test_estimate_expectation_memory_does_not_grow_with_n():
+    # the forms of the whole draw, 16 n bytes, took the peak 2.9 MiB higher at n = 2e5 than
+    # at n = 2e4; the streamed block statistics hold one block's forms at a time
+    a = random_hermitian(16, seed=72)
+    b = random_density(16, seed=73)
+    peaks = []
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            estimate_expectation(b, a, n, seed=74)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**19
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_sample_count_must_be_positive(n):
     a = random_hermitian(2, seed=69)
