@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -390,9 +391,15 @@ def build_parser(verbs=None) -> argparse.ArgumentParser:
     return parser
 
 
+_VERBS = frozenset({"lift", "reduce", "analyze", "purify", "evolve", "choquet", "estimate",
+                    "empirical", "classical-lift", "nogo"})
+# one parser per set of verbs and process: building one costs 20 times what parsing with it does
+_parser = lru_cache(maxsize=16)(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(set(argv)).parse_args(argv)  # the options of the verb in argv only
+    args = _parser(_VERBS.intersection(argv)).parse_args(argv)  # the verb in argv's options only
     params = {
         k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
         for k, v in vars(args).items()

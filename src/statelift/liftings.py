@@ -107,17 +107,17 @@ def components(w: np.ndarray, ds: int, de: int) -> np.ndarray:
 class _Basis(NamedTuple):
     """The canonical Hermitian basis as a stack, with where its members sit, built once per ds
     and read-only: ``diag[k]`` is the position of g_kk; the q-th pair k < l in row-major order
-    has k = ``k[q]``, l = ``l[q]`` and g_kk, g_ll, g_kl, g*_kl at ``pairs[q]``.  ``coords``
-    and ``diagonal`` give a member's coordinates r and c of :class:`_Screen`, and ``inverse``
-    is the inverse of the stacked basis vecs."""
+    has k = ``k[q]``, l = ``l[q]`` and g_kk, g_ll, g_kl, g*_kl at ``pairs[q]``.  Member j is
+    psi psi^dagger times its trace, psi = ``psi[j]`` on span{e_k, e_l} of pair ``pair[j]`` (-1:
+    none).  ``inverse`` is the inverse of the stacked basis vecs."""
 
     members: np.ndarray
     diag: np.ndarray
     k: np.ndarray
     l: np.ndarray
     pairs: np.ndarray
-    coords: np.ndarray
-    diagonal: np.ndarray
+    pair: np.ndarray
+    psi: np.ndarray
     inverse: np.ndarray
 
 
@@ -143,18 +143,22 @@ def _basis(ds: int) -> _Basis:
     members = np.stack(hermitian_basis(ds))
     diag = np.flatnonzero(~off)
     pairs = np.stack([diag[k], diag[l], np.flatnonzero(off), len(rows) + np.arange(len(k))], 1)
-    # r at 2 (k ds + l) for Re x_kl, k <= l, then at 2 (k ds + l) + 1 for Im x_kl, k < l
-    coords = np.concatenate([2 * (rows * ds + cols), 2 * (k * ds + l) + 1])
-    # c on g_kk is r @ diagonal[:, k]: -1 on the members that hold e_k, 1 on g_kk
-    diagonal = -np.diagonal(members, axis1=1, axis2=2).real
-    diagonal[diag, np.arange(ds)] = 1
+    # g_kk is e_k on the first pair that holds k: (0, 1) for k = 0, else (0, k), q = k - 1; g_kl
+    # and g*_kl are (e_k + e_l)/sqrt 2 and (e_k - i e_l)/sqrt 2 on their pair; ds = 1 has none
+    pair = np.empty(ds * ds, dtype=np.intp)
+    pair[diag] = np.maximum(np.arange(ds) - 1, 0) if ds > 1 else -1
+    pair[pairs[:, 2]] = pair[pairs[:, 3]] = np.arange(len(k))
+    psi = np.zeros((ds * ds, 2), dtype=np.complex128)
+    psi[diag, np.minimum(np.arange(ds), 1)] = 1
+    psi[pairs[:, 2]] = np.sqrt(0.5)
+    psi[pairs[:, 3]] = np.sqrt(0.5) * np.array([1, -1j])
     # column c*ds + r holds E_rc on the basis: g_kk for E_kk and, for k < l,
     # _OFF_DIAGONAL on the pair's members for E_kl and its conjugate for E_lk
     inverse = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
     inverse[diag, np.arange(ds) * (ds + 1)] = 1
     inverse[pairs.T, l * ds + k] = _OFF_DIAGONAL[:, None]
     inverse[pairs.T, k * ds + l] = _OFF_DIAGONAL.conj()[:, None]
-    basis = _Basis(members, diag, k, l, pairs, coords, diagonal, inverse)
+    basis = _Basis(members, diag, k, l, pairs, pair, psi, inverse)
     for a in basis:
         a.setflags(write=False)  # shared by every caller
     return basis
@@ -191,9 +195,14 @@ def basis_images(f: Lifting) -> np.ndarray:
     return out.transpose(0, 2, 1)
 
 
+# The norm passes' chunks hold at most this many bytes of images, so that a chunk and its
+# copies stay in a core's L2 cache.
+_CHUNK_BYTES = 2**18
+
+
 def _chunks(count: int, item_bytes: int) -> list:
-    """Slices that walk a stack of count items, each holding at most _CHUNK_BYTES / 16 of them."""
-    step = max(1, _CHUNK_BYTES // 16 // item_bytes)
+    """Slices that walk a stack of count items, each at most _CHUNK_BYTES of images."""
+    step = max(1, _CHUNK_BYTES // item_bytes)
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
@@ -250,21 +259,16 @@ def extract_reference(f: Lifting) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Screened chunks hold at most this many bytes of images, and the chunks of the norm
-# passes a sixteenth of it, so that a chunk and its copies stay in a core's L2 cache.
-_CHUNK_BYTES = 4 * 2**20
-
-
 def _walk(screen: _Screen):
-    """The sections ``(count, inputs)`` of :func:`positivity_witness_search`, in walk order:
-    ``inputs(a, b)`` stacks members a..b-1 of a section, built when a chunk asks for them."""
+    """The members of :func:`positivity_witness_search` in walk order, as (q, psi, x), x psi
+    psi^dagger on the q-th pair's span times its trace; each certificate and seed made late."""
     basis = screen.basis
-    yield 1, lambda a, b: basis.members[a:b]
+    yield basis.pair[0], basis.psi[0], basis.members[0]
     certified = np.array([screen.certifies(q) for q in range(len(basis.pairs))], dtype=bool)
-    rest = np.setdiff1d(np.arange(1, len(basis.members)), basis.pairs[certified])  # in canonical order
-    yield len(rest), lambda a, b: basis.members[rest[a:b]]
-    uncertified = np.flatnonzero(~certified)
-    yield len(uncertified), lambda a, b: np.stack([screen.seed(q) for q in uncertified[a:b]])
+    for j in np.setdiff1d(np.arange(1, len(basis.members)), basis.pairs[certified]):  # canonical
+        yield basis.pair[j], basis.psi[j], basis.members[j]
+    for q in np.flatnonzero(~certified):
+        yield q, *screen.seed(q)
 
 
 def _has_cholesky(h: np.ndarray, shift: float) -> bool:
@@ -279,33 +283,9 @@ def _has_cholesky(h: np.ndarray, shift: float) -> bool:
 
 
 class _Screen:
-    """A sufficient test that no member of a chunk has an image with an
-    eigenvalue below -tol, tol = ``tolerances.psd``, cheaper than the
-    per-member ``eigvalsh``, read from the basis images F(g_j) and their
-    Hermiticity deviations dev_j.
-
-    Write x for a trace-normalized member, with the bits ``apply_lifting``
-    gets, and r for its coordinates Re x_kk, Re x_kl and Im x_kl (k < l).
-    Every member equals its adjoint, so x has the coordinates c = r, but for
-    Re x_kk - sum_l (Re x_kl + Im x_kl) on g_kk.  One real GEMM over the
-    images a chunk touches forms H = sum_j c_j F(g_j)^T, the transpose of
-    F(x), and the chunk passes when every H + (tol/2) I has a Cholesky
-    factor.  A basis member's c is one-hot, so its H is exact.
-
-    Write u for the unit roundoff, n for dim, m for ds^2, M_rc for the column
-    that holds F(E_rc), N_j = sum_rc |g_j[r, c]| ||M_rc||, I = sum_j |c_j|
-    ||F(g_j)||, R = sum_j |r_j| N_j, D = sum_j |c_j| dev_j and A = sum_rc
-    |x_rc| ||M_rc||.  The GEMM is off by m u I, the images and c by (2 ds + 6)
-    u R, the triangle that Cholesky reads by D/2 from the Hermitian part, and
-    the exact path (GEMV, Hermitian part, ``eigvalsh``) by (m + n + 7) u A.
-    A Cholesky factor proves lambda_min >= -tol/2 - n (n + 1) u (I + tol)
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5).  So,
-    with eps = 2u, a passing member that meets eps (n^2 + m + 10)
-    (I + R + A + tol) + D <= tol/2 has no eigenvalue below -tol on the exact
-    path.  The screen charges I, R and D as sum_j (|c_j| + |r_j|) w_j,
-    with w_j = eps (n^2 + m + 10) (||F(g_j)|| + N_j) + dev_j, and sends a
-    chunk with a member that breaks the bound to the exact path.
-    """
+    """What the witness search reads of a lifting: its basis images F(g_j), as F(g_j)^T, their
+    Hermiticity deviations dev_j, its column norms ||M_rc||, and the Hermitian part of the Choi
+    block of each pair that a member or a seed asks for, formed once.  tol = ``tolerances.psd``."""
 
     def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
         m, n = f.ds**2, f.ds * f.de
@@ -313,34 +293,15 @@ class _Screen:
         self.basis = _basis(f.ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
-        self.stack = self.images.reshape(m, -1).view(np.float64)
         self.deviations = deviations
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
-        self.spread = np.abs(self.basis.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
-        self.slack = np.finfo(float).eps * (n**2 + m + 10)
-        self.pair_slack = np.finfo(float).eps * (4 * n**2 + m + 16)
-        image_norms = np.sqrt(np.einsum("ij,ij->i", self.stack, self.stack))
-        self.weights = self.slack * (image_norms + self.spread) + self.deviations
-        # every chunk's H is formed here, so a chunk allocates only its Cholesky factor
-        self.cap = max(1, _CHUNK_BYTES // (16 * n * n))
-        self.buffer = np.empty((self.cap, 2 * n * n))
-
-    def passes(self, xs: np.ndarray) -> bool:
-        xs = xs / np.trace(xs, axis1=1, axis2=2).real[:, None, None]
-        n = len(xs)
-        r = xs.view(np.float64).reshape(n, -1)[:, self.basis.coords]
-        c = r.copy()
-        c[:, self.basis.diag] = r @ self.basis.diagonal
-        # A, from vec(x) as in apply_lifting, then I, R and D
-        margin = self.slack * np.abs(xs.transpose(0, 2, 1).reshape(n, -1)) @ self.norms
-        margin += (np.abs(c) + np.abs(r)) @ self.weights
-        if np.max(margin) + self.slack * self.tol > self.tol / 2:
-            return False
-        used = np.flatnonzero(c.any(axis=0))  # a slice when the images are adjacent
-        span = slice(used[0], used[-1] + 1) if used[-1] + 1 - used[0] == len(used) else used
-        h = np.matmul(c[:, span], self.stack[span], out=self.buffer[:n])
-        return _has_cholesky(h.view(np.complex128).reshape(n, self.dim, self.dim), self.tol / 2)
+        spread = np.abs(self.basis.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
+        # the rounding bound of certifies: eps (4 n^2 + m + 16) (N + tol) + 2 sum_j dev_j <= tol/2
+        j = self.basis.pairs
+        slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread[j[:, 2]] + self.tol)
+        self.small = slack + 2 * deviations[j].sum(axis=1) <= self.tol / 2
+        self.hermitian = {}
 
     def block(self, q: int) -> np.ndarray:
         """B^T of :meth:`certifies`: F(g_kk)^T, F(g_ll)^T on the diagonal, F(E_kl)^T =
@@ -352,55 +313,61 @@ class _Screen:
         block[:n, n:] = block[n:, :n].conj().T
         return block
 
+    def hermitian_block(self, q: int) -> np.ndarray:
+        """B, the Hermitian part of block(q)^T, formed at the pair's first call and then kept."""
+        if q not in self.hermitian:
+            block = self.block(q).T
+            self.hermitian[q] = (block + block.conj().T) / 2
+        return self.hermitian[q]
+
+    def compress(self, q: int, psi: np.ndarray) -> np.ndarray:
+        """V^dagger B V = sum_rc psi_r conj(psi_c) B_rc for each row psi, B the q-th pair's."""
+        b = self.hermitian_block(q).reshape(2, self.dim, 2, self.dim)
+        return np.einsum("mr,ricj,mc->mij", psi, b, psi.conj())
+
     def certifies(self, q: int) -> bool:
-        """A sufficient test that no basis member on span{e_k, e_l}, for the q-th
-        pair k < l, has an image with an eigenvalue below -tol, made with one
-        Cholesky factorization of the pair's Choi block.
+        """A sufficient test that no basis member on span{e_k, e_l}, for the q-th pair k < l, has
+        an image with an eigenvalue below -tol, made with one Cholesky factorization of the
+        pair's Choi block.
 
-        For psi = a e_k + b e_l, Herm F(psi psi^dagger) = V^dagger B V with
-        B = [[P_kk, P_kl], [P_lk, P_ll]], P_rc = (F(E_rc) + F(E_cr)^dagger)/2,
-        V = [conj(a) I; conj(b) I] and ||V||^2 = tr(psi psi^dagger).  So
-        lambda_min(B) >= -delta gives lambda_min(Herm F(rho)) >= -delta tr(rho)
-        for every positive rho on the span, the pair's basis members among them.
+        For psi = a e_k + b e_l, Herm F(psi psi^dagger) = V^dagger B V with B = [[P_kk, P_kl],
+        [P_lk, P_ll]], P_rc = (F(E_rc) + F(E_cr)^dagger)/2, V = [conj(a) I; conj(b) I] and
+        ||V||^2 = tr(psi psi^dagger).  So lambda_min(B) >= -delta gives lambda_min(Herm F(rho))
+        >= -delta tr(rho) for every positive rho on the span, the pair's members among them.
 
-        :meth:`block` reads B^T from four images, and the triangle that
-        Cholesky reads lies within 1.25 sum_j dev_j of it, over the four.
-        With N = N_j of g_kl, ||B||_F <= N; the images and their recombination
-        put about 25 u N into the block, the shift one more rounding.  A
-        Cholesky factor of the block + (tol/2) I proves lambda_min >= -tol/2 -
-        (2n (2n + 1) + 2) u (N + tol) (Higham, Thm 10.5), and the exact path
-        is off by about (m + n + 7) u N.  So when eps (4 n^2 + m + 16) (N +
-        tol) + 2 sum_j dev_j <= tol/2, no basis member of the pair has an
-        eigenvalue below -tol on the exact path.
-        """
-        j = self.basis.pairs[q]
-        slack = self.pair_slack * (self.spread[j[2]] + self.tol) + 2 * self.deviations[j].sum()
-        if slack > self.tol / 2:
-            return False
-        return _has_cholesky(self.block(q), self.tol / 2)
+        With u the unit roundoff, n = dim, m = ds^2 and N = sum |g_kl[r, c]| ||M_rc|| >=
+        ||B||_F, M_rc the column that holds F(E_rc): :meth:`block` is about 25 u N off B^T, and
+        Cholesky's triangle 1.25 sum_j dev_j off it.  A Cholesky factor of it + (tol/2) I proves
+        lambda_min >= -tol/2 - (2n (2n + 1) + 2) u (N + tol) (Higham, Accuracy and Stability of
+        Numerical Algorithms, Thm 10.5), and the exact path (GEMV, Hermitian part, ``eigvalsh``)
+        is about (m + n + 7) u N off.  ``small[q]`` covers both."""
+        return self.small[q] and _has_cholesky(self.block(q), self.tol / 2)
 
-    def seed(self, q: int) -> np.ndarray:
-        """The q-th pair's candidate witness psi psi^dagger, psi on span{e_k, e_l}, from the
-        Hermitian part B of its Choi block.  With V of :meth:`certifies`, V w = conj(psi) (x) w
-        and Herm F(psi psi^dagger) = V^dagger B V = sum_rc psi_r conj(psi_c) B_rc.  The search
-        starts where the lowest eigenvector of B, read as a 2 x n matrix, is nearest a product:
-        at psi = conj(u_1), u_1 its top left singular vector.  That eigenvector need not be near
-        a product, so a compass search on the Bloch angles of psi, in steps of pi/2 down to
-        pi/64, then lowers lambda_min(V^dagger B V).  The result is Hermitized, so that it
-        equals its adjoint exactly."""
-        n = self.dim
-        block = self.block(q).T
-        block = (block + block.conj().T) / 2
-        u = np.linalg.svd(np.linalg.eigh(block)[1][:, 0].reshape(2, n))[0][:, 0]
-        parts = block.reshape(2, n, 2, n).transpose(0, 2, 1, 3)  # [r, c] = B_rc
+    def clears(self, q: int, psi: np.ndarray) -> bool:
+        """A sufficient test that psi psi^dagger, psi on the q-th pair's span (none: q = -1), has
+        no image with an eigenvalue below -tol on the exact path: ``small[q]`` and a Cholesky
+        factor of V^dagger B V + (tol/2) I.  ||V^dagger B V|| <= ||B|| <= N, the n x n factor
+        adds n (n + 1) + 2 roundings where the 2n block's adds 2n (2n + 1) + 2, and the
+        Hermitization, the compression and the few u between psi psi^dagger and the exact
+        path's x (a seed's Hermitization included) add a few u N, all within the slack."""
+        return q >= 0 and self.small[q] and _has_cholesky(self.compress(q, psi[None]), self.tol / 2)
+
+    def seed(self, q: int):
+        """The q-th pair's candidate witness (psi, x), x = psi psi^dagger with psi on
+        span{e_k, e_l}, read from B of :meth:`certifies`, where Herm F(psi psi^dagger) =
+        V^dagger B V.  The search starts where the lowest eigenvector of B, read as a 2 x n
+        matrix, is nearest a product: at psi = conj(u_1), u_1 its top left singular vector, as
+        V w = conj(psi) (x) w.  That eigenvector need not be near a product, so a compass search
+        on the Bloch angles of psi, in steps of pi/2 down to pi/64, then lowers
+        lambda_min(V^dagger B V).  x is Hermitized, so that it equals its adjoint exactly."""
+        u = np.linalg.svd(np.linalg.eigh(self.hermitian_block(q))[1][:, 0].reshape(2, -1))[0][:, 0]
 
         def states(angles):  # psi = (cos(theta/2), e^{i phi} sin(theta/2)) for rows (theta, phi)
             theta, phi = angles.T
             return np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], 1)
 
         def depths(angles):
-            psi = states(angles)
-            return np.linalg.eigvalsh(np.einsum("mr,rcij,mc->mij", psi, parts, psi.conj()))[:, 0]
+            return np.linalg.eigvalsh(self.compress(q, states(angles)))[:, 0]
 
         angles = np.array([[2 * np.arccos(min(abs(u[0]), 1.0)), np.angle(u[0]) - np.angle(u[1])]])
         best = depths(angles)[0]
@@ -411,47 +378,33 @@ class _Screen:
                 if d.min() >= best:
                     break
                 angles, best = moves[[d.argmin()]], d.min()
+        psi = states(angles)[0]
         x = np.zeros(len(self.basis.diag), dtype=np.complex128)
-        x[[self.basis.k[q], self.basis.l[q]]] = states(angles)[0]
+        x[[self.basis.k[q], self.basis.l[q]]] = psi
         x = np.outer(x, x.conj())
-        return (x + x.conj().T) / 2
+        return psi, (x + x.conj().T) / 2
 
 
 def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
-    """:class:`ViolatesPositivity` with the first trace-normalized input in the
-    canonical family whose image has an eigenvalue below -``tolerances.psd``,
-    or None.  ``screen`` is the :class:`_Screen` of ``basis_images(f)``, built
-    here when not given.
+    """:class:`ViolatesPositivity` with the first trace-normalized input in the canonical family
+    whose image has an eigenvalue below -``tolerances.psd``, or None.  ``screen`` is the
+    :class:`_Screen` of ``basis_images(f)``, built here when not given.
 
-    The walk screens g_00, certifies each pair once, in pair order, then walks
-    the basis members that no certified pair covers (g_kk is covered when a
-    certified pair holds k, g_kl and g*_kl when (k, l) is certified), in
-    canonical order, and then the seed of each uncertified pair, in pair order
-    (:meth:`_Screen.seed`).  A covered member lies on a certified span, and its
-    exact-path error is within the certificate's slack, as its A is at most N
-    of g_kl, so the first witness does not move; a certified pair's seed holds
-    no witness either.  In each section, chunks double from one member up to
-    about 4 MB of images, so a witness among the first seeds costs no later one;
-    one that fails the Cholesky screen of :class:`_Screen` is evaluated member
-    by member with ``apply_lifting`` and ``eigvalsh``, so the witness and its
-    eigenvalue are those of the exact path.
-    """
+    The walk tests g_00, certifies each pair once, then walks the basis members that no
+    certified pair covers, in canonical order, and the seeds of the uncertified pairs, in pair
+    order; a covered member lies on a certified span, so the first witness does not move.  A
+    walked member that :meth:`_Screen.clears` is skipped; any other is evaluated with
+    ``apply_lifting`` and ``eigvalsh``, so the witness is that of the exact path."""
     if screen is None:
         images = basis_images(f)
         screen = _Screen(f, images, _hermiticity_deviations(images))
-    for count, inputs in _walk(screen):
-        a, size = 0, 1
-        while a < count:
-            b = min(a + size, count)
-            xs = inputs(a, b)
-            if not screen.passes(xs):
-                for x in xs:
-                    state = x / np.trace(x).real
-                    w = apply_lifting(f, state)
-                    lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
-                    if lam < -screen.tol:
-                        return ViolatesPositivity(state, lam)
-            a, size = b, min(2 * size, screen.cap)
+    for q, psi, x in _walk(screen):
+        if not screen.clears(q, psi):
+            state = x / np.trace(x).real
+            w = apply_lifting(f, state)
+            lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+            if lam < -screen.tol:
+                return ViolatesPositivity(state, lam)
     return None
 
 

@@ -777,3 +777,23 @@ def test_parser_of_the_verbs_in_argv_matches_the_full_parser(argv, capsys):
         assert code == 0 and "-h, --help" in out and not err
     else:
         assert code == 2 and err.startswith("usage: statelift") and not out
+
+
+def test_back_to_back_runs_of_two_verbs_parse_their_own_options(tmp_path, capsys):
+    # main builds one parser per set of verbs named in argv and keeps it for the process:
+    # a second run of a verb reuses its parser, a run of another verb gets its own options,
+    # and an option of the other verb stays a usage error
+    subparsers = next(a for a in build_parser()._actions if a.dest == "verb")
+    assert cli._VERBS == set(subparsers.choices) == set(VERBS)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run(tmp_path, "choquet", "--witness") == 0
+        assert last_record(tmp_path)["params"]["witness"] is True
+        mu = tmp_path / "mu.m2"
+        assert run(tmp_path, "classical-lift", "--split", "0", "--q", "2", "--out", mu) == 0
+        assert last_record(tmp_path)["params"]["split"] == "0"
+        capsys.readouterr()
+        for argv in (["choquet", "--split", "0"], ["classical-lift", "--witness"]):
+            code, out, err = _help(lambda a: run(tmp_path, *a), argv, capsys)
+            assert code == 2 and err.startswith("usage: statelift") and not out
+    assert cli._parser.cache_info().misses == 2

@@ -444,10 +444,10 @@ def test_witness_family_matches_loops(ds):
     f = perturbed_product_lifting(random_density(2, seed=880 + ds), ds, 1e-2, seed=881 + ds)
     screen = _screen(f)
     assert not any(screen.certifies(q) for q in range(len(_basis(ds).pairs)))
-    got = []
-    for count, inputs in _walk(screen):
-        cuts = sorted({0, min(1, count), count // 3, count})
-        got += [x for a, b in zip(cuts, cuts[1:]) for x in inputs(a, b)]
+    walked = list(_walk(screen))
+    for q, psi, x in walked:
+        assert _member_of_pair(x, q, psi, ds)
+    got = [x for _, _, x in walked]
     want = list(witness_candidates_loops(f))
     assert len(got) == len(want) == ds * ds + ds * (ds - 1) // 2
     assert [x.tobytes() for x in got[: ds * ds]] == [x.tobytes() for x in want[: ds * ds]]
@@ -466,14 +466,14 @@ def test_witness_search_matches_loops(kind, ds, de):
         # the pair blocks' lowest eigenvalue, 0, is degenerate, so no seed is fixed by the
         # lifting and rounding decides: the oracle walks the search's own seeds
         screen = _screen(f)
-        seeds = [screen.seed(q) for q in range(len(_basis(ds).pairs))]
+        seeds = [screen.seed(q)[1] for q in range(len(_basis(ds).pairs))]
         want = first_witness_loops(f, [*hermitian_basis(ds), *seeds])
     _assert_same_witness(positivity_witness_search(f), want)
 
 
 # At (4, 4) members 0, 1, 3 and 15 are g_00, g_01, g_03 and g*_23, the last one.  g_00
-# is a section of its own; the plant leaves uncertified the pairs whose images it moves,
-# and the basis members of those pairs, then their seeds, follow in chunks of their own.
+# comes first; the plant leaves uncertified the pairs whose images it moves, and the basis
+# members of those pairs, then their seeds, follow, each cleared or evaluated on its own.
 @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
 @pytest.mark.parametrize("member", [0, 1, 3, 15])
 def test_witness_search_planted_in_basis(member, scale):
@@ -492,6 +492,17 @@ def test_witness_search_planted_in_basis(member, scale):
     if scale > 1:
         assert np.array_equal(got.witness, g / np.trace(g).real)
         assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
+
+
+def _member_of_pair(x, q, psi, ds):
+    """Whether x / tr x is psi psi^dagger on span{e_k, e_l} of the q-th pair (on e_0 at q = -1)."""
+    b, v = _basis(ds), np.zeros(ds, dtype=complex)
+    if q < 0:
+        assert ds == 1 and psi[1] == 0
+        v[0] = psi[0]
+    else:
+        v[[b.k[q], b.l[q]]] = psi
+    return np.allclose(x / np.trace(x).real, np.outer(v, v.conj()), rtol=0, atol=1e-15)
 
 
 def _screen(f):
@@ -583,25 +594,24 @@ def test_a_witness_at_member_0_tries_no_certificate(ds, de, monkeypatch):
 @pytest.mark.parametrize("kind", ["product", "kraus_local"])
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4)])
 def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, de, monkeypatch):
-    # every pair certifies, so every basis member but g_00 is covered, and no pair seed
-    # (nor any other member off the basis) is built
-    screened = _count_calls(monkeypatch, _Screen, "passes")
+    # every pair certifies, so every basis member but g_00 is covered, g_00 clears without
+    # an exact evaluation, and no pair seed (nor any other member off the basis) is built
+    tested = _count_calls(monkeypatch, _Screen, "clears")
+    exact = _count_calls(monkeypatch, liftings, "apply_lifting")
     monkeypatch.setattr(_Screen, "seed", lambda screen, q: pytest.fail("built a pair seed"))
     f = _lifting_of_kind(kind, ds, de, seed=850 + ds * de)
     assert isinstance(analysis_report(f).verdict, Product)
     assert positivity_witness_search(f) is None  # with a screen of its own
-    g00 = np.stack(hermitian_basis(ds)[:1])
-    assert len(screened) == 2 and all(np.array_equal(xs, g00) for _, xs in screened)
+    assert len(tested) == 2 and exact == []
+    for _, q, psi in tested:  # g_00 = e_0 e_0^dagger on the pair (0, 1)
+        assert q == 0 and np.array_equal(psi, [1, 0])
 
 
-# At (3, 2) the basis is g_00, g_01, g_02, g_11, g_12, g_22, g*_01, g*_02, g*_12.
-@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
-@pytest.mark.parametrize("member", [1, 3, 5, 8])
-def test_a_right_inverse_with_a_late_basis_witness(member, scale, monkeypatch):
-    # F(g) = g (x) D + c (k k^dagger) (x) X, with k in the kernel of g and tr X = 0, keeps
-    # F Hermitian and a right inverse of tr_E; g / tr g maps to -scale * tol on k (x) e_1
+def _late_witness(member, scale):
+    """F(g) = g (x) D + c (k k^dagger) (x) X at (3, 2), with g the given basis member, k in
+    its kernel and tr X = 0, keeps F Hermitian and a right inverse of tr_E; g / tr g maps to
+    -scale * tol on k (x) e_1.  Returns F and g."""
     ds, de = 3, 2
-    certified = _count_calls(monkeypatch, _Screen, "certifies")
     d = random_density(de, seed=860)
     basis = hermitian_basis(ds)
     g = basis[member]
@@ -609,7 +619,16 @@ def test_a_right_inverse_with_a_late_basis_witness(member, scale, monkeypatch):
     images = [kron(h, d) for h in basis]
     images[member] = images[member] + scale * tolerances.psd * np.trace(g).real * kron(
         np.outer(k, k.conj()), np.diag([1.0, -1.0]))
-    f = _lifting_from_images(ds, de, images)
+    return _lifting_from_images(ds, de, images), g
+
+
+# At (3, 2) the basis is g_00, g_01, g_02, g_11, g_12, g_22, g*_01, g*_02, g*_12.
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("member", [1, 3, 5, 8])
+def test_a_right_inverse_with_a_late_basis_witness(member, scale, monkeypatch):
+    ds = 3
+    certified = _count_calls(monkeypatch, _Screen, "certifies")
+    f, g = _late_witness(member, scale)
     report = analysis_report(f)
     assert report.hermiticity_deviation <= tolerances.hermitian
     assert report.trace_deviation <= tolerances.trace
@@ -682,8 +701,8 @@ def test_the_seed_starts_at_the_conjugate_of_the_top_singular_vector():
 
     assert depth(u.conj()) == pytest.approx(-0.270, abs=1e-3)
     assert depth(u) == pytest.approx(-0.163, abs=1e-3)
-    seed = screen.seed(0)
-    psi = seed[:, 0] / np.sqrt(seed[0, 0].real)
+    psi, seed = screen.seed(0)
+    assert _member_of_pair(seed, 0, psi, 2)
     assert depth(psi) == pytest.approx(-0.285, abs=1e-3)
 
 
@@ -747,6 +766,41 @@ def test_near_threshold_corpus_against_the_grid_walk():
     assert moved and len(moved) + len(flipped) <= 15
 
 
+def _exact_min_eigenvalue(f, x):
+    w = apply_lifting(f, x / np.trace(x).real)
+    return np.linalg.eigvalsh((w + w.conj().T) / 2)[0]
+
+
+def test_the_member_test_clears_no_member_below_tol():
+    # every basis member and every walked pair seed that the member test clears stays above
+    # -tol on the exact path: near-threshold liftings, whose members sit within a few tol of
+    # it, the (3, 2) sweep at eps 4e-9, where uncertified pairs share a g_kk, and (8, 8)
+    # trials, whose pair blocks are 128 x 128
+    corpus = [f for _, _, f in _near_threshold_corpus()]
+    corpus += [_sweep_trial(3, 2, 4e-9, 1, trial) for trial in range(200)]
+    corpus += [_sweep_trial(8, 8, eps, 1, trial) for eps in (1e-8, 2e-8) for trial in (0, 1)]
+    cleared = []
+    for f in corpus:
+        screen = _screen(f)
+        b = screen.basis
+        seeds = [(q, *screen.seed(q)) for q in range(len(b.pairs)) if not screen.certifies(q)]
+        for q, psi, x in [*zip(b.pair, b.psi, b.members), *seeds]:
+            if screen.clears(q, psi):
+                cleared.append(_exact_min_eigenvalue(f, x) / tolerances.psd)
+    assert len(cleared) > 2000 and min(cleared) >= -1
+    # the shift tol/2 lets members down to about -tol/2 through, and these liftings reach it
+    assert min(cleared) < -0.4
+
+
+@pytest.mark.parametrize("member", [0, 1, 3, 5, 8])
+def test_the_member_test_keeps_a_member_below_tol(member):
+    f, g = _late_witness(member, 1 + 1e-3)
+    screen = _screen(f)
+    b = screen.basis
+    assert _exact_min_eigenvalue(f, g) < -tolerances.psd
+    assert not screen.clears(b.pair[member], b.psi[member])
+
+
 # At (4, 4) the grid walk held 80 boundary mixtures of the pair (1, 2): plain
 # and star at each of its 40 values of t.  Member 0 is the plain one at the first
 # t, member 79 the star one at the last t.
@@ -777,7 +831,7 @@ def test_witness_search_planted_in_pair_mixture(member, scale):
     got = positivity_witness_search(f)
     _assert_same_witness(got, positivity_witness_search_loops(f))
     if scale > 1:
-        seed = screen.seed(pair)
+        seed = screen.seed(pair)[1]
         assert np.array_equal(got.witness, seed / np.trace(seed).real)
         assert np.max(np.abs(got.witness - x)) <= 1e-12
         assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
@@ -819,20 +873,18 @@ def test_witness_search_planted_in_pair_hermiticity_defect(entry):
 
 
 def test_witness_family_members_equal_their_adjoints():
-    # the screen reads a member's upper triangle only, so its bound holds for
-    # members that equal their adjoints; the pair seeds are Hermitized, as the
-    # diagonal of an outer product can carry imaginary bits where numpy's complex
-    # multiply fuses its products.  No pair of these liftings certifies
+    # a witness is a state, so every member equals its adjoint exactly: the pair seeds
+    # are Hermitized, as the diagonal of an outer product can carry imaginary bits where
+    # numpy's complex multiply fuses its products.  No pair of these liftings certifies
     for ds in range(1, 9):
         for kind in ("perturbed", "transpose"):
-            screen = _screen(_lifting_of_kind(kind, ds, 2, seed=870 + ds))
-            for count, inputs in _walk(screen):
-                xs = inputs(0, count) if count else np.empty((0, ds, ds))
-                assert np.array_equal(xs, xs.conj().transpose(0, 2, 1))
-            assert len(_basis(ds).pairs) == sum(count for count, _ in _walk(screen)) - ds * ds
+            walked = list(_walk(_screen(_lifting_of_kind(kind, ds, 2, seed=870 + ds))))
+            for _, _, x in walked:
+                assert np.array_equal(x, x.conj().T)
+            assert len(_basis(ds).pairs) == len(walked) - ds * ds
     # the seed-7 sweep's trial 54, whose witness is its one pair's seed
     f = _sweep_trial(2, 2, 1e-8, 7, 54)
-    got, seed = analyze(f), _screen(f).seed(0)
+    got, seed = analyze(f), _screen(f).seed(0)[1]
     assert np.array_equal(got.witness, seed / np.trace(seed).real)
     assert np.array_equal(got.witness, got.witness.conj().T)
     w = apply_lifting(f, got.witness)
@@ -1155,16 +1207,10 @@ def test_basis_table_pairs_and_coordinates(ds):
     for row, k, l in zip(b.pairs, b.k, b.l):
         want = [basis_g(k, k, ds), basis_g(l, l, ds), basis_g(k, l, ds), basis_g_star(k, l, ds)]
         assert np.array_equal(b.members[row], np.stack(want))
-    # Hermitian completion of the upper triangle, for a Hermitian x and a general one
-    rng = philox_rng(840 + ds)
-    for x in (random_hermitian(ds, seed=850 + ds),
-              rng.standard_normal((ds, ds)) + 1j * rng.standard_normal((ds, ds))):
-        upper = np.triu(x, 1)
-        completion = upper + upper.conj().T + np.diag(x.diagonal().real)
-        r = x.view(np.float64).reshape(-1)[b.coords]
-        c = r.copy()
-        c[b.diag] = r @ b.diagonal
-        assert np.allclose(np.einsum("j,jab->ab", c, b.members), completion, rtol=0, atol=1e-13)
+    # member j over its trace is psi psi^dagger, psi = psi[j] on the span of its pair
+    assert len(b.pair) == len(b.psi) == ds * ds
+    for x, q, psi in zip(b.members, b.pair, b.psi):
+        assert _member_of_pair(x, q, psi, ds)
 
 
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8)])
@@ -1218,9 +1264,9 @@ def test_witness_search_memory_stays_near_one_image_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # called alone, the search forms the basis images, f.matrix.nbytes; a
-    # chunk's H and its Cholesky factors add the rest
-    assert peak < 2.5 * f.matrix.nbytes
+    # called alone, the search forms the basis images, f.matrix.nbytes; the
+    # Hermiticity deviations' chunks, a pair block and its Cholesky factor add the rest
+    assert peak < 1.5 * f.matrix.nbytes
 
 
 def _peak_bytes(call):
@@ -1236,8 +1282,9 @@ def test_witness_search_reads_the_images_it_is_handed():
     f = product_lifting(random_density(2, seed=46), 32)
     screen = _screen(f)
     # 64 MB of images at (32, 2): a copy of the stack, or of its Hermitian
-    # parts, would show; a chunk's H and its Cholesky factors take 8 MB
-    assert _peak_bytes(lambda: positivity_witness_search(f, screen)) < 24 * 2**20
+    # parts, would show; a pair's 256 kB block, its Hermitian part and their
+    # Cholesky factors take about 1.4 MB
+    assert _peak_bytes(lambda: positivity_witness_search(f, screen)) < 4 * 2**20
 
 
 @pytest.mark.parametrize("ds, de, bound_mb", [(16, 4, 35), (32, 2, 100)])
