@@ -8,7 +8,6 @@ from .dynamics import (
     ReducedChannel,
     apply_channel,
     choi_matrix,
-    evolve,
     is_cptp,
     reduced_dynamics_from_lifting,
     reduced_dynamics_map,
@@ -44,7 +43,6 @@ from .liftings import (
     basis_images,
     check_hermiticity_preserving,
     check_trace_constraint,
-    components,
     diag_mixing_positive,
     extract_reference,
     kraus_lifting,
@@ -69,18 +67,15 @@ from .measures import (
     empirical_state,
     estimate_expectation,
     gaussian_sampler,
-    is_product_measure,
     marginal,
     measure_lift_state,
     nonaffine_witness,
     product_rank,
-    projectivize,
     split_lift,
 )
 from .observables import (
     ReductionMap,
     adjoint_lifting,
-    adjoint_reduction,
     apply_reduction,
     check_unit_reduction,
     reduce_observable,

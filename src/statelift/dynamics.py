@@ -16,8 +16,7 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .liftings import check_trace_constraint
-from .liftings import apply_lifting  # unused here; perfbench/selftest.py checks this alias
+from .liftings import apply_lifting, check_trace_constraint  # perfbench/selftest.py pins the alias
 from .linalg import apply_map, as_matrix, map_matrix, spectral
 from .states import validate_density
 
@@ -32,7 +31,7 @@ class ReducedChannel:
     kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", map_matrix(self.matrix, (self.ds**2,) * 2, "channel"))
+        object.__setattr__(self, "matrix", map_matrix(self.matrix, self.ds, self.ds, "channel"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +52,6 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     dec = spectral(h)
     phases = np.exp(-1j * t * dec.eigenvalues)
     return (dec.vectors * phases) @ dec.vectors.conj().T
-
-
-def evolve(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Conjugate a state by the unitary: U W U^dagger."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != u.shape:
-        raise DimensionMismatch(f"state shape {w.shape} vs unitary {u.shape}")
-    return u @ w @ u.conj().T
 
 
 def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> ReducedChannel:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DIAG_MIXING_TOL, KRAUS_TOL, PERTURBATION_FLOOR, default_residual_tol, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import apply_map, frobenius, frobenius_norms, map_matrix
+from .linalg import _map_shape, apply_map, frobenius, frobenius_norms, map_matrix
 from .rng import philox_rng, spawn_seeds
 from .states import hermitian_basis, random_density, validate_density
 
@@ -42,8 +42,8 @@ class Lifting:
     matrix: np.ndarray  # shape ((ds*de)**2, ds**2)
 
     def __post_init__(self):
-        shape = ((self.ds * self.de) ** 2, self.ds**2)
-        object.__setattr__(self, "matrix", map_matrix(self.matrix, shape, "lifting"))
+        dim = self.ds * self.de
+        object.__setattr__(self, "matrix", map_matrix(self.matrix, dim, self.ds, "lifting"))
         if not np.all(np.isfinite(self.matrix.view(np.float64))):
             raise ConstraintViolation("lifting matrix has non-finite entries")
 
@@ -94,14 +94,6 @@ def kraus_lifting(ks, reference: np.ndarray, ds: int) -> Lifting:
 def apply_lifting(f: Lifting, x: np.ndarray) -> np.ndarray:
     """Image of a system operator under the lifting."""
     return apply_map(f.matrix, x, "lifting", "operator")
-
-
-def components(w: np.ndarray, ds: int, de: int) -> np.ndarray:
-    """Block decomposition C[k, l, i, j] = W[k*de + i, l*de + j]."""
-    w = np.asarray(w)
-    if w.shape != (ds * de, ds * de):
-        raise DimensionMismatch(f"matrix shape {w.shape} does not factor as {ds}x{de}")
-    return w.reshape(ds, de, ds, de).transpose(0, 2, 1, 3)
 
 
 class _Basis(NamedTuple):
@@ -296,11 +288,11 @@ class _Screen:
         self.deviations = deviations
         flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
-        spread = np.abs(self.basis.members).reshape(m, m) @ self.norms  # |g_j| is symmetric
+        cols, k, l = self.norms.reshape(f.ds, f.ds), self.basis.k, self.basis.l  # [c, r]: ||M_rc||
+        spread = cols[k, k] + cols[k, l] + cols[l, k] + cols[l, l]  # N of each pair, from |g_kl|
         # the rounding bound of certifies: eps (4 n^2 + m + 16) (N + tol) + 2 sum_j dev_j <= tol/2
-        j = self.basis.pairs
-        slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread[j[:, 2]] + self.tol)
-        self.small = slack + 2 * deviations[j].sum(axis=1) <= self.tol / 2
+        slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread + self.tol)
+        self.small = slack + 2 * deviations[self.basis.pairs].sum(axis=1) <= self.tol / 2
         self.hermitian = {}
 
     def block(self, q: int) -> np.ndarray:
@@ -394,7 +386,9 @@ def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
     certified pair covers, in canonical order, and the seeds of the uncertified pairs, in pair
     order; a covered member lies on a certified span, so the first witness does not move.  A
     walked member that :meth:`_Screen.clears` is skipped; any other is evaluated with
-    ``apply_lifting`` and ``eigvalsh``, so the witness is that of the exact path."""
+    ``apply_lifting`` and ``eigvalsh``, so the witness is that of the exact path.  Its floor is
+    absolute: a direct call on images of norm 1e6 or more can report a rounding-level witness,
+    where ``analyze`` stops at ``violates_trace`` (positive images obeying tr_env: norm tr g)."""
     if screen is None:
         images = basis_images(f)
         screen = _Screen(f, images, _hermiticity_deviations(images))
@@ -447,7 +441,7 @@ def _structure(ds: int, de: int, images: np.ndarray, a: np.ndarray) -> Structure
     basis, m = _basis(ds), ds * ds
     # split[j, l, y, k, x] = F(g_j)[k de + x, l de + y], as the transposed images sit in memory
     split = images.transpose(0, 2, 1).reshape(m, ds, de, ds, de)
-    blocks = split.transpose(0, 3, 1, 4, 2)  # [j, k, l, x, y] = components(images[j])
+    blocks = split.transpose(0, 3, 1, 4, 2)  # [j, k, l, x, y] = F(g_j)[k de + x, l de + y]
     off = np.empty(m)
     for c in _chunks(m, images[0].nbytes):
         masked = np.array(blocks[c], order="C")
@@ -607,8 +601,9 @@ def diag_mixing_positive(a: float, b: float, c: float) -> bool:
     """Closed form for the inclusion of the region (1+t)(1+p) >= 1, t+1 >= 0
     in the region (b+at)(b+cp) >= b^2, b+at >= 0: holds iff a = c <= b."""
     for name, v in (("a", a), ("b", b), ("c", c)):
-        if v < 0:
-            raise ConstraintViolation(f"{name} must be nonnegative, got {v}")
+        if not 0 <= v < np.inf:  # NaN fails both comparisons
+            what = "nonnegative" if v < 0 else "finite"
+            raise ConstraintViolation(f"{name} must be {what}, got {v}")
     return abs(a - c) <= DIAG_MIXING_TOL and a <= b + DIAG_MIXING_TOL
 
 
@@ -629,6 +624,7 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     (dim, dim, ds^2) stack of transposed images, projected by an einsum over
     its (ds, de, ds, de) blocks: O((ds*de)^2 * ds^2) time and memory.
     """
+    _map_shape(ds * de, ds, "perturbation")
     rng = philox_rng(seed)
     dim, n = ds * de, ds * ds
     rows, cols, pair_rows, pair_cols, off = _triangle(dim)

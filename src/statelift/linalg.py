@@ -47,8 +47,17 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def map_matrix(m, shape: tuple, kind: str) -> np.ndarray:
-    """A stored map's matrix on vecs as C-contiguous complex128, copied only when it is not."""
+def _map_shape(n: int, d: int, kind: str) -> tuple:
+    """(n**2, d**2) for a map from d x d to n x n operators; a shape alone passes n or d = -1."""
+    if min(n, d) < 1:
+        raise DimensionMismatch(f"{kind} dimensions must be positive, got {d} -> {n}")
+    return n * n, d * d
+
+
+def map_matrix(m, n: int, d: int, kind: str) -> np.ndarray:
+    """A stored map's matrix, d x d to n x n operators on vecs, C-contiguous complex128 (a copy
+    only when it is not)."""
+    shape = _map_shape(n, d, kind)
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.shape != shape:
         raise DimensionMismatch(f"{kind} matrix shape {m.shape}, expected {shape}")
@@ -140,9 +149,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
 
 
 def spectral(a: np.ndarray) -> SpectralDecomposition:

@@ -95,10 +95,6 @@ def product_rank(mu: np.ndarray) -> int:
     return int(np.sum(svals > PRODUCT_RANK_TOL * svals[0]))
 
 
-def is_product_measure(mu: np.ndarray) -> bool:
-    return product_rank(mu) <= 1
-
-
 # ---------------------------------------------------------------------------
 # finite Choquet measures
 # ---------------------------------------------------------------------------
@@ -300,25 +296,6 @@ def estimate_expectation(b: np.ndarray, a: np.ndarray, n: int, seed) -> Estimate
     return EstimateResult(
         mean, stderr, value_sum / norm_sum, n, int(seed), time.perf_counter() - start
     )
-
-
-def projectivize(z: np.ndarray) -> np.ndarray:
-    """Map a nonzero vector to the pure state it spans.
-
-    The returned unit vector carries the same deterministic phase convention
-    as the eigensolver (largest-modulus component real positive), so the map
-    is scale invariant: projectivize(lambda z) = projectivize(z) for any
-    nonzero complex lambda.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    norm = float(np.linalg.norm(z))
-    if norm == 0.0:
-        raise ConstraintViolation("cannot projectivize the zero vector")
-    v = z / norm
-    j = int(np.argmax(np.abs(v)))
-    pivot = v[j]
-    v = v * (pivot.conjugate() / abs(pivot))
-    return v
 
 
 def empirical_state(b: np.ndarray, n: int, seed) -> np.ndarray:

@@ -27,8 +27,8 @@ class ReductionMap:
     matrix: np.ndarray  # shape (ds**2, (ds*de)**2)
 
     def __post_init__(self):
-        shape = (self.ds**2, (self.ds * self.de) ** 2)
-        object.__setattr__(self, "matrix", map_matrix(self.matrix, shape, "reduction"))
+        dim = self.ds * self.de
+        object.__setattr__(self, "matrix", map_matrix(self.matrix, self.ds, dim, "reduction"))
 
 
 def adjoint_lifting(f: Lifting) -> ReductionMap:
@@ -39,12 +39,6 @@ def adjoint_lifting(f: Lifting) -> ReductionMap:
     """
     ds, dim = f.ds, f.ds * f.de
     return ReductionMap(ds, f.de, f.matrix.reshape(dim, dim, ds, ds).T.reshape(ds * ds, -1))
-
-
-def adjoint_reduction(r: ReductionMap) -> Lifting:
-    """Adjoint of a reduction map; inverts :func:`adjoint_lifting` exactly."""
-    ds, dim = r.ds, r.ds * r.de
-    return Lifting(ds, r.de, r.matrix.reshape(ds, ds, dim, dim).T.reshape(dim * dim, -1))
 
 
 def apply_reduction(r: ReductionMap, a: np.ndarray) -> np.ndarray:

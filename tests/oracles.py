@@ -15,8 +15,11 @@ residual, Hermiticity and unit-reduction diagnostics, basis images formed one
 member at a time, pair Choi blocks from Hermitian matrix-unit images, pair
 seeds with the top singular vector from a 2 x 2 ``eigh`` and a dense V, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
-search (and for the grid-and-backstop family it replaced), a dense grid scan for the diagonal-mixing criterion, the inverse reindexing of ``liftings.components``,
-one-shot Gaussian draws with three-index einsum estimators and a single-GEMM
+search (and for the grid-and-backstop family it replaced), a dense grid scan
+for the diagonal-mixing criterion, the block components and the adjoint of a
+reduction map as reindexings, the pair slack from a dense product of every
+basis member with the column norms, one-shot Gaussian draws with three-index
+einsum estimators and a single-GEMM
 empirical state, file text formatted one entry at a time, and files read one
 line at a time with float().
 """
@@ -36,7 +39,6 @@ from statelift.liftings import (
     _basis,
     apply_lifting,
     basis_images,
-    components,
     product_lifting,
 )
 from statelift.linalg import spectral
@@ -509,10 +511,31 @@ def bell_projector() -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def components(w: np.ndarray, ds: int, de: int) -> np.ndarray:
+    """Block decomposition C[k, l, i, j] = W[k*de + i, l*de + j]; exact (pure reindexing)."""
+    return np.asarray(w).reshape(ds, de, ds, de).transpose(0, 2, 1, 3)
+
+
 def reassemble(c: np.ndarray) -> np.ndarray:
-    """Inverse of ``liftings.components``; exact (pure reindexing)."""
+    """Inverse of :func:`components`; exact (pure reindexing)."""
     ds, _, de, _ = c.shape
     return c.transpose(0, 2, 1, 3).reshape(ds * de, ds * de)
+
+
+def adjoint_reduction(r) -> Lifting:
+    """Adjoint of a reduction map by reindexing; inverts ``observables.adjoint_lifting`` exactly."""
+    ds, dim = r.ds, r.ds * r.de
+    return Lifting(ds, r.de, r.matrix.reshape(ds, ds, dim, dim).T.reshape(dim * dim, -1))
+
+
+def screen_small_dense(screen) -> np.ndarray:
+    """``_Screen.small`` with each pair's N = sum |g_kl[r, c]| ||M_rc|| read from the dense product
+    of every |g_j| with the screen's column norms."""
+    basis = screen.basis
+    m, n = len(basis.members), screen.dim
+    spread = np.abs(basis.members).reshape(m, m) @ screen.norms  # |g_j| is symmetric
+    slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread[basis.pairs[:, 2]] + screen.tol)
+    return slack + 2 * screen.deviations[basis.pairs].sum(axis=1) <= screen.tol / 2
 
 
 @lru_cache(maxsize=8)

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -797,3 +799,16 @@ def test_back_to_back_runs_of_two_verbs_parse_their_own_options(tmp_path, capsys
             code, out, err = _help(lambda a: run(tmp_path, *a), argv, capsys)
             assert code == 2 and err.startswith("usage: statelift") and not out
     assert cli._parser.cache_info().misses == 2
+
+
+def test_the_benchmark_tracer_names_resolve():
+    # perfbench/spans.py wraps the functions TRACED names, and perfbench/selftest.py pins
+    # the dynamics.apply_lifting alias; the package keeps both until the benchmark changes
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    assert len(traced) == 7
+    for module, names in traced.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"statelift.{module}"), name)), name
+    assert statelift.dynamics.apply_lifting is statelift.liftings.apply_lifting

@@ -8,7 +8,6 @@ from statelift import (
     ReducedChannel,
     apply_channel,
     choi_matrix,
-    evolve,
     is_cptp,
     product_lifting,
     random_density,
@@ -74,26 +73,6 @@ def test_unitarity():
     h = random_hermitian(6, seed=5)
     u = unitary_from_hamiltonian(h, 2.1)
     assert np.linalg.norm(u.conj().T @ u - np.eye(6)) < 1e-9
-
-
-# --- conjugation --------------------------------------------------------------
-
-
-def test_evolve_maximally_mixed_invariant():
-    h = random_hermitian(3, seed=6)
-    u = unitary_from_hamiltonian(h, 0.9)
-    w = np.eye(3, dtype=complex) / 3
-    assert np.max(np.abs(evolve(w, u) - w)) < 1e-12
-
-
-def test_evolve_preserves_spectrum_and_purity():
-    h = random_hermitian(4, seed=7)
-    u = unitary_from_hamiltonian(h, 1.7)
-    w = random_density(4, rank=2, seed=8)
-    out = evolve(w, u)
-    assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(w), atol=1e-10)
-    assert np.trace(out @ out).real == pytest.approx(np.trace(w @ w).real, abs=1e-10)
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
 
 # --- reduced dynamics -----------------------------------------------------------

@@ -20,7 +20,6 @@ from statelift import (
     basis_images,
     check_hermiticity_preserving,
     check_trace_constraint,
-    components,
     diag_mixing_positive,
     extract_reference,
     kraus_lifting,
@@ -58,7 +57,9 @@ from oracles import (
     kron,
     perturbed_product_lifting_sum,
     pair_block_parts,
+    components,
     reassemble,
+    screen_small_dense,
     residual_kron,
     positivity_witness_search_loops,
     witness_candidates_loops,
@@ -1001,6 +1002,19 @@ def test_stacked_diagnostics_keep_the_bits_of_the_loops(ds, de):
             assert _bits(product_residual(f, np.asfortranarray(reference))) == _bits(residual)
 
 
+@pytest.mark.parametrize("ds, de", DIAGNOSED_DIMS)
+def test_pair_slack_matches_the_dense_spread(ds, de):
+    smalls = []
+    for kind, f in _diagnosed_liftings(ds, de).items():
+        images = basis_images(f)
+        screen = _Screen(f, images, _hermiticity_deviations(images))
+        assert screen.small.dtype == bool and screen.small.shape == (len(screen.basis.k),)
+        assert np.array_equal(screen.small, screen_small_dense(screen)), kind
+        smalls.append(screen.small)
+    if ds > 1:  # the stretched lifting's deviations exceed the slack
+        assert np.concatenate(smalls).any() and not np.concatenate(smalls).all()
+
+
 # --- analyzer -------------------------------------------------------------------
 
 
@@ -1140,10 +1154,22 @@ def test_diag_mixing_scan_cases():
 
 
 def test_diag_mixing_rejects_negative():
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation, match="a must be nonnegative, got -0.1"):
         diag_mixing_positive(-0.1, 1.0, 0.5)
+    with pytest.raises(ConstraintViolation, match="c must be nonnegative, got -inf"):
+        diag_mixing_positive(0.5, 1.0, -np.inf)
     with pytest.raises(ConstraintViolation):
         diag_mixing_positive_scan(0.1, -1.0, 0.5)
+
+
+@pytest.mark.parametrize("a, b, c, name", [
+    (np.nan, 1.0, 1.0, "a"), (1.0, np.nan, 1.0, "b"), (1.0, 1.0, np.nan, "c"),
+    (np.inf, 1.0, 1.0, "a"), (1.0, np.inf, 1.0, "b"), (1.0, 1.0, np.inf, "c"),
+])
+def test_diag_mixing_rejects_non_finite(a, b, c, name):
+    # NaN passes a v < 0 check
+    with pytest.raises(ConstraintViolation, match=f"{name} must be finite, got (nan|inf)"):
+        diag_mixing_positive(a, b, c)
 
 
 def test_diag_mixing_agreement_sweep():

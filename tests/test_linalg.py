@@ -14,10 +14,12 @@ from statelift import (
     apply_lifting,
     apply_reduction,
     is_psd,
+    no_go_sweep,
     pairing,
     partial_trace_env,
     partial_trace_sys,
     product_lifting,
+    random_perturbation,
     spectral,
     trace_norm,
     unvec,
@@ -185,7 +187,7 @@ def test_spectral_identity_and_diag():
 def test_spectral_reconstruction_and_orthonormality():
     h = random_hermitian(5, seed=10)
     dec = spectral(h)
-    assert np.linalg.norm(dec.reconstruct() - h) < 1e-10
+    assert np.linalg.norm((dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T - h) < 1e-10
     gram = dec.vectors.conj().T @ dec.vectors
     assert np.max(np.abs(gram - np.eye(5))) < 1e-9
     assert np.all(np.diff(dec.eigenvalues) <= 0)
@@ -258,7 +260,8 @@ def test_vec_unvec_roundtrip():
 def test_non_contiguous_inputs_accepted():
     # transpose views and fortran-ordered arrays must work everywhere
     h = random_hermitian(3, seed=19)
-    assert np.allclose(spectral(h.T.conj()).reconstruct(), h.conj().T, atol=1e-10)
+    dec = spectral(h.T.conj())
+    assert np.allclose((dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T, h.conj().T, atol=1e-10)
     w = random_complex(philox_rng(20), 4)
     assert trace_norm(w.T) == pytest.approx(trace_norm(np.ascontiguousarray(w.T)), abs=1e-12)
     assert partial_trace_env(np.asfortranarray(kron(np.eye(2), np.eye(2))), 2, 2).shape == (2, 2)
@@ -325,8 +328,27 @@ def _lifting_22():
      "state shape (3, 3), channel expects (2, 2)"),
     (lambda: Lifting(1, 2, np.array([[1.0], [np.nan], [0.0], [0.0]])), ConstraintViolation,
      "lifting matrix has non-finite entries"),
+    # dimensions below 1, before any shape check: a shape alone passes ds = -1, whose square is 1
+    (lambda: Lifting(0, 2, np.zeros((0, 0))), DimensionMismatch,
+     "lifting dimensions must be positive, got 0 -> 0"),
+    (lambda: Lifting(2, 0, np.zeros((0, 4))), DimensionMismatch,
+     "lifting dimensions must be positive, got 2 -> 0"),
+    (lambda: Lifting(-1, -2, np.zeros((4, 1))), DimensionMismatch,
+     "lifting dimensions must be positive, got -1 -> 2"),
+    (lambda: ReductionMap(-1, -1, np.zeros((1, 1))), DimensionMismatch,
+     "reduction dimensions must be positive, got 1 -> -1"),
+    (lambda: ReducedChannel(-1, np.zeros((1, 1))), DimensionMismatch,
+     "channel dimensions must be positive, got -1 -> -1"),
+    (lambda: random_perturbation(0, 2, 1), DimensionMismatch,
+     "perturbation dimensions must be positive, got 0 -> 0"),
+    (lambda: random_perturbation(2, 0, 1), DimensionMismatch,
+     "perturbation dimensions must be positive, got 2 -> 0"),
+    (lambda: no_go_sweep(-1, 2, 1, 1e-2, 1), DimensionMismatch,
+     "perturbation dimensions must be positive, got -1 -> -2"),
 ], ids=["lifting-shape", "reduction-shape", "channel-shape", "lifting-operand",
-        "reduction-operand", "channel-operand", "lifting-non-finite"])
+        "reduction-operand", "channel-operand", "lifting-non-finite", "lifting-ds-0",
+        "lifting-de-0", "lifting-ds-negative", "reduction-dims", "channel-dims",
+        "perturbation-ds-0", "perturbation-de-0", "sweep-dims"])
 def test_stored_maps_name_the_shape_they_expect(build, error, message):
     with pytest.raises(error) as info:
         build()

@@ -15,14 +15,12 @@ from statelift import (
     empirical_state,
     estimate_expectation,
     gaussian_sampler,
-    is_product_measure,
     marginal,
     measure_lift_state,
     nonaffine_witness,
     partial_trace_env,
     partial_trace_sys,
     product_rank,
-    projectivize,
     pure_projector,
     random_density,
     random_hermitian,
@@ -70,7 +68,7 @@ def test_classical_lift_product_table():
     upsilon = np.array([0.5, 0.3, 0.2])
     out = classical_lift(table, upsilon)
     assert np.allclose(out, np.outer(upsilon, chi), atol=1e-15)
-    assert is_product_measure(out)
+    assert product_rank(out) <= 1
 
 
 def test_classical_lift_dirac_recovers_table_entry():
@@ -144,7 +142,7 @@ def test_split_lift_uniform_two_points():
     out = classical_lift(table, np.array([0.5, 0.5]))
     assert np.allclose(out, [[0.5, 0.0], [0.0, 0.5]], atol=0)
     assert product_rank(out) == 2
-    assert not is_product_measure(out)
+    assert product_rank(out) > 1
 
 
 def test_split_lift_dirac_is_product():
@@ -584,24 +582,7 @@ def test_sample_count_must_be_positive(n):
             call()
 
 
-# --- projectivization and empirical states --------------------------------------------
-
-
-def test_projectivize_basis_vector():
-    z = np.array([1.0, 0.0], dtype=complex)
-    assert np.array_equal(projectivize(z), z)
-
-
-def test_projectivize_scale_invariance():
-    z = np.array([0.3 - 0.4j, 1.2, -0.5j], dtype=complex)
-    base = projectivize(z)
-    for lam in (2.0, 0.3, 1.0j, 1.0 + 2.0j, -0.7):
-        assert np.max(np.abs(projectivize(lam * z) - base)) < 1e-12
-
-
-def test_projectivize_rejects_zero():
-    with pytest.raises(ConstraintViolation):
-        projectivize(np.zeros(3, dtype=complex))
+# --- empirical states --------------------------------------------------------------
 
 
 def test_empirical_state_two_level():

@@ -7,7 +7,6 @@ from statelift import (
     Lifting,
     ReductionMap,
     adjoint_lifting,
-    adjoint_reduction,
     apply_lifting,
     apply_reduction,
     check_trace_constraint,
@@ -25,6 +24,7 @@ from statelift.dynamics import unitary_from_hamiltonian
 from statelift.rng import philox_rng
 
 from oracles import (
+    adjoint_reduction,
     kron,
     matrix_unit,
     reduce_observable_kron,
