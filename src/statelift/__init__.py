@@ -15,12 +15,9 @@ from .dynamics import (
 )
 from .errors import ConstraintViolation, DimensionMismatch, FormatError, StateliftError
 from .linalg import (
-    PsdCheck,
     SpectralDecomposition,
     hermitian_part,
     hermiticity_defect,
-    is_hermitian,
-    is_psd,
     pairing,
     partial_trace_env,
     partial_trace_sys,

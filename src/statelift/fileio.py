@@ -157,51 +157,19 @@ def write_vector(path: str, v: np.ndarray) -> None:
     _atomic_write(path, ["statelift/vector v1", f"dim {v.size}"], _complex_parts(v), 2)
 
 
-def read_vector(path: str) -> np.ndarray:
-    with _reading(path, "vector") as r:
-        (dim,) = r.field("dim")
-        entries = r.entries(dim, 2)
-    return entries.view(np.complex128).reshape(dim)
-
-
-# The lifting and reduction formats: dims ds de, then ds^2 (ds de)^2 complex entries.
-def _write_map(path: str, kind: str, m) -> None:
-    header = [f"statelift/{kind} v1", f"dims {m.ds} {m.de}"]
-    _atomic_write(path, header, _complex_parts(m.matrix), 2)
-
-
-def _read_map(path: str, kind: str):
-    with _reading(path, kind) as r:
-        ds, de = r.field("dims", 2)
-        entries = r.entries(ds**2 * (ds * de) ** 2, 2)
-    return ds, de, entries.view(np.complex128)
-
-
+# The lifting format: dims ds de, then (ds de)^2 ds^2 complex entries.
 def write_lifting(path: str, f) -> None:
-    _write_map(path, "lifting", f)
+    header = ["statelift/lifting v1", f"dims {f.ds} {f.de}"]
+    _atomic_write(path, header, _complex_parts(f.matrix), 2)
 
 
 def read_lifting(path: str):
     from .liftings import Lifting
 
-    ds, de, entries = _read_map(path, "lifting")
-    return Lifting(ds, de, entries.reshape((ds * de) ** 2, ds * ds))
-
-
-def write_reduction(path: str, m) -> None:
-    _write_map(path, "reduction", m)
-
-
-def read_reduction(path: str):
-    from .observables import ReductionMap
-
-    ds, de, entries = _read_map(path, "reduction")
-    return ReductionMap(ds, de, entries.reshape(ds * ds, (ds * de) ** 2))
-
-
-def write_measure(path: str, weights: np.ndarray) -> None:
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    _atomic_write(path, ["statelift/measure v1", f"support {weights.size}"], weights)
+    with _reading(path, "lifting") as r:
+        ds, de = r.field("dims", 2)
+        entries = r.entries(ds**2 * (ds * de) ** 2, 2)
+    return Lifting(ds, de, entries.view(np.complex128).reshape((ds * de) ** 2, ds * ds))
 
 
 def read_measure(path: str) -> np.ndarray:
@@ -216,20 +184,6 @@ def write_product_measure(path: str, mu: np.ndarray) -> None:
     if mu.ndim != 2:
         raise FormatError(f"product measures are 2-d, got shape {mu.shape}")
     _atomic_write(path, ["statelift/measure2 v1", f"shape {mu.shape[0]} {mu.shape[1]}"], mu)
-
-
-def read_product_measure(path: str) -> np.ndarray:
-    with _reading(path, "measure2") as r:
-        nq, np_ = r.field("shape", 2)
-        entries = r.entries(nq * np_, 1)
-    return entries.reshape(nq, np_)
-
-
-def write_lift_table(path: str, table: np.ndarray) -> None:
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 3 or table.shape[0] != table.shape[1]:
-        raise FormatError(f"lift tables have shape (q, q, p), got {table.shape}")
-    _atomic_write(path, ["statelift/table v1", f"shape {table.shape[0]} {table.shape[2]}"], table)
 
 
 def read_lift_table(path: str) -> np.ndarray:

@@ -56,6 +56,7 @@ def product_lifting(reference: np.ndarray, ds: int) -> Lifting:
     O((ds*de)^2 * ds^2)."""
     d = validate_density(reference)
     de = d.shape[0]
+    _map_shape(ds * de, ds, "lifting")
     m = np.zeros((ds, de, ds, de, ds, ds), dtype=np.complex128)
     c, r = np.ogrid[:ds, :ds]
     m[c, :, r, :, c, r] = d.T
@@ -74,6 +75,7 @@ def kraus_lifting(ks, reference: np.ndarray, ds: int) -> Lifting:
     d = validate_density(reference)
     de = d.shape[0]
     dim = ds * de
+    _map_shape(dim, ds, "lifting")
     ks = [np.asarray(k, dtype=np.complex128) for k in ks]
     for k in ks:
         if k.shape != (dim, dim):

@@ -98,42 +98,9 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T), initial=0.0))
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    return hermiticity_defect(a) <= tolerances.hermitian
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     return (a + a.conj().T) / 2
-
-
-@dataclass(frozen=True, eq=False)
-class PsdCheck:
-    """Outcome of a positivity test, with the minimal-eigenvalue witness."""
-
-    ok: bool
-    min_eigenvalue: float
-    witness: np.ndarray  # unit eigenvector attaining the minimal eigenvalue
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_psd(a: np.ndarray) -> PsdCheck:
-    """Test membership in the positive cone: lambda_min(A) >= -tolerances.psd.
-
-    Raises ConstraintViolation for inputs that are not Hermitian within the
-    configured Hermiticity tolerance.
-    """
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise ConstraintViolation(
-            f"positivity is only defined for Hermitian operators "
-            f"(defect {hermiticity_defect(a):.3e})"
-        )
-    vals, vecs = np.linalg.eigh(hermitian_part(a))
-    lam = float(vals[0])
-    return PsdCheck(lam >= -tolerances.psd, lam, vecs[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +121,7 @@ class SpectralDecomposition:
 def spectral(a: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with fixed conventions."""
     a = as_matrix(a)
-    if not is_hermitian(a):
+    if hermiticity_defect(a) > tolerances.hermitian:
         raise ConstraintViolation(
             f"spectral() requires a Hermitian input (defect {hermiticity_defect(a):.3e})"
         )

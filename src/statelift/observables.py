@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .linalg import apply_map, frobenius_norms, map_matrix
 from .liftings import Lifting, basis_images
 from .states import validate_density
@@ -68,11 +68,9 @@ def reduce_observable(a: np.ndarray, reference: np.ndarray) -> np.ndarray:
     d = validate_density(reference)
     de = d.shape[0]
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % de != 0:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % de != 0 or a.shape[0] < de:
         raise DimensionMismatch(
             f"observable shape {a.shape} does not factor over an environment of dim {de}"
         )
     ds = a.shape[0] // de
-    if ds < 1:
-        raise ConstraintViolation("observable smaller than the environment")
     return np.einsum("aibj,ji->ab", a.reshape(ds, de, ds, de), d)

@@ -629,7 +629,6 @@ FILE_KINDS = {
     "matrix": ("dim", 1, lambda dim: dim * dim, 2),
     "vector": ("dim", 1, lambda dim: dim, 2),
     "lifting": ("dims", 2, lambda ds, de: (ds * de) ** 2 * ds * ds, 2),
-    "reduction": ("dims", 2, lambda ds, de: ds * ds * (ds * de) ** 2, 2),
     "measure": ("support", 1, lambda support: support, 1),
     "measure2": ("shape", 2, lambda nq, np_: nq * np_, 1),
     "table": ("shape", 2, lambda nq, np_: nq * nq * np_, 1),

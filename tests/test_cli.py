@@ -29,10 +29,17 @@ from statelift import (
 from statelift import cli
 from statelift.cli import EXIT_CONSTRAINT, EXIT_DIMENSION, EXIT_FORMAT, build_parser, main
 from statelift.config import tolerances
-from statelift.fileio import read_matrix, read_product_measure, read_vector, write_lifting, write_matrix
+from statelift.fileio import read_matrix, write_lifting, write_matrix
 from statelift.linalg import vec
 
-from oracles import bell_projector, choi_min_eigenvalue_full, kron, ptrace_env_loops
+from oracles import (
+    bell_projector,
+    choi_min_eigenvalue_full,
+    file_text_per_entry,
+    kron,
+    ptrace_env_loops,
+    read_file_per_line,
+)
 
 
 def run(tmp_path, *argv):
@@ -160,7 +167,7 @@ def test_purify_verb(tmp_path):
     write_matrix(tmp_path / "S.mat", s)
     assert run(tmp_path, "purify", "--state", tmp_path / "S.mat", "--denv", "2",
                "--out", tmp_path / "a.vec") == 0
-    a = read_vector(tmp_path / "a.vec")
+    a = read_file_per_line(tmp_path / "a.vec", "vector")[1].view(np.complex128).reshape(-1)
     red = partial_trace_env(np.outer(a, a.conj()), 3, 2)
     assert trace_norm(red - s) < 1e-10
 
@@ -262,39 +269,43 @@ def test_classical_lift_split_verb(tmp_path, capsys):
     report = report_lines(capsys)
     assert report["product_rank"] == "2"
     assert report["is_product"] == "false"
-    mu = read_product_measure(tmp_path / "mu.m2")
-    assert np.allclose(mu, [[0.5, 0.0], [0.0, 0.5]], atol=0)
+    shape, mu = read_file_per_line(tmp_path / "mu.m2", "measure2")
+    assert shape == [2, 2]
+    assert np.allclose(mu.reshape(shape), [[0.5, 0.0], [0.0, 0.5]], atol=0)
 
 
 def test_classical_lift_table_verb(tmp_path, capsys):
-    from statelift.fileio import write_lift_table, write_measure
     from statelift.measures import split_lift
 
     table = split_lift(np.array([True, False, False]), 0, 1, 2)
-    write_lift_table(tmp_path / "f.tbl", table)
-    write_measure(tmp_path / "u.measure", np.array([0.2, 0.3, 0.5]))
+    (tmp_path / "f.tbl").write_text(
+        file_text_per_entry(["statelift/table v1", "shape 3 2"], table.ravel()))
+    (tmp_path / "u.measure").write_text(
+        file_text_per_entry(["statelift/measure v1", "support 3"], [0.2, 0.3, 0.5]))
     assert run(tmp_path, "classical-lift", "--table", tmp_path / "f.tbl",
                "--upsilon", tmp_path / "u.measure", "--out", tmp_path / "mu.m2") == 0
     report = report_lines(capsys)
     assert float(report["marginal_error"]) < 1e-14
-    mu = read_product_measure(tmp_path / "mu.m2")
-    assert np.allclose(mu, [[0.2, 0.0], [0.0, 0.3], [0.0, 0.5]], atol=0)
+    shape, mu = read_file_per_line(tmp_path / "mu.m2", "measure2")
+    assert shape == [3, 2]
+    assert np.allclose(mu.reshape(shape), [[0.2, 0.0], [0.0, 0.3], [0.0, 0.5]], atol=0)
 
 
 @pytest.mark.parametrize("source", ["table", "upsilon"])
 def test_classical_lift_rejects_non_finite_inputs(tmp_path, capsys, source):
     # a NaN used to pass the marginal check, get written and fail later in the SVD
-    from statelift.fileio import write_lift_table, write_measure
     from statelift.measures import split_lift
 
     if source == "table":
         table = split_lift(np.array([True, False, False]), 0, 1, 2)
         table[1, 1, 0] = np.nan
-        write_lift_table(tmp_path / "f.tbl", table)
+        (tmp_path / "f.tbl").write_text(
+            file_text_per_entry(["statelift/table v1", "shape 3 2"], table.ravel()))
         argv = ("--table", tmp_path / "f.tbl")
         message = "lift table has non-finite entries"
     else:
-        write_measure(tmp_path / "u.measure", np.array([0.5, np.nan, 0.5]))
+        (tmp_path / "u.measure").write_text(
+            file_text_per_entry(["statelift/measure v1", "support 3"], [0.5, np.nan, 0.5]))
         argv = ("--split", "0,2", "--q", 3, "--upsilon", tmp_path / "u.measure")
         message = "measure has non-finite weights"
     assert run(tmp_path, "classical-lift", *argv, "--out", tmp_path / "mu.m2") == EXIT_CONSTRAINT

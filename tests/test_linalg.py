@@ -13,13 +13,14 @@ from statelift import (
     apply_channel,
     apply_lifting,
     apply_reduction,
-    is_psd,
+    kraus_lifting,
     no_go_sweep,
     pairing,
     partial_trace_env,
     partial_trace_sys,
     product_lifting,
     random_perturbation,
+    reduce_observable,
     spectral,
     trace_norm,
     unvec,
@@ -30,7 +31,7 @@ from statelift.linalg import frobenius, frobenius_norms
 from statelift.rng import philox_rng
 from statelift.states import basis_g, random_density, random_hermitian
 
-from oracles import bell_projector, kron, kron_loops, psd_by_char_poly, ptrace_env_loops, ptrace_sys_loops, trace_norm_gram
+from oracles import bell_projector, kron, kron_loops, ptrace_env_loops, ptrace_sys_loops, trace_norm_gram
 
 
 def random_complex(rng, d):
@@ -138,39 +139,6 @@ def test_tolerances_are_fixed():
     with pytest.raises(FrozenInstanceError):
         tolerances.psd = 1e-6
     assert tolerances.psd == 1e-9
-
-
-def test_is_psd_diagonal_cases():
-    check = is_psd(np.diag([1.0, 0.0]).astype(complex))
-    assert check and check.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
-    check = is_psd(np.diag([1.0, -0.1]).astype(complex))
-    assert not check
-    assert check.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
-    assert abs(abs(check.witness[1]) - 1.0) < 1e-12  # witness is e_2
-
-
-def test_is_psd_basis_element():
-    g = basis_g(0, 1, 3)
-    check = is_psd(g)
-    assert check
-    vals = np.linalg.eigvalsh(g)
-    assert np.allclose(sorted(vals), [0.0, 0.0, 2.0], atol=1e-12)
-
-
-def test_is_psd_rejects_non_hermitian():
-    with pytest.raises(ConstraintViolation):
-        is_psd(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_is_psd_matches_char_poly_oracle(d):
-    rng = philox_rng(9)
-    for k in range(40):
-        h = random_hermitian(d, rng)
-        if k % 3 == 0:  # include PSD inputs, not only indefinite ones
-            h = h @ h.conj().T if k % 2 else h.conj().T @ h
-            h = (h + h.conj().T) / 2
-        assert bool(is_psd(h)) == psd_by_char_poly(h)
 
 
 # --- spectral -----------------------------------------------------------
@@ -345,10 +313,18 @@ def _lifting_22():
      "perturbation dimensions must be positive, got 2 -> 0"),
     (lambda: no_go_sweep(-1, 2, 1, 1e-2, 1), DimensionMismatch,
      "perturbation dimensions must be positive, got -1 -> -2"),
+    # the builders check before they allocate or stack anything
+    (lambda: product_lifting(random_density(2, seed=2), -1), DimensionMismatch,
+     "lifting dimensions must be positive, got -1 -> -2"),
+    (lambda: kraus_lifting([], random_density(2, seed=2), 0), DimensionMismatch,
+     "lifting dimensions must be positive, got 0 -> 0"),
+    (lambda: reduce_observable(np.zeros((0, 0)), random_density(2, seed=2)), DimensionMismatch,
+     "observable shape (0, 0) does not factor over an environment of dim 2"),
 ], ids=["lifting-shape", "reduction-shape", "channel-shape", "lifting-operand",
         "reduction-operand", "channel-operand", "lifting-non-finite", "lifting-ds-0",
         "lifting-de-0", "lifting-ds-negative", "reduction-dims", "channel-dims",
-        "perturbation-ds-0", "perturbation-de-0", "sweep-dims"])
+        "perturbation-ds-0", "perturbation-de-0", "sweep-dims", "product-lifting-ds-negative",
+        "kraus-lifting-ds-0", "observable-empty"])
 def test_stored_maps_name_the_shape_they_expect(build, error, message):
     with pytest.raises(error) as info:
         build()
