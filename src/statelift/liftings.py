@@ -14,14 +14,15 @@ partial trace that is positive on every pair span the product map, so a
 non-product one loses positivity on some pair span.  The witness family is
 the rank-one Hermitian basis (``basis_g``, ``basis_g_star``) and one seed per
 pair, read from the lowest eigenvector of the pair's Choi block.  The search
-certifies each pair's Choi block once and walks only what the certificates
-leave open.
+tests g_00, lets the analyzer's product bound settle a lifting within rounding
+of a product, then certifies each pair's Choi block once and walks only what
+the certificates leave open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -210,14 +211,32 @@ def _hermiticity_deviations(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_deviations(ds: int, de: int, images: np.ndarray):
-    """Trace-norm deviations of tr_env(F(g)) from g: the worst and its g."""
-    basis = _basis(ds).members
+def _trace_residuals(ds: int, de: int, images: np.ndarray) -> np.ndarray:
+    """tr_env(F(g)) - g for every basis member g."""
     reduced = np.einsum("naibi->nab", images.reshape(-1, ds, de, ds, de))
-    reduced -= basis
+    reduced -= _basis(ds).members
+    return reduced
+
+
+def _worst_trace_deviation(ds: int, reduced: np.ndarray):
+    """The largest trace norm among the residuals of :func:`_trace_residuals`, and its g."""
     devs = np.linalg.svd(reduced, compute_uv=False).sum(axis=1)
     worst = int(np.argmax(devs))
-    return float(devs[worst]), basis[worst].copy()
+    return float(devs[worst]), _basis(ds).members[worst].copy()
+
+
+def _trace_screen(ds: int, de: int, images: np.ndarray):
+    """None when a bound proves that no ||tr_env(F(g)) - g||_1 exceeds ``tolerances.trace``,
+    else the exact worst deviation and its g, from one SVD per basis member.
+
+    A ds x ds R has ||R||_1 <= sqrt(ds) ||R||_F.  The exact path's singular values are each a
+    few ds u ||R||_2 off R's (a backward-stable SVD, u the unit roundoff), their sum adds ds u
+    and the Frobenius norm's sum of squares ds^2 u, all within the margin 8 ds^2 u ||R||_F; so
+    wherever the bound passes, the exact path passes too, and a deviation at rounding level
+    needs no SVD."""
+    reduced = _trace_residuals(ds, de, images)
+    bound = np.sqrt(ds) * np.max(frobenius_norms(reduced)) * (1 + 8 * ds * ds * np.finfo(float).eps)
+    return None if bound <= tolerances.trace else _worst_trace_deviation(ds, reduced)
 
 
 def _reference(f: Lifting) -> np.ndarray:
@@ -231,7 +250,7 @@ def check_trace_constraint(f: Lifting) -> float:
     Zero (within tolerance) exactly when F is a right inverse of the
     environment partial trace.
     """
-    return _trace_deviations(f.ds, f.de, basis_images(f))[0]
+    return _worst_trace_deviation(f.ds, _trace_residuals(f.ds, f.de, basis_images(f)))[0]
 
 
 def check_hermiticity_preserving(f: Lifting) -> float:
@@ -258,6 +277,8 @@ def _walk(screen: _Screen):
     psi^dagger on the q-th pair's span times its trace; each certificate and seed made late."""
     basis = screen.basis
     yield basis.pair[0], basis.psi[0], basis.members[0]
+    if screen.near_product():
+        return
     certified = np.array([screen.certifies(q) for q in range(len(basis.pairs))], dtype=bool)
     for j in np.setdiff1d(np.arange(1, len(basis.members)), basis.pairs[certified]):  # canonical
         yield basis.pair[j], basis.psi[j], basis.members[j]
@@ -279,11 +300,13 @@ def _has_cholesky(h: np.ndarray, shift: float) -> bool:
 class _Screen:
     """What the witness search reads of a lifting: its basis images F(g_j), as F(g_j)^T, their
     Hermiticity deviations dev_j, its column norms ||M_rc||, and the Hermitian part of the Choi
-    block of each pair that a member or a seed asks for, formed once.  tol = ``tolerances.psd``."""
+    block of each pair that a member or a seed asks for, formed once.  tol = ``tolerances.psd``.
+    The analyzer also hands it the reference D, for :meth:`near_product`."""
 
-    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
+    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray,
+                 reference: np.ndarray | None = None):
         m, n = f.ds**2, f.ds * f.de
-        self.tol, self.dim = tolerances.psd, n
+        self.tol, self.dim, self.ds, self.reference = tolerances.psd, n, f.ds, reference
         self.basis = _basis(f.ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
@@ -293,9 +316,34 @@ class _Screen:
         cols, k, l = self.norms.reshape(f.ds, f.ds), self.basis.k, self.basis.l  # [c, r]: ||M_rc||
         spread = cols[k, k] + cols[k, l] + cols[l, k] + cols[l, l]  # N of each pair, from |g_kl|
         # the rounding bound of certifies: eps (4 n^2 + m + 16) (N + tol) + 2 sum_j dev_j <= tol/2
-        slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread + self.tol)
-        self.small = slack + 2 * deviations[self.basis.pairs].sum(axis=1) <= self.tol / 2
+        self.slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread + self.tol)
+        self.small = self.slack + 2 * deviations[self.basis.pairs].sum(axis=1) <= self.tol / 2
         self.hermitian = {}
+
+    @cached_property
+    def residual(self) -> float:
+        """max_g ||F(g) - g (x) D||_F, the analyzer's product residual, with its bits."""
+        return _residual(self.ds, self.images.transpose(0, 2, 1), self.reference)
+
+    def near_product(self) -> bool:
+        """Whether the product bound proves that no state maps below -tol on the exact path, so
+        that the walk need try nothing after g_00: the paper's theorem read the other way, the
+        product lifting W -> W (x) D is positive exactly when D is.  False without a reference.
+
+        With r = :attr:`residual` and Delta(W) = F(W) - W (x) D, Delta(E_kk) = Delta(g_kk) and
+        Delta(E_kl) is the _OFF_DIAGONAL combination of four basis residuals, whose moduli sum
+        to 1 + sqrt 2; so ||Delta(E_rc)||_F <= (1 + sqrt 2) r.  A state rho has sum_rc |rho_rc|
+        <= (sum_r sqrt(rho_rr))^2 <= ds, so ||Delta(rho)||_F <= ds (1 + sqrt 2) r, and rho (x)
+        Herm D, with eigenvalues p_i mu_j, has none below min(0, lambda_min(Herm D)).  Hence
+        lambda_min(Herm F(rho)) >= min(0, lambda_min(Herm D)) - ds (1 + sqrt 2) r.  When that
+        is at least -tol/2 and every pair's rounding slack of :meth:`certifies`, which bounds
+        the exact path's rounding on the pair's span and r's few u N, is at most tol/2, no
+        member or seed evaluates below -tol, and the search's outcome is None."""
+        if self.reference is None or np.any(self.slack > self.tol / 2):
+            return False
+        d = self.reference
+        floor = min(0.0, float(np.linalg.eigvalsh((d + d.conj().T) / 2)[0]))
+        return floor - self.ds * (1 + np.sqrt(2)) * self.residual >= -self.tol / 2
 
     def block(self, q: int) -> np.ndarray:
         """B^T of :meth:`certifies`: F(g_kk)^T, F(g_ll)^T on the diagonal, F(E_kl)^T =
@@ -384,9 +432,10 @@ def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
     whose image has an eigenvalue below -``tolerances.psd``, or None.  ``screen`` is the
     :class:`_Screen` of ``basis_images(f)``, built here when not given.
 
-    The walk tests g_00, certifies each pair once, then walks the basis members that no
-    certified pair covers, in canonical order, and the seeds of the uncertified pairs, in pair
-    order; a covered member lies on a certified span, so the first witness does not move.  A
+    The walk tests g_00, stops where :meth:`_Screen.near_product` proves that nothing after it
+    holds a witness, certifies each pair once, then walks the basis members that no certified
+    pair covers, in canonical order, and the seeds of the uncertified pairs, in pair order; a
+    covered member lies on a certified span, so the first witness does not move.  A
     walked member that :meth:`_Screen.clears` is skipped; any other is evaluated with
     ``apply_lifting`` and ``eigvalsh``, so the witness is that of the exact path.  Its floor is
     absolute: a direct call on images of norm 1e6 or more can report a rounding-level witness,
@@ -551,9 +600,16 @@ class AnalysisReport:
     de: int
     verdict: object
     hermiticity_deviation: float
-    trace_deviation: float
     images: np.ndarray  # basis_images of the lifting
     reference: np.ndarray  # extract_reference of the lifting
+    trace: tuple | None = None  # the worst trace deviation and its g, when the analyzer took it
+
+    @cached_property
+    def trace_deviation(self) -> float:
+        """The largest ||tr_env(F(g)) - g||_1 over the basis, taken when read where the bound of
+        :func:`_trace_screen` settled the check."""
+        return (self.trace or _worst_trace_deviation(
+            self.ds, _trace_residuals(self.ds, self.de, self.images)))[0]
 
     @property
     def structure(self) -> StructureReport:
@@ -574,18 +630,19 @@ def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     images = basis_images(f)
     deviations = _hermiticity_deviations(images)
     herm = float(np.max(deviations, initial=0.0))
-    trace = _trace_deviations(f.ds, f.de, images)
+    trace = _trace_screen(f.ds, f.de, images)
     reference = _reference(f)
-    report = partial(AnalysisReport, f.ds, f.de, hermiticity_deviation=herm,
-                     trace_deviation=trace[0], images=images, reference=reference)
+    report = partial(AnalysisReport, f.ds, f.de, hermiticity_deviation=herm, images=images,
+                     reference=reference, trace=trace)
     if herm > tolerances.hermitian:
         return report(ViolatesHermiticity(herm))
-    if trace[0] > tolerances.trace:
+    if trace is not None and trace[0] > tolerances.trace:
         return report(ViolatesTrace(*trace))
-    witness = positivity_witness_search(f, _Screen(f, images, deviations))
+    screen = _Screen(f, images, deviations, reference)
+    witness = positivity_witness_search(f, screen)
     if witness is not None:
         return report(witness)
-    residual = _residual(f.ds, images, reference)
+    residual = screen.residual
     return report(Product(reference, residual) if residual <= tol else Inconclusive(residual))
 
 
@@ -623,8 +680,9 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     image (tensoring with Id/de) is subtracted, leaving tr_env(Delta(X)) = 0
     for every X.  The composite basis is never formed: each member has at
     most four nonzero entries, so the draw is scattered straight into a
-    (dim, dim, ds^2) stack of transposed images, projected by an einsum over
-    its (ds, de, ds, de) blocks: O((ds*de)^2 * ds^2) time and memory.
+    (dim, dim, ds^2) stack of transposed images, in O((ds*de)^2 * ds^2) memory.
+    Its GEMM with ``_basis(ds).inverse`` takes O((ds*de)^2 * ds^4) time; an
+    einsum over the (ds, de, ds, de) blocks projects it.
     """
     _map_shape(ds * de, ds, "perturbation")
     rng = philox_rng(seed)
@@ -648,7 +706,7 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     norm = float(np.linalg.norm(blocks))
     if norm <= PERTURBATION_FLOOR:  # de = 1, where the partial-trace completion is everything
         raise ConstraintViolation("could not draw a non-degenerate perturbation")
-    return np.divide(blocks, norm, out=blocks).reshape(dim * dim, n)
+    return np.multiply(blocks, 1 / norm, out=blocks).reshape(dim * dim, n)
 
 
 def perturbed_product_lifting(reference: np.ndarray, ds: int, eps: float, seed) -> Lifting:

@@ -29,7 +29,7 @@ from statelift import (
 from statelift import cli
 from statelift.cli import EXIT_CONSTRAINT, EXIT_DIMENSION, EXIT_FORMAT, build_parser, main
 from statelift.config import tolerances
-from statelift.fileio import read_matrix, write_lifting, write_matrix
+from statelift.fileio import read_lifting, read_matrix, write_lifting, write_matrix
 from statelift.linalg import vec
 
 from oracles import (
@@ -160,6 +160,20 @@ def test_analyze_perturbed_prints_its_witness(fixtures, capsys):
             re, im = map(float, report[f"witness[{r},{c}]"].split())
             witness[r, c] = complex(re, im)
     assert np.array_equal(witness.view(np.uint64), verdict.witness.view(np.uint64))
+
+
+def test_analyze_entangling_takes_one_svd_for_the_trace_deviation_it_prints(tmp_path, capsys,
+                                                                           monkeypatch):
+    u = statelift.unitary_from_hamiltonian(random_hermitian(8, seed=66), 1.0)
+    write_lifting(tmp_path / "F.lift", statelift.kraus_lifting([u], random_density(2, seed=67), 4))
+    f = read_lifting(tmp_path / "F.lift")
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift") == 0
+    assert len(calls) == 1  # the trace screen's bound cannot settle it; the report keeps the SVD
+    report = report_lines(capsys)
+    assert report["verdict"] == "violates_trace"
+    assert report["trace_deviation"] == cli._f(statelift.check_trace_constraint(f))
 
 
 def test_purify_verb(tmp_path):

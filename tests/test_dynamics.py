@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -270,7 +271,7 @@ def test_reduced_dynamics_matches_loops(ds, de):
     u = unitary_from_hamiltonian(h, 0.9)
     loops = reduced_dynamics_loops(u, lambda x: np.kron(x, d), ds, de)
     assert np.max(np.abs(reduced_dynamics_map(h, d, 0.9).matrix - loops)) <= 1e-14
-    # with check_trace_constraint, which reads the basis images of the lifting
+    # through the trace screen, which reads the basis images of the lifting
     f = product_lifting(d, ds)
     lam = reduced_dynamics_from_lifting(h, f, 0.9)
     assert np.max(np.abs(lam.matrix - loops)) <= 1e-14
@@ -320,6 +321,22 @@ def test_reduced_dynamics_from_explicit_lifting():
     f_swap = kraus_lifting([swap], d, 2)
     with pytest.raises(ConstraintViolation, match="right inverse"):
         reduced_dynamics_from_lifting(h, f_swap, 0.6)
+
+
+def test_the_lifting_route_settles_the_trace_check_by_its_bound(monkeypatch):
+    from statelift import check_trace_constraint, kraus_lifting
+
+    h = random_hermitian(4, seed=24)
+    d = random_density(2, seed=25)
+    f_swap = kraus_lifting([np.eye(4)[[0, 2, 1, 3]]], d, 2)
+    message = re.escape(f"(deviation {check_trace_constraint(f_swap):.3e})")
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    reduced_dynamics_from_lifting(h, product_lifting(d, 2), 0.6)
+    assert calls == []  # a right inverse at rounding level takes no SVD
+    with pytest.raises(ConstraintViolation, match=message):
+        reduced_dynamics_from_lifting(h, f_swap, 0.6)
+    assert len(calls) == 1  # the exact deviation, for the message
 
 
 def test_transpose_channel_not_completely_positive():

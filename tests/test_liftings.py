@@ -572,9 +572,9 @@ def _count_calls(monkeypatch, owner, name):
     """Wrap owner.name so that each call records its arguments, then runs; returns the record."""
     calls, wrapped = [], getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return wrapped(*args)
+        return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -595,8 +595,9 @@ def test_a_witness_at_member_0_tries_no_certificate(ds, de, monkeypatch):
 @pytest.mark.parametrize("kind", ["product", "kraus_local"])
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4)])
 def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, de, monkeypatch):
-    # every pair certifies, so every basis member but g_00 is covered, g_00 clears without
-    # an exact evaluation, and no pair seed (nor any other member off the basis) is built
+    # g_00 clears without an exact evaluation; then the analyzer's walk stops at the product
+    # bound, and a search of its own certifies every pair, so every other basis member is
+    # covered, and no pair seed (nor any other member off the basis) is built
     tested = _count_calls(monkeypatch, _Screen, "clears")
     exact = _count_calls(monkeypatch, liftings, "apply_lifting")
     monkeypatch.setattr(_Screen, "seed", lambda screen, q: pytest.fail("built a pair seed"))
@@ -606,6 +607,132 @@ def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, d
     assert len(tested) == 2 and exact == []
     for _, q, psi in tested:  # g_00 = e_0 e_0^dagger on the pair (0, 1)
         assert q == 0 and np.array_equal(psi, [1, 0])
+
+
+def _env_local_kraus(ds, de, seed):
+    """rho -> sum_n K_n (rho (x) D) K_n^dagger for K_1 = sqrt(0.3) Id (x) u and
+    K_2 = sqrt(0.7) Id (x) v: the product lifting of 0.3 u D u^dagger + 0.7 v D v^dagger."""
+    d = random_density(de, seed=seed)
+    u, v = (unitary_from_hamiltonian(random_hermitian(de, seed=seed + i), 1.0) for i in (1, 2))
+    return kraus_lifting([np.sqrt(0.3) * np.kron(np.eye(ds), u),
+                          np.sqrt(0.7) * np.kron(np.eye(ds), v)], d, ds)
+
+
+@pytest.mark.parametrize("kind", ["product", "kraus_local", "env_local_kraus"])
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 2), (4, 4), (8, 4)])
+def test_the_product_bound_settles_a_product_after_g00(kind, ds, de, monkeypatch):
+    # the residual is at rounding level, so after g_00 no certificate, member or seed is tried
+    certified = _count_calls(monkeypatch, _Screen, "certifies")
+    residuals = _count_calls(monkeypatch, liftings, "_residual")
+    if kind == "env_local_kraus":
+        f = _env_local_kraus(ds, de, seed=870 + ds * de)
+    else:
+        f = _lifting_of_kind(kind, ds, de, seed=870 + ds * de)
+    verdict = analysis_report(f).verdict
+    assert isinstance(verdict, Product)
+    assert certified == [] and len(residuals) == 1
+    reference = liftings._reference(f)
+    want = liftings._residual(ds, basis_images(f), reference)
+    assert np.float64(verdict.residual).view(np.uint64) == np.float64(want).view(np.uint64)
+    assert np.array_equal(verdict.reference.view(np.uint64), reference.view(np.uint64))
+
+
+def test_a_near_product_whose_bound_fails_still_walks(monkeypatch):
+    # at eps 1e-8 the residual is far above tol / (2 ds (1 + sqrt 2)), so after g_00 the pair
+    # is certified, and seeded if it fails, as before the bound
+    f = perturbed_product_lifting(random_density(2, seed=883), 2, 1e-8, seed=884)  # not at g_00
+    images = basis_images(f)
+    screen = _Screen(f, images, _hermiticity_deviations(images), liftings._reference(f))
+    assert screen.residual > 1e-9 and not screen.near_product()
+    certified = _count_calls(monkeypatch, _Screen, "certifies")
+    verdict = analyze(f)
+    assert len(certified) == 1
+    _assert_same_witness(verdict if isinstance(verdict, ViolatesPositivity) else None,
+                         positivity_witness_search_loops(f))
+
+
+def test_a_witness_at_g00_takes_no_residual(monkeypatch):
+    residuals = _count_calls(monkeypatch, liftings, "_residual")
+    f = perturbed_product_lifting(random_density(4, seed=882), 4, 1e-2, seed=883)
+    assert np.array_equal(analyze(f).witness, hermitian_basis(4)[0])
+    assert residuals == []
+
+
+def test_the_product_bound_keeps_every_verdict_near_its_edge(monkeypatch):
+    # near-threshold (2, 2) and (3, 2) trials, where the bound settles some and not others: the
+    # verdict, witness bits, eigenvalue and residual are those of the walk without the bound
+    decided = []
+    near_product = _Screen.near_product
+
+    def recorded(screen):
+        decided.append(near_product(screen))
+        return decided[-1]
+
+    for eps in (5e-11, 1.4e-10, 1.6e-10, 1e-9):
+        for ds in (2, 3):
+            for trial in range(12):
+                f = _sweep_trial(ds, 2, eps, 890, trial)
+                monkeypatch.setattr(_Screen, "near_product", lambda screen: False)
+                want = analyze(f)
+                monkeypatch.setattr(_Screen, "near_product", recorded)
+                got = analyze(f)
+                assert type(got) is type(want)
+                if isinstance(want, ViolatesPositivity):
+                    assert np.array_equal(got.witness.view(np.uint64), want.witness.view(np.uint64))
+                    assert got.min_eigenvalue == want.min_eigenvalue
+                else:
+                    assert got.residual == want.residual
+    assert 0 < sum(decided) < len(decided)
+
+
+def _planted_trace_lifting(ds, de, delta, r, unit):
+    """The product lifting of the dyadic D = diag(1/2, 1/4, ..., 2^-(de - 1), 2^-(de - 1)), whose
+    diagonal sums to 1 without rounding, with y = delta r (x) e_0 e_0^T added to F(E_kl), for
+    unit = (k, l), and y^dagger to F(E_lk) when k != l."""
+    d = np.diag(np.append(0.5 ** np.arange(1, de), 0.5 ** (de - 1))).astype(complex)
+    m = product_lifting(d, ds).matrix.copy()
+    y, (k, l) = delta * kron(r, np.diag(np.eye(de)[0])), unit
+    m[:, l * ds + k] += vec(y)  # column c*ds + r holds F(E_rc)
+    if k != l:
+        m[:, k * ds + l] += vec(y.conj().T)
+    return Lifting(ds, de, m)
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (8, 4)])
+@pytest.mark.parametrize("shape, scale, svds", [("unitary", 1 - 1e-6, 0), ("unitary", 1 + 1e-6, 1),
+                                                ("rank_one", None, 1)])
+def test_the_trace_screen_keeps_the_exact_verdict(ds, de, shape, scale, svds, monkeypatch):
+    tol = tolerances.trace
+    star = ds * (ds + 1) // 2  # g*_01
+    if shape == "unitary":
+        # i delta s (x) e_0 e_0^T in F(E_01), s = E_01 + diag(0, 0, 1/2, ..., 1/2): g*_01's residual
+        # is -delta P, P the swap of e_0 and e_1, a Hermitian unitary, so ||.||_1 = sqrt(ds)
+        # ||.||_F, the bound's tight case; g_01's is i delta (E_01 - E_10), and the rest are 0.
+        # Each lands on a zero real or imaginary part of g, so all are exact
+        s = np.diag(np.r_[0.0, 0.0, np.full(ds - 2, 0.5)])
+        s[0, 1] = 1
+        f, nuclear = _planted_trace_lifting(ds, de, scale * tol / ds, 1j * s, (0, 1)), scale * tol
+    else:  # rank one, ||.||_1 = ||.||_F in the band (tol / sqrt(ds), tol] that the SVD decides
+        nuclear = tol * (1 + ds**-0.5) / 2
+        f = _planted_trace_lifting(ds, de, nuclear, np.diag(np.eye(ds)[-1]), (0, 0))
+    exact = check_trace_constraint(f)  # one SVD per basis member, the exact path
+    assert exact == pytest.approx(nuclear, rel=1e-12 if shape == "unitary" else 1e-5)
+    taken = _count_calls(monkeypatch, np.linalg, "svd")
+    report = analysis_report(f)
+    assert len(taken) == svds
+    assert isinstance(report.verdict, ViolatesTrace) == (exact > tol)
+    assert np.float64(report.trace_deviation).view(np.uint64) == np.float64(exact).view(np.uint64)
+    assert len(taken) == 1  # read from the report, or taken once where the screen settled it
+    if isinstance(report.verdict, ViolatesTrace):
+        assert report.verdict.max_deviation == exact
+        basis = hermitian_basis(ds)
+        assert any(np.array_equal(report.verdict.witness, basis[j]) for j in (1, star))
+
+
+def test_an_eps_1e2_nogo_trial_takes_no_svd(monkeypatch):
+    taken = _count_calls(monkeypatch, np.linalg, "svd")
+    assert no_go_sweep(8, 4, 1, 1e-2, seed=1).counts["violates_positivity"] == 1
+    assert taken == []
 
 
 def _late_witness(member, scale):
