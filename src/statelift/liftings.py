@@ -14,9 +14,8 @@ partial trace that is positive on every pair span the product map, so a
 non-product one loses positivity on some pair span.  The witness family is
 the rank-one Hermitian basis (``basis_g``, ``basis_g_star``) and one seed per
 pair, read from the lowest eigenvector of the pair's Choi block.  The search
-tests g_00, lets the analyzer's product bound settle a lifting within rounding
-of a product, then certifies each pair's Choi block once and walks only what
-the certificates leave open.
+tests g_00, lets the product bound settle a lifting within rounding of a
+product, then certifies each pair's Choi block once and walks what is left.
 """
 
 from __future__ import annotations
@@ -300,13 +299,12 @@ def _has_cholesky(h: np.ndarray, shift: float) -> bool:
 class _Screen:
     """What the witness search reads of a lifting: its basis images F(g_j), as F(g_j)^T, their
     Hermiticity deviations dev_j, its column norms ||M_rc||, and the Hermitian part of the Choi
-    block of each pair that a member or a seed asks for, formed once.  tol = ``tolerances.psd``.
-    The analyzer also hands it the reference D, for :meth:`near_product`."""
+    block of each pair that a member or a seed asks for, formed once, and the reference D of
+    :func:`_reference`, for :meth:`near_product`.  tol = ``tolerances.psd``."""
 
-    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray,
-                 reference: np.ndarray | None = None):
+    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
         m, n = f.ds**2, f.ds * f.de
-        self.tol, self.dim, self.ds, self.reference = tolerances.psd, n, f.ds, reference
+        self.tol, self.dim, self.ds, self.reference = tolerances.psd, n, f.ds, _reference(f)
         self.basis = _basis(f.ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
@@ -328,7 +326,7 @@ class _Screen:
     def near_product(self) -> bool:
         """Whether the product bound proves that no state maps below -tol on the exact path, so
         that the walk need try nothing after g_00: the paper's theorem read the other way, the
-        product lifting W -> W (x) D is positive exactly when D is.  False without a reference.
+        product lifting W -> W (x) D is positive exactly when D is.
 
         With r = :attr:`residual` and Delta(W) = F(W) - W (x) D, Delta(E_kk) = Delta(g_kk) and
         Delta(E_kl) is the _OFF_DIAGONAL combination of four basis residuals, whose moduli sum
@@ -338,8 +336,9 @@ class _Screen:
         lambda_min(Herm F(rho)) >= min(0, lambda_min(Herm D)) - ds (1 + sqrt 2) r.  When that
         is at least -tol/2 and every pair's rounding slack of :meth:`certifies`, which bounds
         the exact path's rounding on the pair's span and r's few u N, is at most tol/2, no
-        member or seed evaluates below -tol, and the search's outcome is None."""
-        if self.reference is None or np.any(self.slack > self.tol / 2):
+        member or seed evaluates below -tol, and the search's outcome is None.  Nothing here
+        uses Hermiticity or the trace constraint, so the bound holds for any lifting."""
+        if np.any(self.slack > self.tol / 2):
             return False
         d = self.reference
         floor = min(0.0, float(np.linalg.eigvalsh((d + d.conj().T) / 2)[0]))
@@ -638,7 +637,7 @@ def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
         return report(ViolatesHermiticity(herm))
     if trace is not None and trace[0] > tolerances.trace:
         return report(ViolatesTrace(*trace))
-    screen = _Screen(f, images, deviations, reference)
+    screen = _Screen(f, images, deviations)
     witness = positivity_witness_search(f, screen)
     if witness is not None:
         return report(witness)
@@ -743,18 +742,14 @@ class SweepOutcome:
     falsifiers: list  # trial indices where the analyzer came back inconclusive
 
 
-def no_go_sweep(
-    ds: int,
-    de: int,
-    trials: int,
-    eps: float,
-    seed: int,
-    tol: float | None = None,
-) -> SweepOutcome:
+def no_go_sweep(ds: int, de: int, trials: int, eps: float, seed: int,
+                tol: float | None = None) -> SweepOutcome:
     """Analyze `trials` random constraint-respecting perturbations of random
     product liftings.  Every trial must come back as a product or as a
     hypothesis violation; an inconclusive verdict is a falsifier."""
     tol = _residual_tol(tol)
+    if trials < 0:
+        raise ConstraintViolation(f"trials must be nonnegative, got {trials}")
     verdicts = []
     counts = {name: 0 for name in _VERDICT_NAMES.values()}
     falsifiers = []

@@ -25,9 +25,9 @@ from .errors import ConstraintViolation, DimensionMismatch
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting non-finite entries."""
+    """Coerce to a non-empty square complex128 matrix, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ConstraintViolation("matrix has non-finite entries")
@@ -79,6 +79,8 @@ def _split_composite(w: np.ndarray, ds: int, de: int) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix of shape {w.shape} does not factor as ({ds}*{de}) x ({ds}*{de})"
         )
+    if not np.all(np.isfinite(w)):
+        raise ConstraintViolation("matrix has non-finite entries")
     return w.reshape(ds, de, ds, de)
 
 

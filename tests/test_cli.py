@@ -540,6 +540,18 @@ def test_exit_code_dimension_mismatch(tmp_path, capsys):
     assert last_record(tmp_path)["exit_code"] == EXIT_DIMENSION
 
 
+@pytest.mark.parametrize("side", ["env", "sys"])
+def test_reduce_rejects_non_finite_input(tmp_path, capsys, side):
+    # it wrote nan into the reduced matrix and exited 0
+    (tmp_path / "nan.mat").write_text("statelift/matrix v1\ndim 2\nnan 0\n0 0\n0 0\n1 0\n")
+    assert run(tmp_path, "reduce", "--state", tmp_path / "nan.mat", "--dims", "2,1",
+               "--side", side, "--out", tmp_path / "r.mat") == EXIT_CONSTRAINT
+    assert capsys.readouterr() == ("", "error: constraint: matrix has non-finite entries\n")
+    assert not (tmp_path / "r.mat").exists()
+    assert last_record(tmp_path)["command"] == "reduce"
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+
+
 def test_exit_code_constraint_violation(tmp_path, capsys):
     write_matrix(tmp_path / "bad.mat", np.diag([2.0, -1.0]).astype(complex))
     write_matrix(tmp_path / "D.mat", random_density(2, seed=14))

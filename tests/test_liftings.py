@@ -551,7 +551,9 @@ def test_pair_block_from_four_images_matches_matrix_unit_parts(ds, de, kind):
 
 
 def test_pair_certificates_wait_for_the_walk(monkeypatch):
-    # a witness among the basis members costs no pair factorization
+    # a witness among the basis members costs no pair factorization; a completely positive
+    # lifting that the product bound does not settle (its global unitary entangles, so the
+    # residual is of order 1) has each pair certified once, in pair order
     tried = []
     certifies = _Screen.certifies
 
@@ -564,7 +566,7 @@ def test_pair_certificates_wait_for_the_walk(monkeypatch):
     got = positivity_witness_search(perturbed_product_lifting(d, 4, 1e-2, seed=831))
     assert np.array_equal(got.witness, hermitian_basis(4)[0])
     assert tried == []
-    assert positivity_witness_search(product_lifting(d, 4)) is None
+    assert positivity_witness_search(_lifting_of_kind("entangling", 4, 4, seed=830)) is None
     assert tried == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
@@ -595,9 +597,9 @@ def test_a_witness_at_member_0_tries_no_certificate(ds, de, monkeypatch):
 @pytest.mark.parametrize("kind", ["product", "kraus_local"])
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4)])
 def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, de, monkeypatch):
-    # g_00 clears without an exact evaluation; then the analyzer's walk stops at the product
-    # bound, and a search of its own certifies every pair, so every other basis member is
-    # covered, and no pair seed (nor any other member off the basis) is built
+    # g_00 clears without an exact evaluation; then the walk stops at the product bound, both
+    # the analyzer's and a search's with a screen of its own, so no other basis member, pair
+    # seed or member off the basis is tested or built
     tested = _count_calls(monkeypatch, _Screen, "clears")
     exact = _count_calls(monkeypatch, liftings, "apply_lifting")
     monkeypatch.setattr(_Screen, "seed", lambda screen, q: pytest.fail("built a pair seed"))
@@ -621,16 +623,19 @@ def _env_local_kraus(ds, de, seed):
 @pytest.mark.parametrize("kind", ["product", "kraus_local", "env_local_kraus"])
 @pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 2), (4, 4), (8, 4)])
 def test_the_product_bound_settles_a_product_after_g00(kind, ds, de, monkeypatch):
-    # the residual is at rounding level, so after g_00 no certificate, member or seed is tried
+    # the residual is at rounding level, so after g_00 no certificate, member or seed is tried,
+    # by the analyzer's walk and by a search that builds its own screen alike
     certified = _count_calls(monkeypatch, _Screen, "certifies")
     residuals = _count_calls(monkeypatch, liftings, "_residual")
     if kind == "env_local_kraus":
         f = _env_local_kraus(ds, de, seed=870 + ds * de)
     else:
         f = _lifting_of_kind(kind, ds, de, seed=870 + ds * de)
+    assert positivity_witness_search(f) is None
+    assert certified == [] and len(residuals) == 1
     verdict = analysis_report(f).verdict
     assert isinstance(verdict, Product)
-    assert certified == [] and len(residuals) == 1
+    assert certified == [] and len(residuals) == 2
     reference = liftings._reference(f)
     want = liftings._residual(ds, basis_images(f), reference)
     assert np.float64(verdict.residual).view(np.uint64) == np.float64(want).view(np.uint64)
@@ -642,7 +647,7 @@ def test_a_near_product_whose_bound_fails_still_walks(monkeypatch):
     # is certified, and seeded if it fails, as before the bound
     f = perturbed_product_lifting(random_density(2, seed=883), 2, 1e-8, seed=884)  # not at g_00
     images = basis_images(f)
-    screen = _Screen(f, images, _hermiticity_deviations(images), liftings._reference(f))
+    screen = _Screen(f, images, _hermiticity_deviations(images))
     assert screen.residual > 1e-9 and not screen.near_product()
     certified = _count_calls(monkeypatch, _Screen, "certifies")
     verdict = analyze(f)
@@ -660,7 +665,8 @@ def test_a_witness_at_g00_takes_no_residual(monkeypatch):
 
 def test_the_product_bound_keeps_every_verdict_near_its_edge(monkeypatch):
     # near-threshold (2, 2) and (3, 2) trials, where the bound settles some and not others: the
-    # verdict, witness bits, eigenvalue and residual are those of the walk without the bound
+    # verdict, witness bits, eigenvalue and residual are those of the walk without the bound,
+    # and so is the outcome of a search that builds its own screen
     decided = []
     near_product = _Screen.near_product
 
@@ -673,15 +679,16 @@ def test_the_product_bound_keeps_every_verdict_near_its_edge(monkeypatch):
             for trial in range(12):
                 f = _sweep_trial(ds, 2, eps, 890, trial)
                 monkeypatch.setattr(_Screen, "near_product", lambda screen: False)
-                want = analyze(f)
+                want = analyze(f), positivity_witness_search(f)
                 monkeypatch.setattr(_Screen, "near_product", recorded)
-                got = analyze(f)
-                assert type(got) is type(want)
-                if isinstance(want, ViolatesPositivity):
-                    assert np.array_equal(got.witness.view(np.uint64), want.witness.view(np.uint64))
-                    assert got.min_eigenvalue == want.min_eigenvalue
+                got = analyze(f), positivity_witness_search(f)
+                assert type(got[0]) is type(want[0]) and type(got[1]) is type(want[1])
+                if isinstance(want[0], ViolatesPositivity):
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a.witness.view(np.uint64), b.witness.view(np.uint64))
+                        assert a.min_eigenvalue == b.min_eigenvalue
                 else:
-                    assert got.residual == want.residual
+                    assert want[1] is None and got[0].residual == want[0].residual
     assert 0 < sum(decided) < len(decided)
 
 
@@ -1215,6 +1222,18 @@ def test_no_go_sweep_checks_tol_before_any_trial(monkeypatch, tol, trials):
     monkeypatch.setattr(liftings, "perturbed_product_lifting", no_trial)
     with pytest.raises(ConstraintViolation, match="tol must be finite and nonnegative"):
         no_go_sweep(2, 2, trials, 1e-2, 1, tol)
+
+
+@pytest.mark.parametrize("trials", [-1, -100])
+def test_no_go_sweep_checks_trials_before_any_trial(monkeypatch, trials):
+    # a negative count used to raise numpy's OverflowError from SeedSequence.spawn
+    def no_trial(*args):
+        raise AssertionError("a trial ran before trials was checked")
+
+    monkeypatch.setattr(liftings, "spawn_seeds", no_trial)
+    monkeypatch.setattr(liftings, "perturbed_product_lifting", no_trial)
+    with pytest.raises(ConstraintViolation, match=f"^trials must be nonnegative, got {trials}$"):
+        no_go_sweep(2, 2, trials, 1e-2, 1)
 
 
 def second_order_lifting(delta):

@@ -13,12 +13,17 @@ from statelift import (
     apply_channel,
     apply_lifting,
     apply_reduction,
+    choquet_spectral,
+    empirical_state,
+    estimate_expectation,
     kraus_lifting,
     no_go_sweep,
     pairing,
     partial_trace_env,
     partial_trace_sys,
+    perturbed_product_lifting,
     product_lifting,
+    purify,
     random_perturbation,
     reduce_observable,
     spectral,
@@ -118,6 +123,22 @@ def test_ptrace_linear_and_trace_preserving(ds, de):
 def test_ptrace_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         partial_trace_env(np.eye(5), 2, 2)
+
+
+@pytest.mark.parametrize("trace", [partial_trace_env, partial_trace_sys])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_ptrace_rejects_non_finite_entries(trace, bad):
+    # both sides used to pass a NaN or an infinity through to their output
+    w = np.eye(2, dtype=type(bad))
+    w[1, 0] = bad
+    with pytest.raises(ConstraintViolation, match="^matrix has non-finite entries$"):
+        trace(w, 2, 1)
+
+
+@pytest.mark.parametrize("trace", [partial_trace_env, partial_trace_sys])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_ptrace_keeps_the_input_dtype(trace, dtype):
+    assert trace(np.eye(6, dtype=dtype), 3, 2).dtype == dtype
 
 
 def test_ptrace_adjoint_identity():
@@ -320,11 +341,28 @@ def _lifting_22():
      "lifting dimensions must be positive, got 0 -> 0"),
     (lambda: reduce_observable(np.zeros((0, 0)), random_density(2, seed=2)), DimensionMismatch,
      "observable shape (0, 0) does not factor over an environment of dim 2"),
+    # an empty state or correlation operator, which used to raise IndexError from its spectrum
+    (lambda: product_lifting(np.zeros((0, 0)), 2), DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
+    (lambda: kraus_lifting([], np.zeros((0, 0)), 2), DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
+    (lambda: perturbed_product_lifting(np.zeros((0, 0)), 2, 1e-2, 1), DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
+    (lambda: purify(np.zeros((0, 0)), 2), DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
+    (lambda: choquet_spectral(np.zeros((0, 0))), DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
+    (lambda: estimate_expectation(np.zeros((0, 0)), np.zeros((0, 0)), 10, 1), DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
+    (lambda: empirical_state(np.zeros((0, 0)), 10, 1), DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
 ], ids=["lifting-shape", "reduction-shape", "channel-shape", "lifting-operand",
         "reduction-operand", "channel-operand", "lifting-non-finite", "lifting-ds-0",
         "lifting-de-0", "lifting-ds-negative", "reduction-dims", "channel-dims",
         "perturbation-ds-0", "perturbation-de-0", "sweep-dims", "product-lifting-ds-negative",
-        "kraus-lifting-ds-0", "observable-empty"])
+        "kraus-lifting-ds-0", "observable-empty", "product-lifting-empty",
+        "kraus-lifting-empty", "perturbed-lifting-empty", "purify-empty", "choquet-empty",
+        "estimate-empty", "empirical-empty"])
 def test_stored_maps_name_the_shape_they_expect(build, error, message):
     with pytest.raises(error) as info:
         build()
