@@ -20,12 +20,12 @@ import math
 import os
 import sys
 import time
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from . import dynamics, fileio, liftings, measures, states
-from .config import default_residual_tol
+from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch, FormatError
 from .linalg import partial_trace_env, partial_trace_sys, trace_norm
 
@@ -130,7 +130,7 @@ def _cmd_reduce(args, run: _Run) -> int:
 
 
 def _cmd_analyze(args, run: _Run) -> int:
-    tol = default_residual_tol() if args.tol is None else _finite_nonnegative("tol", args.tol)
+    tol = tolerances.residual if args.tol is None else _finite_nonnegative("tol", args.tol)
     f = fileio.read_lifting(run.input(args.lifting))
     if args.dims is not None:
         ds, de = _parse_dims(args.dims)
@@ -258,8 +258,7 @@ def _cmd_classical_lift(args, run: _Run) -> int:
             raise DimensionMismatch(f"--split indices out of range for Q of size {args.q}")
         mask = np.zeros(args.q, dtype=bool)
         mask[members] = True
-        psize = args.psize if args.psize is not None else max(args.p1, args.p2) + 1
-        table = measures.split_lift(mask, args.p1, args.p2, psize)
+        table = measures.split_lift(mask, args.p1, args.p2, max(args.p1, args.p2) + 1)
     else:
         if args.table is None:
             raise FormatError("provide either --table or --split")
@@ -286,7 +285,7 @@ def _cmd_nogo(args, run: _Run) -> int:
     _nonnegative("trials", args.trials)
     _nonnegative("seed", args.seed)
     _finite_nonnegative("eps", args.eps)
-    tol = default_residual_tol() if args.tol is None else _finite_nonnegative("tol", args.tol)
+    tol = tolerances.residual if args.tol is None else _finite_nonnegative("tol", args.tol)
     outcome = liftings.no_go_sweep(args.ds, args.de, args.trials, args.eps, args.seed, tol)
     print(f"trials = {args.trials}")
     print(f"ds = {args.ds}")
@@ -307,8 +306,8 @@ def _cmd_nogo(args, run: _Run) -> int:
     return EXIT_FALSIFIER if outcome.falsifiers else EXIT_OK
 
 
-def build_parser(verbs=None) -> argparse.ArgumentParser:
-    """The command-line parser; only the verbs in ``verbs`` (default: all) get their options."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser."""
     parser = argparse.ArgumentParser(
         prog="statelift",
         description="Partial traces, state liftings, and measure representations "
@@ -319,87 +318,83 @@ def build_parser(verbs=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def verb(name, func, help):
-        wanted = verbs is None or name in verbs
-        p = sub.add_parser(name, help=help, add_help=wanted)  # the others are never parsed
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        return p if wanted else None
+        return p
 
-    if p := verb("lift", _cmd_lift, "tensor a state with a reference state"):
-        p.add_argument("--state", required=True)
-        p.add_argument("--ref", required=True)
-        p.add_argument("--out", required=True)
+    p = verb("lift", _cmd_lift, "tensor a state with a reference state")
+    p.add_argument("--state", required=True)
+    p.add_argument("--ref", required=True)
+    p.add_argument("--out", required=True)
 
-    if p := verb("reduce", _cmd_reduce, "partial trace of a composite state"):
-        p.add_argument("--state", required=True)
-        p.add_argument("--dims", required=True, help="dS,dE")
-        p.add_argument("--side", choices=("env", "sys"), default="env")
-        p.add_argument("--out", required=True)
+    p = verb("reduce", _cmd_reduce, "partial trace of a composite state")
+    p.add_argument("--state", required=True)
+    p.add_argument("--dims", required=True, help="dS,dE")
+    p.add_argument("--side", choices=("env", "sys"), default="env")
+    p.add_argument("--out", required=True)
 
-    if p := verb("analyze", _cmd_analyze, "classify a lifting (product or violation)"):
-        p.add_argument("--lifting", required=True)
-        p.add_argument("--dims", help="dS,dE cross-check against the stored dims")
-        p.add_argument("--tol", type=float)
+    p = verb("analyze", _cmd_analyze, "classify a lifting (product or violation)")
+    p.add_argument("--lifting", required=True)
+    p.add_argument("--dims", help="dS,dE cross-check against the stored dims")
+    p.add_argument("--tol", type=float)
 
-    if p := verb("purify", _cmd_purify, "pure composite vector reducing to a state"):
-        p.add_argument("--state", required=True)
-        p.add_argument("--denv", type=int, required=True)
-        p.add_argument("--out", required=True)
+    p = verb("purify", _cmd_purify, "pure composite vector reducing to a state")
+    p.add_argument("--state", required=True)
+    p.add_argument("--denv", type=int, required=True)
+    p.add_argument("--out", required=True)
 
-    if p := verb("evolve", _cmd_evolve, "reduced dynamics of a lifted state"):
-        p.add_argument("--ham", required=True)
-        p.add_argument("--ref", required=True)
-        p.add_argument("--state", required=True)
-        p.add_argument("--t", type=float, required=True)
-        p.add_argument("--emit-channel")
-        p.add_argument("--out", required=True)
+    p = verb("evolve", _cmd_evolve, "reduced dynamics of a lifted state")
+    p.add_argument("--ham", required=True)
+    p.add_argument("--ref", required=True)
+    p.add_argument("--state", required=True)
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--emit-channel")
+    p.add_argument("--out", required=True)
 
-    if p := verb("choquet", _cmd_choquet, "spectral projector decomposition of a state"):
-        p.add_argument("--state")
-        p.add_argument("--witness", action="store_true",
-                       help="emit the two-measures-one-state witness instead")
+    p = verb("choquet", _cmd_choquet, "spectral projector decomposition of a state")
+    p.add_argument("--state")
+    p.add_argument("--witness", action="store_true",
+                   help="emit the two-measures-one-state witness instead")
 
-    if p := verb("estimate", _cmd_estimate, "Monte-Carlo estimate of tr(AB)"):
-        p.add_argument("--state", required=True)
-        p.add_argument("--obs", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
+    p = verb("estimate", _cmd_estimate, "Monte-Carlo estimate of tr(AB)")
+    p.add_argument("--state", required=True)
+    p.add_argument("--obs", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
 
-    if p := verb("empirical", _cmd_empirical, "Monte-Carlo reconstruction of a state"):
-        p.add_argument("--state", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out", required=True)
+    p = verb("empirical", _cmd_empirical, "Monte-Carlo reconstruction of a state")
+    p.add_argument("--state", required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", required=True)
 
-    if p := verb("classical-lift", _cmd_classical_lift, "lift a finite measure to a product space"):
-        p.add_argument("--upsilon", help="measure file over Q (default: uniform)")
-        p.add_argument("--table", help="lift table file")
-        p.add_argument("--split", help="comma-separated indices of the Q1 half")
-        p.add_argument("--q", type=int, help="size of Q (with --split)")
-        p.add_argument("--p1", type=int, default=0)
-        p.add_argument("--p2", type=int, default=1)
-        p.add_argument("--psize", type=int, help="size of P (default max(p1,p2)+1)")
-        p.add_argument("--out", required=True)
+    p = verb("classical-lift", _cmd_classical_lift, "lift a finite measure to a product space")
+    p.add_argument("--upsilon", help="measure file over Q (default: uniform)")
+    p.add_argument("--table", help="lift table file")
+    p.add_argument("--split", help="comma-separated indices of the Q1 half")
+    p.add_argument("--q", type=int, help="size of Q (with --split)")
+    p.add_argument("--p1", type=int, default=0)
+    p.add_argument("--p2", type=int, default=1)
+    p.add_argument("--out", required=True)
 
-    if p := verb("nogo", _cmd_nogo, "randomized factorization sweep"):
-        p.add_argument("--ds", type=int, required=True)
-        p.add_argument("--de", type=int, required=True)
-        p.add_argument("--trials", type=int, required=True)
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--tol", type=float)
+    p = verb("nogo", _cmd_nogo, "randomized factorization sweep")
+    p.add_argument("--ds", type=int, required=True)
+    p.add_argument("--de", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--tol", type=float)
 
     return parser
 
 
-_VERBS = frozenset({"lift", "reduce", "analyze", "purify", "evolve", "choquet", "estimate",
-                    "empirical", "classical-lift", "nogo"})
-# one parser per set of verbs and process: building one costs 20 times what parsing with it does
-_parser = lru_cache(maxsize=16)(build_parser)
+# one parser per process, built by the first main call rather than at import:
+# building it costs 20 times what parsing with it does
+_parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser(_VERBS.intersection(argv)).parse_args(argv)  # the verb in argv's options only
+    args = _parser().parse_args(argv)
     params = {
         k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
         for k, v in vars(args).items()

@@ -1,19 +1,14 @@
 """Central numerical tolerances.
 
 Every comparison threshold of the package is decided here, as a field of the
-frozen ``tolerances`` or as a module constant.  Only the
-analyzer's residual threshold is chosen per call, and ``STATELIFT_TOL``
-overrides its default.  Values target dense complex matrices of composite
-dimension <= 64.
+frozen ``tolerances`` or as a module constant.  Only the analyzer's residual
+threshold is chosen per call.  Values target dense complex matrices of
+composite dimension <= 64.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
-
-from .errors import ConstraintViolation
 
 
 @dataclass(frozen=True)
@@ -35,16 +30,3 @@ PRODUCT_RANK_TOL = 1e-10  # relative singular-value cutoff for the rank of a mea
 DIAG_MIXING_TOL = 1e-12   # slack in a = c <= b of the diagonal-mixing criterion
 PERTURBATION_FLOOR = 1e-9  # Frobenius norm at or below which a perturbation draw is rejected
 
-
-def default_residual_tol() -> float:
-    """Analyzer residual threshold, honouring the STATELIFT_TOL override."""
-    env = os.environ.get("STATELIFT_TOL")
-    if env is None:
-        return tolerances.residual
-    try:
-        tol = float(env)
-    except ValueError:
-        tol = math.nan
-    if not 0 <= tol < math.inf:
-        raise ConstraintViolation(f"STATELIFT_TOL must be finite and nonnegative, got {env!r}")
-    return tol

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DIAG_MIXING_TOL, KRAUS_TOL, PERTURBATION_FLOOR, default_residual_tol, tolerances
+from .config import DIAG_MIXING_TOL, KRAUS_TOL, PERTURBATION_FLOOR, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .linalg import _map_shape, apply_map, frobenius, frobenius_norms, map_matrix
 from .rng import philox_rng, spawn_seeds
@@ -617,7 +617,7 @@ class AnalysisReport:
 
 def _residual_tol(tol: float | None) -> float:
     if tol is None:
-        return default_residual_tol()
+        return tolerances.residual
     if not 0 <= tol < np.inf:
         raise ConstraintViolation(f"tol must be finite and nonnegative, got {tol}")
     return tol

@@ -27,12 +27,16 @@ from .states import pure_projector, validate_density
 # ---------------------------------------------------------------------------
 
 
-def marginal(mu: np.ndarray) -> np.ndarray:
-    """Push a measure on Q x P forward along the projection onto Q."""
+def _product_measure(mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 2:
         raise DimensionMismatch(f"product-space measure must be 2-d, got shape {mu.shape}")
-    return mu.sum(axis=1)
+    return mu
+
+
+def marginal(mu: np.ndarray) -> np.ndarray:
+    """Push a measure on Q x P forward along the projection onto Q."""
+    return _product_measure(mu).sum(axis=1)
 
 
 def validate_lift_table(table: np.ndarray) -> np.ndarray:
@@ -88,7 +92,9 @@ def split_lift(q1_mask, p1: int, p2: int, np_: int) -> np.ndarray:
 
 def product_rank(mu: np.ndarray) -> int:
     """Numerical rank of the weight matrix; a product measure has rank <= 1."""
-    mu = np.asarray(mu, dtype=float)
+    mu = _product_measure(mu)
+    if not np.all(np.isfinite(mu)):
+        raise ConstraintViolation("product-space measure has non-finite weights")
     svals = np.linalg.svd(mu, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
@@ -170,11 +176,13 @@ def measure_lift_state(sigma: np.ndarray, sys_vectors, env_vectors) -> np.ndarra
     sigma = np.asarray(sigma, dtype=float)
     vs = np.array(list(sys_vectors), dtype=np.complex128)
     ve = np.array(list(env_vectors), dtype=np.complex128)
-    if sigma.shape != (len(vs), len(ve)):
+    if not (vs.ndim == ve.ndim == 2 and vs.size and ve.size and sigma.shape == (len(vs), len(ve))):
         raise DimensionMismatch(
-            f"sigma shape {sigma.shape} does not match the projector families "
-            f"({len(vs)}, {len(ve)})"
+            f"sigma shape {sigma.shape} needs nonempty vector families of matching lengths, "
+            f"got shapes {vs.shape} and {ve.shape}"
         )
+    if not np.all(np.isfinite(sigma)):
+        raise ConstraintViolation("sigma has non-finite weights")
     dim = vs.shape[1] * ve.shape[1]
     w = np.einsum("se,sa,sb,ei,ej->aibj", sigma, vs, vs.conj(), ve, ve.conj(), optimize=True)
     return w.reshape(dim, dim)

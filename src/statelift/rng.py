@@ -11,14 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConstraintViolation
+
+
+def _entropy(seed):
+    if isinstance(seed, (int, np.integer)) and seed < 0:  # numpy's own error names no argument
+        raise ConstraintViolation(f"seed must be nonnegative, got {seed}")
+    return seed
+
 
 def philox_rng(seed) -> np.random.Generator:
     """Return a Philox-backed Generator; Generator inputs pass through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_entropy(seed)))
 
 
 def spawn_seeds(seed: int, n: int) -> list:
     """Derive n independent child seeds from one master seed (deterministic)."""
-    return np.random.SeedSequence(seed).spawn(n)
+    return np.random.SeedSequence(_entropy(seed)).spawn(n)

@@ -26,7 +26,7 @@ from statelift import (
     reduced_dynamics_from_lifting,
     trace_norm,
 )
-from statelift import cli
+from statelift import cli, liftings
 from statelift.cli import EXIT_CONSTRAINT, EXIT_DIMENSION, EXIT_FORMAT, build_parser, main
 from statelift.config import tolerances
 from statelift.fileio import read_lifting, read_matrix, write_lifting, write_matrix
@@ -350,7 +350,6 @@ def test_nogo_without_environment_exits_constraint(tmp_path, capsys):
 
 def test_nogo_falsifier_exit_code(tmp_path, capsys, monkeypatch):
     # a falsifier cannot be produced honestly, so fake the sweep outcome
-    from statelift import liftings
     from statelift.cli import EXIT_FALSIFIER
 
     fake = liftings.SweepOutcome(
@@ -468,18 +467,16 @@ def test_exit_code_out_of_range_number(tmp_path, capsys, argv, code, message):
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-8", "tiny"])
 @pytest.mark.parametrize("argv", [["analyze", "--lifting", "F.lift"], NOGO + ["--eps", 1e-2]])
 def test_exit_code_out_of_range_tolerance_env(tmp_path, capsys, monkeypatch, argv, value):
+    # STATELIFT_TOL is not read, so even a value that is no valid threshold changes nothing
     monkeypatch.setenv("STATELIFT_TOL", value)
+    write_lifting(tmp_path / "F.lift", _near_product_lifting())
     argv = [tmp_path / a if str(a).endswith(".lift") else a for a in argv]
-    assert run(tmp_path, *argv) == EXIT_CONSTRAINT
+    assert run(tmp_path, *argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: constraint: STATELIFT_TOL must be finite and nonnegative, got {value!r}\n"
-    )
+    assert "\ntol = 1e-08\n" in captured.out and captured.err == ""
     record = last_record(tmp_path)
     assert record["command"] == argv[0]
-    assert record["exit_code"] == EXIT_CONSTRAINT
-    assert record["inputs"] == {} and record["params"]["tol"] is None
+    assert record["exit_code"] == 0 and record["params"]["tol"] is None
 
 
 def test_non_finite_params_are_recorded_as_strings(tmp_path, capsys):
@@ -684,13 +681,29 @@ def test_usage_error_exit_code(tmp_path):
     assert err.value.code == 2
 
 
-def test_tolerance_env_override(fixtures, capsys, monkeypatch):
-    tmp_path, _, d = fixtures
-    write_lifting(tmp_path / "F.lift", product_lifting(d, 2))
-    monkeypatch.setenv("STATELIFT_TOL", "1e-5")
-    assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift") == 0
-    report = report_lines(capsys)
-    assert float(report["tol"]) == 1e-5
+def _near_product_lifting():
+    """Residual sqrt(12) 1e-6 and no witness: product at tol 1e-5, inconclusive at the default."""
+    m = product_lifting(np.diag([0.6, 0.4]), 2).matrix.copy()
+    m[:, 0] += 1e-6 * vec(np.diag([1.0, -1.0, 0.0, 0.0]))
+    m[:, 3] -= 1e-6 * vec(np.diag([0.0, 0.0, 1.0, -1.0]))
+    return Lifting(2, 2, m)
+
+
+def test_the_environment_sets_no_tolerance(tmp_path, capsys, monkeypatch):
+    # the residual threshold is the --tol of a run or tolerances.residual, never process state
+    f = _near_product_lifting()
+    write_lifting(tmp_path / "F.lift", f)
+    monkeypatch.delenv("STATELIFT_TOL", raising=False)
+    unset = analyze(f)
+    for value in ("nan", "1e-5"):
+        monkeypatch.setenv("STATELIFT_TOL", value)
+        assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift") == 0
+        report = report_lines(capsys)
+        assert report["tol"] == "1e-08" and report["verdict"] == "inconclusive"
+        assert last_record(tmp_path)["params"]["tol"] is None
+        verdict = analyze(f)
+        assert type(verdict) is type(unset) is liftings.Inconclusive
+        assert verdict.residual == unset.residual
 
 
 def test_run_log_records_seed(tmp_path, capsys):
@@ -725,14 +738,14 @@ def test_run_record_digest_reads_its_input_in_blocks(tmp_path):
     assert cli._digest(str(empty)) == hashlib.sha256(b"").hexdigest()
 
 
-# --- several calls in one process, and the parser of one verb ------------------
+# --- several calls in one process, and the one parser they share ---------------
 
 
 def _sequence(lifting):
     nogo = ["nogo", "--ds", 2, "--de", 2, "--trials", 3, "--eps", 1e-2, "--seed", 1]
     return [
         ["analyze", "--lifting", lifting, "--tol", 1e-5],
-        ["analyze", "--lifting", lifting],  # the default or STATELIFT_TOL again
+        ["analyze", "--lifting", lifting],  # the default again
         [*nogo, "--tol", 1e-5],
         nogo,
         ["nogo", "--ds", 2],  # usage error: required options missing
@@ -750,23 +763,14 @@ def _record(log):
     return record
 
 
-@pytest.mark.parametrize("env_tol", [None, "1e-6"])
-def test_calls_in_one_process_match_a_fresh_process(tmp_path, capsys, monkeypatch, env_tol):
-    # residual sqrt(12) 1e-6 with no witness: product at --tol 1e-5, inconclusive below,
-    # so a --tol that outlived its call would change the verdict of the next one
-    m = product_lifting(np.diag([0.6, 0.4]), 2).matrix.copy()
-    m[:, 0] += 1e-6 * vec(np.diag([1.0, -1.0, 0.0, 0.0]))
-    m[:, 3] -= 1e-6 * vec(np.diag([0.0, 0.0, 1.0, -1.0]))
-    write_lifting(tmp_path / "F.lift", Lifting(2, 2, m))
+def test_calls_in_one_process_match_a_fresh_process(tmp_path, capsys):
+    # product at --tol 1e-5 and inconclusive at the default, so a --tol that outlived its
+    # call would change the verdict of the next one
+    write_lifting(tmp_path / "F.lift", _near_product_lifting())
     calls = [[str(a) for a in argv] for argv in _sequence(tmp_path / "F.lift")]
-    env = {k: v for k, v in os.environ.items() if k != "STATELIFT_TOL"}
+    env = dict(os.environ)
     package = str(Path(statelift.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
-    if env_tol is None:
-        monkeypatch.delenv("STATELIFT_TOL", raising=False)
-    else:
-        env["STATELIFT_TOL"] = env_tol
-        monkeypatch.setenv("STATELIFT_TOL", env_tol)
     fresh = [
         subprocess.Popen(
             [sys.executable, "-m", "statelift.cli", "--run-log", str(tmp_path / f"fresh{i}.jsonl"),
@@ -809,7 +813,7 @@ def _help(parse, argv, capsys):
     ["--help"], ["nogo"], ["analyze", "--lifting"], ["analyse"], ["--run-log", "nogo"], [],
 ])
 def test_parser_of_the_verbs_in_argv_matches_the_full_parser(argv, capsys):
-    # main builds only the options of the verbs named in argv; help, usage and errors stay the same
+    # main parses with the parser its first call built; help, usage and errors match a new one
     code, out, err = _help(main, argv, capsys)
     assert (code, out, err) == _help(build_parser().parse_args, argv, capsys)
     if "--help" in argv:
@@ -819,11 +823,10 @@ def test_parser_of_the_verbs_in_argv_matches_the_full_parser(argv, capsys):
 
 
 def test_back_to_back_runs_of_two_verbs_parse_their_own_options(tmp_path, capsys):
-    # main builds one parser per set of verbs named in argv and keeps it for the process:
-    # a second run of a verb reuses its parser, a run of another verb gets its own options,
-    # and an option of the other verb stays a usage error
+    # main builds one parser for every verb and keeps it for the process: runs of two verbs
+    # share it, and an option of the other verb stays a usage error
     subparsers = next(a for a in build_parser()._actions if a.dest == "verb")
-    assert cli._VERBS == set(subparsers.choices) == set(VERBS)
+    assert set(subparsers.choices) == set(VERBS)
     cli._parser.cache_clear()
     for _ in range(2):
         assert run(tmp_path, "choquet", "--witness") == 0
@@ -835,7 +838,7 @@ def test_back_to_back_runs_of_two_verbs_parse_their_own_options(tmp_path, capsys
         for argv in (["choquet", "--split", "0"], ["classical-lift", "--witness"]):
             code, out, err = _help(lambda a: run(tmp_path, *a), argv, capsys)
             assert code == 2 and err.startswith("usage: statelift") and not out
-    assert cli._parser.cache_info().misses == 2
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_the_benchmark_tracer_names_resolve():

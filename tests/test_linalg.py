@@ -17,12 +17,14 @@ from statelift import (
     empirical_state,
     estimate_expectation,
     kraus_lifting,
+    measure_lift_state,
     no_go_sweep,
     pairing,
     partial_trace_env,
     partial_trace_sys,
     perturbed_product_lifting,
     product_lifting,
+    product_rank,
     purify,
     random_perturbation,
     reduce_observable,
@@ -356,13 +358,31 @@ def _lifting_22():
      "expected a square matrix, got shape (0, 0)"),
     (lambda: empirical_state(np.zeros((0, 0)), 10, 1), DimensionMismatch,
      "expected a square matrix, got shape (0, 0)"),
+    # lifted measures: projector families of vectors, and finite weights
+    (lambda: measure_lift_state(np.zeros((0, 0)), [], []), DimensionMismatch,
+     "sigma shape (0, 0) needs nonempty vector families of matching lengths, "
+     "got shapes (0,) and (0,)"),
+    (lambda: measure_lift_state(np.eye(2), [np.eye(2)] * 2, [np.eye(2)] * 2), DimensionMismatch,
+     "sigma shape (2, 2) needs nonempty vector families of matching lengths, "
+     "got shapes (2, 2, 2) and (2, 2, 2)"),
+    (lambda: measure_lift_state(np.eye(2), np.eye(2), np.eye(3)), DimensionMismatch,
+     "sigma shape (2, 2) needs nonempty vector families of matching lengths, "
+     "got shapes (2, 2) and (3, 3)"),
+    (lambda: measure_lift_state(np.array([[np.nan]]), [[1.0, 0.0]], [[1.0]]), ConstraintViolation,
+     "sigma has non-finite weights"),
+    (lambda: product_rank(np.ones(3)), DimensionMismatch,
+     "product-space measure must be 2-d, got shape (3,)"),
+    (lambda: product_rank(np.array([[np.nan, 1.0], [0.0, 1.0]])), ConstraintViolation,
+     "product-space measure has non-finite weights"),
 ], ids=["lifting-shape", "reduction-shape", "channel-shape", "lifting-operand",
         "reduction-operand", "channel-operand", "lifting-non-finite", "lifting-ds-0",
         "lifting-de-0", "lifting-ds-negative", "reduction-dims", "channel-dims",
         "perturbation-ds-0", "perturbation-de-0", "sweep-dims", "product-lifting-ds-negative",
         "kraus-lifting-ds-0", "observable-empty", "product-lifting-empty",
         "kraus-lifting-empty", "perturbed-lifting-empty", "purify-empty", "choquet-empty",
-        "estimate-empty", "empirical-empty"])
+        "estimate-empty", "empirical-empty", "lift-state-empty", "lift-state-matrices",
+        "lift-state-sigma-shape", "lift-state-non-finite", "product-rank-1d",
+        "product-rank-non-finite"])
 def test_stored_maps_name_the_shape_they_expect(build, error, message):
     with pytest.raises(error) as info:
         build()

@@ -6,8 +6,11 @@ from statelift import (
     DimensionMismatch,
     basis_g,
     basis_g_star,
+    empirical_state,
     environment_gram,
+    estimate_expectation,
     hermitian_basis,
+    no_go_sweep,
     partial_trace_env,
     purify,
     pure_projector,
@@ -16,6 +19,7 @@ from statelift import (
     trace_norm,
     vec,
 )
+from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import numerical_rank
 
 from oracles import psd_by_char_poly, purify_kron
@@ -111,6 +115,22 @@ def test_random_density_rank(rank):
     w = random_density(3, rank=rank, seed=24)
     vals = np.linalg.eigvalsh(w)
     assert np.sum(vals > 1e-12) == rank
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_density(2, seed=-1),
+    lambda: random_hermitian(2, seed=np.int64(-1)),
+    lambda: estimate_expectation(np.eye(2) / 2, np.eye(2), 10, -1),
+    lambda: empirical_state(np.eye(2) / 2, 10, -1),
+    lambda: no_go_sweep(2, 2, 1, 1e-2, seed=-1),
+    lambda: philox_rng(-1),
+    lambda: spawn_seeds(-1, 0),
+], ids=["random-density", "random-hermitian", "estimate", "empirical", "sweep", "rng", "spawn"])
+def test_a_negative_seed_is_a_constraint_violation(call):
+    # numpy's own error is a bare ValueError that names no argument
+    with pytest.raises(ConstraintViolation) as info:
+        call()
+    assert str(info.value) == "seed must be nonnegative, got -1"
 
 
 # --- purification ------------------------------------------------------------
