@@ -17,7 +17,7 @@ import numpy as np
 from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 # perfbench/selftest.py pins the apply_lifting alias
-from .liftings import _trace_screen, apply_lifting, basis_images
+from .liftings import _images, _trace_screens, apply_lifting
 from .linalg import apply_map, as_matrix, map_matrix, spectral
 from .states import validate_density
 
@@ -94,7 +94,7 @@ def reduced_dynamics_from_lifting(h: np.ndarray, lifting, t: float) -> ReducedCh
         raise DimensionMismatch(
             f"Hamiltonian shape {h.shape} does not match the lifting ({ds}*{de})"
         )
-    trace = _trace_screen(ds, de, basis_images(lifting))
+    (trace,) = _trace_screens(ds, de, _images(ds, de, lifting.matrix[None]))
     if trace is not None and trace[0] > tolerances.trace:
         raise ConstraintViolation(
             f"lifting is not a right inverse of the partial trace (deviation {trace[0]:.3e})"

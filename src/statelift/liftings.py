@@ -14,14 +14,16 @@ partial trace that is positive on every pair span the product map, so a
 non-product one loses positivity on some pair span.  The witness family is
 the rank-one Hermitian basis (``basis_g``, ``basis_g_star``) and one seed per
 pair, read from the lowest eigenvector of the pair's Choi block.  The search
-tests g_00, lets the product bound settle a lifting within rounding of a
-product, then certifies each pair's Choi block once and walks what is left.
+evaluates g_00 from column 0, lets the product bound settle a lifting within
+rounding of a product, then certifies each pair's Choi block once and walks
+what is left.  The no-go sweep builds and screens its trials as stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -158,6 +160,34 @@ def _basis(ds: int) -> _Basis:
     return basis
 
 
+def _images(ds: int, de: int, matrices: np.ndarray) -> np.ndarray:
+    """:func:`basis_images` of each lifting matrix in a (T, (ds de)^2, ds^2) stack, shape (T, ds^2,
+    dim, dim), each image F(g) laid out as a contiguous F(g)^T.  Row k of the pairs, from the last
+    row, copies its columns into the member slots they start (E_kk's image into g_kk's, E_kl's,
+    k < l, into g_kl's and E_lk's into g*_kl's), then forms its members in place with the sums of
+    the per-member formulas g_kl = E_kk + E_ll + E_kl + E_lk and g*_kl = E_kk + E_ll + i E_kl - i E_lk."""
+    t, dim, diag = len(matrices), ds * de, _basis(ds).diag
+    # units[:, c, r] is column c*ds + r of each matrix: the transposed image of E_rc
+    units = matrices.transpose(0, 2, 1).reshape(t, ds, ds, dim * dim)
+    out = np.empty((t, ds * ds, dim * dim), dtype=np.complex128)
+    first = ds * (ds + 1) // 2 + diag - np.arange(ds)  # where the stars of each row k start
+    for k in reversed(range(ds)):  # row k reads the g_ll of the rows after it
+        n = ds - 1 - k
+        plain, stars = out[:, diag[k] + 1 : diag[k] + 1 + n], out[:, first[k] : first[k] + n]
+        out[:, diag[k]] = units[:, k, k]
+        plain[...] = units[:, k + 1 :, k]  # E_kl for l > k
+        stars[...] = units[:, k, k + 1 :]  # E_lk for l > k
+        both = plain + stars  # E_kl + E_lk
+        np.subtract(plain, stars, out=stars)
+        stars *= 1j
+        for l in range(k + 1, ds):  # E_kk + E_ll, one l at a time, so no second row is held
+            np.add(out[:, diag[k]], out[:, diag[l]], out=plain[:, l - k - 1])
+        stars += plain
+        plain += both
+        del both  # before the next row's is made
+    return out.reshape(t, ds * ds, dim, dim).transpose(0, 1, 3, 2)
+
+
 def basis_images(f: Lifting) -> np.ndarray:
     """F(g) for every member g of the Hermitian basis, in canonical order.
 
@@ -167,36 +197,21 @@ def basis_images(f: Lifting) -> np.ndarray:
     of the matrix) in O(dim^2 * ds^2) rather than as a dense GEMM in
     O(dim^2 * ds^4).
     """
-    ds, dim = f.ds, f.ds * f.de
-    diag = _basis(ds).diag
-    # units[c, r] is column c*ds + r of the matrix: the transposed image of E_rc
-    units = f.matrix.T.reshape(ds, ds, dim, dim)
-    out = np.empty((ds * ds, dim, dim), dtype=np.complex128)
-    out[diag] = units.reshape(ds * ds, dim, dim)[:: ds + 1]
-    # g_kl = E_kk + E_kl + E_lk + E_ll and g*_kl = E_kk + E_ll + i E_kl - i E_lk.
-    # The pairs k < l of a row k sit together among the g's and among the
-    # stars, so each row is formed from views of units into views of out.
-    star = ds * (ds + 1) // 2
-    for k in range(ds - 1):
-        plain, stars = out[diag[k] + 1 : diag[k + 1]], out[star : star + ds - 1 - k]
-        kl, lk = units[k + 1 :, k], units[k, k + 1 :]
-        np.add(out[diag[k]], out[diag[k + 1 :]], out=plain)  # E_kk + E_ll, for now
-        np.subtract(kl, lk, out=stars)
-        stars *= 1j
-        stars += plain
-        plain += kl + lk
-        star += ds - 1 - k
-    return out.transpose(0, 2, 1)
+    return _images(f.ds, f.de, f.matrix[None])[0]
 
 
 # The norm passes' chunks hold at most this many bytes of images, so that a chunk and its
 # copies stay in a core's L2 cache.
 _CHUNK_BYTES = 2**18
+# A no-go sweep builds and screens its trials in stacks whose lifting matrices hold at most this
+# many bytes: the matrix of one (8, 4) lifting, so that a stack and the arrays it is built and
+# screened with stay near a core's L2 cache, and (8, 4) and larger trials run one at a time.
+_STACK_BYTES = 2**20
 
 
-def _chunks(count: int, item_bytes: int) -> list:
-    """Slices that walk a stack of count items, each at most _CHUNK_BYTES of images."""
-    step = max(1, _CHUNK_BYTES // item_bytes)
+def _chunks(count: int, item_bytes: int, bound: int = _CHUNK_BYTES) -> list:
+    """Slices that walk a stack of count items, each at most bound bytes of items (at least one)."""
+    step = max(1, bound // max(item_bytes, 1))
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
@@ -211,9 +226,10 @@ def _hermiticity_deviations(images: np.ndarray) -> np.ndarray:
 
 
 def _trace_residuals(ds: int, de: int, images: np.ndarray) -> np.ndarray:
-    """tr_env(F(g)) - g for every basis member g."""
+    """tr_env(F(g)) - g for every basis member g, of one lifting's images or of a stack's."""
     reduced = np.einsum("naibi->nab", images.reshape(-1, ds, de, ds, de))
-    reduced -= _basis(ds).members
+    stacked = reduced.reshape(-1, ds * ds, ds, ds)  # a view: einsum's output is contiguous
+    stacked -= _basis(ds).members
     return reduced
 
 
@@ -224,18 +240,34 @@ def _worst_trace_deviation(ds: int, reduced: np.ndarray):
     return float(devs[worst]), _basis(ds).members[worst].copy()
 
 
-def _trace_screen(ds: int, de: int, images: np.ndarray):
-    """None when a bound proves that no ||tr_env(F(g)) - g||_1 exceeds ``tolerances.trace``,
-    else the exact worst deviation and its g, from one SVD per basis member.
+def _trace_screens(ds: int, de: int, images: np.ndarray) -> list:
+    """For each lifting's images in a (T, ds^2, dim, dim) stack: None when a bound proves that no
+    ||tr_env(F(g)) - g||_1 exceeds ``tolerances.trace``, else the exact worst deviation and its g,
+    from one SVD per basis member.
 
     A ds x ds R has ||R||_1 <= sqrt(ds) ||R||_F.  The exact path's singular values are each a
     few ds u ||R||_2 off R's (a backward-stable SVD, u the unit roundoff), their sum adds ds u
     and the Frobenius norm's sum of squares ds^2 u, all within the margin 8 ds^2 u ||R||_F; so
     wherever the bound passes, the exact path passes too, and a deviation at rounding level
     needs no SVD."""
-    reduced = _trace_residuals(ds, de, images)
-    bound = np.sqrt(ds) * np.max(frobenius_norms(reduced)) * (1 + 8 * ds * ds * np.finfo(float).eps)
-    return None if bound <= tolerances.trace else _worst_trace_deviation(ds, reduced)
+    reduced = _trace_residuals(ds, de, images.reshape(-1, *images.shape[2:]))
+    worst = np.max(frobenius_norms(reduced).reshape(len(images), -1), axis=1)
+    bounds = np.sqrt(ds) * worst * (1 + 8 * ds * ds * np.finfo(float).eps)
+    return [None if bound <= tolerances.trace else _worst_trace_deviation(ds, r)
+            for bound, r in zip(bounds, reduced.reshape(len(images), -1, ds, ds))]
+
+
+def _corner_eigenvalues(dim: int, columns: np.ndarray) -> np.ndarray:
+    """lambda_min(Herm F(E_00)) for each column 0 in a (T, dim^2) stack, F(E_00) its unvec, formed
+    as the exact path forms it from ``apply_lifting(f, E_00)``: g_00's value in the search."""
+    w = columns.reshape(-1, dim, dim).transpose(0, 2, 1)
+    return np.linalg.eigvalsh((w + w.conj().transpose(0, 2, 1)) / 2)[:, 0]
+
+
+def _corner_witness(ds: int, value) -> ViolatesPositivity:
+    """The search's witness at g_00, whose image has the eigenvalue value."""
+    x = _basis(ds).members[0]
+    return ViolatesPositivity(x / np.trace(x).real, float(value))
 
 
 def _reference(f: Lifting) -> np.ndarray:
@@ -273,7 +305,8 @@ def extract_reference(f: Lifting) -> np.ndarray:
 
 def _walk(screen: _Screen):
     """The members of :func:`positivity_witness_search` in walk order, as (q, psi, x), x psi
-    psi^dagger on the q-th pair's span times its trace; each certificate and seed made late."""
+    psi^dagger on the q-th pair's span times its trace; each certificate and seed made late.  The
+    first is g_00, which the search evaluates from column 0 instead."""
     basis = screen.basis
     yield basis.pair[0], basis.psi[0], basis.members[0]
     if screen.near_product():
@@ -426,23 +459,10 @@ class _Screen:
         return psi, (x + x.conj().T) / 2
 
 
-def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
-    """:class:`ViolatesPositivity` with the first trace-normalized input in the canonical family
-    whose image has an eigenvalue below -``tolerances.psd``, or None.  ``screen`` is the
-    :class:`_Screen` of ``basis_images(f)``, built here when not given.
-
-    The walk tests g_00, stops where :meth:`_Screen.near_product` proves that nothing after it
-    holds a witness, certifies each pair once, then walks the basis members that no certified
-    pair covers, in canonical order, and the seeds of the uncertified pairs, in pair order; a
-    covered member lies on a certified span, so the first witness does not move.  A
-    walked member that :meth:`_Screen.clears` is skipped; any other is evaluated with
-    ``apply_lifting`` and ``eigvalsh``, so the witness is that of the exact path.  Its floor is
-    absolute: a direct call on images of norm 1e6 or more can report a rounding-level witness,
-    where ``analyze`` stops at ``violates_trace`` (positive images obeying tr_env: norm tr g)."""
-    if screen is None:
-        images = basis_images(f)
-        screen = _Screen(f, images, _hermiticity_deviations(images))
-    for q, psi, x in _walk(screen):
+def _walk_witness(f: Lifting, screen: _Screen):
+    """The first witness of the walk after g_00, which its callers evaluate from column 0, or None:
+    a member that :meth:`_Screen.clears` is skipped, any other is evaluated on the exact path."""
+    for q, psi, x in islice(_walk(screen), 1, None):
         if not screen.clears(q, psi):
             state = x / np.trace(x).real
             w = apply_lifting(f, state)
@@ -450,6 +470,28 @@ def positivity_witness_search(f: Lifting, screen: _Screen | None = None):
             if lam < -screen.tol:
                 return ViolatesPositivity(state, lam)
     return None
+
+
+def positivity_witness_search(f: Lifting):
+    """:class:`ViolatesPositivity` with the first trace-normalized input in the canonical family
+    whose image has an eigenvalue below -``tolerances.psd``, or None.
+
+    g_00 is evaluated first, exactly, from column 0 as a stack of one: lambda_min of the
+    Hermitian part of F(E_00) has the bits of the exact path's.  Only when it is no witness is the
+    :class:`_Screen` of ``basis_images(f)`` built, and the walk then stops where
+    :meth:`_Screen.near_product` proves that nothing after g_00 holds a witness, certifies each
+    pair once, then walks the basis members that no certified pair covers, in canonical order,
+    and the seeds of the uncertified pairs, in pair order; a covered member lies on a certified
+    span, so the first witness does not move.  A walked member that :meth:`_Screen.clears` is
+    skipped; any other is evaluated with ``apply_lifting`` and ``eigvalsh``, so the witness is
+    that of the exact path.  Its floor is absolute: a direct call on images of norm 1e6 or more
+    can report a rounding-level witness, where ``analyze`` stops at ``violates_trace`` (positive
+    images obeying tr_env: norm tr g)."""
+    (corner,) = _corner_eigenvalues(f.ds * f.de, f.matrix[None, :, 0])
+    if corner < -tolerances.psd:
+        return _corner_witness(f.ds, corner)
+    images = basis_images(f)
+    return _walk_witness(f, _Screen(f, images, _hermiticity_deviations(images)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +648,7 @@ class AnalysisReport:
     @cached_property
     def trace_deviation(self) -> float:
         """The largest ||tr_env(F(g)) - g||_1 over the basis, taken when read where the bound of
-        :func:`_trace_screen` settled the check."""
+        :func:`_trace_screens` settled the check."""
         return (self.trace or _worst_trace_deviation(
             self.ds, _trace_residuals(self.ds, self.de, self.images)))[0]
 
@@ -623,26 +665,41 @@ def _residual_tol(tol: float | None) -> float:
     return tol
 
 
+def _analysis_reports(fs: list, matrices: np.ndarray, tol: float) -> list:
+    """The :func:`analysis_report` of each lifting in fs, all of one shape, screened as one stack:
+    ``matrices`` stacks their matrices (fs[t].matrix is matrices[t]).  The basis images, their
+    Hermiticity deviations and the trace screen are taken for the whole stack, then g_00's value,
+    with one batched ``eigvalsh`` over the column 0s of the liftings that pass both checks.  One
+    whose g_00 value is below -``tolerances.psd`` has its witness there, where the search finds
+    it; each other builds its :class:`_Screen` and walks on from g_00, one at a time."""
+    ds, de = fs[0].ds, fs[0].de
+    images = _images(ds, de, matrices)
+    deviations = _hermiticity_deviations(images.reshape(-1, ds * de, ds * de)).reshape(len(fs), -1)
+    herms = np.max(deviations, axis=1, initial=0.0).tolist()
+    traces = _trace_screens(ds, de, images)
+    references = [_reference(f) for f in fs]
+    verdicts = [ViolatesHermiticity(herm) if herm > tolerances.hermitian
+                else ViolatesTrace(*trace) if trace is not None and trace[0] > tolerances.trace
+                else None for herm, trace in zip(herms, traces)]
+    searched = [t for t, verdict in enumerate(verdicts) if verdict is None]
+    corners = _corner_eigenvalues(ds * de, matrices[searched, :, 0]) if searched else []
+    for t, corner in zip(searched, corners):
+        if corner < -tolerances.psd:
+            verdicts[t] = _corner_witness(ds, corner)
+            continue
+        screen = _Screen(fs[t], images[t], deviations[t])
+        verdicts[t] = _walk_witness(fs[t], screen)
+        if verdicts[t] is None:
+            residual = screen.residual
+            verdicts[t] = (Product(references[t], residual) if residual <= tol
+                           else Inconclusive(residual))
+    return [AnalysisReport(ds, de, *report)
+            for report in zip(verdicts, herms, images, references, traces)]
+
+
 def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     """:func:`analyze` with the deviations and basis images it read."""
-    tol = _residual_tol(tol)
-    images = basis_images(f)
-    deviations = _hermiticity_deviations(images)
-    herm = float(np.max(deviations, initial=0.0))
-    trace = _trace_screen(f.ds, f.de, images)
-    reference = _reference(f)
-    report = partial(AnalysisReport, f.ds, f.de, hermiticity_deviation=herm, images=images,
-                     reference=reference, trace=trace)
-    if herm > tolerances.hermitian:
-        return report(ViolatesHermiticity(herm))
-    if trace is not None and trace[0] > tolerances.trace:
-        return report(ViolatesTrace(*trace))
-    screen = _Screen(f, images, deviations)
-    witness = positivity_witness_search(f, screen)
-    if witness is not None:
-        return report(witness)
-    residual = screen.residual
-    return report(Product(reference, residual) if residual <= tol else Inconclusive(residual))
+    return _analysis_reports([f], f.matrix[None], _residual_tol(tol))[0]
 
 
 def analyze(f: Lifting, tol: float | None = None):
@@ -670,6 +727,43 @@ def diag_mixing_positive(a: float, b: float, c: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _perturbations(ds: int, de: int, seeds) -> np.ndarray:
+    """:func:`random_perturbation` of each seed, as a (T, (ds de)^2, ds^2) stack: each draw comes
+    from its own generator, in its own order, and the scatter, the GEMM, the projection and the
+    norms are taken for the whole stack."""
+    _map_shape(ds * de, ds, "perturbation")
+    rngs = [philox_rng(seed) for seed in seeds]
+    t, dim, n = len(rngs), ds * de, ds * ds
+    rows, cols, pair_rows, pair_cols, off = _triangle(dim)
+    draws = np.empty((t, dim * dim, n))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=draws[i])
+    g, star = draws[:, : len(rows)], draws[:, len(rows) :]
+    pairs = g[:, off]
+    # transposed images, so that entry [c, r] sits at vec index c*dim + r; all are set
+    images = np.empty((t, dim, dim, n), dtype=np.complex128)
+    images[:, rows, cols] = g
+    images[:, pair_cols, pair_rows] = pairs
+    images.imag[:, pair_rows, pair_cols] = -star
+    images.imag[:, pair_cols, pair_rows] = star
+    # member (k, l), k < l, and its star also carry ones at (k, k) and (l, l)
+    ends = np.zeros((t, dim, dim, n))
+    pairs += star
+    ends[:, pair_rows, pair_cols] = pairs
+    diagonal = np.arange(dim)
+    images[:, diagonal, diagonal] += ends.sum(1) + ends.sum(2)
+    del draws, g, star, pairs, ends  # freed before the GEMM allocates its product
+    blocks = images.reshape(t * dim * dim, n) @ _basis(ds).inverse
+    blocks = blocks.reshape(t, ds, de, ds, de, n)
+    p = np.einsum("taibic->tabc", blocks) / de
+    blocks[:, :, diagonal[:de], :, diagonal[:de]] -= p  # p (x) Id, which is zero off these blocks
+    norms = frobenius_norms(blocks)
+    if np.any(norms <= PERTURBATION_FLOOR):  # de = 1, where the partial-trace completion is everything
+        raise ConstraintViolation("could not draw a non-degenerate perturbation")
+    blocks *= (1 / norms).reshape(-1, 1, 1, 1, 1, 1)
+    return blocks.reshape(t, dim * dim, n)
+
+
 def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     """Random lifting-shaped direction: Hermiticity-preserving, annihilated by
     the partial-trace constraint, Frobenius-normalized.
@@ -683,43 +777,27 @@ def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
     Its GEMM with ``_basis(ds).inverse`` takes O((ds*de)^2 * ds^4) time; an
     einsum over the (ds, de, ds, de) blocks projects it.
     """
-    _map_shape(ds * de, ds, "perturbation")
-    rng = philox_rng(seed)
-    dim, n = ds * de, ds * ds
-    rows, cols, pair_rows, pair_cols, off = _triangle(dim)
-    g, star = np.split(rng.standard_normal((dim * dim, n)), [len(rows)])
-    # transposed images, so that entry [c, r] sits at vec index c*dim + r; all are set
-    images = np.empty((dim, dim, n), dtype=np.complex128)
-    images[rows, cols] = g
-    images[pair_cols, pair_rows] = g[off]
-    images.imag[pair_rows, pair_cols] = -star
-    images.imag[pair_cols, pair_rows] = star
-    # member (k, l), k < l, and its star also carry ones at (k, k) and (l, l)
-    ends = np.zeros((dim, dim, n))
-    ends[pair_rows, pair_cols] = g[off] + star
-    images[np.diag_indices(dim)] += ends.sum(0) + ends.sum(1)
-    del g, star, ends  # freed before the GEMM allocates its product
-    blocks = (images.reshape(dim * dim, n) @ _basis(ds).inverse).reshape(ds, de, ds, de, n)
-    p = np.einsum("aibic->abc", blocks) / de
-    blocks[:, range(de), :, range(de)] -= p  # p (x) Id, which is zero off these blocks
-    norm = float(np.linalg.norm(blocks))
-    if norm <= PERTURBATION_FLOOR:  # de = 1, where the partial-trace completion is everything
-        raise ConstraintViolation("could not draw a non-degenerate perturbation")
-    return np.multiply(blocks, 1 / norm, out=blocks).reshape(dim * dim, n)
+    return _perturbations(ds, de, [seed])[0]
+
+
+def _perturbed_products(references: np.ndarray, ds: int, eps: float, seeds) -> np.ndarray:
+    """The matrices of :func:`perturbed_product_lifting` for a (T, de, de) stack of references and
+    one seed each, as a (T, (ds de)^2, ds^2) stack, built in the directions' array."""
+    t, de = references.shape[:2]
+    m = _perturbations(ds, de, seeds)
+    m *= eps
+    at, (c, r) = m.reshape(t, ds, de, ds, de, ds, ds), np.ogrid[:ds, :ds]
+    product = references.transpose(0, 2, 1) + at[:, c, :, r, :, c, r]
+    m += 0.0  # -0.0 reads +0.0, as in a sum with the product lifting's zeros
+    at[:, c, :, r, :, c, r] = product
+    return m
 
 
 def perturbed_product_lifting(reference: np.ndarray, ds: int, eps: float, seed) -> Lifting:
     """Product lifting plus eps times a random constraint-respecting direction, built in the
     direction's array: D^T + eps*delta where ``product_lifting`` sets D^T, 0.0 + eps*delta elsewhere."""
     d = validate_density(reference)
-    de = d.shape[0]
-    m = random_perturbation(ds, de, seed)
-    m *= eps
-    at, (c, r) = m.reshape(ds, de, ds, de, ds, ds), np.ogrid[:ds, :ds]
-    product = d.T + at[c, :, r, :, c, r]
-    m += 0.0  # -0.0 reads +0.0, as in a sum with the product lifting's zeros
-    at[c, :, r, :, c, r] = product
-    return Lifting(ds, de, m)
+    return Lifting(ds, d.shape[0], _perturbed_products(d[None], ds, eps, [seed])[0])
 
 
 _VERDICT_NAMES = {
@@ -742,24 +820,33 @@ class SweepOutcome:
     falsifiers: list  # trial indices where the analyzer came back inconclusive
 
 
+def _sweep_verdicts(ds: int, de: int, eps: float, children: list, tol: float) -> list:
+    """The verdicts of the no-go sweep's trials with these spawned seeds, built and screened as one
+    stack.  Each trial draws its reference from its first child seed and its direction from its
+    second, as one trial alone does."""
+    seeds = [child.spawn(2) for child in children]
+    references = np.stack([random_density(de, seed=d_seed) for d_seed, _ in seeds])
+    matrices = _perturbed_products(references, ds, eps, [p_seed for _, p_seed in seeds])
+    fs = [Lifting(ds, de, m) for m in matrices]
+    return [report.verdict for report in _analysis_reports(fs, matrices, tol)]
+
+
 def no_go_sweep(ds: int, de: int, trials: int, eps: float, seed: int,
                 tol: float | None = None) -> SweepOutcome:
     """Analyze `trials` random constraint-respecting perturbations of random
     product liftings.  Every trial must come back as a product or as a
-    hypothesis violation; an inconclusive verdict is a falsifier."""
+    hypothesis violation; an inconclusive verdict is a falsifier.  The trials
+    are built and screened in stacks of at most ``_STACK_BYTES`` of lifting
+    matrices, and each keeps the seeds and the verdict it has on its own."""
     tol = _residual_tol(tol)
     if trials < 0:
         raise ConstraintViolation(f"trials must be nonnegative, got {trials}")
+    children = spawn_seeds(seed, trials)
     verdicts = []
+    for chunk in _chunks(trials, 16 * (ds * de * ds) ** 2, _STACK_BYTES):
+        verdicts += _sweep_verdicts(ds, de, eps, children[chunk], tol)
     counts = {name: 0 for name in _VERDICT_NAMES.values()}
-    falsifiers = []
-    for i, child in enumerate(spawn_seeds(seed, trials)):
-        d_seed, p_seed = child.spawn(2)
-        reference = random_density(de, seed=philox_rng(d_seed))
-        f = perturbed_product_lifting(reference, ds, eps, philox_rng(p_seed))
-        v = analyze(f, tol)
-        verdicts.append(v)
+    for v in verdicts:
         counts[verdict_name(v)] += 1
-        if isinstance(v, Inconclusive):
-            falsifiers.append(i)
+    falsifiers = [i for i, v in enumerate(verdicts) if isinstance(v, Inconclusive)]
     return SweepOutcome(verdicts, counts, falsifiers)

@@ -166,6 +166,15 @@ def nonaffine_witness():
     return w, mu1, mu2
 
 
+def _vector_family(vectors) -> np.ndarray | None:
+    """A projector family's vectors as the rows of an array, or None when numpy cannot stack them
+    (vectors of different lengths)."""
+    try:
+        return np.array(list(vectors), dtype=np.complex128)
+    except ValueError:
+        return None
+
+
 def measure_lift_state(sigma: np.ndarray, sys_vectors, env_vectors) -> np.ndarray:
     """Assemble W = sum_{s,e} sigma[s,e] P_sys(s) (x) P_env(e).
 
@@ -174,12 +183,13 @@ def measure_lift_state(sigma: np.ndarray, sys_vectors, env_vectors) -> np.ndarra
     split lift yields a non-product W.
     """
     sigma = np.asarray(sigma, dtype=float)
-    vs = np.array(list(sys_vectors), dtype=np.complex128)
-    ve = np.array(list(env_vectors), dtype=np.complex128)
-    if not (vs.ndim == ve.ndim == 2 and vs.size and ve.size and sigma.shape == (len(vs), len(ve))):
+    vs, ve = _vector_family(sys_vectors), _vector_family(env_vectors)
+    if vs is None or ve is None or not (
+            vs.ndim == ve.ndim == 2 and vs.size and ve.size and sigma.shape == (len(vs), len(ve))):
+        shapes = ["ragged" if v is None else v.shape for v in (vs, ve)]
         raise DimensionMismatch(
             f"sigma shape {sigma.shape} needs nonempty vector families of matching lengths, "
-            f"got shapes {vs.shape} and {ve.shape}"
+            f"got shapes {shapes[0]} and {shapes[1]}"
         )
     if not np.all(np.isfinite(sigma)):
         raise ConstraintViolation("sigma has non-finite weights")

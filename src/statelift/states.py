@@ -58,7 +58,15 @@ def pure_projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _dimension(d: int) -> int:
+    """d, checked to be a positive dimension before anything is drawn."""
+    if d < 1:
+        raise DimensionMismatch(f"dimension must be positive, got {d}")
+    return d
+
+
 def random_hermitian(d: int, seed) -> np.ndarray:
+    d = _dimension(d)
     rng = philox_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
@@ -69,6 +77,7 @@ def random_density(d: int, rank: int | None = None, seed=0) -> np.ndarray:
 
     Full rank by default; deterministic in the seed.
     """
+    d = _dimension(d)
     if rank is None:
         rank = d
     if not 1 <= rank <= d:

@@ -37,8 +37,10 @@ from statelift.liftings import (
     StructureReport,
     ViolatesPositivity,
     _basis,
+    analyze,
     apply_lifting,
     basis_images,
+    perturbed_product_lifting,
     product_lifting,
 )
 from statelift.linalg import spectral
@@ -173,6 +175,17 @@ def perturbed_product_lifting_sum(reference: np.ndarray, ds: int, eps: float, se
     reference, -0.0 read as +0.0 where the product lifting holds zeros."""
     de = np.asarray(reference).shape[0]
     return product_lifting(reference, ds).matrix + eps * random_perturbation_inv(ds, de, seed)
+
+
+def no_go_sweep_per_trial(ds: int, de: int, trials: int, eps: float, seed: int) -> list:
+    """The verdicts of ``liftings.no_go_sweep``, one trial at a time: each trial's reference and
+    perturbed product lifting from its own spawned seeds, then ``analyze`` of that one lifting."""
+    verdicts = []
+    for child in spawn_seeds(seed, trials):
+        d_seed, p_seed = child.spawn(2)
+        reference = random_density(de, seed=philox_rng(d_seed))
+        verdicts.append(analyze(perturbed_product_lifting(reference, ds, eps, philox_rng(p_seed))))
+    return verdicts
 
 
 def transpose_permutation(d: int) -> np.ndarray:

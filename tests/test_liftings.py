@@ -55,6 +55,7 @@ from oracles import (
     grid_witness_search_loops,
     kraus_lifting_loops,
     kron,
+    no_go_sweep_per_trial,
     perturbed_product_lifting_sum,
     pair_block_parts,
     components,
@@ -597,18 +598,18 @@ def test_a_witness_at_member_0_tries_no_certificate(ds, de, monkeypatch):
 @pytest.mark.parametrize("kind", ["product", "kraus_local"])
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4)])
 def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, de, monkeypatch):
-    # g_00 clears without an exact evaluation; then the walk stops at the product bound, both
-    # the analyzer's and a search's with a screen of its own, so no other basis member, pair
-    # seed or member off the basis is tested or built
+    # g_00 is evaluated once, from column 0, with no member test and no apply_lifting; then the
+    # walk stops at the product bound, both the analyzer's and a search's with a screen of its
+    # own, so no other basis member, pair seed or member off the basis is tested or built
     tested = _count_calls(monkeypatch, _Screen, "clears")
     exact = _count_calls(monkeypatch, liftings, "apply_lifting")
+    corners = _count_calls(monkeypatch, liftings, "_corner_eigenvalues")
     monkeypatch.setattr(_Screen, "seed", lambda screen, q: pytest.fail("built a pair seed"))
     f = _lifting_of_kind(kind, ds, de, seed=850 + ds * de)
     assert isinstance(analysis_report(f).verdict, Product)
     assert positivity_witness_search(f) is None  # with a screen of its own
-    assert len(tested) == 2 and exact == []
-    for _, q, psi in tested:  # g_00 = e_0 e_0^dagger on the pair (0, 1)
-        assert q == 0 and np.array_equal(psi, [1, 0])
+    assert tested == [] and exact == []
+    assert [len(columns) for _, columns in corners] == [1, 1]
 
 
 def _env_local_kraus(ds, de, seed):
@@ -1219,7 +1220,7 @@ def test_no_go_sweep_checks_tol_before_any_trial(monkeypatch, tol, trials):
     def no_trial(*args):
         raise AssertionError("a trial ran before tol was checked")
 
-    monkeypatch.setattr(liftings, "perturbed_product_lifting", no_trial)
+    monkeypatch.setattr(liftings, "_sweep_verdicts", no_trial)
     with pytest.raises(ConstraintViolation, match="tol must be finite and nonnegative"):
         no_go_sweep(2, 2, trials, 1e-2, 1, tol)
 
@@ -1231,9 +1232,97 @@ def test_no_go_sweep_checks_trials_before_any_trial(monkeypatch, trials):
         raise AssertionError("a trial ran before trials was checked")
 
     monkeypatch.setattr(liftings, "spawn_seeds", no_trial)
-    monkeypatch.setattr(liftings, "perturbed_product_lifting", no_trial)
+    monkeypatch.setattr(liftings, "_sweep_verdicts", no_trial)
     with pytest.raises(ConstraintViolation, match=f"^trials must be nonnegative, got {trials}$"):
         no_go_sweep(2, 2, trials, 1e-2, 1)
+
+
+def _assert_same_verdicts(got, want):
+    """The same verdict, bit for bit: its type, eigenvalue and witness bytes, or its residual and
+    reference."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, ViolatesPositivity):
+            assert a.witness.tobytes() == b.witness.tobytes()
+            assert _bits(a.min_eigenvalue) == _bits(b.min_eigenvalue)
+        elif isinstance(b, (Product, Inconclusive)):
+            assert _bits(a.residual) == _bits(b.residual)
+        if isinstance(b, Product):
+            assert a.reference.tobytes() == b.reference.tobytes()
+
+
+# the CI sweeps, the benchmark's (4, 4) sweep and a (2, 3) one, and a (4, 4) sweep of three stacks
+@pytest.mark.parametrize("ds, de, trials, eps, seed", [
+    (2, 2, 100, 1e-8, 7), (3, 2, 200, 4e-9, 1), (8, 4, 2, 1e-2, 1), (1, 3, 3, 1e-2, 1),
+    (4, 4, 20, 1e-2, 1), (2, 3, 50, 1e-2, 9), (4, 4, 40, 1e-2, 2)])
+def test_a_sweep_stack_has_the_verdicts_of_its_trials_one_at_a_time(ds, de, trials, eps, seed):
+    outcome = no_go_sweep(ds, de, trials, eps, seed)
+    want = no_go_sweep_per_trial(ds, de, trials, eps, seed)
+    _assert_same_verdicts(outcome.verdicts, want)
+    names = [liftings.verdict_name(v) for v in want]
+    assert outcome.counts == {name: names.count(name) for name in outcome.counts}
+    assert outcome.falsifiers == [i for i, v in enumerate(want) if isinstance(v, Inconclusive)]
+    if trials == 40:
+        stack = liftings._STACK_BYTES // ((ds * de * ds) ** 2 * 16)
+        assert 1 < stack < trials  # more than one stack, each of more than one trial
+
+
+@pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (8, 4, 3)])
+def test_a_stack_of_trials_keeps_each_trials_bits(ds, de, trials):
+    # the stack's matrices, basis images, Hermiticity deviations, trace screens and g_00 values
+    # are those of its trials built and screened one at a time
+    children = spawn_seeds(11, trials)
+    seeds = [child.spawn(2) for child in children]
+    references = np.stack([random_density(de, seed=philox_rng(d)) for d, _ in seeds])
+    stack = liftings._perturbed_products(references, ds, 1e-2, [philox_rng(p) for _, p in seeds])
+    images = liftings._images(ds, de, stack)
+    deviations = _hermiticity_deviations(images.reshape(-1, ds * de, ds * de)).reshape(trials, -1)
+    traces = liftings._trace_screens(ds, de, images)
+    corners = liftings._corner_eigenvalues(ds * de, stack[:, :, 0])
+    e00 = hermitian_basis(ds)[0]
+    for t in range(trials):
+        f = _sweep_trial(ds, de, 1e-2, 11, t)
+        assert stack[t].tobytes() == f.matrix.tobytes()
+        one = basis_images(f)
+        assert np.ascontiguousarray(images[t]).tobytes() == np.ascontiguousarray(one).tobytes()
+        assert deviations[t].tobytes() == _hermiticity_deviations(one).tobytes()
+        (trace,) = liftings._trace_screens(ds, de, one[None])
+        assert (traces[t] is None) == (trace is None)
+        w = apply_lifting(f, e00)
+        assert _bits(corners[t]) == _bits(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+
+
+def _signed_zeros(f):
+    """f with every zero real or imaginary part of its matrix read as -0.0."""
+    m = f.matrix.copy()
+    m.real[m.real == 0] = -0.0
+    m.imag[m.imag == 0] = -0.0
+    return Lifting(f.ds, f.de, m)
+
+
+@pytest.mark.parametrize("kind", ["product", "kraus_local", "perturbed", "entangling", "signed"])
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 3), (4, 4), (8, 4)])
+def test_g00_read_from_column_0_has_the_bits_of_the_exact_path(kind, ds, de):
+    # Herm F(E_00) from column 0 and from apply_lifting's GEMV can differ in the sign of a zero,
+    # which leaves lambda_min's bits as they are
+    if kind == "signed":
+        f = _signed_zeros(_lifting_of_kind("kraus_local", ds, de, seed=900 + ds * de))
+    else:
+        f = _lifting_of_kind(kind, ds, de, seed=900 + ds * de)
+    w = apply_lifting(f, hermitian_basis(ds)[0])
+    exact = np.linalg.eigvalsh((w + w.conj().T) / 2)[0]
+    column = unvec(f.matrix[:, 0], ds * de)
+    assert _bits(np.linalg.eigvalsh((column + column.conj().T) / 2)[0]) == _bits(exact)
+    assert _bits(liftings._corner_eigenvalues(ds * de, f.matrix[None, :, 0])[0]) == _bits(exact)
+
+
+def test_an_8x8_sweep_holds_one_trial_at_a_time():
+    # an (8, 8) lifting fills a stack, so three trials peak no higher than one, but for the
+    # verdicts and seeds of the two before the last
+    no_go_sweep(8, 8, 1, 1e-2, seed=1)
+    one = _peak_bytes(lambda: no_go_sweep(8, 8, 1, 1e-2, seed=1))
+    assert _peak_bytes(lambda: no_go_sweep(8, 8, 3, 1e-2, seed=1)) <= one + 2**16
 
 
 def second_order_lifting(delta):
@@ -1456,7 +1545,7 @@ def test_witness_search_reads_the_images_it_is_handed():
     # 64 MB of images at (32, 2): a copy of the stack, or of its Hermitian
     # parts, would show; a pair's 256 kB block, its Hermitian part and their
     # Cholesky factors take about 1.4 MB
-    assert _peak_bytes(lambda: positivity_witness_search(f, screen)) < 4 * 2**20
+    assert _peak_bytes(lambda: liftings._walk_witness(f, screen)) < 4 * 2**20
 
 
 @pytest.mark.parametrize("ds, de, bound_mb", [(16, 4, 35), (32, 2, 100)])

@@ -368,6 +368,9 @@ def _lifting_22():
     (lambda: measure_lift_state(np.eye(2), np.eye(2), np.eye(3)), DimensionMismatch,
      "sigma shape (2, 2) needs nonempty vector families of matching lengths, "
      "got shapes (2, 2) and (3, 3)"),
+    (lambda: measure_lift_state(np.eye(2), [[1, 0], [1]], [[1], [1]]), DimensionMismatch,
+     "sigma shape (2, 2) needs nonempty vector families of matching lengths, "
+     "got shapes ragged and (2, 1)"),
     (lambda: measure_lift_state(np.array([[np.nan]]), [[1.0, 0.0]], [[1.0]]), ConstraintViolation,
      "sigma has non-finite weights"),
     (lambda: product_rank(np.ones(3)), DimensionMismatch,
@@ -381,7 +384,7 @@ def _lifting_22():
         "kraus-lifting-ds-0", "observable-empty", "product-lifting-empty",
         "kraus-lifting-empty", "perturbed-lifting-empty", "purify-empty", "choquet-empty",
         "estimate-empty", "empirical-empty", "lift-state-empty", "lift-state-matrices",
-        "lift-state-sigma-shape", "lift-state-non-finite", "product-rank-1d",
+        "lift-state-sigma-shape", "lift-state-ragged", "lift-state-non-finite", "product-rank-1d",
         "product-rank-non-finite"])
 def test_stored_maps_name_the_shape_they_expect(build, error, message):
     with pytest.raises(error) as info:

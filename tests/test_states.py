@@ -117,6 +117,22 @@ def test_random_density_rank(rank):
     assert np.sum(vals > 1e-12) == rank
 
 
+@pytest.mark.parametrize("call, d", [
+    (lambda: random_hermitian(-2, seed=1), -2),
+    (lambda: random_hermitian(0, seed=1), 0),
+    (lambda: random_density(0, seed=1), 0),
+    (lambda: random_density(-3, rank=1, seed=1), -3),
+], ids=["hermitian-negative", "hermitian-0", "density-0", "density-negative-with-rank"])
+def test_a_dimension_below_1_is_named(call, d):
+    # random_hermitian raised numpy's ValueError, and random_density a DimensionMismatch that
+    # named the rank; both check the dimension first, before a seed or a rank
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == f"dimension must be positive, got {d}"
+    with pytest.raises(DimensionMismatch, match=r"^rank must be in \[1, 2\], got 3$"):
+        random_density(2, rank=3, seed=1)
+
+
 @pytest.mark.parametrize("call", [
     lambda: random_density(2, seed=-1),
     lambda: random_hermitian(2, seed=np.int64(-1)),
