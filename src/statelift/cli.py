@@ -200,9 +200,7 @@ def _cmd_choquet(args, run: _Run) -> int:
         back1 = measures.choquet_reconstruct(mu1)
         back2 = measures.choquet_reconstruct(mu2)
         print(f"reconstruction_distance = {_f(trace_norm(back1 - back2))}")
-        cross = max(
-            abs(np.vdot(u, v)) ** 2 for u in mu1.vectors for v in mu2.vectors
-        )
+        cross = max(abs(np.vdot(u, v)) ** 2 for u in mu1.vectors for v in mu2.vectors)
         print(f"max_cross_fidelity = {_f(cross)}")
         _print_matrix("state", w)
         _print_measure("mu1.", mu1)

@@ -333,7 +333,7 @@ class _Screen:
     """What the witness search reads of a lifting: its basis images F(g_j), as F(g_j)^T, their
     Hermiticity deviations dev_j, its column norms ||M_rc||, and the Hermitian part of the Choi
     block of each pair that a member or a seed asks for, formed once, and the reference D of
-    :func:`_reference`, for :meth:`near_product`.  tol = ``tolerances.psd``."""
+    :func:`_reference`.  tol = ``tolerances.psd``, and shift_q = tol - slack_q - 2 sum_j dev_j."""
 
     def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
         m, n = f.ds**2, f.ds * f.de
@@ -346,9 +346,9 @@ class _Screen:
         self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
         cols, k, l = self.norms.reshape(f.ds, f.ds), self.basis.k, self.basis.l  # [c, r]: ||M_rc||
         spread = cols[k, k] + cols[k, l] + cols[l, k] + cols[l, l]  # N of each pair, from |g_kl|
-        # the rounding bound of certifies: eps (4 n^2 + m + 16) (N + tol) + 2 sum_j dev_j <= tol/2
+        # the rounding bound of certifies, eps (4 n^2 + m + 16) (N + tol), and the shift it leaves
         self.slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread + self.tol)
-        self.small = self.slack + 2 * deviations[self.basis.pairs].sum(axis=1) <= self.tol / 2
+        self.shift = self.tol - self.slack - 2 * deviations[self.basis.pairs].sum(axis=1)
         self.hermitian = {}
 
     @cached_property
@@ -366,16 +366,14 @@ class _Screen:
         to 1 + sqrt 2; so ||Delta(E_rc)||_F <= (1 + sqrt 2) r.  A state rho has sum_rc |rho_rc|
         <= (sum_r sqrt(rho_rr))^2 <= ds, so ||Delta(rho)||_F <= ds (1 + sqrt 2) r, and rho (x)
         Herm D, with eigenvalues p_i mu_j, has none below min(0, lambda_min(Herm D)).  Hence
-        lambda_min(Herm F(rho)) >= min(0, lambda_min(Herm D)) - ds (1 + sqrt 2) r.  When that
-        is at least -tol/2 and every pair's rounding slack of :meth:`certifies`, which bounds
-        the exact path's rounding on the pair's span and r's few u N, is at most tol/2, no
-        member or seed evaluates below -tol, and the search's outcome is None.  Nothing here
-        uses Hermiticity or the trace constraint, so the bound holds for any lifting."""
-        if np.any(self.slack > self.tol / 2):
-            return False
-        d = self.reference
+        lambda_min(Herm F(rho)) >= min(0, lambda_min(Herm D)) - ds (1 + sqrt 2) r.  The slack
+        of :meth:`certifies` bounds the exact path's rounding on its pair's span and r's few u N,
+        so when that bound less the largest slack is at least -tol, no member or seed evaluates
+        below -tol, and the search's outcome is None.  Nothing here uses Hermiticity or the
+        trace constraint, so the bound holds for any lifting."""
+        d, slack = self.reference, np.max(self.slack, initial=0.0)
         floor = min(0.0, float(np.linalg.eigvalsh((d + d.conj().T) / 2)[0]))
-        return floor - self.ds * (1 + np.sqrt(2)) * self.residual >= -self.tol / 2
+        return floor - self.ds * (1 + np.sqrt(2)) * self.residual - slack >= -self.tol
 
     def block(self, q: int) -> np.ndarray:
         """B^T of :meth:`certifies`: F(g_kk)^T, F(g_ll)^T on the diagonal, F(E_kl)^T =
@@ -411,20 +409,20 @@ class _Screen:
 
         With u the unit roundoff, n = dim, m = ds^2 and N = sum |g_kl[r, c]| ||M_rc|| >=
         ||B||_F, M_rc the column that holds F(E_rc): :meth:`block` is about 25 u N off B^T, and
-        Cholesky's triangle 1.25 sum_j dev_j off it.  A Cholesky factor of it + (tol/2) I proves
-        lambda_min >= -tol/2 - (2n (2n + 1) + 2) u (N + tol) (Higham, Accuracy and Stability of
-        Numerical Algorithms, Thm 10.5), and the exact path (GEMV, Hermitian part, ``eigvalsh``)
-        is about (m + n + 7) u N off.  ``small[q]`` covers both."""
-        return self.small[q] and _has_cholesky(self.block(q), self.tol / 2)
+        Cholesky's triangle 1.25 sum_j dev_j off it.  For shift_q in (0, tol], a Cholesky factor
+        of it + shift_q I proves lambda_min >= -shift_q - (2n (2n + 1) + 2) u (N + tol) (Higham,
+        Accuracy and Stability of Numerical Algorithms, Thm 10.5), the exact path (GEMV, Hermitian
+        part, ``eigvalsh``) is about (m + n + 7) u N off, and slack_q + 2 sum_j dev_j covers all."""
+        return self.shift[q] > 0 and _has_cholesky(self.block(q), self.shift[q])
 
     def clears(self, q: int, psi: np.ndarray) -> bool:
         """A sufficient test that psi psi^dagger, psi on the q-th pair's span (none: q = -1), has
-        no image with an eigenvalue below -tol on the exact path: ``small[q]`` and a Cholesky
-        factor of V^dagger B V + (tol/2) I.  ||V^dagger B V|| <= ||B|| <= N, the n x n factor
+        no image with an eigenvalue below -tol on the exact path: shift_q > 0 and a Cholesky
+        factor of V^dagger B V + shift_q I.  ||V^dagger B V|| <= ||B|| <= N, the n x n factor
         adds n (n + 1) + 2 roundings where the 2n block's adds 2n (2n + 1) + 2, and the
         Hermitization, the compression and the few u between psi psi^dagger and the exact
         path's x (a seed's Hermitization included) add a few u N, all within the slack."""
-        return q >= 0 and self.small[q] and _has_cholesky(self.compress(q, psi[None]), self.tol / 2)
+        return q >= 0 and self.shift[q] > 0 and _has_cholesky(self.compress(q, psi[None]), self.shift[q])
 
     def seed(self, q: int):
         """The q-th pair's candidate witness (psi, x), x = psi psi^dagger with psi on
@@ -796,6 +794,8 @@ def _perturbed_products(references: np.ndarray, ds: int, eps: float, seeds) -> n
 def perturbed_product_lifting(reference: np.ndarray, ds: int, eps: float, seed) -> Lifting:
     """Product lifting plus eps times a random constraint-respecting direction, built in the
     direction's array: D^T + eps*delta where ``product_lifting`` sets D^T, 0.0 + eps*delta elsewhere."""
+    if not np.isfinite(eps):
+        raise ConstraintViolation(f"eps must be finite, got {eps}")
     d = validate_density(reference)
     return Lifting(ds, d.shape[0], _perturbed_products(d[None], ds, eps, [seed])[0])
 
@@ -841,12 +841,14 @@ def no_go_sweep(ds: int, de: int, trials: int, eps: float, seed: int,
     tol = _residual_tol(tol)
     if trials < 0:
         raise ConstraintViolation(f"trials must be nonnegative, got {trials}")
+    if not np.isfinite(eps):
+        raise ConstraintViolation(f"eps must be finite, got {eps}")
+    _map_shape(ds * de, ds, "perturbation")
     children = spawn_seeds(seed, trials)
     verdicts = []
     for chunk in _chunks(trials, 16 * (ds * de * ds) ** 2, _STACK_BYTES):
         verdicts += _sweep_verdicts(ds, de, eps, children[chunk], tol)
-    counts = {name: 0 for name in _VERDICT_NAMES.values()}
-    for v in verdicts:
-        counts[verdict_name(v)] += 1
+    names = [verdict_name(v) for v in verdicts]
+    counts = {name: names.count(name) for name in _VERDICT_NAMES.values()}
     falsifiers = [i for i, v in enumerate(verdicts) if isinstance(v, Inconclusive)]
     return SweepOutcome(verdicts, counts, falsifiers)

@@ -17,7 +17,7 @@ seeds with the top singular vector from a 2 x 2 ``eigh`` and a dense V, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
 search (and for the grid-and-backstop family it replaced), a dense grid scan
 for the diagonal-mixing criterion, the block components and the adjoint of a
-reduction map as reindexings, the pair slack from a dense product of every
+reduction map as reindexings, the pair shift from a dense product of every
 basis member with the column norms, one-shot Gaussian draws with three-index
 einsum estimators and a single-GEMM
 empirical state, file text formatted one entry at a time, and files read one
@@ -541,14 +541,15 @@ def adjoint_reduction(r) -> Lifting:
     return Lifting(ds, r.de, r.matrix.reshape(ds, ds, dim, dim).T.reshape(dim * dim, -1))
 
 
-def screen_small_dense(screen) -> np.ndarray:
-    """``_Screen.small`` with each pair's N = sum |g_kl[r, c]| ||M_rc|| read from the dense product
-    of every |g_j| with the screen's column norms."""
+def screen_shift_dense(screen) -> np.ndarray:
+    """``_Screen.shift``, tol less each pair's rounding slack and twice its four deviations, with
+    the pair's N = sum |g_kl[r, c]| ||M_rc|| read from the dense product of every |g_j| with the
+    screen's column norms."""
     basis = screen.basis
     m, n = len(basis.members), screen.dim
     spread = np.abs(basis.members).reshape(m, m) @ screen.norms  # |g_j| is symmetric
     slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread[basis.pairs[:, 2]] + screen.tol)
-    return slack + 2 * screen.deviations[basis.pairs].sum(axis=1) <= screen.tol / 2
+    return screen.tol - slack - 2 * screen.deviations[basis.pairs].sum(axis=1)
 
 
 @lru_cache(maxsize=8)

@@ -6,6 +6,7 @@ import pytest
 
 from statelift import (
     ConstraintViolation,
+    DimensionMismatch,
     Inconclusive,
     Lifting,
     Product,
@@ -60,7 +61,7 @@ from oracles import (
     pair_block_parts,
     components,
     reassemble,
-    screen_small_dense,
+    screen_shift_dense,
     residual_kron,
     positivity_witness_search_loops,
     witness_candidates_loops,
@@ -790,13 +791,19 @@ def _sweep_trial(ds, de, eps, seed, trial):
                                                     (1, 0, 1e-9, Product)])
 def test_a_near_threshold_lifting_with_uncertified_pairs_walks_their_seeds(
         seed, trial, eps, kind, monkeypatch):
-    # no_go_sweep(2, 2, ..., eps, seed)'s trial: no basis member maps below -tol, and the
-    # one pair is not certified, so its seed is walked
+    # no_go_sweep(2, 2, ..., eps, seed)'s trial: no basis member maps below -tol.  The one pair
+    # of each violator is not certified, so its seed is walked.  That of the product, which a
+    # shift of tol/2 left uncertified, certifies at the floor, and no seed is built
     built = _count_calls(monkeypatch, _Screen, "seed")
     f = _sweep_trial(2, 2, eps, seed, trial)
-    assert not _screen(f).certifies(0)
-    assert isinstance(analyze(f), kind)
-    assert len(built) == 1
+    walked = kind is not Product
+    assert bool(_screen(f).certifies(0)) is not walked
+    got = analyze(f)
+    assert isinstance(got, kind)
+    assert len(built) == walked
+    if kind is Product:
+        images = basis_images(f)
+        assert _bits(got.residual) == _bits(residual_loops(2, images, images[0, :2, :2].copy()))
 
 
 # The trials of no_go_sweep(2, 2, ..., eps, seed) that came back inconclusive at a
@@ -902,6 +909,21 @@ def test_near_threshold_corpus_against_the_grid_walk():
     assert moved and len(moved) + len(flipped) <= 15
 
 
+# near-threshold products whose pairs a shift of tol/2 left uncertified: each such pair paid a
+# seed, 168 in the (8, 4) sweep and 30 in the (8, 8) one.  Certified at the floor, all are covered
+@pytest.mark.parametrize("ds, de, trials, eps, seed", [(8, 4, 6, 1e-8, 2), (8, 8, 3, 1e-8, 1)])
+def test_near_threshold_products_certify_every_pair_without_a_seed(
+        monkeypatch, ds, de, trials, eps, seed):
+    built = _count_calls(monkeypatch, _Screen, "seed")
+    outcome = no_go_sweep(ds, de, trials, eps, seed)
+    assert built == []
+    assert outcome.counts["product"] == trials and outcome.falsifiers == []
+    for trial, got in enumerate(outcome.verdicts):
+        f = _sweep_trial(ds, de, eps, seed, trial)
+        images = basis_images(f)
+        assert _bits(got.residual) == _bits(residual_loops(ds, images, images[0, :de, :de].copy()))
+
+
 def _exact_min_eigenvalue(f, x):
     w = apply_lifting(f, x / np.trace(x).real)
     return np.linalg.eigvalsh((w + w.conj().T) / 2)[0]
@@ -915,17 +937,25 @@ def test_the_member_test_clears_no_member_below_tol():
     corpus = [f for _, _, f in _near_threshold_corpus()]
     corpus += [_sweep_trial(3, 2, 4e-9, 1, trial) for trial in range(200)]
     corpus += [_sweep_trial(8, 8, eps, 1, trial) for eps in (1e-8, 2e-8) for trial in (0, 1)]
-    cleared = []
+    cleared, covered = [], []
     for f in corpus:
         screen = _screen(f)
         b = screen.basis
-        seeds = [(q, *screen.seed(q)) for q in range(len(b.pairs)) if not screen.certifies(q)]
-        for q, psi, x in [*zip(b.pair, b.psi, b.members), *seeds]:
+        seeds = [(q, *screen.seed(q)) for q in range(len(b.pairs))]
+        certified = [bool(screen.certifies(q)) for q in range(len(b.pairs))]
+        walked = [seed for seed, ok in zip(seeds, certified) if not ok]
+        for q, psi, x in [*zip(b.pair, b.psi, b.members), *walked]:
             if screen.clears(q, psi):
                 cleared.append(_exact_min_eigenvalue(f, x) / tolerances.psd)
+        # a certified pair's basis members and seed, which the walk skips, stay above -tol too
+        for q in np.flatnonzero(certified):
+            for x in [*b.members[b.pairs[q]], seeds[q][2]]:
+                covered.append(_exact_min_eigenvalue(f, x) / tolerances.psd)
     assert len(cleared) > 2000 and min(cleared) >= -1
-    # the shift tol/2 lets members down to about -tol/2 through, and these liftings reach it
-    assert min(cleared) < -0.4
+    assert len(covered) > 1000 and min(covered) >= -1
+    # the shift, tol less a rounding margin, lets members down to about -tol through, and
+    # these liftings reach it
+    assert min(cleared) < -0.9 and min(covered) < -0.9
 
 
 @pytest.mark.parametrize("member", [0, 1, 3, 5, 8])
@@ -940,9 +970,9 @@ def test_the_member_test_keeps_a_member_below_tol(member):
 # At (4, 4) the grid walk held 80 boundary mixtures of the pair (1, 2): plain
 # and star at each of its 40 values of t.  Member 0 is the plain one at the first
 # t, member 79 the star one at the last t.
-@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 - 1e-5, 1 + 1e-3])
 @pytest.mark.parametrize("member", [0, 79])
-def test_witness_search_planted_in_pair_mixture(member, scale):
+def test_witness_search_planted_in_pair_mixture(member, scale, monkeypatch):
     ds, de, k, l = 4, 4, 1, 2
     pair = _pairs(ds)[(k, l)]
     x = list(grid_witness_candidates_loops(ds))[ds * ds + 80 * pair + member]
@@ -963,16 +993,24 @@ def test_witness_search_planted_in_pair_mixture(member, scale):
               for g in hermitian_basis(ds)]
     f = _lifting_from_images(ds, de, images)
     screen = _screen(f)
-    assert not screen.certifies(pair)
+    # c = 0.999 tol lies above -tol by more than the pair's rounding margin tol - shift, so the
+    # pair certifies; c = (1 - 1e-5) tol lies inside that margin, and the pair's seed is walked
+    assert (screen.shift[pair] > c) == (scale < 1 - 1e-4) and screen.shift[pair] > 0
+    assert bool(screen.certifies(pair)) == (scale < 1 - 1e-4)
+    built = _count_calls(monkeypatch, _Screen, "seed")
     got = positivity_witness_search(f)
     _assert_same_witness(got, positivity_witness_search_loops(f))
+    assert (pair in [q for _, q in built]) == (scale > 1 - 1e-4)
+    psi, seed = screen.seed(pair)
     if scale > 1:
-        seed = screen.seed(pair)[1]
         assert np.array_equal(got.witness, seed / np.trace(seed).real)
         assert np.max(np.abs(got.witness - x)) <= 1e-12
         assert got.min_eigenvalue == pytest.approx(-scale * tolerances.psd, rel=1e-6)
     else:
         assert got is None
+        if scale > 1 - 1e-4:  # the walk evaluates the seed on the exact path, and it is clean
+            assert not screen.clears(pair, psi)
+        assert -tolerances.psd <= _exact_min_eigenvalue(f, seed) < -0.999 * c
 
 
 @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
@@ -1139,15 +1177,16 @@ def test_stacked_diagnostics_keep_the_bits_of_the_loops(ds, de):
 
 @pytest.mark.parametrize("ds, de", DIAGNOSED_DIMS)
 def test_pair_slack_matches_the_dense_spread(ds, de):
-    smalls = []
+    shifts = []
     for kind, f in _diagnosed_liftings(ds, de).items():
         images = basis_images(f)
         screen = _Screen(f, images, _hermiticity_deviations(images))
-        assert screen.small.dtype == bool and screen.small.shape == (len(screen.basis.k),)
-        assert np.array_equal(screen.small, screen_small_dense(screen)), kind
-        smalls.append(screen.small)
-    if ds > 1:  # the stretched lifting's deviations exceed the slack
-        assert np.concatenate(smalls).any() and not np.concatenate(smalls).all()
+        assert screen.shift.dtype == np.float64 and screen.shift.shape == (len(screen.basis.k),)
+        assert np.array_equal(_bits(screen.shift), _bits(screen_shift_dense(screen))), kind
+        assert np.all(screen.shift <= screen.tol)
+        shifts.append(screen.shift)
+    if ds > 1:  # the stretched lifting's deviations exceed the slack, and leave no shift
+        assert (np.concatenate(shifts) > 0).any() and not (np.concatenate(shifts) > 0).all()
 
 
 # --- analyzer -------------------------------------------------------------------
@@ -1235,6 +1274,40 @@ def test_no_go_sweep_checks_trials_before_any_trial(monkeypatch, trials):
     monkeypatch.setattr(liftings, "_sweep_verdicts", no_trial)
     with pytest.raises(ConstraintViolation, match=f"^trials must be nonnegative, got {trials}$"):
         no_go_sweep(2, 2, trials, 1e-2, 1)
+
+
+@pytest.mark.parametrize("trials", [0, 2])
+@pytest.mark.parametrize("ds, de, eps, error, message", [
+    (2, 2, np.inf, ConstraintViolation, "eps must be finite, got inf"),
+    (2, 2, -np.inf, ConstraintViolation, "eps must be finite, got -inf"),
+    (2, 2, np.nan, ConstraintViolation, "eps must be finite, got nan"),
+    (0, 2, 1e-2, DimensionMismatch, "perturbation dimensions must be positive, got 0 -> 0"),
+    (2, 0, 1e-2, DimensionMismatch, "perturbation dimensions must be positive, got 2 -> 0"),
+    (2, -1, 1e-2, DimensionMismatch, "perturbation dimensions must be positive, got 2 -> -2")],
+    ids=["inf", "minus-inf", "nan", "ds-0", "de-0", "de-negative"])
+def test_no_go_sweep_checks_dims_and_eps_before_any_trial(
+        monkeypatch, ds, de, eps, error, message, trials):
+    # 0 trials returned an empty outcome, and an infinite eps raised numpy's RuntimeWarning from
+    # inf * 0 before the lifting's "non-finite entries", which a NaN eps raised too
+    with pytest.raises(error) as info:
+        no_go_sweep(ds, de, trials, eps, 1)
+    assert type(info.value) is error and str(info.value) == message
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran before ds, de and eps were checked")
+
+    monkeypatch.setattr(liftings, "_sweep_verdicts", no_trial)
+    with pytest.raises(error, match="must be"):
+        no_go_sweep(ds, de, trials, eps, 1)
+
+
+@pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan])
+def test_perturbed_product_lifting_rejects_a_non_finite_eps(eps):
+    d = random_density(2, seed=1)
+    with pytest.raises(ConstraintViolation, match=f"^eps must be finite, got {eps}$"):
+        perturbed_product_lifting(d, 2, eps, 1)
+    for e in (1e-2, -1e-2):  # a finite eps of either sign builds, the direction flipped
+        assert isinstance(perturbed_product_lifting(d, 2, e, 1), Lifting)
 
 
 def _assert_same_verdicts(got, want):
