@@ -37,7 +37,12 @@ from .states import hermitian_basis, random_density, validate_density
 
 @dataclass(frozen=True, eq=False)
 class Lifting:
-    """A linear map L1(H_S) -> L1(H_S (x) H_E) on vectorized operators."""
+    """A linear map L1(H_S) -> L1(H_S (x) H_E) on vectorized operators, the real and imaginary
+    parts of its entries finite and at most A = sqrt(max float) / (16 ds de), so that no norm the
+    analyzer takes overflows.  An image F(g) sums at most four entries, so its Hermiticity defect,
+    block mismatches and product residual have parts <= 8A, a partial-trace residual <= 8 de A,
+    and a squared norm adds at most 2 (ds de)^2 such squares: max / 2, and room for rounding.  A
+    pair's Choi block has parts <= 28A, and the rest is linear in the entries."""
 
     ds: int
     de: int
@@ -46,8 +51,13 @@ class Lifting:
     def __post_init__(self):
         dim = self.ds * self.de
         object.__setattr__(self, "matrix", map_matrix(self.matrix, dim, self.ds, "lifting"))
-        if not np.all(np.isfinite(self.matrix.view(np.float64))):
-            raise ConstraintViolation("lifting matrix has non-finite entries")
+        flat, bound = self.matrix.view(np.float64), np.sqrt(np.finfo(float).max) / (16 * dim)
+        low, high = float(flat.min()), float(flat.max())  # a NaN reads as both
+        if not (-bound <= low and high <= bound):  # NaN and inf fail too
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ConstraintViolation("lifting matrix has non-finite entries")
+            raise ConstraintViolation(f"lifting matrix has a real or imaginary part above "
+                                      f"sqrt(max float) / (16 ds de) = {bound:.6e}")
 
 
 def product_lifting(reference: np.ndarray, ds: int) -> Lifting:

@@ -129,14 +129,9 @@ def spectral(a: np.ndarray) -> SpectralDecomposition:
         )
     vals, vecs = np.linalg.eigh(hermitian_part(a))
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for i in range(vecs.shape[1]):
-        j = int(np.argmax(np.abs(vecs[:, i])))
-        pivot = vecs[j, i]
-        mag = abs(pivot)
-        if mag > 0.0:
-            vecs[:, i] *= pivot.conjugate() / mag
+    vals, vecs = vals[order], vecs[:, order]
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]  # largest |entry|
+    vecs *= pivots.conj() / np.hypot(pivots.real, pivots.imag)  # hypot: the bits of abs(pivot)
     return SpectralDecomposition(vals, vecs)
 
 

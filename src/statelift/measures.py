@@ -19,7 +19,7 @@ from .config import MARGINAL_TOL, PRODUCT_RANK_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 from .linalg import as_matrix, hermitian_part, hermiticity_defect, spectral
 from .rng import philox_rng
-from .states import pure_projector, validate_density
+from .states import validate_density
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +124,21 @@ def choquet_spectral(w: np.ndarray) -> WeightedProjectorList:
     dec = spectral(w)
     top = float(dec.eigenvalues[0])
     keep = dec.eigenvalues > tolerances.rank * top
-    return WeightedProjectorList(
-        dec.eigenvalues[keep].copy(), dec.vectors[:, keep].T.copy()
-    )
+    return WeightedProjectorList(dec.eigenvalues[keep], dec.vectors[:, keep].T.copy())
 
 
 def choquet_reconstruct(mu: WeightedProjectorList) -> np.ndarray:
-    """Barycenter sum_i w_i P_i of a finite projector measure."""
-    dim = mu.vectors.shape[1]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for weight, v in zip(mu.weights, mu.vectors):
-        out += weight * pure_projector(v)
-    return out
+    """sum_i w_i v_i v_i^dagger, the barycenter, summed in atom order from +0 over the real view."""
+    v = np.asarray(mu.vectors, dtype=np.complex128)
+    terms = (mu.weights[:, None, None] * (v[:, :, None] * v[:, None, :].conj())).view(np.float64)
+    return np.sum(terms, axis=0, initial=0.0).view(np.complex128)
 
 
 def dependent_projectors():
     """Four unit vectors in C^2 whose projectors are linearly dependent:
     P_0 + P_1 - P_plus - P_minus = 0 (both pairs sum to the identity)."""
     s = 1.0 / np.sqrt(2.0)
-    vectors = [
-        np.array([1.0, 0.0], dtype=np.complex128),
-        np.array([0.0, 1.0], dtype=np.complex128),
-        np.array([s, s], dtype=np.complex128),
-        np.array([s, -s], dtype=np.complex128),
-    ]
+    vectors = list(np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s]], dtype=np.complex128))
     coefficients = np.array([1.0, 1.0, -1.0, -1.0])
     return vectors, coefficients
 

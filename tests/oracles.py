@@ -10,8 +10,9 @@ perturbed lifting as the sum of two dense matrices, and
 per-matrix-unit loops for Choi matrices, a full Choi ``eigvalsh`` for the
 CP margin, reduced dynamics and Kraus liftings, dense Kronecker products for
 the unit-reduction check, observable reduction, the product residual and
-purification, one ``np.linalg.norm`` per item for the analyzer's structure,
-residual, Hermiticity and unit-reduction diagnostics, basis images formed one
+purification, one phase per eigenvector column for the spectral decomposition,
+one atom at a time for the Choquet barycenter, one ``np.linalg.norm`` per item
+for the analyzer's structure, residual, Hermiticity and unit-reduction diagnostics, basis images formed one
 member at a time, pair Choi blocks from Hermitian matrix-unit images, pair
 seeds with the top singular vector from a 2 x 2 ``eigh`` and a dense V, one
 ``apply_lifting`` and ``eigvalsh`` per candidate for the positivity witness
@@ -51,7 +52,9 @@ from statelift.states import (
     basis_g_star,
     hermitian_basis,
     numerical_rank,
+    pure_projector,
     random_density,
+    random_hermitian,
 )
 
 # shared test helpers, not oracles: numpy's Kronecker product and the matrix units
@@ -349,6 +352,56 @@ def structure_loops(ds: int, de: int, images: np.ndarray) -> StructureReport:
     return StructureReport(diag_off, diag_ref, pairs)
 
 
+SPECTRAL_DIMS = [1, 2, 3, 4, 8, 16, 32, 64]
+
+
+def spectral_inputs(d: int, seed: int) -> dict:
+    """Six Hermitian inputs of dimension d: a random Hermitian matrix, full-rank and rank-d/3
+    densities, a random diagonal, and multiples of the identity and of the flat all-ones matrix,
+    whose eigenvectors tie in the modulus of their entries."""
+    scale = seed + 1.0
+    return {
+        "hermitian": random_hermitian(d, seed=seed),
+        "density": random_density(d, seed=seed),
+        "low rank": random_density(d, rank=max(1, d // 3), seed=seed),
+        "diagonal": np.diag(philox_rng(seed).standard_normal(d)).astype(np.complex128),
+        "identity": scale * np.eye(d, dtype=np.complex128),
+        "flat": np.full((d, d), scale, dtype=np.complex128),
+    }
+
+
+def spectral_per_column(a: np.ndarray) -> tuple:
+    """(eigenvalues, vectors) of ``linalg.spectral``, each column's phase fixed on its own: the
+    column times conj(p) / abs(p), p its first largest-modulus entry.
+
+    The magnitude is a pitfall for a one-pass form.  A scalar abs() of an np.complex128 has the
+    bits of np.hypot of its parts, but the np.abs ufunc does not: it differs from np.hypot in
+    about a third of the entries of a random 64 x 64 matrix.  So one pass over all columns
+    takes the pivots' magnitudes with np.hypot.  Its pivot search may keep np.abs, since the
+    np.abs of one column here has the bits of the same column of the whole matrix's np.abs."""
+    a = np.asarray(a, dtype=np.complex128)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    for i in range(vecs.shape[1]):
+        j = int(np.argmax(np.abs(vecs[:, i])))
+        pivot = vecs[j, i]
+        mag = abs(pivot)
+        if mag > 0.0:
+            vecs[:, i] *= pivot.conjugate() / mag
+    return vals, vecs
+
+
+def choquet_reconstruct_per_atom(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_i w_i v_i v_i^dagger, added into zeros one atom at a time."""
+    dim = vectors.shape[1]
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for weight, v in zip(weights, vectors):
+        out += weight * pure_projector(v)
+    return out
+
+
 def purify_kron(s: np.ndarray, de: int) -> np.ndarray:
     """sum_i sqrt(lambda_i) u_i (x) f_i accumulated one Kronecker product per
     spectral pair, normalized."""
@@ -544,10 +597,14 @@ def adjoint_reduction(r) -> Lifting:
 def screen_shift_dense(screen) -> np.ndarray:
     """``_Screen.shift``, tol less each pair's rounding slack and twice its four deviations, with
     the pair's N = sum |g_kl[r, c]| ||M_rc|| read from the dense product of every |g_j| with the
-    screen's column norms."""
+    screen's column norms, summed column by column in index order: a GEMV adds in an order of
+    its kernel's choosing, which at m = 1024 (ds = 32) differs from that of the four terms."""
     basis = screen.basis
     m, n = len(basis.members), screen.dim
-    spread = np.abs(basis.members).reshape(m, m) @ screen.norms  # |g_j| is symmetric
+    dense = np.abs(basis.members).reshape(m, m)  # |g_j| is symmetric
+    spread = np.zeros(m)
+    for j in range(m):
+        spread += dense[:, j] * screen.norms[j]
     slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread[basis.pairs[:, 2]] + screen.tol)
     return screen.tol - slack - 2 * screen.deviations[basis.pairs].sum(axis=1)
 

@@ -46,6 +46,27 @@ def run(tmp_path, *argv):
     return main(["--run-log", str(tmp_path / "runs.jsonl"), *map(str, argv)])
 
 
+def _fresh_env(threads=None):
+    """The environment of a fresh statelift process that imports this package, with its BLAS and
+    OpenMP thread counts set to threads when given."""
+    env = dict(os.environ)
+    package = str(Path(statelift.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env.update(dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"],
+                                 str(threads)))
+    return env
+
+
+def run_fresh(tmp_path, *argv, threads=None):
+    """(exit code, stdout, stderr) of statelift argv in a fresh process, which, unlike the tests,
+    prints a RuntimeWarning instead of raising it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "statelift.cli", "--run-log", str(tmp_path / "runs.jsonl"),
+         *map(str, argv)], capture_output=True, text=True, env=_fresh_env(threads), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def _not_json(constant):
     raise ValueError(f"run record holds {constant}, which is not JSON")
 
@@ -549,6 +570,50 @@ def test_reduce_rejects_non_finite_input(tmp_path, capsys, side):
     assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
 
 
+_OVERFLOW_MESSAGE = ("error: constraint: lifting matrix has a real or imaginary part above "
+                     "sqrt(max float) / (16 ds de) = {:.6e}\n")
+_BOUND_22 = np.sqrt(np.finfo(float).max) / 64  # that bound at (ds, de) = (2, 2)
+
+
+def test_nogo_beyond_the_overflow_bound_exits_constraint_without_a_warning(tmp_path):
+    # it printed numpy's "overflow encountered in matmul" and exited 0 with two violates_trace
+    code, out, err = run_fresh(tmp_path, "nogo", "--ds", 2, "--de", 2, "--trials", 2,
+                               "--eps", 1e200, "--seed", 1)
+    assert (code, out, err) == (EXIT_CONSTRAINT, "", _OVERFLOW_MESSAGE.format(_BOUND_22))
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+
+
+def test_analyze_of_a_file_beyond_the_overflow_bound_exits_constraint(tmp_path, capsys):
+    write_lifting(tmp_path / "F.lift", product_lifting(random_density(2, seed=3), 2))
+    lines = (tmp_path / "F.lift").read_text().splitlines()
+    lines[7] = "1e200 0"  # the real part of one entry
+    (tmp_path / "big.lift").write_text("\n".join(lines) + "\n")
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "big.lift") == EXIT_CONSTRAINT
+    assert capsys.readouterr() == ("", _OVERFLOW_MESSAGE.format(_BOUND_22))
+
+
+def test_analyze_just_under_the_overflow_bound_prints_its_report(tmp_path, capsys):
+    # the tests raise any RuntimeWarning, so no norm, block or slack overflowed
+    d = random_density(2, seed=3)
+    m = perturbed_product_lifting(d, 2, 1.0, seed=4).matrix
+    under = _BOUND_22 * (1 - 2.0**-50)
+    write_lifting(tmp_path / "F.lift", Lifting(2, 2, m * (under / np.abs(m.view(float)).max())))
+    assert run(tmp_path, "analyze", "--lifting", tmp_path / "F.lift") == 0
+    out = capsys.readouterr().out
+    assert "structure.max_deviation = " in out and "inf" not in out and "nan" not in out
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_ds4_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at ds >= 8 it does: the perturbation's basis change and the witness's digits move
+    write_lifting(tmp_path / "F.lift", perturbed_product_lifting(random_density(4, seed=1), 4,
+                                                                 1e-2, seed=2))
+    for argv in (["nogo", "--ds", 4, "--de", 4, "--trials", 20, "--eps", 1e-2, "--seed", 1],
+                 ["analyze", "--lifting", tmp_path / "F.lift"]):
+        one, two = (run_fresh(tmp_path, *argv, threads=n) for n in (1, 2))
+        assert one[0] == 0 and one == two, argv
+
+
 def test_exit_code_constraint_violation(tmp_path, capsys):
     write_matrix(tmp_path / "bad.mat", np.diag([2.0, -1.0]).astype(complex))
     write_matrix(tmp_path / "D.mat", random_density(2, seed=14))
@@ -630,9 +695,7 @@ def test_exit_code_unwritable_output(tmp_path, capsys):
 
 
 def test_exit_code_closed_stdout(tmp_path):
-    env = dict(os.environ)
-    package = str(Path(statelift.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+    env = _fresh_env()
     read, write = os.pipe()
     os.close(read)  # so every write to stdout fails with EPIPE
     try:
@@ -768,9 +831,7 @@ def test_calls_in_one_process_match_a_fresh_process(tmp_path, capsys):
     # call would change the verdict of the next one
     write_lifting(tmp_path / "F.lift", _near_product_lifting())
     calls = [[str(a) for a in argv] for argv in _sequence(tmp_path / "F.lift")]
-    env = dict(os.environ)
-    package = str(Path(statelift.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package, env.get("PYTHONPATH")]))
+    env = _fresh_env()
     fresh = [
         subprocess.Popen(
             [sys.executable, "-m", "statelift.cli", "--run-log", str(tmp_path / f"fresh{i}.jsonl"),

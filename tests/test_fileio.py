@@ -307,8 +307,9 @@ def _random_file(rng, kind, *, messy):
     fields = [int(v) for v in rng.integers(1, 4 if count == 2 else 40, count)]
     values = _random_doubles(rng, per_line * size(*fields))
     if kind == "lifting":
-        # liftings hold finite entries only, also once %.3g rounds them
-        values[~(np.abs(values) < 1e300)] = 0.0
+        # liftings hold parts within sqrt(max float) / (16 ds de) only, also once %.3g rounds them
+        bound = np.sqrt(np.finfo(float).max) / (32 * fields[0] * fields[1])
+        values[~(np.abs(values) < bound)] = 0.0
     formats = rng.integers(0, len(_FORMATS), values.size)
     numbers = [_FORMATS[i] % v for i, v in zip(formats, values.tolist())]
     if messy:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -1148,7 +1149,8 @@ def _structure_columns(report):
     return columns
 
 
-DIAGNOSED_DIMS = [(1, 3), (2, 2), (3, 2), (2, 3), (4, 4), (8, 4), (4, 8), (8, 8), (16, 4)]
+DIAGNOSED_DIMS = [(1, 3), (2, 2), (3, 2), (2, 3), (4, 4), (8, 4), (4, 8), (8, 8), (16, 4),
+                  (32, 2)]
 
 
 @pytest.mark.parametrize("ds, de", DIAGNOSED_DIMS)
@@ -1310,6 +1312,62 @@ def test_perturbed_product_lifting_rejects_a_non_finite_eps(eps):
         assert isinstance(perturbed_product_lifting(d, 2, e, 1), Lifting)
 
 
+def _overflow_bound(ds, de):
+    return np.sqrt(np.finfo(float).max) / (16 * ds * de)
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_lifting_parts_above_the_overflow_bound_are_rejected(part, sign):
+    bound = _overflow_bound(2, 2)
+    m = np.zeros((16, 4), dtype=np.complex128)
+    getattr(m, part)[5, 1] = sign * bound
+    assert Lifting(2, 2, m).matrix[5, 1] == m[5, 1]  # the bound itself passes
+    getattr(m, part)[5, 1] = np.nextafter(sign * bound, sign * np.inf)
+    message = f"lifting matrix has a real or imaginary part above sqrt(max float) / (16 ds de) = "
+    with pytest.raises(ConstraintViolation, match=f"^{re.escape(message + f'{bound:.6e}')}$"):
+        Lifting(2, 2, m)
+    getattr(m, part)[5, 1] = sign * np.inf  # non-finite keeps its own message
+    with pytest.raises(ConstraintViolation, match="^lifting matrix has non-finite entries$"):
+        Lifting(2, 2, m)
+
+
+def test_a_perturbation_beyond_the_overflow_bound_is_rejected():
+    # analyze raised numpy's "overflow encountered in matmul", and the sweep returned two
+    # violates_trace after it
+    match = re.escape("lifting matrix has a real or imaginary part above sqrt(max float) / "
+                      "(16 ds de) = 2.094970e+152")
+    with pytest.raises(ConstraintViolation, match=match):
+        analyze(perturbed_product_lifting(random_density(2, seed=1), 2, 1e200, 1))
+    with pytest.raises(ConstraintViolation, match=match):
+        no_go_sweep(2, 2, 2, 1e200, 1)
+
+
+@pytest.mark.parametrize("ds, de", [(2, 2), (8, 8)])
+def test_liftings_just_under_the_overflow_bound_analyze_without_a_warning(ds, de):
+    # the tests raise every RuntimeWarning, so no norm, Choi block or slack below overflows
+    n, bound = ds * de, _overflow_bound(ds, de)
+    d = random_density(de, seed=1)
+    signs = philox_rng(5).choice([-1.0, 1.0], size=(n * n, 2 * ds * ds))
+    kinds = {"signs": (signs * bound).view(np.complex128)}  # every part at the bound
+    for kind, m in (("perturbed", perturbed_product_lifting(d, ds, 1.0, 2).matrix),
+                    ("product", product_lifting(d, ds).matrix)):
+        kinds[kind] = m * (bound * (1 - 2.0**-50) / np.abs(m.view(np.float64)).max())
+    for kind, m in kinds.items():
+        f = Lifting(ds, de, m)
+        report = analysis_report(f)
+        values = [report.hermiticity_deviation, report.trace_deviation,
+                  report.structure.max_deviation]
+        screen = _Screen(f, report.images, _hermiticity_deviations(report.images))
+        values += [screen.residual, *screen.shift, np.linalg.eigvalsh(screen.seed(0)[1])[0]]
+        assert np.all(np.isfinite(values)), kind
+        screen.near_product()
+        for q, j in enumerate(screen.basis.pairs[:, 2]):
+            screen.certifies(q)
+            screen.clears(q, screen.basis.psi[j])
+        positivity_witness_search(f)
+
+
 def _assert_same_verdicts(got, want):
     """The same verdict, bit for bit: its type, eigenvalue and witness bytes, or its residual and
     reference."""
@@ -1341,7 +1399,7 @@ def test_a_sweep_stack_has_the_verdicts_of_its_trials_one_at_a_time(ds, de, tria
         assert 1 < stack < trials  # more than one stack, each of more than one trial
 
 
-@pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (8, 4, 3)])
+@pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (8, 4, 3), (32, 2, 1)])
 def test_a_stack_of_trials_keeps_each_trials_bits(ds, de, trials):
     # the stack's matrices, basis images, Hermiticity deviations, trace screens and g_00 values
     # are those of its trials built and screened one at a time
@@ -1547,9 +1605,9 @@ def test_basis_table_pairs_and_coordinates(ds):
         assert _member_of_pair(x, q, psi, ds)
 
 
-@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8)])
+@pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8), (32, 2)])
 def test_random_perturbation_bits_match_inv_oracle(ds, de):
-    for seed in range(5):
+    for seed in range(2 if ds == 32 else 5):  # at (32, 2) the oracle takes 1 s a seed
         delta = random_perturbation(ds, de, seed=200 + seed)
         oracle = random_perturbation_inv(ds, de, seed=200 + seed)
         assert np.array_equal(delta.view(np.uint64), oracle.view(np.uint64))

@@ -38,7 +38,17 @@ from statelift.linalg import frobenius, frobenius_norms
 from statelift.rng import philox_rng
 from statelift.states import basis_g, random_density, random_hermitian
 
-from oracles import bell_projector, kron, kron_loops, ptrace_env_loops, ptrace_sys_loops, trace_norm_gram
+from oracles import (
+    SPECTRAL_DIMS,
+    bell_projector,
+    kron,
+    kron_loops,
+    ptrace_env_loops,
+    ptrace_sys_loops,
+    spectral_inputs,
+    spectral_per_column,
+    trace_norm_gram,
+)
 
 
 def random_complex(rng, d):
@@ -199,6 +209,16 @@ def test_spectral_phase_convention_and_determinism():
 def test_spectral_rejects_non_hermitian():
     with pytest.raises(ConstraintViolation):
         spectral(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("d", SPECTRAL_DIMS)
+def test_spectral_has_the_bits_of_the_per_column_phase_loop(d):
+    for seed in range(40):
+        for kind, a in spectral_inputs(d, seed).items():
+            dec = spectral(a)
+            vals, vecs = spectral_per_column(a)
+            assert dec.eigenvalues.tobytes() == vals.tobytes(), (kind, seed)
+            assert dec.vectors.tobytes() == vecs.tobytes(), (kind, seed)
 
 
 # --- trace norm and pairing ----------------------------------------------

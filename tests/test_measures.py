@@ -28,10 +28,24 @@ from statelift import (
     trace_norm,
 )
 from statelift import measures
-from statelift.measures import observable_bounds, projective_values, validate_lift_table
+from statelift.linalg import spectral
+from statelift.measures import (
+    WeightedProjectorList,
+    observable_bounds,
+    projective_values,
+    validate_lift_table,
+)
 from statelift.rng import philox_rng
 
-from oracles import draw_one_shot, empirical_state_dense, estimate_expectation_einsum, kron
+from oracles import (
+    SPECTRAL_DIMS,
+    choquet_reconstruct_per_atom,
+    draw_one_shot,
+    empirical_state_dense,
+    estimate_expectation_einsum,
+    kron,
+    spectral_inputs,
+)
 
 
 def block_rows(d: int) -> int:
@@ -223,6 +237,32 @@ def test_choquet_reconstruct_uniform_pair():
         np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     )
     assert np.max(np.abs(choquet_reconstruct(mu) - np.eye(2) / 2)) < 1e-15
+
+
+def _choquet_corpus(d, seed):
+    """The spectral measure of each of spectral_inputs(d, seed), with signed weights where the
+    input is not positive, the Choquet measure of each positive one at unit trace, and d + 8
+    signed atoms whose weights and vector parts include +-0.0."""
+    for kind, a in spectral_inputs(d, seed).items():
+        dec = spectral(a)
+        yield WeightedProjectorList(dec.eigenvalues, dec.vectors.T.copy())
+        if kind in ("density", "low rank", "identity", "flat"):
+            yield choquet_spectral(a / np.trace(a).real)
+    rng = philox_rng(seed)
+    weights = rng.standard_normal(d + 8)
+    vectors = rng.standard_normal((d + 8, d)) + 1j * rng.standard_normal((d + 8, d))
+    weights[::5] = [0.0, -0.0][seed % 2]
+    vectors.real[::3, ::2] = -0.0
+    vectors.imag[1::3] = -0.0
+    yield WeightedProjectorList(weights, vectors)
+
+
+@pytest.mark.parametrize("d", SPECTRAL_DIMS)
+def test_choquet_reconstruct_has_the_bits_of_the_per_atom_sum(d):
+    for seed in range(40):
+        for i, mu in enumerate(_choquet_corpus(d, seed)):
+            want = choquet_reconstruct_per_atom(mu.weights, mu.vectors)
+            assert choquet_reconstruct(mu).tobytes() == want.tobytes(), (seed, i)
 
 
 # --- dependent projectors and the non-affineness witness -------------------------------
