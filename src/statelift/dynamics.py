@@ -94,7 +94,7 @@ def reduced_dynamics_from_lifting(h: np.ndarray, lifting, t: float) -> ReducedCh
         raise DimensionMismatch(
             f"Hamiltonian shape {h.shape} does not match the lifting ({ds}*{de})"
         )
-    (trace,) = _trace_screens(ds, de, _images(ds, de, lifting.matrix[None]))
+    (trace,), _ = _trace_screens(ds, de, _images(ds, de, lifting.matrix[None]))
     if trace is not None and trace[0] > tolerances.trace:
         raise ConstraintViolation(
             f"lifting is not a right inverse of the partial trace (deviation {trace[0]:.3e})"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -236,11 +235,10 @@ def _hermiticity_deviations(images: np.ndarray) -> np.ndarray:
 
 
 def _trace_residuals(ds: int, de: int, images: np.ndarray) -> np.ndarray:
-    """tr_env(F(g)) - g for every basis member g, of one lifting's images or of a stack's."""
-    reduced = np.einsum("naibi->nab", images.reshape(-1, ds, de, ds, de))
-    stacked = reduced.reshape(-1, ds * ds, ds, ds)  # a view: einsum's output is contiguous
-    stacked -= _basis(ds).members
-    return reduced
+    """tr_env(F(g)) - g for every basis member g of each of T liftings, shape (T, ds^2, ds, ds)."""
+    out = np.einsum("naibi->nab", images.reshape(-1, ds, de, ds, de)).reshape(-1, ds * ds, ds, ds)
+    out -= _basis(ds).members
+    return out
 
 
 def _worst_trace_deviation(ds: int, reduced: np.ndarray):
@@ -250,21 +248,21 @@ def _worst_trace_deviation(ds: int, reduced: np.ndarray):
     return float(devs[worst]), _basis(ds).members[worst].copy()
 
 
-def _trace_screens(ds: int, de: int, images: np.ndarray) -> list:
+def _trace_screens(ds: int, de: int, images: np.ndarray) -> tuple:
     """For each lifting's images in a (T, ds^2, dim, dim) stack: None when a bound proves that no
     ||tr_env(F(g)) - g||_1 exceeds ``tolerances.trace``, else the exact worst deviation and its g,
-    from one SVD per basis member.
+    from one SVD per basis member; and the (T, ds^2, ds, ds) stack of those residuals.
 
     A ds x ds R has ||R||_1 <= sqrt(ds) ||R||_F.  The exact path's singular values are each a
     few ds u ||R||_2 off R's (a backward-stable SVD, u the unit roundoff), their sum adds ds u
     and the Frobenius norm's sum of squares ds^2 u, all within the margin 8 ds^2 u ||R||_F; so
     wherever the bound passes, the exact path passes too, and a deviation at rounding level
     needs no SVD."""
-    reduced = _trace_residuals(ds, de, images.reshape(-1, *images.shape[2:]))
-    worst = np.max(frobenius_norms(reduced).reshape(len(images), -1), axis=1)
+    residuals = _trace_residuals(ds, de, images)
+    worst = np.max(frobenius_norms(residuals.reshape(-1, ds, ds)).reshape(len(images), -1), axis=1)
     bounds = np.sqrt(ds) * worst * (1 + 8 * ds * ds * np.finfo(float).eps)
     return [None if bound <= tolerances.trace else _worst_trace_deviation(ds, r)
-            for bound, r in zip(bounds, reduced.reshape(len(images), -1, ds, ds))]
+            for bound, r in zip(bounds, residuals)], residuals
 
 
 def _corner_eigenvalues(dim: int, columns: np.ndarray) -> np.ndarray:
@@ -291,7 +289,7 @@ def check_trace_constraint(f: Lifting) -> float:
     Zero (within tolerance) exactly when F is a right inverse of the
     environment partial trace.
     """
-    return _worst_trace_deviation(f.ds, _trace_residuals(f.ds, f.de, basis_images(f)))[0]
+    return _worst_trace_deviation(f.ds, _trace_residuals(f.ds, f.de, basis_images(f))[0])[0]
 
 
 def check_hermiticity_preserving(f: Lifting) -> float:
@@ -314,11 +312,10 @@ def extract_reference(f: Lifting) -> np.ndarray:
 
 
 def _walk(screen: _Screen):
-    """The members of :func:`positivity_witness_search` in walk order, as (q, psi, x), x psi
-    psi^dagger on the q-th pair's span times its trace; each certificate and seed made late.  The
-    first is g_00, which the search evaluates from column 0 instead."""
+    """The members of :func:`positivity_witness_search` after g_00, which the search evaluates from
+    column 0, in walk order, as (q, psi, x), x psi psi^dagger on the q-th pair's span times its
+    trace; each certificate and seed made late."""
     basis = screen.basis
-    yield basis.pair[0], basis.psi[0], basis.members[0]
     if screen.near_product():
         return
     certified = np.array([screen.certifies(q) for q in range(len(basis.pairs))], dtype=bool)
@@ -470,7 +467,7 @@ class _Screen:
 def _walk_witness(f: Lifting, screen: _Screen):
     """The first witness of the walk after g_00, which its callers evaluate from column 0, or None:
     a member that :meth:`_Screen.clears` is skipped, any other is evaluated on the exact path."""
-    for q, psi, x in islice(_walk(screen), 1, None):
+    for q, psi, x in _walk(screen):
         if not screen.clears(q, psi):
             state = x / np.trace(x).real
             w = apply_lifting(f, state)
@@ -651,14 +648,14 @@ class AnalysisReport:
     hermiticity_deviation: float
     images: np.ndarray  # basis_images of the lifting
     reference: np.ndarray  # extract_reference of the lifting
+    residuals: np.ndarray  # tr_env(F(g)) - g for every basis member, from the trace screen
     trace: tuple | None = None  # the worst trace deviation and its g, when the analyzer took it
 
     @cached_property
     def trace_deviation(self) -> float:
-        """The largest ||tr_env(F(g)) - g||_1 over the basis, taken when read where the bound of
-        :func:`_trace_screens` settled the check."""
-        return (self.trace or _worst_trace_deviation(
-            self.ds, _trace_residuals(self.ds, self.de, self.images)))[0]
+        """The largest ||tr_env(F(g)) - g||_1 over the basis, read from :attr:`residuals` where the
+        bound of :func:`_trace_screens` settled the check."""
+        return (self.trace or _worst_trace_deviation(self.ds, self.residuals))[0]
 
     @property
     def structure(self) -> StructureReport:
@@ -684,7 +681,7 @@ def _analysis_reports(fs: list, matrices: np.ndarray, tol: float) -> list:
     images = _images(ds, de, matrices)
     deviations = _hermiticity_deviations(images.reshape(-1, ds * de, ds * de)).reshape(len(fs), -1)
     herms = np.max(deviations, axis=1, initial=0.0).tolist()
-    traces = _trace_screens(ds, de, images)
+    traces, residuals = _trace_screens(ds, de, images)
     references = [_reference(f) for f in fs]
     verdicts = [ViolatesHermiticity(herm) if herm > tolerances.hermitian
                 else ViolatesTrace(*trace) if trace is not None and trace[0] > tolerances.trace
@@ -702,7 +699,7 @@ def _analysis_reports(fs: list, matrices: np.ndarray, tol: float) -> list:
             verdicts[t] = (Product(references[t], residual) if residual <= tol
                            else Inconclusive(residual))
     return [AnalysisReport(ds, de, *report)
-            for report in zip(verdicts, herms, images, references, traces)]
+            for report in zip(verdicts, herms, images, references, residuals, traces)]
 
 
 def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:

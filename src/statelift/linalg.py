@@ -123,10 +123,9 @@ class SpectralDecomposition:
 def spectral(a: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with fixed conventions."""
     a = as_matrix(a)
-    if hermiticity_defect(a) > tolerances.hermitian:
-        raise ConstraintViolation(
-            f"spectral() requires a Hermitian input (defect {hermiticity_defect(a):.3e})"
-        )
+    defect = hermiticity_defect(a)
+    if defect > tolerances.hermitian:
+        raise ConstraintViolation(f"spectral() requires a Hermitian input (defect {defect:.3e})")
     vals, vecs = np.linalg.eigh(hermitian_part(a))
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]

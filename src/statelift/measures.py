@@ -114,6 +114,11 @@ class WeightedProjectorList:
     weights: np.ndarray  # (n,)
     vectors: np.ndarray  # (n, dim), unit rows
 
+    def __post_init__(self):
+        w, v = np.shape(self.weights), np.shape(self.vectors)
+        if v[:1] != w or len(v) != 2:
+            raise DimensionMismatch(f"need a vector row per weight, got weights {w}, vectors {v}")
+
     def __len__(self) -> int:
         return int(self.weights.size)
 

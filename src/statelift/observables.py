@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import apply_map, frobenius_norms, map_matrix
-from .liftings import Lifting, basis_images
+from .liftings import Lifting, _images
 from .states import validate_density
 
 
@@ -50,13 +50,13 @@ def check_unit_reduction(r: ReductionMap) -> float:
 
     Vanishes exactly when the pre-adjoint lifting satisfies the partial-trace
     constraint.  B -> R(B (x) Id) is the matrix U read off the environment
-    diagonal of the split, and U - Id acts on the basis as a lifting, de = 1.
+    diagonal of the split, and U - Id acts on the basis as a lifting matrix, de = 1.
     """
     ds = r.ds
     u = np.einsum("obiai->oba", r.matrix.reshape(ds * ds, ds, r.de, ds, r.de))
     u = u.reshape(ds * ds, ds * ds)
     u[np.diag_indices(ds * ds)] -= 1.0
-    return float(np.max(frobenius_norms(basis_images(Lifting(ds, 1, u)))))
+    return float(np.max(frobenius_norms(_images(ds, 1, u[None])[0])))
 
 
 def reduce_observable(a: np.ndarray, reference: np.ndarray) -> np.ndarray:

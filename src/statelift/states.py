@@ -91,10 +91,9 @@ def random_density(d: int, rank: int | None = None, seed=0) -> np.ndarray:
 def validate_density(w: np.ndarray) -> np.ndarray:
     """Check Hermiticity, positivity and unit trace; return the input."""
     w = as_matrix(w)
-    if hermiticity_defect(w) > tolerances.hermitian:
-        raise ConstraintViolation(
-            f"state is not Hermitian (defect {hermiticity_defect(w):.3e})"
-        )
+    defect = hermiticity_defect(w)
+    if defect > tolerances.hermitian:
+        raise ConstraintViolation(f"state is not Hermitian (defect {defect:.3e})")
     lam_min = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
     if lam_min < -tolerances.psd:
         raise ConstraintViolation(f"state is not positive (lambda_min {lam_min:.3e})")
@@ -104,25 +103,17 @@ def validate_density(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def numerical_rank(w: np.ndarray) -> int:
-    vals = np.linalg.eigvalsh(as_matrix(w))
-    top = float(np.max(np.abs(vals), initial=0.0))
-    if top == 0.0:
-        return 0
-    return int(np.sum(vals > tolerances.rank * top))
-
-
 def purify(s: np.ndarray, de: int) -> np.ndarray:
     """Unit vector a in the composite space with tr_env(a a^dagger) = s.
 
     a = sum_i sqrt(lambda_i) u_i (x) f_i over the spectral pairs of s, with
     f_i the canonical environment basis in eigenvalue-descending order; needs
-    de >= rank(s).
+    de >= rank(s), the count of eigenvalues above ``tolerances.rank`` times the largest |lambda|.
     """
     s = validate_density(np.asarray(s, dtype=np.complex128))
     ds = s.shape[0]
     dec = spectral(s)
-    rank = numerical_rank(s)
+    rank = int(np.sum(dec.eigenvalues > tolerances.rank * np.max(np.abs(dec.eigenvalues))))
     if de < rank:
         raise ConstraintViolation(
             f"environment dimension {de} is smaller than the state rank {rank}"

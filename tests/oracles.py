@@ -51,7 +51,6 @@ from statelift.states import (
     basis_g,
     basis_g_star,
     hermitian_basis,
-    numerical_rank,
     pure_projector,
     random_density,
     random_hermitian,
@@ -400,6 +399,13 @@ def choquet_reconstruct_per_atom(weights: np.ndarray, vectors: np.ndarray) -> np
     for weight, v in zip(weights, vectors):
         out += weight * pure_projector(v)
     return out
+
+
+def numerical_rank(w: np.ndarray) -> int:
+    """How many eigenvalues of w, from its own ``eigvalsh``, lie above ``tolerances.rank``
+    times the largest |lambda|."""
+    vals = np.linalg.eigvalsh(w)
+    return int(np.sum(vals > tolerances.rank * np.max(np.abs(vals))))
 
 
 def purify_kron(s: np.ndarray, de: int) -> np.ndarray:

@@ -448,7 +448,7 @@ def test_witness_family_matches_loops(ds):
     f = perturbed_product_lifting(random_density(2, seed=880 + ds), ds, 1e-2, seed=881 + ds)
     screen = _screen(f)
     assert not any(screen.certifies(q) for q in range(len(_basis(ds).pairs)))
-    walked = list(_walk(screen))
+    walked = _family(screen)
     for q, psi, x in walked:
         assert _member_of_pair(x, q, psi, ds)
     got = [x for _, _, x in walked]
@@ -512,6 +512,13 @@ def _member_of_pair(x, q, psi, ds):
 def _screen(f):
     images = basis_images(f)
     return _Screen(f, images, _hermiticity_deviations(images))
+
+
+def _family(screen):
+    """The witness family in walk order, as (q, psi, x): g_00, which the search evaluates from
+    column 0, then what :func:`_walk` yields."""
+    basis = screen.basis
+    return [(basis.pair[0], basis.psi[0], basis.members[0]), *_walk(screen)]
 
 
 def _pairs(ds):
@@ -925,6 +932,16 @@ def test_near_threshold_products_certify_every_pair_without_a_seed(
         assert _bits(got.residual) == _bits(residual_loops(ds, images, images[0, :de, :de].copy()))
 
 
+def test_a_near_threshold_lifting_at_the_ceiling_matches_the_walk_oracle():
+    # composite dimension 64 at ds = 32: the walk's witness is a pair seed just below -tol,
+    # which the oracle, reading the seed from a block of its own, finds too
+    f = perturbed_product_lifting(random_density(2, seed=1), 32, 8e-8, seed=101)
+    got = analyze(f)
+    assert isinstance(got, ViolatesPositivity) and -2 * tolerances.psd < got.min_eigenvalue
+    assert not any(np.array_equal(got.witness, g / np.trace(g).real) for g in _basis(32).members)
+    _assert_same_witness(got, positivity_witness_search_loops(f))
+
+
 def _exact_min_eigenvalue(f, x):
     w = apply_lifting(f, x / np.trace(x).real)
     return np.linalg.eigvalsh((w + w.conj().T) / 2)[0]
@@ -1053,7 +1070,7 @@ def test_witness_family_members_equal_their_adjoints():
     # numpy's complex multiply fuses its products.  No pair of these liftings certifies
     for ds in range(1, 9):
         for kind in ("perturbed", "transpose"):
-            walked = list(_walk(_screen(_lifting_of_kind(kind, ds, 2, seed=870 + ds))))
+            walked = _family(_screen(_lifting_of_kind(kind, ds, 2, seed=870 + ds)))
             for _, _, x in walked:
                 assert np.array_equal(x, x.conj().T)
             assert len(_basis(ds).pairs) == len(walked) - ds * ds
@@ -1066,7 +1083,7 @@ def test_witness_family_members_equal_their_adjoints():
     assert got.min_eigenvalue == np.linalg.eigvalsh((w + w.conj().T) / 2)[0] < -tolerances.psd
 
 
-@pytest.mark.parametrize("ds, de", [(2, 3), (3, 2), (8, 4)])
+@pytest.mark.parametrize("ds, de", [(2, 3), (3, 2), (8, 4), (16, 4)])
 def test_basis_images_match_apply_lifting(ds, de):
     f = perturbed_product_lifting(random_density(de, seed=810), ds, 1e-2, seed=811)
     images = basis_images(f)
@@ -1077,7 +1094,7 @@ def test_basis_images_match_apply_lifting(ds, de):
         assert np.array_equal(w, apply_lifting(p, g))
 
 
-@pytest.mark.parametrize("ds, de", [(1, 3), (2, 3), (5, 2), (8, 4)])
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 3), (5, 2), (8, 4), (16, 4), (32, 2)])
 def test_basis_images_keep_the_per_member_sums(ds, de):
     rng = philox_rng(813)
     shape = ((ds * de) ** 2, ds * ds)
@@ -1409,7 +1426,7 @@ def test_a_stack_of_trials_keeps_each_trials_bits(ds, de, trials):
     stack = liftings._perturbed_products(references, ds, 1e-2, [philox_rng(p) for _, p in seeds])
     images = liftings._images(ds, de, stack)
     deviations = _hermiticity_deviations(images.reshape(-1, ds * de, ds * de)).reshape(trials, -1)
-    traces = liftings._trace_screens(ds, de, images)
+    traces, _ = liftings._trace_screens(ds, de, images)
     corners = liftings._corner_eigenvalues(ds * de, stack[:, :, 0])
     e00 = hermitian_basis(ds)[0]
     for t in range(trials):
@@ -1418,10 +1435,26 @@ def test_a_stack_of_trials_keeps_each_trials_bits(ds, de, trials):
         one = basis_images(f)
         assert np.ascontiguousarray(images[t]).tobytes() == np.ascontiguousarray(one).tobytes()
         assert deviations[t].tobytes() == _hermiticity_deviations(one).tobytes()
-        (trace,) = liftings._trace_screens(ds, de, one[None])
+        (trace,), _ = liftings._trace_screens(ds, de, one[None])
         assert (traces[t] is None) == (trace is None)
         w = apply_lifting(f, e00)
         assert _bits(corners[t]) == _bits(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+
+
+@pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (8, 4, 1)])
+def test_each_report_keeps_its_trials_trace_residuals(ds, de, trials):
+    # the report reads trace_deviation from the residuals the trace screen formed for the whole
+    # stack: each trial's have the bits of those formed from its own images, and the oracle's values
+    fs = [_sweep_trial(ds, de, 1e-2, 11, t) for t in range(trials)]
+    reports = liftings._analysis_reports(fs, np.stack([f.matrix for f in fs]), tolerances.residual)
+    for f, report in zip(fs, reports):
+        one = liftings._trace_residuals(ds, de, basis_images(f))[0]
+        assert report.residuals.shape == one.shape == (ds * ds, ds, ds)
+        assert report.residuals.tobytes() == one.tobytes()
+        want = [ptrace_env_loops(w, ds, de) - g
+                for g, w in zip(hermitian_basis(ds), basis_images_per_member(f))]
+        assert np.max(np.abs(report.residuals - np.array(want))) <= 1e-15
+        assert _bits(report.trace_deviation) == _bits(check_trace_constraint(f))
 
 
 def _signed_zeros(f):

@@ -239,6 +239,23 @@ def test_choquet_reconstruct_uniform_pair():
     assert np.max(np.abs(choquet_reconstruct(mu) - np.eye(2) / 2)) < 1e-15
 
 
+@pytest.mark.parametrize("weights, vectors", [
+    (np.array([0.5, 0.5, 0.1]), np.eye(2, dtype=complex)),
+    (np.array([0.5, 0.5]), np.eye(3, dtype=complex)),
+    (np.array([[0.5, 0.5]]), np.eye(2, dtype=complex)),
+    (np.array(1.0), np.ones((1, 2), dtype=complex)),
+    (np.array([1.0]), np.ones(2, dtype=complex)),
+    (np.array([1.0]), np.ones((1, 2, 1), dtype=complex)),
+], ids=["extra-weight", "extra-vector", "2d-weights", "0d-weights", "1d-vectors", "3d-vectors"])
+def test_a_measure_needs_one_vector_row_per_weight(weights, vectors):
+    # a mismatch is caught where the measure is built, naming both shapes, not later as a
+    # broadcast error of choquet_reconstruct
+    with pytest.raises(DimensionMismatch) as info:
+        WeightedProjectorList(weights, vectors)
+    assert str(info.value) == (f"need a vector row per weight, got weights {weights.shape}, "
+                               f"vectors {vectors.shape}")
+
+
 def _choquet_corpus(d, seed):
     """The spectral measure of each of spectral_inputs(d, seed), with signed weights where the
     input is not positive, the Choquet measure of each positive one at unit trace, and d + 8

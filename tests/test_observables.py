@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,17 @@ def test_unit_reduction_keeps_the_bits_of_the_per_image_loop(ds, de):
         r = adjoint_lifting(f)
         got, want = np.float64(check_unit_reduction(r)), np.float64(unit_reduction_per_image(r))
         assert got.view(np.uint64) == want.view(np.uint64)
+
+
+def test_unit_reduction_reads_u_without_the_lifting_overflow_bound():
+    # check_unit_reduction forms U - Id itself, so Lifting's bound sqrt(max float) / (16 ds de) on
+    # the entries of a lifting it is handed does not apply: entries of 1e153 have finite norms
+    r = ReductionMap(2, 1, np.full((4, 4), 1e153 + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = check_unit_reduction(r)
+    want = unit_reduction_loops(r)
+    assert np.isfinite(want) and abs(got - want) <= 1e-14 * want
 
 
 def test_unit_reduction_memory_stays_near_ds4():

@@ -20,9 +20,8 @@ from statelift import (
     vec,
 )
 from statelift.rng import philox_rng, spawn_seeds
-from statelift.states import numerical_rank
 
-from oracles import psd_by_char_poly, purify_kron
+from oracles import numerical_rank, psd_by_char_poly, purify_kron
 
 
 # --- basis family ---------------------------------------------------------
@@ -184,7 +183,7 @@ def test_purify_gram_blocks():
     assert np.max(np.abs(gram - s)) < 1e-10
 
 
-@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 5), (8, 4)])
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 5), (8, 4), (16, 6), (64, 22)])
 def test_purify_is_bit_equal_to_kron_loop(ds, de):
     states = [np.diag(np.arange(ds, 0, -1) / (ds * (ds + 1) / 2)).astype(complex)]
     states += [random_density(ds, rank=rank, seed=70 + rank)
