@@ -174,7 +174,7 @@ def _cmd_evolve(args, run: _Run) -> int:
     if not math.isfinite(args.t):
         raise ConstraintViolation(f"--t must be finite, got {args.t}")
     h = fileio.read_matrix(run.input(args.ham))
-    d = states.validate_density(fileio.read_matrix(run.input(args.ref)))
+    d = fileio.read_matrix(run.input(args.ref))  # reduced_dynamics_map validates it
     rho = states.validate_density(fileio.read_matrix(run.input(args.state)))
     de = d.shape[0]
     if h.shape[0] % de != 0 or h.shape[0] // de != rho.shape[0]:

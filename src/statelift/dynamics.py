@@ -18,8 +18,8 @@ from .config import tolerances
 from .errors import ConstraintViolation, DimensionMismatch
 # perfbench/selftest.py pins the apply_lifting alias
 from .liftings import _images, _trace_screens, apply_lifting
-from .linalg import apply_map, as_matrix, map_matrix, spectral
-from .states import validate_density
+from .linalg import _checked_hermitian, _spectral, apply_map, as_matrix, hermitian_part, map_matrix
+from .states import _density
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +50,7 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     """U(t) = exp(-i t H) (hbar = 1) via the spectral decomposition of the Hamiltonian."""
     if not np.isfinite(t):
         raise ConstraintViolation(f"t must be finite, got {t}")
-    dec = spectral(h)
+    dec = _spectral(_checked_hermitian(as_matrix(h), "Hamiltonian"))
     phases = np.exp(-1j * t * dec.eigenvalues)
     return (dec.vectors * phases) @ dec.vectors.conj().T
 
@@ -60,22 +60,22 @@ def reduced_dynamics_map(h: np.ndarray, reference: np.ndarray, t: float) -> Redu
 
     Entry [b, a, c, r] of the split channel, Lambda(E_rc)[a, b], is sum_ij
     (U (Id (x) D))[a, i, r, j] conj(U[b, i, c, j]), batched over (b, a)."""
-    h = as_matrix(h)
+    u = unitary_from_hamiltonian(h, t)
     de = np.shape(reference)[0] if np.ndim(reference) else 0
-    if de == 0 or h.shape[0] % de != 0:
+    if de == 0 or len(u) % de != 0:
         raise DimensionMismatch(
-            f"Hamiltonian dim {h.shape[0]} does not factor over environment dim {de}"
+            f"Hamiltonian dim {len(u)} does not factor over environment dim {de}"
         )
-    d = validate_density(reference)
-    ds = h.shape[0] // de
-    u = unitary_from_hamiltonian(h, t).reshape(ds, de, ds, de)
+    ds = len(u) // de
+    d, dec = _density(reference, de < ds)
+    u = u.reshape(ds, de, ds, de)
     w = (u @ d).transpose(0, 1, 3, 2)  # [a, i, j, r]
     uc = u.conj().transpose(0, 2, 1, 3)  # [b, c, i, j]
     out = np.matmul(uc.reshape(ds, 1, ds, de * de), w.reshape(1, ds, de * de, ds))
     lam = ReducedChannel(ds, out.reshape(ds * ds, ds * ds))
     if de < ds:  # K_ij = sqrt(d_j) (Id (x) <i|) U (Id (x) |v_j>) for D = sum_j d_j v_j v_j^dagger
-        vals, vecs = np.linalg.eigh(d)
-        object.__setattr__(lam, "kraus", u @ (vecs * np.sqrt(np.clip(vals, 0.0, None))))
+        roots = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+        object.__setattr__(lam, "kraus", u @ (dec.vectors * roots))
     return lam
 
 
@@ -127,8 +127,7 @@ def is_cptp(lam: ReducedChannel) -> CptpCheck:
     de^2 x de^2 Gram of the vec(K) (Choi, Linear Algebra Appl. 10, 285 (1975))."""
     tol = tolerances.psd
     if lam.kraus is None:
-        choi = choi_matrix(lam)
-        lam_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+        lam_min = float(np.linalg.eigvalsh(hermitian_part(choi_matrix(lam)))[0])
     else:
         k = lam.kraus.transpose(0, 2, 1, 3).reshape(lam.ds**2, -1)
         lam_min = min(float(np.linalg.eigvalsh(k.conj().T @ k)[0]), 0.0)

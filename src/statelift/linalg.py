@@ -120,13 +120,22 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
 
+def _checked_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """Herm(m) for an :func:`as_matrix` result m, once m is Hermitian within its defect bound."""
+    defect = hermiticity_defect(m)
+    if defect > tolerances.hermitian:
+        raise ConstraintViolation(f"{what} is not Hermitian (defect {defect:.3e})")
+    return hermitian_part(m)
+
+
 def spectral(a: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with fixed conventions."""
-    a = as_matrix(a)
-    defect = hermiticity_defect(a)
-    if defect > tolerances.hermitian:
-        raise ConstraintViolation(f"spectral() requires a Hermitian input (defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh(hermitian_part(a))
+    return _spectral(_checked_hermitian(as_matrix(a), "matrix"))
+
+
+def _spectral(h: np.ndarray) -> SpectralDecomposition:
+    """:func:`spectral` of h, a Hermitian part that :func:`_checked_hermitian` returned."""
+    vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]  # largest |entry|

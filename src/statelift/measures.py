@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import MARGINAL_TOL, PRODUCT_RANK_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import as_matrix, hermitian_part, hermiticity_defect, spectral
+from .linalg import _checked_hermitian, _spectral, as_matrix, hermitian_part
 from .rng import philox_rng
-from .states import validate_density
+from .states import _density
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +125,8 @@ class WeightedProjectorList:
 
 def choquet_spectral(w: np.ndarray) -> WeightedProjectorList:
     """The spectral choice among the (non-unique) measures whose barycenter is w."""
-    w = validate_density(w)
-    dec = spectral(w)
-    top = float(dec.eigenvalues[0])
-    keep = dec.eigenvalues > tolerances.rank * top
+    dec = _density(w, True)[1]
+    keep = dec.eigenvalues > tolerances.rank * float(dec.eigenvalues[0])
     return WeightedProjectorList(dec.eigenvalues[keep], dec.vectors[:, keep].T.copy())
 
 
@@ -212,10 +210,7 @@ class GaussianStateSampler:
 def gaussian_sampler(b: np.ndarray, seed) -> GaussianStateSampler:
     """Build the sampler for the unique zero-mean Gaussian measure with
     correlation operator b (spectral square root, rank-deficiency safe)."""
-    b = as_matrix(b)
-    if hermiticity_defect(b) > tolerances.hermitian:
-        raise ConstraintViolation("correlation operator must be Hermitian")
-    dec = spectral(b)
+    dec = _spectral(_checked_hermitian(as_matrix(b), "correlation operator"))
     top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
     if float(dec.eigenvalues[-1]) < -tolerances.psd * max(top, 1.0):
         raise ConstraintViolation(
@@ -225,7 +220,7 @@ def gaussian_sampler(b: np.ndarray, seed) -> GaussianStateSampler:
     factor = (dec.vectors * roots) @ dec.vectors.conj().T
     if not factor.any():  # every draw would be 0, and every normalized aggregate 0/0
         raise ConstraintViolation("correlation operator is zero")
-    return GaussianStateSampler(b.shape[0], factor, seed)
+    return GaussianStateSampler(len(factor), factor, seed)
 
 
 _DRAW_BLOCK_BYTES = 2**20
@@ -255,10 +250,7 @@ def draw(sampler: GaussianStateSampler, n: int) -> np.ndarray:
 
 def _observable_spectrum(a: np.ndarray) -> tuple:
     """eigh of Herm(A) for a finite Hermitian observable A."""
-    a = as_matrix(a)
-    if hermiticity_defect(a) > tolerances.hermitian:
-        raise ConstraintViolation("observable must be Hermitian")
-    return np.linalg.eigh(hermitian_part(a))
+    return np.linalg.eigh(_checked_hermitian(as_matrix(a), "observable"))
 
 
 def _quadratic_forms(b: np.ndarray, a: np.ndarray, n: int, seed):

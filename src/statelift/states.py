@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import UNIT_TRACE_TOL, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import as_matrix, hermiticity_defect, spectral
+from .linalg import _checked_hermitian, _spectral, as_matrix
 from .rng import philox_rng
 
 
@@ -24,10 +24,7 @@ def basis_g(k: int, l: int, d: int) -> np.ndarray:
     if not 0 <= k <= l < d:
         raise DimensionMismatch(f"need 0 <= k <= l < d, got k={k}, l={l}, d={d}")
     g = np.zeros((d, d), dtype=np.complex128)
-    g[k, k] = 1.0
-    g[k, l] = 1.0
-    g[l, k] = 1.0
-    g[l, l] = 1.0
+    g[np.ix_((k, l), (k, l))] = 1.0
     return g
 
 
@@ -39,10 +36,7 @@ def basis_g_star(k: int, l: int, d: int) -> np.ndarray:
     if not 0 <= k < l < d:
         raise DimensionMismatch(f"need 0 <= k < l < d, got k={k}, l={l}, d={d}")
     g = np.zeros((d, d), dtype=np.complex128)
-    g[k, k] = 1.0
-    g[l, l] = 1.0
-    g[k, l] = 1.0j
-    g[l, k] = -1.0j
+    g[(k, l, k, l), (k, l, l, k)] = 1.0, 1.0, 1.0j, -1.0j
     return g
 
 
@@ -88,19 +82,24 @@ def random_density(d: int, rank: int | None = None, seed=0) -> np.ndarray:
     return w / np.trace(w).real
 
 
-def validate_density(w: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; return the input."""
+def _density(w: np.ndarray, vectors: bool) -> tuple:
+    """(as_matrix(w), spectral(Herm w) if vectors else None) once w is Hermitian, lambda_min >= -psd
+    and |tr w - 1| <= UNIT_TRACE_TOL, in that order; lambda_min is read from the one solve."""
     w = as_matrix(w)
-    defect = hermiticity_defect(w)
-    if defect > tolerances.hermitian:
-        raise ConstraintViolation(f"state is not Hermitian (defect {defect:.3e})")
-    lam_min = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+    h = _checked_hermitian(w, "state")
+    dec = _spectral(h) if vectors else None
+    lam_min = float(dec.eigenvalues[-1] if vectors else np.linalg.eigvalsh(h)[0])
     if lam_min < -tolerances.psd:
         raise ConstraintViolation(f"state is not positive (lambda_min {lam_min:.3e})")
     tr = complex(np.trace(w))
     if abs(tr - 1.0) > UNIT_TRACE_TOL:
         raise ConstraintViolation(f"state trace {tr} is not 1")
-    return w
+    return w, dec
+
+
+def validate_density(w: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, positivity and unit trace; return the input."""
+    return _density(w, False)[0]
 
 
 def purify(s: np.ndarray, de: int) -> np.ndarray:
@@ -110,9 +109,8 @@ def purify(s: np.ndarray, de: int) -> np.ndarray:
     f_i the canonical environment basis in eigenvalue-descending order; needs
     de >= rank(s), the count of eigenvalues above ``tolerances.rank`` times the largest |lambda|.
     """
-    s = validate_density(np.asarray(s, dtype=np.complex128))
+    s, dec = _density(s, True)
     ds = s.shape[0]
-    dec = spectral(s)
     rank = int(np.sum(dec.eigenvalues > tolerances.rank * np.max(np.abs(dec.eigenvalues))))
     if de < rank:
         raise ConstraintViolation(

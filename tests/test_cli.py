@@ -228,6 +228,31 @@ def test_evolve_verb(tmp_path, capsys):
                          - rho_t)) < 1e-12
 
 
+@pytest.mark.parametrize("ham, state, code, message", [
+    ("H", "rho", EXIT_CONSTRAINT, "constraint: state is not positive (lambda_min -5.000e-01)"),
+    ("H", "bad_rho", EXIT_CONSTRAINT, "constraint: state is not Hermitian (defect 1.000e-03)"),
+    ("H8", "rho", EXIT_DIMENSION,
+     "dimension: Hamiltonian dim 8 does not match state 2 and environment 2"),
+    ("bad_H", "rho", EXIT_CONSTRAINT, "constraint: Hamiltonian is not Hermitian (defect 1.000e-03)"),
+], ids=["alone", "bad-rho", "bad-dims", "bad-H"])
+def test_evolve_checks_a_bad_reference_once_and_last(tmp_path, capsys, ham, state, code, message):
+    # the CLI validated D before rho and the dimensions, and reduced_dynamics_map validated it
+    # again; D's error came first whatever else was wrong
+    h = random_hermitian(4, seed=6)
+    bad_h = h.copy()
+    bad_h[0, 1] += 1e-3
+    bad_rho = np.eye(2, dtype=complex) / 2
+    bad_rho[0, 1] = 1e-3
+    inputs = {"H": h, "H8": random_hermitian(8, seed=9), "bad_H": bad_h, "bad_rho": bad_rho,
+              "rho": random_density(2, seed=8), "D": np.diag([1.5, -0.5])}
+    for name, m in inputs.items():
+        write_matrix(tmp_path / f"{name}.mat", m)
+    assert run(tmp_path, "evolve", "--ham", tmp_path / f"{ham}.mat", "--ref", tmp_path / "D.mat",
+               "--state", tmp_path / f"{state}.mat", "--t", "0.9", "--out", tmp_path / "o.mat") == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.mat").exists()
+
+
 @pytest.mark.parametrize("ds, de", [(2, 3), (8, 8), (16, 4)])
 def test_evolve_matches_expm_and_the_lifting_route(tmp_path, capsys, ds, de):
     h = random_hermitian(ds * de, seed=40 + ds)

@@ -16,6 +16,7 @@ from statelift import (
     choquet_spectral,
     empirical_state,
     estimate_expectation,
+    gaussian_sampler,
     kraus_lifting,
     measure_lift_state,
     no_go_sweep,
@@ -30,11 +31,14 @@ from statelift import (
     reduce_observable,
     spectral,
     trace_norm,
+    unitary_from_hamiltonian,
     unvec,
+    validate_density,
     vec,
 )
 from statelift.config import tolerances
 from statelift.linalg import frobenius, frobenius_norms
+from statelift.measures import observable_bounds
 from statelift.rng import philox_rng
 from statelift.states import basis_g, random_density, random_hermitian
 
@@ -209,6 +213,20 @@ def test_spectral_phase_convention_and_determinism():
 def test_spectral_rejects_non_hermitian():
     with pytest.raises(ConstraintViolation):
         spectral(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("call, what", [
+    (spectral, "matrix"),
+    (validate_density, "state"),
+    (lambda a: gaussian_sampler(a, seed=1), "correlation operator"),
+    (observable_bounds, "observable"),
+    (lambda a: unitary_from_hamiltonian(a, 1.0), "Hamiltonian"),
+], ids=["spectral", "validate_density", "gaussian_sampler", "observable_bounds", "unitary"])
+def test_every_hermiticity_test_names_its_input_and_defect(call, what):
+    # the sampler and the observables said "must be Hermitian", spectral "spectral() requires a
+    # Hermitian input", with no defect for the first two
+    with pytest.raises(ConstraintViolation, match=rf"^{what} is not Hermitian \(defect 2\.000e-03\)$"):
+        call(np.array([[0.5, 2e-3], [0.0, 0.5]]))
 
 
 @pytest.mark.parametrize("d", SPECTRAL_DIMS)

@@ -432,7 +432,7 @@ def test_gaussian_estimators_reject_a_non_square_matrix_before_drawing(call, mon
 
 @pytest.mark.parametrize("estimator", [estimate_expectation, projective_values])
 @pytest.mark.parametrize("a, message", [
-    ([[0, 1], [0, 0]], "observable must be Hermitian"),
+    ([[0, 1], [0, 0]], r"observable is not Hermitian \(defect 1\.000e\+00\)"),
     ([[np.nan, 0], [0, 1]], "matrix has non-finite entries"),
 ], ids=["non-hermitian", "non-finite"])
 def test_estimators_reject_an_observable_before_drawing(estimator, a, message, monkeypatch):
@@ -582,8 +582,8 @@ def test_empirical_state_is_exactly_hermitian(d):
 
 
 @pytest.mark.parametrize("a, error, message", [
-    ([[0, 1], [0, 0]], ConstraintViolation, "observable must be Hermitian"),
-    ([[0, 0], [1, 0]], ConstraintViolation, "observable must be Hermitian"),
+    ([[0, 1], [0, 0]], ConstraintViolation, r"observable is not Hermitian \(defect 1\.000e\+00\)"),
+    ([[0, 0], [1, 0]], ConstraintViolation, r"observable is not Hermitian \(defect 1\.000e\+00\)"),
     ([[np.nan, 0], [0, 1]], ConstraintViolation, "matrix has non-finite entries"),
     (np.ones((2, 3)), DimensionMismatch, r"expected a square matrix, got shape \(2, 3\)"),
 ], ids=["upper", "lower", "non-finite", "non-square"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from statelift import (
     DimensionMismatch,
     basis_g,
     basis_g_star,
+    choquet_spectral,
     empirical_state,
     environment_gram,
     estimate_expectation,
+    gaussian_sampler,
     hermitian_basis,
     no_go_sweep,
     partial_trace_env,
@@ -16,7 +20,9 @@ from statelift import (
     pure_projector,
     random_density,
     random_hermitian,
+    reduced_dynamics_map,
     trace_norm,
+    validate_density,
     vec,
 )
 from statelift.rng import philox_rng, spawn_seeds
@@ -202,3 +208,68 @@ def test_purify_insufficient_environment():
 def test_purify_deterministic():
     s = random_density(3, rank=2, seed=27)
     assert np.array_equal(purify(s, 3), purify(s, 3))
+
+
+# --- one Hermiticity test, one density rule, one solve per state ------------
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(routine, shape) of every np.linalg eigh, eigvalsh and svd call, in call order."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+@pytest.mark.parametrize("call", [
+    lambda s: purify(s, len(s)),
+    choquet_spectral,
+    lambda s: gaussian_sampler(s, seed=1),
+], ids=["purify", "choquet_spectral", "gaussian_sampler"])
+def test_each_state_is_solved_once(call, d, solves):
+    # purify and choquet_spectral ran validate_density's eigvalsh and then spectral's eigh
+    call(random_density(d, rank=max(1, d // 3), seed=40 + d))
+    assert solves == [("eigh", (d, d))]
+
+
+@pytest.mark.parametrize("ds, de, d_solve", [(4, 2, "eigh"), (3, 1, "eigh"), (2, 4, "eigvalsh")])
+def test_reduced_dynamics_solves_the_hamiltonian_and_the_reference_once_each(ds, de, d_solve, solves):
+    # at de < ds, D was solved twice: eigvalsh to validate it, then eigh for the Kraus stack
+    lam = reduced_dynamics_map(random_hermitian(ds * de, seed=41), random_density(de, seed=42), 0.7)
+    assert (lam.kraus is not None) == (de < ds)
+    assert sorted(solves) == sorted([("eigh", (ds * de, ds * de)), (d_solve, (de, de))])
+
+
+def _rotated(values, seed):
+    """U diag(values) U^dagger for a seeded random unitary U."""
+    g = philox_rng(seed).standard_normal((len(values), len(values), 2)).view(complex)[..., 0]
+    u = np.linalg.qr(g)[0]
+    return (u * np.asarray(values)) @ u.conj().T
+
+
+def _outcome(call, w) -> str:
+    try:
+        call(w)
+    except ConstraintViolation as exc:
+        return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("w, expected", [
+    (_rotated([0.6 + 2e-9, 0.4, -2e-9], 43), r"state is not positive \(lambda_min -2\.000e-09\)"),
+    (_rotated([0.6 + 5e-10, 0.4, -5e-10], 44), "accepted"),
+    (_rotated([0.6 + 2e-9, 0.3, 0.1], 45), r"state trace \(1\.00000000\d+[+-]\S+j\) is not 1"),
+    (np.array([[0.5, 1e-3], [0.0, 0.5]]), r"state is not Hermitian \(defect 1\.000e-03\)"),
+], ids=["lambda-min-2e-9", "lambda-min-5e-10", "trace-2e-9", "non-hermitian"])
+def test_validate_density_purify_and_choquet_share_one_density_rule(w, expected):
+    calls = [validate_density, lambda s: purify(s, len(s)), choquet_spectral,
+             # at de < ds, reduced_dynamics_map checks D through the same rule, from its one eigh
+             lambda s: reduced_dynamics_map(random_hermitian((len(s) + 1) * len(s), seed=46), s, 0.5)]
+    outcomes = [_outcome(call, w) for call in calls]
+    assert outcomes == [outcomes[0]] * len(calls)
+    assert re.fullmatch(expected, outcomes[0])
