@@ -223,20 +223,46 @@ def gaussian_sampler(b: np.ndarray, seed) -> GaussianStateSampler:
     return GaussianStateSampler(len(factor), factor, seed)
 
 
-_DRAW_BLOCK_BYTES = 2**20
+_DRAW_BLOCK_BYTES = 2**20  # per block of normals; two are live, the one read and the one drawn
+
+
+def _block_rows(n: int, rows: int):
+    """The row counts of n draws' blocks: rows while more than rows + 1 remain, then the rest."""
+    while n > rows + 1:
+        yield rows
+        n -= rows
+    yield n
 
 
 def _draw_blocks(sampler: GaussianStateSampler, n: int):
     """Row blocks of the unscaled complex normals g of draw(sampler, n), _DRAW_BLOCK_BYTES each,
     from one restarted Philox stream.  A trailing single row joins the block before it, because
-    numpy sends a one-row product to gemv, whose sums can differ from gemm's."""
+    numpy sends a one-row product to gemv, whose sums can differ from gemm's.
+
+    One helper thread draws the next block into the other of two reused buffers while the caller
+    contracts this one, so a block is valid until the caller asks for the next.  The fills and the
+    products both release the GIL; the bits are those of one thread drawing every block in turn.
+    """
     if n < 1:
         raise ConstraintViolation("sample count must be positive")
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging
+
     rng = philox_rng(sampler.seed)
     rows = max(1, _DRAW_BLOCK_BYTES // (16 * sampler.dim))
-    edges = [*range(0, max(n - 1, 1), rows), n]
-    return (rng.standard_normal((stop - start, sampler.dim, 2)).view(np.complex128)[..., 0]
-            for start, stop in zip(edges, edges[1:]))
+
+    def blocks():
+        buffers = np.empty((2, min(n, rows + 1), sampler.dim, 2))
+        with ThreadPoolExecutor(1) as helper:
+            # a fill is submitted when pulled: block i + 1 is drawn while the caller reads block i
+            fills = (helper.submit(rng.standard_normal, out=buffers[i % 2, :k])
+                     for i, k in enumerate(_block_rows(n, rows)))
+            ahead = next(fills)
+            for fill in fills:
+                block, ahead = ahead.result(), fill
+                yield block.view(np.complex128)[..., 0]
+            yield ahead.result().view(np.complex128)[..., 0]
+
+    return blocks()
 
 
 def draw(sampler: GaussianStateSampler, n: int) -> np.ndarray:

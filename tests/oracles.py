@@ -19,7 +19,8 @@ seeds with the top singular vector from a 2 x 2 ``eigh`` and a dense V, one
 search (and for the grid-and-backstop family it replaced), a dense grid scan
 for the diagonal-mixing criterion, the block components and the adjoint of a
 reduction map as reindexings, the pair shift from a dense product of every
-basis member with the column norms, one-shot Gaussian draws with three-index
+basis member with the column norms, Gaussian blocks drawn one after another in the
+calling thread, one-shot Gaussian draws with three-index
 einsum estimators and a single-GEMM
 empirical state, file text formatted one entry at a time, and files read one
 line at a time with float().
@@ -45,7 +46,7 @@ from statelift.liftings import (
     product_lifting,
 )
 from statelift.linalg import spectral
-from statelift.measures import gaussian_sampler
+from statelift.measures import _DRAW_BLOCK_BYTES, gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import (
     basis_g,
@@ -663,6 +664,19 @@ def diag_mixing_positive_scan(
         return False
     prod_margin = 64 * eps * (np.abs(left) * np.abs(right) + b * b)
     return not np.any(left * right - b * b < -prod_margin)
+
+
+def draw_blocks_serial(sampler, n: int):
+    """The blocks of measures._draw_blocks, each drawn in the calling thread when asked for, from
+    a list of block edges: fresh arrays of rows normals, a trailing single row joining the block
+    before it."""
+    if n < 1:
+        raise ConstraintViolation("sample count must be positive")
+    rng = philox_rng(sampler.seed)
+    rows = max(1, _DRAW_BLOCK_BYTES // (16 * sampler.dim))
+    edges = [*range(0, max(n - 1, 1), rows), n]
+    return (rng.standard_normal((stop - start, sampler.dim, 2)).view(np.complex128)[..., 0]
+            for start, stop in zip(edges, edges[1:]))
 
 
 def draw_one_shot(sampler, n: int) -> np.ndarray:

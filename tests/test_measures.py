@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -40,6 +41,7 @@ from statelift.rng import philox_rng
 from oracles import (
     SPECTRAL_DIMS,
     choquet_reconstruct_per_atom,
+    draw_blocks_serial,
     draw_one_shot,
     empirical_state_dense,
     estimate_expectation_einsum,
@@ -568,6 +570,96 @@ def test_gaussian_estimators_draw_once_through_draw_blocks(call, monkeypatch):
     monkeypatch.setattr(measures, "_draw_blocks", counted)
     call()
     assert len(calls) == 1
+
+
+def _gaussian_outputs(b, a, n):
+    """What each consumer of _draw_blocks returns for (b, a, n)."""
+    res = estimate_expectation(b, a, n, seed=83)
+    return (draw(gaussian_sampler(b, seed=82), n), (res.estimate, res.stderr, res.self_normalized),
+            projective_values(b, a, n, seed=84), empirical_state(b, n, seed=85))
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_helper_thread_draws_keep_the_serial_bits(d, monkeypatch):
+    # the serial oracle draws each block in the calling thread when it is asked for
+    a, b, rows = random_hermitian(d, seed=80), random_density(d, seed=81), block_rows(d)
+    ns = (1, rows, rows + 1, rows + 2, 2 * rows, 3 * rows + 7)
+    threaded = [_gaussian_outputs(b, a, n) for n in ns]
+    monkeypatch.setattr(measures, "_draw_blocks", draw_blocks_serial)
+    for n, outputs in zip(ns, threaded):
+        z, forms, values, emp = _gaussian_outputs(b, a, n)
+        assert np.array_equal(outputs[0], z), n
+        assert outputs[1] == forms, n
+        assert np.array_equal(outputs[2], values), n
+        assert np.array_equal(outputs[3], emp), n
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 1024])
+def test_block_rows_partition_n_like_the_serial_edges(rows):
+    for n in [*range(1, 3 * rows + 4), 10 * rows + 1]:
+        edges = [*range(0, max(n - 1, 1), rows), n]
+        assert list(measures._block_rows(n, rows)) == list(np.diff(edges)), n
+
+
+def test_a_huge_sample_count_draws_its_first_block_at_once():
+    # the block edges were a list of n / rows entries, built before the first draw
+    start, rows = threading.active_count(), block_rows(4)
+    sampler = gaussian_sampler(random_density(4, seed=88), seed=89)
+    blocks = measures._draw_blocks(sampler, 10**15)
+    first = next(blocks)
+    assert first.shape == (rows, 4)
+    assert np.array_equal(first, next(draw_blocks_serial(sampler, 2 * rows)))
+    blocks.close()
+    assert threading.active_count() == start
+
+
+_CONSUMERS = {
+    "draw": lambda: draw(gaussian_sampler(random_density(16, seed=90), seed=91), 5 * block_rows(16)),
+    "estimate": lambda: estimate_expectation(
+        random_density(16, seed=90), random_hermitian(16, seed=92), 5 * block_rows(16), seed=91),
+    "projective": lambda: projective_values(
+        random_density(16, seed=90), random_hermitian(16, seed=92), 5 * block_rows(16), seed=91),
+    "empirical": lambda: empirical_state(random_density(16, seed=90), 5 * block_rows(16), seed=91),
+}
+
+
+@pytest.mark.parametrize("call", _CONSUMERS.values(), ids=_CONSUMERS.keys())
+def test_gaussian_estimators_leave_no_helper_thread(call):
+    start = threading.active_count()
+    call()
+    assert threading.active_count() == start
+
+
+def test_a_consumer_that_stops_early_leaves_no_helper_thread():
+    start = threading.active_count()
+    sampler = gaussian_sampler(random_density(16, seed=93), seed=94)
+    for _ in measures._draw_blocks(sampler, 5 * block_rows(16)):
+        assert threading.active_count() == start + 1  # the helper drawing the second block
+        break
+    assert threading.active_count() == start
+
+
+class _FailingGenerator:
+    """A generator whose fills fail after the first `good` of them."""
+
+    def __init__(self, good):
+        self.rng, self.good = philox_rng(95), good
+
+    def standard_normal(self, *args, **kwargs):
+        if self.good == 0:
+            raise FloatingPointError("fill failed")
+        self.good -= 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("good", [0, 1, 3])
+@pytest.mark.parametrize("call", _CONSUMERS.values(), ids=_CONSUMERS.keys())
+def test_a_failed_fill_reaches_the_caller_and_leaves_no_helper_thread(call, good, monkeypatch):
+    monkeypatch.setattr(measures, "philox_rng", lambda seed: _FailingGenerator(good))
+    start = threading.active_count()
+    with pytest.raises(FloatingPointError, match="^fill failed$"):
+        call()
+    assert threading.active_count() == start
 
 
 @pytest.mark.parametrize("d", [2, 3, 16, 64])
