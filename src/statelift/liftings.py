@@ -14,13 +14,15 @@ partial trace that is positive on every pair span the product map, so a
 non-product one loses positivity on some pair span.  The witness family is
 the rank-one Hermitian basis (``basis_g``, ``basis_g_star``) and one seed per
 pair, read from the lowest eigenvector of the pair's Choi block.  The search
-evaluates g_00 from column 0, lets the product bound settle a lifting within
+evaluates g_00 from image 0, lets the product bound settle a lifting within
 rounding of a product, then certifies each pair's Choi block once and walks
-what is left.  The no-go sweep builds and screens its trials as stacks.
+what is left, reading only basis images.  The no-go sweep builds its trials as
+stacks of basis images and screens them there, with no lifting matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -29,7 +31,7 @@ import numpy as np
 
 from .config import DIAG_MIXING_TOL, KRAUS_TOL, PERTURBATION_FLOOR, tolerances
 from .errors import ConstraintViolation, DimensionMismatch
-from .linalg import _map_shape, apply_map, frobenius, frobenius_norms, map_matrix
+from .linalg import _map_shape, apply_map, frobenius, frobenius_norms, map_matrix, unvec
 from .rng import philox_rng, spawn_seeds
 from .states import hermitian_basis, random_density, validate_density
 
@@ -38,10 +40,11 @@ from .states import hermitian_basis, random_density, validate_density
 class Lifting:
     """A linear map L1(H_S) -> L1(H_S (x) H_E) on vectorized operators, the real and imaginary
     parts of its entries finite and at most A = sqrt(max float) / (16 ds de), so that no norm the
-    analyzer takes overflows.  An image F(g) sums at most four entries, so its Hermiticity defect,
-    block mismatches and product residual have parts <= 8A, a partial-trace residual <= 8 de A,
-    and a squared norm adds at most 2 (ds de)^2 such squares: max / 2, and room for rounding.  A
-    pair's Choi block has parts <= 28A, and the rest is linear in the entries."""
+    analyzer, which reads only basis images, takes overflows.  An image sums at most four entries:
+    parts <= 4A, the no-go sweep's bound.  So a Hermiticity defect, block mismatch or product
+    residual has parts <= 8A, a partial-trace residual <= 8 de A, and a squared norm adds at most
+    2 (ds de)^2 such squares: max / 2.  F(E_rc) from four images (normed at half scale) and a
+    pair's Choi block have parts <= 12A and 28A, and the rest is linear in the entries."""
 
     ds: int
     de: int
@@ -50,13 +53,19 @@ class Lifting:
     def __post_init__(self):
         dim = self.ds * self.de
         object.__setattr__(self, "matrix", map_matrix(self.matrix, dim, self.ds, "lifting"))
-        flat, bound = self.matrix.view(np.float64), np.sqrt(np.finfo(float).max) / (16 * dim)
-        low, high = float(flat.min()), float(flat.max())  # a NaN reads as both
-        if not (-bound <= low and high <= bound):  # NaN and inf fail too
-            if not (np.isfinite(low) and np.isfinite(high)):
-                raise ConstraintViolation("lifting matrix has non-finite entries")
-            raise ConstraintViolation(f"lifting matrix has a real or imaginary part above "
-                                      f"sqrt(max float) / (16 ds de) = {bound:.6e}")
+        _check_parts(self.matrix, dim, 1)
+
+
+def _check_parts(a: np.ndarray, dim: int, terms: int) -> None:
+    """Reject a lifting matrix (terms 1) or basis images (4) with a part not finite or above terms A:
+    an image exceeds 4A only where the matrix it sums exceeds A."""
+    flat, bound = a.view(np.float64), np.sqrt(np.finfo(float).max) / (16 * dim)
+    low, high = float(flat.min()), float(flat.max())  # a NaN reads as both
+    if not (-terms * bound <= low and high <= terms * bound):  # NaN and inf fail too
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ConstraintViolation("lifting matrix has non-finite entries")
+        raise ConstraintViolation(f"lifting matrix has a real or imaginary part above "
+                                  f"sqrt(max float) / (16 ds de) = {bound:.6e}")
 
 
 def product_lifting(reference: np.ndarray, ds: int) -> Lifting:
@@ -114,7 +123,7 @@ class _Basis(NamedTuple):
     and read-only: ``diag[k]`` is the position of g_kk; the q-th pair k < l in row-major order
     has k = ``k[q]``, l = ``l[q]`` and g_kk, g_ll, g_kl, g*_kl at ``pairs[q]``.  Member j is
     psi psi^dagger times its trace, psi = ``psi[j]`` on span{e_k, e_l} of pair ``pair[j]`` (-1:
-    none).  ``inverse`` is the inverse of the stacked basis vecs."""
+    none)."""
 
     members: np.ndarray
     diag: np.ndarray
@@ -123,20 +132,22 @@ class _Basis(NamedTuple):
     pairs: np.ndarray
     pair: np.ndarray
     psi: np.ndarray
-    inverse: np.ndarray
-
-
-# F(E_kl) from F(g_kk), F(g_ll), F(g_kl) and F(g*_kl):
-# g_kl - i g*_kl = 2 E_kl + (1 - i) (g_kk + g_ll)
-_OFF_DIAGONAL = np.array([-(1 - 1j) / 2, -(1 - 1j) / 2, 0.5, -0.5j])
 
 
 @lru_cache(maxsize=16)
 def _triangle(dim: int) -> tuple:
-    """The upper triangle's rows and columns, those off the diagonal and their mask, read-only."""
+    """The upper triangle's rows and columns, those off the diagonal and their mask; where each
+    float of H^T, [c, r] as (real, imaginary), sits in a draw row extended to [g, star, -star, 0],
+    g_ab (a <= b) and star_ab (a < b) in triangle order, H holding g_ab at (a, b) and (b, a), and
+    i star_ab at (a, b) and its conjugate at (b, a); and sign(c - r).  All read-only."""
     rows, cols = np.triu_indices(dim)
-    off = rows != cols
-    maps = (rows, cols, rows[off], cols[off], off)
+    off, p = rows != cols, dim * (dim - 1) // 2
+    real, imag = np.empty((dim, dim), dtype=np.intp), np.full((dim, dim), dim * dim + p)
+    real[rows, cols] = real[cols, rows] = np.arange(len(rows))
+    imag[cols[off], rows[off]] = len(rows) + np.arange(p)  # c > r: star_rc
+    imag[rows[off], cols[off]] = dim * dim + np.arange(p)  # c < r: -star_cr
+    maps = (rows, cols, rows[off], cols[off], off, np.stack([real, imag], -1).ravel(),
+            np.sign(np.subtract.outer(np.arange(dim), np.arange(dim))))
     for a in maps:
         a.setflags(write=False)
     return maps
@@ -144,7 +155,7 @@ def _triangle(dim: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _basis(ds: int) -> _Basis:
-    rows, cols, k, l, off = _triangle(ds)
+    rows, cols, k, l, off, *_ = _triangle(ds)
     members = np.stack(hermitian_basis(ds))
     diag = np.flatnonzero(~off)
     pairs = np.stack([diag[k], diag[l], np.flatnonzero(off), len(rows) + np.arange(len(k))], 1)
@@ -157,13 +168,7 @@ def _basis(ds: int) -> _Basis:
     psi[diag, np.minimum(np.arange(ds), 1)] = 1
     psi[pairs[:, 2]] = np.sqrt(0.5)
     psi[pairs[:, 3]] = np.sqrt(0.5) * np.array([1, -1j])
-    # column c*ds + r holds E_rc on the basis: g_kk for E_kk and, for k < l,
-    # _OFF_DIAGONAL on the pair's members for E_kl and its conjugate for E_lk
-    inverse = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
-    inverse[diag, np.arange(ds) * (ds + 1)] = 1
-    inverse[pairs.T, l * ds + k] = _OFF_DIAGONAL[:, None]
-    inverse[pairs.T, k * ds + l] = _OFF_DIAGONAL.conj()[:, None]
-    basis = _Basis(members, diag, k, l, pairs, pair, psi, inverse)
+    basis = _Basis(members, diag, k, l, pairs, pair, psi)
     for a in basis:
         a.setflags(write=False)  # shared by every caller
     return basis
@@ -212,9 +217,9 @@ def basis_images(f: Lifting) -> np.ndarray:
 # The norm passes' chunks hold at most this many bytes of images, so that a chunk and its
 # copies stay in a core's L2 cache.
 _CHUNK_BYTES = 2**18
-# A no-go sweep builds and screens its trials in stacks whose lifting matrices hold at most this
-# many bytes: the matrix of one (8, 4) lifting, so that a stack and the arrays it is built and
-# screened with stay near a core's L2 cache, and (8, 4) and larger trials run one at a time.
+# A no-go sweep builds and screens its trials in stacks whose basis images (as many bytes as their
+# matrices) hold at most this many bytes: one (8, 4) lifting's, so that a stack and the arrays it is
+# built and screened with stay near a core's L2 cache, and (8, 4) and larger trials run alone.
 _STACK_BYTES = 2**20
 
 
@@ -265,11 +270,10 @@ def _trace_screens(ds: int, de: int, images: np.ndarray) -> tuple:
             for bound, r in zip(bounds, residuals)], residuals
 
 
-def _corner_eigenvalues(dim: int, columns: np.ndarray) -> np.ndarray:
-    """lambda_min(Herm F(E_00)) for each column 0 in a (T, dim^2) stack, F(E_00) its unvec, formed
-    as the exact path forms it from ``apply_lifting(f, E_00)``: g_00's value in the search."""
-    w = columns.reshape(-1, dim, dim).transpose(0, 2, 1)
-    return np.linalg.eigvalsh((w + w.conj().transpose(0, 2, 1)) / 2)[:, 0]
+def _corner_eigenvalues(corners: np.ndarray) -> np.ndarray:
+    """lambda_min(Herm F(g_00)) for each F(g_00) = F(E_00) in a (T, dim, dim) stack, formed as the
+    exact path forms a member's value: g_00's value in the search."""
+    return np.linalg.eigvalsh((corners + corners.conj().transpose(0, 2, 1)) / 2)[:, 0]
 
 
 def _corner_witness(ds: int, value) -> ViolatesPositivity:
@@ -278,9 +282,9 @@ def _corner_witness(ds: int, value) -> ViolatesPositivity:
     return ViolatesPositivity(x / np.trace(x).real, float(value))
 
 
-def _reference(f: Lifting) -> np.ndarray:
-    """The (0, 0) block of F(g_00) = F(E_00), whose vec is column 0 of the matrix."""
-    return f.matrix[:, 0].reshape((f.ds * f.de,) * 2).T[: f.de, : f.de].copy()
+def _reference(de: int, corner: np.ndarray) -> np.ndarray:
+    """The (0, 0) block of F(g_00), image 0."""
+    return corner[:de, :de].copy()
 
 
 def check_trace_constraint(f: Lifting) -> float:
@@ -303,7 +307,7 @@ def extract_reference(f: Lifting) -> np.ndarray:
     For a product lifting this is the reference state itself; it is a purely
     diagnostic read-out and is defined for invalid liftings too.
     """
-    return _reference(f)
+    return _reference(f.de, unvec(f.matrix[:, 0], f.ds * f.de))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +317,7 @@ def extract_reference(f: Lifting) -> np.ndarray:
 
 def _walk(screen: _Screen):
     """The members of :func:`positivity_witness_search` after g_00, which the search evaluates from
-    column 0, in walk order, as (q, psi, x), x psi psi^dagger on the q-th pair's span times its
+    image 0, in walk order, as (q, psi, x), x psi psi^dagger on the q-th pair's span times its
     trace; each certificate and seed made late."""
     basis = screen.basis
     if screen.near_product():
@@ -323,6 +327,19 @@ def _walk(screen: _Screen):
         yield basis.pair[j], basis.psi[j], basis.members[j]
     for q in np.flatnonzero(~certified):
         yield q, *screen.seed(q)
+
+
+def _pair_units(images: np.ndarray, q, scale: float = 0.5) -> tuple:
+    """2 scale F(E_kl) and 2 scale F(E_lk) for each pair k < l in q, from the images (..., ds^2, n, n)
+    of its members: g_kl - i g*_kl - (1 - i) (g_kk + g_ll) = 2 E_kl, so with S = F(g_kk) + F(g_ll),
+    U = F(g_kl) - S and V = S - F(g*_kl), F(E_kl) = (U + iV)/2 and F(E_lk) = (U - iV)/2."""
+    j = _basis(math.isqrt(images.shape[-3])).pairs[q]
+    s = images[..., j[:, 0], :, :] + images[..., j[:, 1], :, :]
+    u = images[..., j[:, 2], :, :] - s
+    v = np.subtract(s, images[..., j[:, 3], :, :], out=s)
+    u *= scale
+    v *= 1j * scale
+    return u + v, np.subtract(u, v, out=u)
 
 
 def _has_cholesky(h: np.ndarray, shift: float) -> bool:
@@ -338,20 +355,25 @@ def _has_cholesky(h: np.ndarray, shift: float) -> bool:
 
 class _Screen:
     """What the witness search reads of a lifting: its basis images F(g_j), as F(g_j)^T, their
-    Hermiticity deviations dev_j, its column norms ||M_rc||, and the Hermitian part of the Choi
-    block of each pair that a member or a seed asks for, formed once, and the reference D of
-    :func:`_reference`.  tol = ``tolerances.psd``, and shift_q = tol - slack_q - 2 sum_j dev_j."""
+    Hermiticity deviations dev_j, its column norms ||M_rc|| = ||F(E_rc)||, the Hermitian part of
+    the Choi block of each pair that a member or a seed asks for, formed once, and the reference
+    D of image 0.  tol = ``tolerances.psd``, and shift_q = tol - slack_q - 2 sum_j dev_j."""
 
-    def __init__(self, f: Lifting, images: np.ndarray, deviations: np.ndarray):
-        m, n = f.ds**2, f.ds * f.de
-        self.tol, self.dim, self.ds, self.reference = tolerances.psd, n, f.ds, _reference(f)
-        self.basis = _basis(f.ds)
+    def __init__(self, ds: int, images: np.ndarray, deviations: np.ndarray):
+        m, n = ds * ds, images.shape[-1]
+        self.tol, self.dim, self.ds = tolerances.psd, n, ds
+        self.reference, self.basis = _reference(n // ds, images[0]), _basis(ds)
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
         self.deviations = deviations
-        flat = f.matrix.view(np.float64)  # the column norms ||M_rc||, without a squared copy
-        self.norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(m, 2).sum(axis=1))
-        cols, k, l = self.norms.reshape(f.ds, f.ds), self.basis.k, self.basis.l  # [c, r]: ||M_rc||
+        # the column norms, [c ds + r]: F(E_kk) is the image of g_kk, and F(E_kl), F(E_lk) are
+        # formed from the pair's images at half scale, so that no square overflows
+        self.norms, k, l = np.empty(m), self.basis.k, self.basis.l
+        cols = self.norms.reshape(ds, ds)  # [c, r]: ||M_rc||
+        cols[range(ds), range(ds)] = frobenius_norms(self.images[self.basis.diag])
+        for c in _chunks(len(k), self.images[0].nbytes):
+            kl, lk = _pair_units(self.images, c, 0.25)
+            cols[l[c], k[c]], cols[k[c], l[c]] = 2 * frobenius_norms(kl), 2 * frobenius_norms(lk)
         spread = cols[k, k] + cols[k, l] + cols[l, k] + cols[l, l]  # N of each pair, from |g_kl|
         # the rounding bound of certifies, eps (4 n^2 + m + 16) (N + tol), and the shift it leaves
         self.slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread + self.tol)
@@ -369,7 +391,7 @@ class _Screen:
         product lifting W -> W (x) D is positive exactly when D is.
 
         With r = :attr:`residual` and Delta(W) = F(W) - W (x) D, Delta(E_kk) = Delta(g_kk) and
-        Delta(E_kl) is the _OFF_DIAGONAL combination of four basis residuals, whose moduli sum
+        Delta(E_kl) is the :func:`_pair_units` combination of four basis residuals, whose moduli sum
         to 1 + sqrt 2; so ||Delta(E_rc)||_F <= (1 + sqrt 2) r.  A state rho has sum_rc |rho_rc|
         <= (sum_r sqrt(rho_rr))^2 <= ds, so ||Delta(rho)||_F <= ds (1 + sqrt 2) r, and rho (x)
         Herm D, with eigenvalues p_i mu_j, has none below min(0, lambda_min(Herm D)).  Hence
@@ -388,7 +410,7 @@ class _Screen:
         j, n = self.basis.pairs[q], self.dim
         block = np.empty((2 * n, 2 * n), dtype=np.complex128)
         block[:n, :n], block[n:, n:] = self.images[j[0]], self.images[j[1]]
-        block[n:, :n] = (_OFF_DIAGONAL @ self.images[j].reshape(4, -1)).reshape(n, n)
+        block[n:, :n] = _pair_units(self.images, [q])[0][0]
         block[:n, n:] = block[n:, :n].conj().T
         return block
 
@@ -414,12 +436,14 @@ class _Screen:
         ||V||^2 = tr(psi psi^dagger).  So lambda_min(B) >= -delta gives lambda_min(Herm F(rho))
         >= -delta tr(rho) for every positive rho on the span, the pair's members among them.
 
-        With u the unit roundoff, n = dim, m = ds^2 and N = sum |g_kl[r, c]| ||M_rc|| >=
-        ||B||_F, M_rc the column that holds F(E_rc): :meth:`block` is about 25 u N off B^T, and
-        Cholesky's triangle 1.25 sum_j dev_j off it.  For shift_q in (0, tol], a Cholesky factor
-        of it + shift_q I proves lambda_min >= -shift_q - (2n (2n + 1) + 2) u (N + tol) (Higham,
-        Accuracy and Stability of Numerical Algorithms, Thm 10.5), the exact path (GEMV, Hermitian
-        part, ``eigvalsh``) is about (m + n + 7) u N off, and slack_q + 2 sum_j dev_j covers all."""
+        With u the unit roundoff, n = dim, m = ds^2 and N = sum |g_kl[r, c]| ||F(E_rc)||_F >=
+        ||B||_F: :meth:`block` is about 25 u N off B^T, and Cholesky's triangle 1.25 sum_j dev_j
+        off it.  For shift_q in (0, tol], a Cholesky factor of it + shift_q I proves lambda_min >=
+        -shift_q - (2n (2n + 1) + 2) u (N + tol) (Higham, Accuracy and Stability of Numerical
+        Algorithms, Thm 10.5).  The exact path (:meth:`value`: at most four images, real weights
+        whose moduli times the images' norms sum to at most (1 + sqrt 2) N, the Hermitian part
+        and ``eigvalsh``) is about (n + 18) u N off.  slack_q = 2u (4n^2 + m + 16) (N + tol), with
+        n >= 2 and m >= 4 where a pair exists, covers the three, and 2 sum_j dev_j the triangle."""
         return self.shift[q] > 0 and _has_cholesky(self.block(q), self.shift[q])
 
     def clears(self, q: int, psi: np.ndarray) -> bool:
@@ -428,8 +452,17 @@ class _Screen:
         factor of V^dagger B V + shift_q I.  ||V^dagger B V|| <= ||B|| <= N, the n x n factor
         adds n (n + 1) + 2 roundings where the 2n block's adds 2n (2n + 1) + 2, and the
         Hermitization, the compression and the few u between psi psi^dagger and the exact
-        path's x (a seed's Hermitization included) add a few u N, all within the slack."""
+        path's coefficients (a seed's Hermitization included) add a few u N, all within the slack."""
         return q >= 0 and self.shift[q] > 0 and _has_cholesky(self.compress(q, psi[None]), self.shift[q])
+
+    def value(self, q: int, x: np.ndarray) -> tuple:
+        """The state x / tr x, x Hermitian on the q-th pair's span, and its image, the exact path's:
+        with x_kl = u + iv, x = (x_kk - u - v) g_kk + (x_ll - u - v) g_ll + u g_kl + v g*_kl, so the
+        image sums at most four of the pair's images, and a member's is its own over its trace."""
+        k, l, state = self.basis.k[q], self.basis.l[q], x / np.trace(x).real
+        u, v = state[k, l].real, state[k, l].imag
+        weights = (state[k, k].real - u - v, state[l, l].real - u - v, u, v)
+        return state, sum(w * self.images[j].T for w, j in zip(weights, self.basis.pairs[q]) if w)
 
     def seed(self, q: int):
         """The q-th pair's candidate witness (psi, x), x = psi psi^dagger with psi on
@@ -464,13 +497,12 @@ class _Screen:
         return psi, (x + x.conj().T) / 2
 
 
-def _walk_witness(f: Lifting, screen: _Screen):
-    """The first witness of the walk after g_00, which its callers evaluate from column 0, or None:
+def _walk_witness(screen: _Screen):
+    """The first witness of the walk after g_00, which its callers evaluate from image 0, or None:
     a member that :meth:`_Screen.clears` is skipped, any other is evaluated on the exact path."""
     for q, psi, x in _walk(screen):
         if not screen.clears(q, psi):
-            state = x / np.trace(x).real
-            w = apply_lifting(f, state)
+            state, w = screen.value(q, x)
             lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
             if lam < -screen.tol:
                 return ViolatesPositivity(state, lam)
@@ -481,22 +513,20 @@ def positivity_witness_search(f: Lifting):
     """:class:`ViolatesPositivity` with the first trace-normalized input in the canonical family
     whose image has an eigenvalue below -``tolerances.psd``, or None.
 
-    g_00 is evaluated first, exactly, from column 0 as a stack of one: lambda_min of the
-    Hermitian part of F(E_00) has the bits of the exact path's.  Only when it is no witness is the
-    :class:`_Screen` of ``basis_images(f)`` built, and the walk then stops where
-    :meth:`_Screen.near_product` proves that nothing after g_00 holds a witness, certifies each
-    pair once, then walks the basis members that no certified pair covers, in canonical order,
-    and the seeds of the uncertified pairs, in pair order; a covered member lies on a certified
-    span, so the first witness does not move.  A walked member that :meth:`_Screen.clears` is
-    skipped; any other is evaluated with ``apply_lifting`` and ``eigvalsh``, so the witness is
-    that of the exact path.  Its floor is absolute: a direct call on images of norm 1e6 or more
-    can report a rounding-level witness, where ``analyze`` stops at ``violates_trace`` (positive
-    images obeying tr_env: norm tr g)."""
-    (corner,) = _corner_eigenvalues(f.ds * f.de, f.matrix[None, :, 0])
+    g_00 is evaluated first, exactly, from column 0 (F(E_00) = F(g_00)) as a stack of one.  Only
+    when it is no witness is the :class:`_Screen` of ``basis_images(f)`` built, and the walk then
+    stops where :meth:`_Screen.near_product` proves that nothing after g_00 holds a witness,
+    certifies each pair once, then walks the basis members that no certified pair covers, in
+    canonical order, and the seeds of the uncertified pairs, in pair order; a covered member lies
+    on a certified span, so the first witness does not move.  A walked member that
+    :meth:`_Screen.clears` is skipped; any other is evaluated by :meth:`_Screen.value`, the exact
+    path.  Its floor is absolute: a direct call on images of norm 1e6 or more can report a
+    rounding-level witness, where ``analyze`` stops at ``violates_trace``."""
+    (corner,) = _corner_eigenvalues(unvec(f.matrix[:, 0], f.ds * f.de)[None])
     if corner < -tolerances.psd:
         return _corner_witness(f.ds, corner)
     images = basis_images(f)
-    return _walk_witness(f, _Screen(f, images, _hermiticity_deviations(images)))
+    return _walk_witness(_Screen(f.ds, images, _hermiticity_deviations(images)))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +605,7 @@ def structure_report(f: Lifting) -> StructureReport:
     +-i phases for the star family), and all carried blocks agree with the
     corner block a = F(g_00)^{00}.
     """
-    return _structure(f.ds, f.de, basis_images(f), _reference(f))
+    return _structure(f.ds, f.de, basis_images(f), extract_reference(f))
 
 
 # ---------------------------------------------------------------------------
@@ -670,30 +700,28 @@ def _residual_tol(tol: float | None) -> float:
     return tol
 
 
-def _analysis_reports(fs: list, matrices: np.ndarray, tol: float) -> list:
-    """The :func:`analysis_report` of each lifting in fs, all of one shape, screened as one stack:
-    ``matrices`` stacks their matrices (fs[t].matrix is matrices[t]).  The basis images, their
-    Hermiticity deviations and the trace screen are taken for the whole stack, then g_00's value,
-    with one batched ``eigvalsh`` over the column 0s of the liftings that pass both checks.  One
-    whose g_00 value is below -``tolerances.psd`` has its witness there, where the search finds
-    it; each other builds its :class:`_Screen` and walks on from g_00, one at a time."""
-    ds, de = fs[0].ds, fs[0].de
-    images = _images(ds, de, matrices)
-    deviations = _hermiticity_deviations(images.reshape(-1, ds * de, ds * de)).reshape(len(fs), -1)
+def _analysis_reports(ds: int, de: int, images: np.ndarray, tol: float) -> list:
+    """The :func:`analysis_report` of each lifting whose basis images a (T, ds^2, dim, dim) stack
+    holds, laid out as :func:`_images` lays them out, screened as one stack.  The Hermiticity
+    deviations and the trace screen are taken for the whole stack, then g_00's value, with one
+    batched ``eigvalsh`` over the images 0 of the liftings that pass both checks.  One whose g_00
+    value is below -``tolerances.psd`` has its witness there, where the search finds it; each
+    other builds its :class:`_Screen` and walks on from g_00, one at a time."""
+    deviations = _hermiticity_deviations(images.reshape(-1, ds * de, ds * de)).reshape(len(images), -1)
     herms = np.max(deviations, axis=1, initial=0.0).tolist()
     traces, residuals = _trace_screens(ds, de, images)
-    references = [_reference(f) for f in fs]
+    references = [_reference(de, w) for w in images[:, 0]]
     verdicts = [ViolatesHermiticity(herm) if herm > tolerances.hermitian
                 else ViolatesTrace(*trace) if trace is not None and trace[0] > tolerances.trace
                 else None for herm, trace in zip(herms, traces)]
     searched = [t for t, verdict in enumerate(verdicts) if verdict is None]
-    corners = _corner_eigenvalues(ds * de, matrices[searched, :, 0]) if searched else []
+    corners = _corner_eigenvalues(images[searched, 0]) if searched else []
     for t, corner in zip(searched, corners):
         if corner < -tolerances.psd:
             verdicts[t] = _corner_witness(ds, corner)
             continue
-        screen = _Screen(fs[t], images[t], deviations[t])
-        verdicts[t] = _walk_witness(fs[t], screen)
+        screen = _Screen(ds, images[t], deviations[t])
+        verdicts[t] = _walk_witness(screen)
         if verdicts[t] is None:
             residual = screen.residual
             verdicts[t] = (Product(references[t], residual) if residual <= tol
@@ -704,7 +732,7 @@ def _analysis_reports(fs: list, matrices: np.ndarray, tol: float) -> list:
 
 def analysis_report(f: Lifting, tol: float | None = None) -> AnalysisReport:
     """:func:`analyze` with the deviations and basis images it read."""
-    return _analysis_reports([f], f.matrix[None], _residual_tol(tol))[0]
+    return _analysis_reports(f.ds, f.de, _images(f.ds, f.de, f.matrix[None]), _residual_tol(tol))[0]
 
 
 def analyze(f: Lifting, tol: float | None = None):
@@ -732,79 +760,87 @@ def diag_mixing_positive(a: float, b: float, c: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _perturbations(ds: int, de: int, seeds) -> np.ndarray:
-    """:func:`random_perturbation` of each seed, as a (T, (ds de)^2, ds^2) stack: each draw comes
-    from its own generator, in its own order, and the scatter, the GEMM, the projection and the
-    norms are taken for the whole stack."""
+def _perturbation_images(ds: int, de: int, seeds, eps: float = 1.0, references=None) -> np.ndarray:
+    """The basis images, laid out as :func:`_images` lays them out, of eps times
+    :func:`random_perturbation` of each seed, plus g (x) D for each D of a (T, de, de) stack of
+    references, held to the bound of :class:`Lifting`, when one is given.  Each trial's draw comes
+    from its own generator, and each step is elementwise or reduces within one image, so a trial
+    has the bits it has alone.  Delta(g_q) = H_q - tr_E(H_q) (x) Id/de, and ||M||^2 =
+    sum_k ||Delta(g_kk)||^2 + 2 sum_{k<l} ||Delta(E_kl)||^2, as Delta(E_lk) = Delta(E_kl)^dagger."""
     _map_shape(ds * de, ds, "perturbation")
     rngs = [philox_rng(seed) for seed in seeds]
-    t, dim, n = len(rngs), ds * de, ds * ds
-    rows, cols, pair_rows, pair_cols, off = _triangle(dim)
+    t, dim, n, basis = len(rngs), ds * de, ds * ds, _basis(ds)
     draws = np.empty((t, dim * dim, n))
     for i, rng in enumerate(rngs):
         rng.standard_normal(out=draws[i])
-    g, star = draws[:, : len(rows)], draws[:, len(rows) :]
-    pairs = g[:, off]
-    # transposed images, so that entry [c, r] sits at vec index c*dim + r; all are set
-    images = np.empty((t, dim, dim, n), dtype=np.complex128)
-    images[:, rows, cols] = g
-    images[:, pair_cols, pair_rows] = pairs
-    images.imag[:, pair_rows, pair_cols] = -star
-    images.imag[:, pair_cols, pair_rows] = star
-    # member (k, l), k < l, and its star also carry ones at (k, k) and (l, l)
-    ends = np.zeros((t, dim, dim, n))
-    pairs += star
-    ends[:, pair_rows, pair_cols] = pairs
-    diagonal = np.arange(dim)
-    images[:, diagonal, diagonal] += ends.sum(1) + ends.sum(2)
-    del draws, g, star, pairs, ends  # freed before the GEMM allocates its product
-    blocks = images.reshape(t * dim * dim, n) @ _basis(ds).inverse
-    blocks = blocks.reshape(t, ds, de, ds, de, n)
-    p = np.einsum("taibic->tabc", blocks) / de
-    blocks[:, :, diagonal[:de], :, diagonal[:de]] -= p  # p (x) Id, which is zero off these blocks
-    norms = frobenius_norms(blocks)
+    *_, src, sign = _triangle(dim)
+    stars, end = dim * (dim + 1) // 2, dim * dim  # where a draw's stars start and end
+    ext = np.zeros((t, n, 2 * end - stars + 1))
+    for c in _chunks(end, draws[:, 0].nbytes):  # transposed a cache-sized block at a time
+        ext[..., :end][..., c] = draws[:, c].transpose(0, 2, 1)
+    del draws
+    np.negative(ext[..., stars:end], out=ext[..., end:-1])
+    out = np.empty((t, n, dim, dim), dtype=np.complex128)  # out[t, q] = H_q^T: [c, r] is H_q[r, c]
+    np.take(ext, src, axis=2, out=out.view(np.float64).reshape(t, n, -1), mode="clip")
+    del ext
+    # the members g_ab, g*_ab (a < b) carry ones at (a, a) and (b, b): the diagonal takes the row
+    # sums of Re H^T +- Im H^T, which hold g_ab + star_ab at (a, b) and (b, a)
+    w = out.imag * sign
+    w += out.real
+    out.real.reshape(t, n, -1)[..., :: dim + 1] = w.sum(axis=-1)
+    del w
+    split = out.reshape(t, n, ds, de, ds, de)  # [t, q, c, a, r, b] = H_q[(r, b), (c, a)]
+    p = np.einsum("tqcara->tqcr", split) / de  # tr_E(H_q)^T / de, less on each diagonal block
+    for a in range(de):
+        split[:, :, :, a, :, a] -= p
+    units = np.empty((t, len(basis.k)))
+    for c in _chunks(len(basis.k), t * out[0, 0].nbytes):
+        delta = _pair_units(out, c)[0]  # Delta(E_kl)^T
+        units[:, c] = frobenius_norms(delta.reshape(-1, dim, dim)).reshape(t, -1)
+    diag = frobenius_norms(out[:, basis.diag].reshape(-1, dim, dim)).reshape(t, ds)
+    norms = np.sqrt((diag**2).sum(axis=1) + 2 * (units**2).sum(axis=1))
     if np.any(norms <= PERTURBATION_FLOOR):  # de = 1, where the partial-trace completion is everything
         raise ConstraintViolation("could not draw a non-degenerate perturbation")
-    blocks *= (1 / norms).reshape(-1, 1, 1, 1, 1, 1)
-    return blocks.reshape(t, dim * dim, n)
+    # past 1e290 every trial has parts above the bound, so eps is held there, where no part overflows
+    out *= (min(max(eps, -1e290), 1e290) / norms).reshape(-1, 1, 1, 1)
+    if references is not None:
+        j, r, c = np.nonzero(basis.members)  # g_q (x) D, set as g_q[r, c] D^T at [q, c, :, r, :]
+        split[:, j, c, :, r, :] += basis.members[j, r, c, None, None, None] * references.transpose(0, 2, 1)
+        _check_parts(out, dim, 4)
+    return out.transpose(0, 1, 3, 2)
 
 
-def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
-    """Random lifting-shaped direction: Hermiticity-preserving, annihilated by
-    the partial-trace constraint, Frobenius-normalized.
-
-    Built real in the Hermitian basis pair (so Hermitian inputs map to
-    Hermitian outputs), then the canonical completion of its partial-trace
-    image (tensoring with Id/de) is subtracted, leaving tr_env(Delta(X)) = 0
-    for every X.  The composite basis is never formed: each member has at
-    most four nonzero entries, so the draw is scattered straight into a
-    (dim, dim, ds^2) stack of transposed images, in O((ds*de)^2 * ds^2) memory.
-    Its GEMM with ``_basis(ds).inverse`` takes O((ds*de)^2 * ds^4) time; an
-    einsum over the (ds, de, ds, de) blocks projects it.
-    """
-    return _perturbations(ds, de, [seed])[0]
-
-
-def _perturbed_products(references: np.ndarray, ds: int, eps: float, seeds) -> np.ndarray:
-    """The matrices of :func:`perturbed_product_lifting` for a (T, de, de) stack of references and
-    one seed each, as a (T, (ds de)^2, ds^2) stack, built in the directions' array."""
-    t, de = references.shape[:2]
-    m = _perturbations(ds, de, seeds)
-    m *= eps
-    at, (c, r) = m.reshape(t, ds, de, ds, de, ds, ds), np.ogrid[:ds, :ds]
-    product = references.transpose(0, 2, 1) + at[:, c, :, r, :, c, r]
-    m += 0.0  # -0.0 reads +0.0, as in a sum with the product lifting's zeros
-    at[:, c, :, r, :, c, r] = product
+def _matrix(ds: int, de: int, images: np.ndarray) -> np.ndarray:
+    """The matrix of the lifting with these basis images, laid out as :func:`basis_images` lays
+    them out: column c ds + r holds vec F(E_rc), F(E_kk) the image of g_kk and F(E_kl), F(E_lk),
+    k < l, the :func:`_pair_units` of the pair's images, set a chunk of pairs at a time."""
+    basis, dim = _basis(ds), ds * de
+    transposed = images.transpose(0, 2, 1)  # F(g)^T, whose ravel is vec F(g)
+    m = np.empty((dim * dim, ds * ds), dtype=np.complex128)
+    columns = m.T.reshape(ds, ds, dim, dim)  # [c, r]: vec F(E_rc) as F(E_rc)^T, a view of m
+    columns[np.arange(ds), np.arange(ds)] = transposed[basis.diag]
+    for c in _chunks(len(basis.k), images[0].nbytes):
+        columns[basis.l[c], basis.k[c]], columns[basis.k[c], basis.l[c]] = _pair_units(transposed, c)
     return m
 
 
+def random_perturbation(ds: int, de: int, seed) -> np.ndarray:
+    """Random lifting-shaped direction: Hermiticity-preserving, annihilated by the partial-trace
+    constraint, Frobenius-normalized.  Built real in the Hermitian basis pair, each member's image
+    H_q a random Hermitian scattered straight into place, less the completion of its partial trace
+    (tensoring with Id/de), in O((ds*de)^2 * ds^2); the matrix is read from the images by the
+    sparse inverse sums of the basis change."""
+    return _matrix(ds, de, _perturbation_images(ds, de, [seed])[0])
+
+
 def perturbed_product_lifting(reference: np.ndarray, ds: int, eps: float, seed) -> Lifting:
-    """Product lifting plus eps times a random constraint-respecting direction, built in the
-    direction's array: D^T + eps*delta where ``product_lifting`` sets D^T, 0.0 + eps*delta elsewhere."""
+    """Product lifting plus eps times a random constraint-respecting direction, its matrix read
+    from the basis images g (x) D + eps Delta(g) by the sparse inverse sums."""
     if not np.isfinite(eps):
         raise ConstraintViolation(f"eps must be finite, got {eps}")
     d = validate_density(reference)
-    return Lifting(ds, d.shape[0], _perturbed_products(d[None], ds, eps, [seed])[0])
+    images = _perturbation_images(ds, d.shape[0], [seed], eps, d[None])[0]
+    return Lifting(ds, d.shape[0], _matrix(ds, d.shape[0], images))
 
 
 _VERDICT_NAMES = {
@@ -829,13 +865,12 @@ class SweepOutcome:
 
 def _sweep_verdicts(ds: int, de: int, eps: float, children: list, tol: float) -> list:
     """The verdicts of the no-go sweep's trials with these spawned seeds, built and screened as one
-    stack.  Each trial draws its reference from its first child seed and its direction from its
-    second, as one trial alone does."""
+    stack of basis images, with no matrix.  Each trial draws its reference from its first child
+    seed and its direction from its second, as one trial alone does."""
     seeds = [child.spawn(2) for child in children]
     references = np.stack([random_density(de, seed=d_seed) for d_seed, _ in seeds])
-    matrices = _perturbed_products(references, ds, eps, [p_seed for _, p_seed in seeds])
-    fs = [Lifting(ds, de, m) for m in matrices]
-    return [report.verdict for report in _analysis_reports(fs, matrices, tol)]
+    images = _perturbation_images(ds, de, [p_seed for _, p_seed in seeds], eps, references)
+    return [report.verdict for report in _analysis_reports(ds, de, images, tol)]
 
 
 def no_go_sweep(ds: int, de: int, trials: int, eps: float, seed: int,
@@ -843,8 +878,8 @@ def no_go_sweep(ds: int, de: int, trials: int, eps: float, seed: int,
     """Analyze `trials` random constraint-respecting perturbations of random
     product liftings.  Every trial must come back as a product or as a
     hypothesis violation; an inconclusive verdict is a falsifier.  The trials
-    are built and screened in stacks of at most ``_STACK_BYTES`` of lifting
-    matrices, and each keeps the seeds and the verdict it has on its own."""
+    are built and screened in stacks of at most ``_STACK_BYTES`` of basis
+    images, and each keeps the seeds and the verdict it has on its own."""
     tol = _residual_tol(tol)
     if trials < 0:
         raise ConstraintViolation(f"trials must be nonnegative, got {trials}")

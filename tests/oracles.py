@@ -8,7 +8,7 @@ permutation matrices for liftings, perturbations and adjoints, the
 perturbation with ``np.linalg.inv`` of the stacked Hermitian basis, the
 perturbed lifting as the sum of two dense matrices, and
 per-matrix-unit loops for Choi matrices, a full Choi ``eigvalsh`` for the
-CP margin, reduced dynamics and Kraus liftings, dense Kronecker products for
+CP margin and for the lower bound of every witness eigenvalue, reduced dynamics and Kraus liftings, dense Kronecker products for
 the unit-reduction check, observable reduction, the product residual and
 purification, one phase per eigenvector column for the spectral decomposition,
 one atom at a time for the Choquet barycenter, one ``np.linalg.norm`` per item
@@ -38,14 +38,16 @@ from statelift.liftings import (
     PairStructure,
     StructureReport,
     ViolatesPositivity,
+    _analysis_reports,
     _basis,
+    _perturbation_images,
     analyze,
     apply_lifting,
     basis_images,
     perturbed_product_lifting,
     product_lifting,
 )
-from statelift.linalg import spectral
+from statelift.linalg import spectral, unvec
 from statelift.measures import _DRAW_BLOCK_BYTES, gaussian_sampler
 from statelift.rng import philox_rng, spawn_seeds
 from statelift.states import (
@@ -145,9 +147,10 @@ def random_perturbation_dense(ds: int, de: int, seed) -> np.ndarray:
 
 
 def random_perturbation_inv(ds: int, de: int, seed) -> np.ndarray:
-    """``liftings.random_perturbation`` as it was built with ``np.linalg.inv`` of
-    the stacked Hermitian basis and fresh ``np.triu_indices`` on every call: the
-    same scatter and the same GEMM, so its bits are the reference."""
+    """``liftings.random_perturbation`` as it was built before its draws went
+    straight into basis images: the same draws scattered into images, a GEMM
+    with ``np.linalg.inv`` of the stacked Hermitian basis, then the completion
+    and the norm of the matrix, so its values are the reference."""
     rng = philox_rng(seed)
     dim, n = ds * de, ds * ds
     g_inv = np.linalg.inv(np.column_stack([h.T.ravel() for h in hermitian_basis(ds)]))
@@ -173,22 +176,42 @@ def random_perturbation_inv(ds: int, de: int, seed) -> np.ndarray:
 
 
 def perturbed_product_lifting_sum(reference: np.ndarray, ds: int, eps: float, seed) -> np.ndarray:
-    """The matrix of ``liftings.perturbed_product_lifting`` as it was built: the
-    dense product lifting plus eps times the perturbation, so its bits are the
-    reference, -0.0 read as +0.0 where the product lifting holds zeros."""
+    """The matrix of ``liftings.perturbed_product_lifting`` as it was built
+    before the basis images: the dense product lifting plus eps times
+    :func:`random_perturbation_inv`."""
     de = np.asarray(reference).shape[0]
     return product_lifting(reference, ds).matrix + eps * random_perturbation_inv(ds, de, seed)
 
 
-def no_go_sweep_per_trial(ds: int, de: int, trials: int, eps: float, seed: int) -> list:
+def no_go_sweep_per_trial(ds: int, de: int, trials: int, eps: float, seed: int,
+                          lifting: bool = False) -> list:
     """The verdicts of ``liftings.no_go_sweep``, one trial at a time: each trial's reference and
-    perturbed product lifting from its own spawned seeds, then ``analyze`` of that one lifting."""
+    direction from its own spawned seeds, then the analysis of that trial's basis images alone,
+    or, with lifting, ``analyze`` of its ``perturbed_product_lifting``, a matrix read back from
+    those images."""
     verdicts = []
     for child in spawn_seeds(seed, trials):
         d_seed, p_seed = child.spawn(2)
         reference = random_density(de, seed=philox_rng(d_seed))
-        verdicts.append(analyze(perturbed_product_lifting(reference, ds, eps, philox_rng(p_seed))))
+        if lifting:
+            verdicts.append(analyze(perturbed_product_lifting(reference, ds, eps, philox_rng(p_seed))))
+        else:
+            images = _perturbation_images(ds, de, [philox_rng(p_seed)], eps, reference[None])
+            verdicts.append(_analysis_reports(ds, de, images, tolerances.residual)[0].verdict)
     return verdicts
+
+
+def choi_min_eigenvalue(f) -> float:
+    """lambda_min of the Hermitian part of the Choi matrix C = sum_rc E_rc (x) F(E_rc), set one
+    block per matrix unit from the columns of the lifting matrix and solved by one dense
+    ``eigvalsh``.  Every witness eigenvalue is at least this: <phi, F(psi psi^dagger) phi> =
+    <conj(psi) (x) phi, C (conj(psi) (x) phi)>, and a unit-trace state has |psi| = 1."""
+    ds, dim = f.ds, f.ds * f.de
+    c = np.empty((ds * dim, ds * dim), dtype=np.complex128)
+    for r in range(ds):
+        for col in range(ds):
+            c[r * dim : (r + 1) * dim, col * dim : (col + 1) * dim] = unvec(f.matrix[:, col * ds + r], dim)
+    return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
 
 
 def transpose_permutation(d: int) -> np.ndarray:

@@ -629,11 +629,13 @@ def test_analyze_just_under_the_overflow_bound_prints_its_report(tmp_path, capsy
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
-def test_ds4_output_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # at ds >= 8 it does: the perturbation's basis change and the witness's digits move
+def test_nogo_and_ds4_analyze_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # nogo builds its trials as basis images, with no BLAS basis change, so ds 8 prints the same
+    # bytes too; analyze's exact-path digits moved with the thread count at (8, 8)
     write_lifting(tmp_path / "F.lift", perturbed_product_lifting(random_density(4, seed=1), 4,
                                                                  1e-2, seed=2))
     for argv in (["nogo", "--ds", 4, "--de", 4, "--trials", 20, "--eps", 1e-2, "--seed", 1],
+                 ["nogo", "--ds", 8, "--de", 4, "--trials", 4, "--eps", 1e-2, "--seed", 1],
                  ["analyze", "--lifting", tmp_path / "F.lift"]):
         one, two = (run_fresh(tmp_path, *argv, threads=n) for n in (1, 2))
         assert one[0] == 0 and one == two, argv

@@ -60,6 +60,7 @@ from oracles import (
     no_go_sweep_per_trial,
     perturbed_product_lifting_sum,
     pair_block_parts,
+    choi_min_eigenvalue,
     components,
     reassemble,
     screen_shift_dense,
@@ -422,10 +423,12 @@ def _lifting_from_images(ds, de, images):
 
 
 def _assert_same_witness(got, want):
-    """The same verdict of the search: a witness at a basis member keeps its bits.  A pair
-    seed is an eigenvector, and the oracle reads it from a block of its own, so a seed
-    witness agrees to within rounding over the block's eigenvalue gap, which is of the
-    size of the perturbation: 1e-6 entrywise, and its eigenvalue to a relative 1e-6."""
+    """The same verdict of the search: a witness at a basis member keeps its bits, and its
+    eigenvalue agrees to within 1e-15, the rounding between the search's exact path, which reads
+    it from the member's image, and the oracle's ``apply_lifting``, at entries of order 1.  A pair
+    seed is an eigenvector, and the oracle reads it from a block of its own, so a seed witness
+    agrees to within rounding over the block's eigenvalue gap, which is of the size of the
+    perturbation: 1e-6 entrywise, and its eigenvalue to a relative 1e-6."""
     if want is None:
         assert got is None
     else:
@@ -433,7 +436,7 @@ def _assert_same_witness(got, want):
         basis = _basis(len(want.witness)).members
         if any(np.array_equal(want.witness, g / np.trace(g).real) for g in basis):
             assert np.array_equal(got.witness, want.witness)
-            assert got.min_eigenvalue == want.min_eigenvalue
+            assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-15
         else:
             assert _on_one_pair(got.witness)
             assert np.max(np.abs(got.witness - want.witness)) <= 1e-6
@@ -465,14 +468,23 @@ def test_witness_family_matches_loops(ds):
 )
 def test_witness_search_matches_loops(kind, ds, de):
     f = _lifting_of_kind(kind, ds, de, seed=700 + ds * de)
-    want = positivity_witness_search_loops(f)
+    got = positivity_witness_search(f)
     if kind == "large":
         # the pair blocks' lowest eigenvalue, 0, is degenerate, so no seed is fixed by the
-        # lifting and rounding decides: the oracle walks the search's own seeds
-        screen = _screen(f)
-        seeds = [screen.seed(q)[1] for q in range(len(_basis(ds).pairs))]
-        want = first_witness_loops(f, [*hermitian_basis(ds), *seeds])
-    _assert_same_witness(positivity_witness_search(f), want)
+        # lifting, and rounding decides which member of the family, if any, maps below -tol: the
+        # search's exact path, from at most four images, and the oracle's apply_lifting agree to
+        # within (n + 18) u N, N <= 4e7 here.  So the search's witness is a member of its own
+        # family with the oracle's value within that, and a deeper oracle witness is found
+        screen, atol = _screen(f), (ds * de + 18) * np.finfo(float).eps / 2 * 4e7
+        family = [*hermitian_basis(ds), *(screen.seed(q)[1] for q in range(len(_basis(ds).pairs)))]
+        want = first_witness_loops(f, family)
+        if got is not None:
+            assert any(np.array_equal(got.witness, x / np.trace(x).real) for x in family)
+            w = apply_lifting(f, got.witness)
+            assert abs(np.linalg.eigvalsh((w + w.conj().T) / 2)[0] - got.min_eigenvalue) <= atol
+        assert got is not None or want is None or want.min_eigenvalue >= -tolerances.psd - atol
+        return
+    _assert_same_witness(got, positivity_witness_search_loops(f))
 
 
 # At (4, 4) members 0, 1, 3 and 15 are g_00, g_01, g_03 and g*_23, the last one.  g_00
@@ -511,7 +523,7 @@ def _member_of_pair(x, q, psi, ds):
 
 def _screen(f):
     images = basis_images(f)
-    return _Screen(f, images, _hermiticity_deviations(images))
+    return _Screen(f.ds, images, _hermiticity_deviations(images))
 
 
 def _family(screen):
@@ -607,7 +619,7 @@ def test_a_witness_at_member_0_tries_no_certificate(ds, de, monkeypatch):
 @pytest.mark.parametrize("kind", ["product", "kraus_local"])
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4)])
 def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, de, monkeypatch):
-    # g_00 is evaluated once, from column 0, with no member test and no apply_lifting; then the
+    # g_00 is evaluated once, from image 0, with no member test and no apply_lifting; then the
     # walk stops at the product bound, both the analyzer's and a search's with a screen of its
     # own, so no other basis member, pair seed or member off the basis is tested or built
     tested = _count_calls(monkeypatch, _Screen, "clears")
@@ -618,7 +630,7 @@ def test_a_certified_right_inverse_screens_g00_and_no_random_density(kind, ds, d
     assert isinstance(analysis_report(f).verdict, Product)
     assert positivity_witness_search(f) is None  # with a screen of its own
     assert tested == [] and exact == []
-    assert [len(columns) for _, columns in corners] == [1, 1]
+    assert [len(stack) for (stack,) in corners] == [1, 1]
 
 
 def _env_local_kraus(ds, de, seed):
@@ -646,7 +658,7 @@ def test_the_product_bound_settles_a_product_after_g00(kind, ds, de, monkeypatch
     verdict = analysis_report(f).verdict
     assert isinstance(verdict, Product)
     assert certified == [] and len(residuals) == 2
-    reference = liftings._reference(f)
+    reference = extract_reference(f)
     want = liftings._residual(ds, basis_images(f), reference)
     assert np.float64(verdict.residual).view(np.uint64) == np.float64(want).view(np.uint64)
     assert np.array_equal(verdict.reference.view(np.uint64), reference.view(np.uint64))
@@ -657,7 +669,7 @@ def test_a_near_product_whose_bound_fails_still_walks(monkeypatch):
     # is certified, and seeded if it fails, as before the bound
     f = perturbed_product_lifting(random_density(2, seed=883), 2, 1e-8, seed=884)  # not at g_00
     images = basis_images(f)
-    screen = _Screen(f, images, _hermiticity_deviations(images))
+    screen = _Screen(f.ds, images, _hermiticity_deviations(images))
     assert screen.residual > 1e-9 and not screen.near_product()
     certified = _count_calls(monkeypatch, _Screen, "certifies")
     verdict = analyze(f)
@@ -786,10 +798,17 @@ def test_a_right_inverse_with_a_late_basis_witness(member, scale, monkeypatch):
 
 
 def _sweep_trial(ds, de, eps, seed, trial):
-    """Trial `trial` of no_go_sweep(ds, de, ..., eps, seed)."""
+    """Trial `trial` of no_go_sweep(ds, de, ..., eps, seed), as a lifting."""
     d_seed, p_seed = spawn_seeds(seed, trial + 1)[trial].spawn(2)
     d = random_density(de, seed=philox_rng(d_seed))
     return perturbed_product_lifting(d, ds, eps, philox_rng(p_seed))
+
+
+def _sweep_trial_images(ds, de, eps, seed, trial):
+    """The basis images that no_go_sweep(ds, de, ..., eps, seed) analyzes for trial `trial`."""
+    d_seed, p_seed = spawn_seeds(seed, trial + 1)[trial].spawn(2)
+    d = random_density(de, seed=philox_rng(d_seed))
+    return liftings._perturbation_images(ds, de, [philox_rng(p_seed)], eps, d[None])[0]
 
 
 # trial 54 was inconclusive and trial 8 of seed 1 product before the seeds, when no member
@@ -827,8 +846,8 @@ def test_first_order_falsifiers_violate_positivity(seed, eps, trial):
     verdict = analyze(f)
     assert isinstance(verdict, ViolatesPositivity)
     assert verdict.min_eigenvalue < -tolerances.psd
-    w = apply_lifting(f, verdict.witness)
-    assert np.linalg.eigvalsh((w + w.conj().T) / 2)[0] == verdict.min_eigenvalue
+    w = apply_lifting(f, verdict.witness)  # the search's exact path sums the pair's images
+    assert abs(np.linalg.eigvalsh((w + w.conj().T) / 2)[0] - verdict.min_eigenvalue) <= 1e-15
 
 
 def test_the_seed_starts_at_the_conjugate_of_the_top_singular_vector():
@@ -907,7 +926,7 @@ def test_near_threshold_corpus_against_the_grid_walk():
         if grid is not None:
             assert isinstance(got, ViolatesPositivity), i
             if np.array_equal(got.witness, grid.witness):
-                assert got.min_eigenvalue == grid.min_eigenvalue
+                assert abs(got.min_eigenvalue - grid.min_eigenvalue) <= 1e-15
             else:
                 moved.append(i)
         elif isinstance(got, ViolatesPositivity):
@@ -927,8 +946,7 @@ def test_near_threshold_products_certify_every_pair_without_a_seed(
     assert built == []
     assert outcome.counts["product"] == trials and outcome.falsifiers == []
     for trial, got in enumerate(outcome.verdicts):
-        f = _sweep_trial(ds, de, eps, seed, trial)
-        images = basis_images(f)
+        images = _sweep_trial_images(ds, de, eps, seed, trial)
         assert _bits(got.residual) == _bits(residual_loops(ds, images, images[0, :de, :de].copy()))
 
 
@@ -1079,8 +1097,11 @@ def test_witness_family_members_equal_their_adjoints():
     got, seed = analyze(f), _screen(f).seed(0)[1]
     assert np.array_equal(got.witness, seed / np.trace(seed).real)
     assert np.array_equal(got.witness, got.witness.conj().T)
-    w = apply_lifting(f, got.witness)
+    state, w = _screen(f).value(0, seed)  # the exact path, from the pair's four images
+    assert np.array_equal(state, got.witness)
     assert got.min_eigenvalue == np.linalg.eigvalsh((w + w.conj().T) / 2)[0] < -tolerances.psd
+    w = apply_lifting(f, got.witness)
+    assert abs(got.min_eigenvalue - np.linalg.eigvalsh((w + w.conj().T) / 2)[0]) <= 1e-15
 
 
 @pytest.mark.parametrize("ds, de", [(2, 3), (3, 2), (8, 4), (16, 4)])
@@ -1199,7 +1220,7 @@ def test_pair_slack_matches_the_dense_spread(ds, de):
     shifts = []
     for kind, f in _diagnosed_liftings(ds, de).items():
         images = basis_images(f)
-        screen = _Screen(f, images, _hermiticity_deviations(images))
+        screen = _Screen(f.ds, images, _hermiticity_deviations(images))
         assert screen.shift.dtype == np.float64 and screen.shift.shape == (len(screen.basis.k),)
         assert np.array_equal(_bits(screen.shift), _bits(screen_shift_dense(screen))), kind
         assert np.all(screen.shift <= screen.tol)
@@ -1375,7 +1396,7 @@ def test_liftings_just_under_the_overflow_bound_analyze_without_a_warning(ds, de
         report = analysis_report(f)
         values = [report.hermiticity_deviation, report.trace_deviation,
                   report.structure.max_deviation]
-        screen = _Screen(f, report.images, _hermiticity_deviations(report.images))
+        screen = _Screen(f.ds, report.images, _hermiticity_deviations(report.images))
         values += [screen.residual, *screen.shift, np.linalg.eigvalsh(screen.seed(0)[1])[0]]
         assert np.all(np.isfinite(values)), kind
         screen.near_product()
@@ -1400,14 +1421,30 @@ def _assert_same_verdicts(got, want):
             assert a.reference.tobytes() == b.reference.tobytes()
 
 
+def _assert_close_verdicts(got, want):
+    """The same verdict names, eigenvalues and residuals within 1e-15 and witnesses within 1e-6:
+    the rounding of two constructions of the same images, at entries of order 1, which a seed's
+    compass search, started from an eigenvector of its pair's block, can carry further."""
+    assert [type(v) for v in got] == [type(v) for v in want]
+    for a, b in zip(got, want):
+        if isinstance(b, ViolatesPositivity):
+            assert abs(a.min_eigenvalue - b.min_eigenvalue) <= 1e-15
+            assert np.max(np.abs(a.witness - b.witness)) <= 1e-6
+        elif isinstance(b, (Product, Inconclusive)):
+            assert abs(a.residual - b.residual) <= 1e-15
+
+
 # the CI sweeps, the benchmark's (4, 4) sweep and a (2, 3) one, and a (4, 4) sweep of three stacks
 @pytest.mark.parametrize("ds, de, trials, eps, seed", [
     (2, 2, 100, 1e-8, 7), (3, 2, 200, 4e-9, 1), (8, 4, 2, 1e-2, 1), (1, 3, 3, 1e-2, 1),
     (4, 4, 20, 1e-2, 1), (2, 3, 50, 1e-2, 9), (4, 4, 40, 1e-2, 2)])
 def test_a_sweep_stack_has_the_verdicts_of_its_trials_one_at_a_time(ds, de, trials, eps, seed):
+    # bit for bit those of each trial's basis images analyzed alone, and within rounding those
+    # of analyze on each trial's perturbed_product_lifting, whose matrix is read from its images
     outcome = no_go_sweep(ds, de, trials, eps, seed)
     want = no_go_sweep_per_trial(ds, de, trials, eps, seed)
     _assert_same_verdicts(outcome.verdicts, want)
+    _assert_close_verdicts(outcome.verdicts, no_go_sweep_per_trial(ds, de, trials, eps, seed, True))
     names = [liftings.verdict_name(v) for v in want]
     assert outcome.counts == {name: names.count(name) for name in outcome.counts}
     assert outcome.falsifiers == [i for i, v in enumerate(want) if isinstance(v, Inconclusive)]
@@ -1418,27 +1455,21 @@ def test_a_sweep_stack_has_the_verdicts_of_its_trials_one_at_a_time(ds, de, tria
 
 @pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (8, 4, 3), (32, 2, 1)])
 def test_a_stack_of_trials_keeps_each_trials_bits(ds, de, trials):
-    # the stack's matrices, basis images, Hermiticity deviations, trace screens and g_00 values
-    # are those of its trials built and screened one at a time
-    children = spawn_seeds(11, trials)
-    seeds = [child.spawn(2) for child in children]
+    # the stack's basis images, Hermiticity deviations, trace screens and g_00 values are those
+    # of its trials built and screened one at a time
+    seeds = [child.spawn(2) for child in spawn_seeds(11, trials)]
     references = np.stack([random_density(de, seed=philox_rng(d)) for d, _ in seeds])
-    stack = liftings._perturbed_products(references, ds, 1e-2, [philox_rng(p) for _, p in seeds])
-    images = liftings._images(ds, de, stack)
+    images = liftings._perturbation_images(ds, de, [philox_rng(p) for _, p in seeds], 1e-2, references)
     deviations = _hermiticity_deviations(images.reshape(-1, ds * de, ds * de)).reshape(trials, -1)
     traces, _ = liftings._trace_screens(ds, de, images)
-    corners = liftings._corner_eigenvalues(ds * de, stack[:, :, 0])
-    e00 = hermitian_basis(ds)[0]
-    for t in range(trials):
-        f = _sweep_trial(ds, de, 1e-2, 11, t)
-        assert stack[t].tobytes() == f.matrix.tobytes()
-        one = basis_images(f)
+    corners = liftings._corner_eigenvalues(images[:, 0])
+    for t, (_, p) in enumerate(seeds):
+        one = liftings._perturbation_images(ds, de, [philox_rng(p)], 1e-2, references[t : t + 1])[0]
         assert np.ascontiguousarray(images[t]).tobytes() == np.ascontiguousarray(one).tobytes()
         assert deviations[t].tobytes() == _hermiticity_deviations(one).tobytes()
         (trace,), _ = liftings._trace_screens(ds, de, one[None])
         assert (traces[t] is None) == (trace is None)
-        w = apply_lifting(f, e00)
-        assert _bits(corners[t]) == _bits(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+        assert _bits(corners[t]) == _bits(liftings._corner_eigenvalues(one[None, 0])[0])
 
 
 @pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (8, 4, 1)])
@@ -1446,7 +1477,8 @@ def test_each_report_keeps_its_trials_trace_residuals(ds, de, trials):
     # the report reads trace_deviation from the residuals the trace screen formed for the whole
     # stack: each trial's have the bits of those formed from its own images, and the oracle's values
     fs = [_sweep_trial(ds, de, 1e-2, 11, t) for t in range(trials)]
-    reports = liftings._analysis_reports(fs, np.stack([f.matrix for f in fs]), tolerances.residual)
+    images = liftings._images(ds, de, np.stack([f.matrix for f in fs]))
+    reports = liftings._analysis_reports(ds, de, images, tolerances.residual)
     for f, report in zip(fs, reports):
         one = liftings._trace_residuals(ds, de, basis_images(f))[0]
         assert report.residuals.shape == one.shape == (ds * ds, ds, ds)
@@ -1468,8 +1500,8 @@ def _signed_zeros(f):
 @pytest.mark.parametrize("kind", ["product", "kraus_local", "perturbed", "entangling", "signed"])
 @pytest.mark.parametrize("ds, de", [(1, 3), (2, 3), (4, 4), (8, 4)])
 def test_g00_read_from_column_0_has_the_bits_of_the_exact_path(kind, ds, de):
-    # Herm F(E_00) from column 0 and from apply_lifting's GEMV can differ in the sign of a zero,
-    # which leaves lambda_min's bits as they are
+    # Herm F(E_00) from column 0, which image 0 copies, and from apply_lifting's GEMV can differ
+    # in the sign of a zero, which leaves lambda_min's bits as they are
     if kind == "signed":
         f = _signed_zeros(_lifting_of_kind("kraus_local", ds, de, seed=900 + ds * de))
     else:
@@ -1478,7 +1510,8 @@ def test_g00_read_from_column_0_has_the_bits_of_the_exact_path(kind, ds, de):
     exact = np.linalg.eigvalsh((w + w.conj().T) / 2)[0]
     column = unvec(f.matrix[:, 0], ds * de)
     assert _bits(np.linalg.eigvalsh((column + column.conj().T) / 2)[0]) == _bits(exact)
-    assert _bits(liftings._corner_eigenvalues(ds * de, f.matrix[None, :, 0])[0]) == _bits(exact)
+    assert _bits(liftings._corner_eigenvalues(column[None])[0]) == _bits(exact)
+    assert _bits(liftings._corner_eigenvalues(basis_images(f)[:1])[0]) == _bits(exact)
 
 
 def test_an_8x8_sweep_holds_one_trial_at_a_time():
@@ -1487,6 +1520,44 @@ def test_an_8x8_sweep_holds_one_trial_at_a_time():
     no_go_sweep(8, 8, 1, 1e-2, seed=1)
     one = _peak_bytes(lambda: no_go_sweep(8, 8, 1, 1e-2, seed=1))
     assert _peak_bytes(lambda: no_go_sweep(8, 8, 3, 1e-2, seed=1)) <= one + 2**16
+
+
+def test_a_ceiling_sweep_peaks_below_the_matrix_build():
+    # a (32, 2) trial holds its 64 MiB of images, the 32 MiB of draws and their transposed copy;
+    # built as a matrix, then changed to images, it peaked at 176 MiB
+    no_go_sweep(32, 2, 1, 1e-2, seed=1)
+    assert _peak_bytes(lambda: no_go_sweep(32, 2, 1, 1e-2, seed=1)) < 150 * 2**20
+
+
+# the sweeps of CI and the benchmark from (2, 2) to (8, 8), seed 7 at eps 1e-8 and (3, 2) at eps
+# 4e-9 among them; (32, 2) is left out, where one Choi eigvalsh takes 2.6 s
+@pytest.mark.parametrize("ds, de, trials, eps, seed", [
+    (2, 2, 3, 1e-2, 1), (2, 2, 100, 1e-8, 7), (3, 2, 200, 4e-9, 1), (2, 3, 50, 1e-2, 9),
+    (4, 4, 20, 1e-2, 1), (8, 4, 2, 1e-2, 1), (8, 4, 6, 1e-8, 2), (8, 8, 2, 1e-2, 1)])
+def test_every_sweep_witness_is_at_or_above_the_choi_lower_bound(ds, de, trials, eps, seed):
+    # no witness eigenvalue lies below lambda_min(Herm C), C the Choi matrix of the trial's
+    # lifting, read from its images, less the rounding of the two solves and of that read: a few
+    # u n ||C|| with ||C|| about ds, under 1e-13
+    for trial, verdict in enumerate(no_go_sweep(ds, de, trials, eps, seed).verdicts):
+        if isinstance(verdict, ViolatesPositivity):
+            f = _sweep_trial(ds, de, eps, seed, trial)
+            assert verdict.min_eigenvalue >= choi_min_eigenvalue(f) - 1e-13, trial
+
+
+def test_every_analyze_witness_is_at_or_above_the_choi_lower_bound():
+    # the perturbed liftings of this file: the near-threshold corpus and the perturbed kind
+    liftings_ = [f for _, _, f in _near_threshold_corpus()]
+    liftings_ += [_lifting_of_kind("perturbed", ds, de, seed=700 + ds * de)
+                  for ds, de in [(2, 3), (4, 4), (8, 4), (8, 8)]]
+    liftings_ += [perturbed_product_lifting(random_density(2, seed=s), 3, 1e-2, seed=s + 1)
+                  for s in (20, 32, 40)]
+    witnesses = 0
+    for f in liftings_:
+        verdict = analyze(f)
+        if isinstance(verdict, ViolatesPositivity):
+            witnesses += 1
+            assert verdict.min_eigenvalue >= choi_min_eigenvalue(f) - 1e-13
+    assert witnesses > len(liftings_) // 2
 
 
 def second_order_lifting(delta):
@@ -1607,11 +1678,17 @@ def test_random_perturbation_matches_dense_oracle(ds, de):
         assert np.max(np.abs(delta - dense)) <= 1e-13
 
 
-def test_basis_inverse_matches_linalg_inv():
-    # values, not bits: np.linalg.inv puts -0.0 at some zeros from ds = 5 on
-    for ds in range(1, 9):
-        dense = np.linalg.inv(np.column_stack([vec(h) for h in hermitian_basis(ds)]))
-        assert np.array_equal(_basis(ds).inverse, dense)
+def test_matrix_from_images_matches_linalg_inv():
+    # the sparse inverse sums against the dense product of the image columns with the inverse
+    # of the stacked basis vecs, which np.linalg.inv takes; values, not bits
+    for ds, de in ((ds, de) for ds in range(1, 9) for de in (1, 3)):
+        rng, dim = philox_rng(700 + ds), ds * de
+        images = rng.standard_normal((ds * ds, dim, dim)) + 1j * rng.standard_normal((ds * ds, dim, dim))
+        dense = np.column_stack([vec(w) for w in images]) @ np.linalg.inv(
+            np.column_stack([vec(h) for h in hermitian_basis(ds)]))
+        m = liftings._matrix(ds, de, images)
+        assert np.max(np.abs(m - dense)) <= 1e-14
+        assert np.max(np.abs(basis_images(Lifting(ds, de, m)) - images)) <= 1e-14  # the round trip
 
 
 def test_cached_index_maps_are_read_only():
@@ -1640,17 +1717,23 @@ def test_basis_table_pairs_and_coordinates(ds):
 
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8), (32, 2)])
 def test_random_perturbation_bits_match_inv_oracle(ds, de):
-    for seed in range(2 if ds == 32 else 5):  # at (32, 2) the oracle takes 1 s a seed
+    # the same draws in the same order, and the direction of the oracle's scatter, GEMM with the
+    # inverse basis, completion and norm, to within 2 (ds^2 + 32) u of its largest entry: the
+    # oracle's GEMM sums ds^2 terms an entry, and the images are completed and normalized before
+    # the sparse inverse sums of at most four
+    for seed in range(1 if ds == 32 else 5):  # at (32, 2) the oracle takes 1 s a seed
         delta = random_perturbation(ds, de, seed=200 + seed)
         oracle = random_perturbation_inv(ds, de, seed=200 + seed)
-        assert np.array_equal(delta.view(np.uint64), oracle.view(np.uint64))
+        bound = (ds * ds + 32) * np.finfo(float).eps * np.max(np.abs(oracle))
+        assert np.max(np.abs(delta - oracle)) <= bound
 
 
 @pytest.mark.parametrize("ds, de", [(2, 2), (3, 2), (4, 4), (8, 4), (8, 8)])
 @pytest.mark.parametrize("eps", [1e-2, 1e-8, 0.0])
 def test_perturbed_lifting_bits_match_the_dense_sum(ds, de, eps):
-    # eps = 0 makes -0.0 products, which the sum with the product lifting's zeros reads
-    # as +0.0, and which a -0.0 of the reference keeps
+    # the dense product lifting plus eps times the oracle's direction, to within 8 u of its
+    # largest entry: the images hold g (x) D + eps Delta(g), and the sparse inverse sums read
+    # D back from four of them, so even eps = 0 can leave entries of a few u off D's blocks
     for seed in range(3):
         d = random_density(de, seed=300 + seed)
         signed = d.copy()
@@ -1658,7 +1741,7 @@ def test_perturbed_lifting_bits_match_the_dense_sum(ds, de, eps):
         for ref in (d, signed):
             got = perturbed_product_lifting(ref, ds, eps, seed=310 + seed).matrix
             want = perturbed_product_lifting_sum(ref, ds, eps, seed=310 + seed)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_perturbed_lifting_memory_stays_below_the_dense_sum():
@@ -1709,7 +1792,7 @@ def test_witness_search_reads_the_images_it_is_handed():
     # 64 MB of images at (32, 2): a copy of the stack, or of its Hermitian
     # parts, would show; a pair's 256 kB block, its Hermitian part and their
     # Cholesky factors take about 1.4 MB
-    assert _peak_bytes(lambda: liftings._walk_witness(f, screen)) < 4 * 2**20
+    assert _peak_bytes(lambda: liftings._walk_witness(screen)) < 4 * 2**20
 
 
 @pytest.mark.parametrize("ds, de, bound_mb", [(16, 4, 35), (32, 2, 100)])
