@@ -40,11 +40,13 @@ from .states import hermitian_basis, random_density, validate_density
 class Lifting:
     """A linear map L1(H_S) -> L1(H_S (x) H_E) on vectorized operators, the real and imaginary
     parts of its entries finite and at most A = sqrt(max float) / (16 ds de), so that no norm the
-    analyzer, which reads only basis images, takes overflows.  An image sums at most four entries:
-    parts <= 4A, the no-go sweep's bound.  So a Hermiticity defect, block mismatch or product
-    residual has parts <= 8A, a partial-trace residual <= 8 de A, and a squared norm adds at most
-    2 (ds de)^2 such squares: max / 2.  F(E_rc) from four images (normed at half scale) and a
-    pair's Choi block have parts <= 12A and 28A, and the rest is linear in the entries."""
+    analyzer takes overflows.  The analyzer reads only basis images, and what follows holds for
+    any images with parts <= 4A, the no-go sweep's bound, which an image of four entries keeps.  A
+    Hermiticity defect, block mismatch or product residual has parts <= 8A, a partial-trace
+    residual <= 8 de A, and a squared norm adds at most 2 (ds de)^2 such squares: max / 2.
+    F(E_rc) = (U +- iV)/2 from four images, and so a pair's Choi block, has parts <= 12A, normed
+    at half scale: 6A.  A state's image sums four images with weights of moduli summing to < 4:
+    parts < 16A.  The rest goes to LAPACK, which scales its input, or is linear in the entries."""
 
     ds: int
     de: int
@@ -329,17 +331,27 @@ def _walk(screen: _Screen):
         yield q, *screen.seed(q)
 
 
-def _pair_units(images: np.ndarray, q, scale: float = 0.5) -> tuple:
-    """2 scale F(E_kl) and 2 scale F(E_lk) for each pair k < l in q, from the images (..., ds^2, n, n)
-    of its members: g_kl - i g*_kl - (1 - i) (g_kk + g_ll) = 2 E_kl, so with S = F(g_kk) + F(g_ll),
-    U = F(g_kl) - S and V = S - F(g*_kl), F(E_kl) = (U + iV)/2 and F(E_lk) = (U - iV)/2."""
-    j = _basis(math.isqrt(images.shape[-3])).pairs[q]
-    s = images[..., j[:, 0], :, :] + images[..., j[:, 1], :, :]
-    u = images[..., j[:, 2], :, :] - s
-    v = np.subtract(s, images[..., j[:, 3], :, :], out=s)
+def _units(kk, ll, kl, star, scale: float = 0.5) -> tuple:
+    """2 scale F(E_kl) and 2 scale F(E_lk) from the images of g_kk, g_ll, g_kl and g*_kl:
+    g_kl - i g*_kl - (1 - i) (g_kk + g_ll) = 2 E_kl, so with S = F(g_kk) + F(g_ll), U = F(g_kl) - S
+    and V = S - F(g*_kl), F(E_kl) = (U + iV)/2 and F(E_lk) = (U - iV)/2."""
+    s = kk + ll
+    u = kl - s
+    v = np.subtract(s, star, out=s)
     u *= scale
     v *= 1j * scale
     return u + v, np.subtract(u, v, out=u)
+
+
+def _unit_rows(images: np.ndarray, scale: float = 0.5):
+    """k and the :func:`_units` of every pair k < l, a row k of the pairs at a time, from the basis
+    images (..., ds^2, n, n): g_kk's image is broadcast and the row's g_kl and g*_kl images are
+    slices, so only the g_ll are gathered."""
+    basis = _basis(math.isqrt(images.shape[-3]))
+    for k in range(len(basis.diag) - 1):
+        (a, b), m = basis.pairs[basis.k == k][0, 2:], len(basis.diag) - 1 - k
+        yield k, *_units(images[..., basis.diag[k], None, :, :], images[..., basis.diag[k + 1 :], :, :],
+                         images[..., a : a + m, :, :], images[..., b : b + m, :, :], scale)
 
 
 def _has_cholesky(h: np.ndarray, shift: float) -> bool:
@@ -366,14 +378,12 @@ class _Screen:
         # F(g_j)^T, which is how basis_images stores F(g_j), so no copy is made
         self.images = np.ascontiguousarray(images.transpose(0, 2, 1))
         self.deviations = deviations
-        # the column norms, [c ds + r]: F(E_kk) is the image of g_kk, and F(E_kl), F(E_lk) are
-        # formed from the pair's images at half scale, so that no square overflows
+        # the column norms, [c ds + r], F(E_kl) and F(E_lk) at half scale, so that no square overflows
         self.norms, k, l = np.empty(m), self.basis.k, self.basis.l
         cols = self.norms.reshape(ds, ds)  # [c, r]: ||M_rc||
         cols[range(ds), range(ds)] = frobenius_norms(self.images[self.basis.diag])
-        for c in _chunks(len(k), self.images[0].nbytes):
-            kl, lk = _pair_units(self.images, c, 0.25)
-            cols[l[c], k[c]], cols[k[c], l[c]] = 2 * frobenius_norms(kl), 2 * frobenius_norms(lk)
+        for r, kl, lk in _unit_rows(self.images, 0.25):
+            cols[r + 1 :, r], cols[r, r + 1 :] = 2 * frobenius_norms(kl), 2 * frobenius_norms(lk)
         spread = cols[k, k] + cols[k, l] + cols[l, k] + cols[l, l]  # N of each pair, from |g_kl|
         # the rounding bound of certifies, eps (4 n^2 + m + 16) (N + tol), and the shift it leaves
         self.slack = np.finfo(float).eps * (4 * n**2 + m + 16) * (spread + self.tol)
@@ -391,7 +401,7 @@ class _Screen:
         product lifting W -> W (x) D is positive exactly when D is.
 
         With r = :attr:`residual` and Delta(W) = F(W) - W (x) D, Delta(E_kk) = Delta(g_kk) and
-        Delta(E_kl) is the :func:`_pair_units` combination of four basis residuals, whose moduli sum
+        Delta(E_kl) is the :func:`_units` combination of four basis residuals, whose moduli sum
         to 1 + sqrt 2; so ||Delta(E_rc)||_F <= (1 + sqrt 2) r.  A state rho has sum_rc |rho_rc|
         <= (sum_r sqrt(rho_rr))^2 <= ds, so ||Delta(rho)||_F <= ds (1 + sqrt 2) r, and rho (x)
         Herm D, with eigenvalues p_i mu_j, has none below min(0, lambda_min(Herm D)).  Hence
@@ -410,7 +420,7 @@ class _Screen:
         j, n = self.basis.pairs[q], self.dim
         block = np.empty((2 * n, 2 * n), dtype=np.complex128)
         block[:n, :n], block[n:, n:] = self.images[j[0]], self.images[j[1]]
-        block[n:, :n] = _pair_units(self.images, [q])[0][0]
+        block[n:, :n] = _units(*self.images[j])[0]
         block[:n, n:] = block[n:, :n].conj().T
         return block
 
@@ -768,11 +778,10 @@ def _perturbation_images(ds: int, de: int, seeds, eps: float = 1.0, references=N
     has the bits it has alone.  Delta(g_q) = H_q - tr_E(H_q) (x) Id/de, and ||M||^2 =
     sum_k ||Delta(g_kk)||^2 + 2 sum_{k<l} ||Delta(E_kl)||^2, as Delta(E_lk) = Delta(E_kl)^dagger."""
     _map_shape(ds * de, ds, "perturbation")
-    rngs = [philox_rng(seed) for seed in seeds]
-    t, dim, n, basis = len(rngs), ds * de, ds * ds, _basis(ds)
+    t, dim, n, basis = len(seeds), ds * de, ds * ds, _basis(ds)
     draws = np.empty((t, dim * dim, n))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=draws[i])
+    for i, seed in enumerate(seeds):
+        philox_rng(seed).standard_normal(out=draws[i])
     *_, src, sign = _triangle(dim)
     stars, end = dim * (dim + 1) // 2, dim * dim  # where a draw's stars start and end
     ext = np.zeros((t, n, 2 * end - stars + 1))
@@ -793,10 +802,9 @@ def _perturbation_images(ds: int, de: int, seeds, eps: float = 1.0, references=N
     p = np.einsum("tqcara->tqcr", split) / de  # tr_E(H_q)^T / de, less on each diagonal block
     for a in range(de):
         split[:, :, :, a, :, a] -= p
-    units = np.empty((t, len(basis.k)))
-    for c in _chunks(len(basis.k), t * out[0, 0].nbytes):
-        delta = _pair_units(out, c)[0]  # Delta(E_kl)^T
-        units[:, c] = frobenius_norms(delta.reshape(-1, dim, dim)).reshape(t, -1)
+    units = np.empty((t, len(basis.k)))  # ||Delta(E_kl)||, in pair order
+    for k, kl, _ in _unit_rows(out):
+        units[:, basis.k == k] = frobenius_norms(kl.reshape(-1, dim, dim)).reshape(t, -1)
     diag = frobenius_norms(out[:, basis.diag].reshape(-1, dim, dim)).reshape(t, ds)
     norms = np.sqrt((diag**2).sum(axis=1) + 2 * (units**2).sum(axis=1))
     if np.any(norms <= PERTURBATION_FLOOR):  # de = 1, where the partial-trace completion is everything
@@ -813,14 +821,14 @@ def _perturbation_images(ds: int, de: int, seeds, eps: float = 1.0, references=N
 def _matrix(ds: int, de: int, images: np.ndarray) -> np.ndarray:
     """The matrix of the lifting with these basis images, laid out as :func:`basis_images` lays
     them out: column c ds + r holds vec F(E_rc), F(E_kk) the image of g_kk and F(E_kl), F(E_lk),
-    k < l, the :func:`_pair_units` of the pair's images, set a chunk of pairs at a time."""
+    k < l, the :func:`_unit_rows` of the images, set a row of pairs at a time."""
     basis, dim = _basis(ds), ds * de
     transposed = images.transpose(0, 2, 1)  # F(g)^T, whose ravel is vec F(g)
     m = np.empty((dim * dim, ds * ds), dtype=np.complex128)
     columns = m.T.reshape(ds, ds, dim, dim)  # [c, r]: vec F(E_rc) as F(E_rc)^T, a view of m
     columns[np.arange(ds), np.arange(ds)] = transposed[basis.diag]
-    for c in _chunks(len(basis.k), images[0].nbytes):
-        columns[basis.l[c], basis.k[c]], columns[basis.k[c], basis.l[c]] = _pair_units(transposed, c)
+    for k, kl, lk in _unit_rows(transposed):
+        columns[k + 1 :, k], columns[k, k + 1 :] = kl, lk
     return m
 
 

@@ -541,6 +541,18 @@ def first_witness_loops(f, candidates):
     return None
 
 
+def first_witness_on_screen(screen, candidates):
+    """:func:`first_witness_loops` on the search's exact path: the first (q, x) of the candidates
+    whose state x / tr x has an image, by ``screen.value(q, x)``, with an eigenvalue below
+    -``tolerances.psd``, and no member cleared or skipped."""
+    for q, x in candidates:
+        state, w = screen.value(q, x)
+        lam = float(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+        if lam < -tolerances.psd:
+            return ViolatesPositivity(state, lam)
+    return None
+
+
 # The witness family as it was before the pair seeds: the basis, a grid of boundary mixtures
 # per pair and seeded random densities, kept as the reference that the seeds are counted against.
 

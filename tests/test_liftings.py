@@ -53,6 +53,7 @@ from oracles import (
     structure_loops,
     diag_mixing_positive_scan,
     first_witness_loops,
+    first_witness_on_screen,
     grid_witness_candidates_loops,
     grid_witness_search_loops,
     kraus_lifting_loops,
@@ -472,17 +473,16 @@ def test_witness_search_matches_loops(kind, ds, de):
     if kind == "large":
         # the pair blocks' lowest eigenvalue, 0, is degenerate, so no seed is fixed by the
         # lifting, and rounding decides which member of the family, if any, maps below -tol: the
-        # search's exact path, from at most four images, and the oracle's apply_lifting agree to
-        # within (n + 18) u N, N <= 4e7 here.  So the search's witness is a member of its own
-        # family with the oracle's value within that, and a deeper oracle witness is found
+        # oracle walks the basis and the search's own seeds on the search's exact path, with
+        # nothing cleared or skipped, so its first witness is the search's, bit for bit.  And
+        # apply_lifting agrees with that path to within (n + 18) u N, N <= 4e7 here
         screen, atol = _screen(f), (ds * de + 18) * np.finfo(float).eps / 2 * 4e7
-        family = [*hermitian_basis(ds), *(screen.seed(q)[1] for q in range(len(_basis(ds).pairs)))]
-        want = first_witness_loops(f, family)
+        family = [*zip(screen.basis.pair, screen.basis.members),
+                  *((q, screen.seed(q)[1]) for q in range(len(screen.basis.k)))]
+        _assert_same_verdicts([got], [first_witness_on_screen(screen, family)])
         if got is not None:
-            assert any(np.array_equal(got.witness, x / np.trace(x).real) for x in family)
             w = apply_lifting(f, got.witness)
             assert abs(np.linalg.eigvalsh((w + w.conj().T) / 2)[0] - got.min_eigenvalue) <= atol
-        assert got is not None or want is None or want.min_eigenvalue >= -tolerances.psd - atol
         return
     _assert_same_witness(got, positivity_witness_search_loops(f))
 
@@ -1406,6 +1406,42 @@ def test_liftings_just_under_the_overflow_bound_analyze_without_a_warning(ds, de
         positivity_witness_search(f)
 
 
+@pytest.mark.parametrize("ds, de", [(2, 2), (8, 8)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_images_at_the_sweeps_bound_analyze_without_a_warning(ds, de, sign):
+    # the sweep holds its images, not a matrix, to 4A: every part here is at 4A (1 - 2^-50) but
+    # the partial-trace entries, the signs set so that F(E_kl) = (U + iV)/2 reaches 12A, each
+    # image Hermitian with its partial trace exact and g_00's that of a product, so that the
+    # analyzer reaches the screen; the tests raise every RuntimeWarning, so nothing overflows
+    n, basis, bound = ds * de, _basis(ds), _overflow_bound(ds, de)
+    c = 4 * bound * (1 - 2.0**-50)
+    upper = np.triu(np.full((n, n), 1 + 1j), 1)
+    pattern = c * (upper + upper.conj().T + np.eye(n))
+    images = np.stack([(-sign if j in basis.diag else sign) * pattern for j in range(ds * ds)])
+    for a in range(de):
+        images.reshape(-1, ds, de, ds, de)[:, :, a, :, a] = basis.members / de
+    images[0] = kron(basis.members[0], random_density(de, seed=1))
+    liftings._check_parts(images, n, 4)  # the sweep's bound passes
+    (report,) = liftings._analysis_reports(ds, de, images[None], tolerances.residual)
+    assert isinstance(report.verdict, ViolatesPositivity)
+    assert np.isfinite(report.verdict.min_eigenvalue) and np.isfinite(report.trace_deviation)
+    screen = _Screen(ds, images, _hermiticity_deviations(images))
+    assert not screen.near_product()
+    assert np.all(np.isfinite([*screen.norms, *screen.slack, screen.residual]))
+    top = 0.0
+    for q in range(len(basis.k)):
+        block = screen.block(q)
+        top = max(top, np.max(np.abs(block.view(np.float64))))
+        liftings._has_cholesky(block, screen.tol)
+        screen.certifies(q)
+        psi, x = screen.seed(q)
+        screen.clears(q, psi)
+        w = screen.value(q, x)[1]
+        assert max(np.max(np.abs(w.real)), np.max(np.abs(w.imag))) < 16 * bound
+        assert np.isfinite(np.linalg.eigvalsh((w + w.conj().T) / 2)[0])
+    assert top <= 12 * bound and (ds == 2 or top == 3 * c)  # pairs k >= 1 reach 3c
+
+
 def _assert_same_verdicts(got, want):
     """The same verdict, bit for bit: its type, eigenvalue and witness bytes, or its residual and
     reference."""
@@ -1453,7 +1489,8 @@ def test_a_sweep_stack_has_the_verdicts_of_its_trials_one_at_a_time(ds, de, tria
         assert 1 < stack < trials  # more than one stack, each of more than one trial
 
 
-@pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (8, 4, 3), (32, 2, 1)])
+@pytest.mark.parametrize("ds, de, trials", [(1, 3, 2), (2, 3, 7), (4, 4, 5), (5, 5, 4), (8, 2, 6),
+                                             (8, 4, 3), (32, 2, 1)])
 def test_a_stack_of_trials_keeps_each_trials_bits(ds, de, trials):
     # the stack's basis images, Hermiticity deviations, trace screens and g_00 values are those
     # of its trials built and screened one at a time
