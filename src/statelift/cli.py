@@ -6,9 +6,9 @@ formats, and every run appends a JSON record (command, input digests,
 parameters, outputs, timing) to the run log.
 
 Exit codes: 0 success, 2 usage, 3 format error or unreadable/unwritable file,
-4 dimension mismatch, 5 constraint violation, 6 no-go falsifier, 7 numerical
-failure (a linear-algebra routine that did not converge or met a singular
-matrix).
+4 dimension mismatch, 5 constraint violation (including an allocation that
+fails), 6 no-go falsifier, 7 numerical failure (a linear-algebra routine that
+did not converge or met a singular matrix).
 """
 
 from __future__ import annotations
@@ -417,6 +417,10 @@ def main(argv=None) -> int:
         code = EXIT_DIMENSION
     except ConstraintViolation as exc:
         print(f"error: constraint: {exc}", file=sys.stderr)
+        code = EXIT_CONSTRAINT
+    except MemoryError as exc:  # the inputs ask for more memory than there is
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: constraint: out of memory{detail}", file=sys.stderr)
         code = EXIT_CONSTRAINT
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)

@@ -738,6 +738,13 @@ def empirical_state_dense(b: np.ndarray, n: int, seed) -> np.ndarray:
     return w / np.trace(w).real
 
 
+def format17_percent(values, seps: bytes) -> bytes:
+    """``fileio._format17`` by the %-format alone: each float64 of ``values``
+    as ``"%.17g" % v``, followed by its separator ``seps[i % len(seps)]``."""
+    return "".join("%.17g%c" % (v, seps[i % len(seps)])
+                   for i, v in enumerate(np.asarray(values).tolist())).encode()
+
+
 def file_text_per_entry(header, entries) -> str:
     """The text of a statelift file: the header lines, then one line per
     entry, ``re im`` for a complex entry, each number by ``str.format``."""

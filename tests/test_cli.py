@@ -412,6 +412,24 @@ def test_nogo_falsifier_exit_code(tmp_path, capsys, monkeypatch):
     assert report["falsifiers"] == "1"
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.28 TiB for an array with shape (10000, 10000, 10000) and data type "
+     "complex128", "error: constraint: out of memory: Unable to allocate 7.28 TiB for an array "
+     "with shape (10000, 10000, 10000) and data type complex128"),
+    ("", "error: constraint: out of memory"),
+], ids=["numpy", "bare"])
+def test_an_allocation_failure_exits_5_and_is_logged(tmp_path, capsys, monkeypatch, message, line):
+    # a sweep that asks for more memory than there is, faked so that the test allocates nothing
+    def sweep(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(liftings, "no_go_sweep", sweep)
+    assert run(tmp_path, "nogo", "--ds", 100, "--de", 100, "--trials", 1,
+               "--eps", 1e-2, "--seed", 1) == EXIT_CONSTRAINT
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert last_record(tmp_path)["exit_code"] == EXIT_CONSTRAINT
+
+
 def test_fixed_nogo_sweep_has_no_falsifier(tmp_path, capsys):
     assert run(tmp_path, "nogo", "--ds", 2, "--de", 2, "--trials", 100,
                "--eps", 1e-8, "--seed", 7) == 0

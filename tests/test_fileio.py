@@ -1,14 +1,18 @@
+import os
+import stat
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from statelift import FormatError, Lifting, product_lifting, random_density
+from statelift import FormatError, Lifting, fileio, product_lifting, random_density
 from statelift.liftings import perturbed_product_lifting
 from statelift.fileio import (
     _BLOCK,
     _Reader,
+    _decimal17,
+    _format17,
     read_lift_table,
     read_lifting,
     read_matrix,
@@ -20,7 +24,7 @@ from statelift.fileio import (
 )
 from statelift.rng import philox_rng
 
-from oracles import FILE_KINDS, file_text_per_entry, read_file_per_line
+from oracles import FILE_KINDS, file_text_per_entry, format17_percent, read_file_per_line
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -203,13 +207,24 @@ def test_write_is_deterministic(tmp_path):
 _SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 1e16, 1e17]
 
 
-def test_block_writers_match_per_entry_text(tmp_path):
-    # more than two blocks of entries, and a count that is no multiple of _BLOCK
+def test_block_writers_match_per_entry_text(tmp_path, monkeypatch):
+    # full blocks formatted by _format17, then by the %-format alone as shorter blocks are
+    for fast in (True, False):
+        with monkeypatch.context() as patch:
+            if not fast:
+                patch.setattr(fileio, "_format17", format17_percent)
+            _assert_block_writers_match_per_entry_text(tmp_path)
+
+
+def _assert_block_writers_match_per_entry_text(tmp_path):
+    # more than two blocks of entries, and a count that is no multiple of _BLOCK, so that
+    # full blocks and a short one are written
     rng = philox_rng(5)
     n = 2 * _BLOCK + 7
     values = rng.standard_normal(2 * n) * 10.0 ** rng.integers(-300, 300, 2 * n)
     values[: 2 * len(_SPECIAL)] = np.repeat(_SPECIAL, 2)
     values[2 * len(_SPECIAL) : 4 * len(_SPECIAL)] = np.tile(_SPECIAL, 2)
+    values[-2 * _BLOCK :: 3] = rng.standard_normal(len(values[-2 * _BLOCK :: 3]))  # the fast range
     v = values.view(np.complex128)
     write_vector(tmp_path / "v.vec", v)
     want = file_text_per_entry(["statelift/vector v1", f"dim {n}"], v)
@@ -220,14 +235,92 @@ def test_block_writers_match_per_entry_text(tmp_path):
     want = file_text_per_entry(["statelift/matrix v1", "dim 65"], m.reshape(-1))
     assert (tmp_path / "m.mat").read_bytes() == want.encode()
 
-    f = product_lifting(random_density(4, seed=6), 4)
-    write_lifting(tmp_path / "f.lift", f)
-    want = file_text_per_entry(["statelift/lifting v1", "dims 4 4"], f.matrix.reshape(-1))
-    assert (tmp_path / "f.lift").read_bytes() == want.encode()
+    # (4, 4) liftings are one full block, mostly zeros or dense; a (3, 2) one is a short block
+    d = random_density(4, seed=6)
+    for f in (product_lifting(d, 4), perturbed_product_lifting(d, 4, 1e-3, seed=7),
+              perturbed_product_lifting(random_density(2, seed=8), 3, 1e-3, seed=9)):
+        write_lifting(tmp_path / "f.lift", f)
+        header = ["statelift/lifting v1", f"dims {f.ds} {f.de}"]
+        want = file_text_per_entry(header, f.matrix.reshape(-1))
+        assert (tmp_path / "f.lift").read_bytes() == want.encode()
 
     write_product_measure(tmp_path / "mu.m2", values.reshape(n, 2))
     want = file_text_per_entry(["statelift/measure2 v1", f"shape {n} 2"], values)
     assert (tmp_path / "mu.m2").read_bytes() == want.encode()
+
+
+def _format17_corpus():
+    """About a million doubles, by case."""
+    rng = philox_rng(11)
+    powers = np.array([float(f"1e{k}") for k in range(-30, 22)])  # 1e-7, 1e16 and 1e17 among them
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    odd = 2 * rng.integers(2 * 10**15, 45 * 10**14, 200_000) + 1
+    mantissas = rng.uniform(1, 10, 100_000)
+    dense = rng.standard_normal(2 * _BLOCK) * 1e-2
+    dense[rng.random(dense.size) < 0.96] = 0.0
+    return {
+        "random bits": _random_doubles(rng, 300_000),
+        "random-exponent normals": rng.standard_normal(300_000) * 10 ** rng.uniform(-35, 20, 300_000),
+        "powers of ten and their neighbours": np.concatenate([powers, -powers]),
+        "ties j/4": odd / 4 * rng.choice([-1.0, 1.0], odd.size),
+        # j 2^-(p + 1) 10^p = j 5^p / 2, a tie, for p = 23 and 24
+        "ties past 10^22": np.r_[np.arange(3, 17, 2) * 2.0**-24, 2.0**-25, 3 * 2.0**-25],
+        # p = 16 - X = 22 and 23, 44 and 45: one and two steps of 10^p, and past them
+        "p = 22 edge": np.concatenate([mantissas[:50_000] * 1e-6, mantissas[50_000:] * 1e-7]),
+        "p = 44 edge": np.concatenate([mantissas[:50_000] * 1e-28, mantissas[50_000:] * 1e-29]),
+        "zero-heavy block": np.concatenate([dense, -dense, np.zeros(2 * _BLOCK)]),
+        "zeros only": np.concatenate([np.zeros(2 * _BLOCK), -np.zeros(2 * _BLOCK)]),
+        "%-format only": np.concatenate([rng.standard_normal(2 * _BLOCK) * 1e200,
+                                         rng.integers(1, 2**52, 2 * _BLOCK) * 5e-324]),
+    }
+
+
+@pytest.mark.parametrize("seps", [b"\n", b" \n"], ids=["per_line 1", "per_line 2"])
+def test_format17_matches_the_percent_format(seps):
+    for case, values in _format17_corpus().items():
+        for part in (values, values[: 2 * _BLOCK]):
+            assert _format17(part, seps) == format17_percent(part, seps), case
+
+
+def test_decimal17_gives_the_digits_of_the_percent_e_format():
+    # the digits of every value of the fast range above 1e-28 are certain, but for ties
+    # past 10^22; those of a value below 10^-28 are not
+    for case, values in _format17_corpus().items():
+        a = np.abs(values[(np.abs(values) >= 1e-28) & (np.abs(values) < 1e17)])
+        digits, exponent, certain = _decimal17(a)
+        assert np.all(certain[a > 1e-28] ^ (case == "ties past 10^22")), case
+        assert not np.any(certain[a < 1e-28]), case
+        text = [("%.16e" % v).split("e") for v in a[certain].tolist()]
+        assert digits[certain].tolist() == [int(m.replace(".", "")) for m, _ in text], case
+        assert exponent[certain].tolist() == [int(x) for _, x in text], case
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_matrix(tmp_path / "m.mat", np.eye(2))
+        write_vector(tmp_path / "v.vec", np.ones(3))
+        write_lifting(tmp_path / "f.lift", product_lifting(random_density(2, seed=1), 2))
+        write_product_measure(tmp_path / "mu.m2", np.eye(2))
+    finally:
+        os.umask(old)
+    for name in ("m.mat", "v.vec", "f.lift", "mu.m2"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.lift", "m.mat", "mu.m2", "v.vec"]
+
+
+def test_write_lifting_memory_is_block_bounded(tmp_path):
+    # the (8, 8) matrix holds 4 MiB; its text is formatted a block of _BLOCK lines at a time
+    f = perturbed_product_lifting(random_density(8, seed=7), 8, 1e-3, 8)
+    write_lifting(tmp_path / "f.lift", f)
+    tracemalloc.start()
+    try:
+        write_lifting(tmp_path / "f.lift", f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_oversized_size_field_rejected_without_allocating(tmp_path):
