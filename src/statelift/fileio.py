@@ -21,17 +21,27 @@ from .errors import FormatError
 # entries are written this many lines at a time, which bounds the memory
 # their token strings take
 _BLOCK = 2**12
+# a block of this many values or more is formatted by _format17, and a shorter
+# one by one %-format, which is faster there: _format17 costs about 70-100 us a
+# call whatever its size
+_FORMAT17_MIN = 2**10
 
 # 10^0 .. 10^22, each exact as a double
 _POW10 = np.array([float(10**k) for k in range(23)])
-# the four decimal digits of each 4-digit group value 0 .. 9999
-_GROUP_DIGITS = np.arange(10**4, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
-# those digits in ASCII, each followed by a 0xFF that keeps a point slot, as
-# one 8-byte word; and how many of them precede the trailing zeros
-_DIGITS8 = np.full((10**4, 8), 0xFF, np.uint8)
-_DIGITS8[:, ::2] = _GROUP_DIGITS + 48
-_DIGITS8 = _DIGITS8.view(np.uint64)[:, 0]
-_SIG4 = np.max(np.where(_GROUP_DIGITS > 0, np.arange(1, 5, dtype=np.int8), np.int8(0)), axis=1)
+
+
+def _digit_tables():
+    """The four decimal digits of each 4-digit group value 0 .. 9999 in ASCII,
+    each followed by a 0xFF that keeps a point slot, as one 8-byte word; and
+    how many of them precede the trailing zeros."""
+    digits = np.arange(10**4, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+    words = np.full((10**4, 8), 0xFF, np.uint8)
+    words[:, ::2] = digits + 48
+    sig = np.max(np.where(digits > 0, np.arange(1, 5, dtype=np.int8), np.int8(0)), axis=1)
+    return words.view(np.uint64)[:, 0], sig
+
+
+_DIGITS8, _SIG4 = _digit_tables()
 
 
 def _layouts() -> np.ndarray:
@@ -173,9 +183,9 @@ def _format17(values, seps: bytes) -> bytes:
 def _atomic_write(path: str, header: list, values: np.ndarray, per_line: int = 1) -> None:
     """Write the header lines and then the float64 ``values``, ``per_line`` to
     a line with 17 significant digits each, to a temp file renamed over
-    ``path``.  Each full block of ``_BLOCK`` lines is formatted by
-    ``_format17``, and a shorter one, where numpy's cost per call outweighs
-    the saving, by one %-format: the same bytes."""
+    ``path``.  Each block of ``_BLOCK`` lines, or the shorter last one, is
+    formatted by ``_format17`` if it holds at least ``_FORMAT17_MIN`` values
+    and else by one %-format: the same bytes."""
     rows = np.asarray(values, dtype=np.float64).reshape(-1, per_line)
     line = " ".join(["%.17g"] * per_line) + "\n"
     seps = b" " * (per_line - 1) + b"\n"
@@ -184,14 +194,13 @@ def _atomic_write(path: str, header: list, values: np.ndarray, per_line: int = 1
     try:
         name = os.path.join(directory, ".statelift-" + os.urandom(8).hex())
         # created as open() creates a file, so that its mode follows the umask
-        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-        fd = os.open(name, flags, 0o666)
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
         with os.fdopen(fd, "wb") as handle:
             handle.write("".join(h + "\n" for h in header).encode("ascii"))
             for start in range(0, len(rows), _BLOCK):
                 block = rows[start : start + _BLOCK]
-                if len(block) == _BLOCK:
+                if block.size >= _FORMAT17_MIN:
                     handle.write(_format17(block.ravel(), seps))
                 else:
                     text = line * len(block) % tuple(block.ravel().tolist())

@@ -10,6 +10,7 @@ from statelift import FormatError, Lifting, fileio, product_lifting, random_dens
 from statelift.liftings import perturbed_product_lifting
 from statelift.fileio import (
     _BLOCK,
+    _FORMAT17_MIN,
     _Reader,
     _decimal17,
     _format17,
@@ -208,7 +209,8 @@ _SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 
 
 
 def test_block_writers_match_per_entry_text(tmp_path, monkeypatch):
-    # full blocks formatted by _format17, then by the %-format alone as shorter blocks are
+    # blocks of _FORMAT17_MIN values or more formatted by _format17, then by the %-format
+    # alone, as shorter blocks are
     for fast in (True, False):
         with monkeypatch.context() as patch:
             if not fast:
@@ -218,7 +220,8 @@ def test_block_writers_match_per_entry_text(tmp_path, monkeypatch):
 
 def _assert_block_writers_match_per_entry_text(tmp_path):
     # more than two blocks of entries, and a count that is no multiple of _BLOCK, so that
-    # full blocks and a short one are written
+    # full blocks and a short one are written; then single short blocks on both sides of
+    # _FORMAT17_MIN
     rng = philox_rng(5)
     n = 2 * _BLOCK + 7
     values = rng.standard_normal(2 * n) * 10.0 ** rng.integers(-300, 300, 2 * n)
@@ -229,15 +232,21 @@ def _assert_block_writers_match_per_entry_text(tmp_path):
     write_vector(tmp_path / "v.vec", v)
     want = file_text_per_entry(["statelift/vector v1", f"dim {n}"], v)
     assert (tmp_path / "v.vec").read_bytes() == want.encode()
+    for lines in (_FORMAT17_MIN // 2 - 1, _FORMAT17_MIN // 2):
+        write_vector(tmp_path / "v.vec", v[-lines:])
+        want = file_text_per_entry(["statelift/vector v1", f"dim {lines}"], v[-lines:])
+        assert (tmp_path / "v.vec").read_bytes() == want.encode()
 
     m = v[: 65 * 65].reshape(65, 65)
     write_matrix(tmp_path / "m.mat", m)
     want = file_text_per_entry(["statelift/matrix v1", "dim 65"], m.reshape(-1))
     assert (tmp_path / "m.mat").read_bytes() == want.encode()
 
-    # (4, 4) liftings are one full block, mostly zeros or dense; a (3, 2) one is a short block
+    # (4, 4) liftings are one full block, mostly zeros or dense; a (4, 2) one is a short
+    # block of 2048 values, and a (3, 2) one of 648
     d = random_density(4, seed=6)
     for f in (product_lifting(d, 4), perturbed_product_lifting(d, 4, 1e-3, seed=7),
+              perturbed_product_lifting(d, 2, 1e-3, seed=10),
               perturbed_product_lifting(random_density(2, seed=8), 3, 1e-3, seed=9)):
         write_lifting(tmp_path / "f.lift", f)
         header = ["statelift/lifting v1", f"dims {f.ds} {f.de}"]
@@ -247,6 +256,18 @@ def _assert_block_writers_match_per_entry_text(tmp_path):
     write_product_measure(tmp_path / "mu.m2", values.reshape(n, 2))
     want = file_text_per_entry(["statelift/measure2 v1", f"shape {n} 2"], values)
     assert (tmp_path / "mu.m2").read_bytes() == want.encode()
+
+
+def _near_ties_past_10_22():
+    """Doubles a = (2^52 + k) 2^-(52 + p) with 16 - p their decimal exponent, for
+    p = 23 and 24, whose a 10^p = (2^52 + k) 5^p 2^-52 lies m 2^-52 from a tie,
+    0 < |m| < 16: nearer than the 2^-48 error of the two steps of 10^p."""
+    near = []
+    for p in (23, 24):
+        inverse = pow(5**p, -1, 2**52)
+        k = [(2**51 + m) * inverse % 2**52 for m in range(-15, 16) if m]
+        near += [a for a in np.add(2.0**52, k) * 2.0 ** -(52 + p) if a < 10.0 ** (17 - p)]
+    return np.array(near)
 
 
 def _format17_corpus():
@@ -265,6 +286,7 @@ def _format17_corpus():
         "ties j/4": odd / 4 * rng.choice([-1.0, 1.0], odd.size),
         # j 2^-(p + 1) 10^p = j 5^p / 2, a tie, for p = 23 and 24
         "ties past 10^22": np.r_[np.arange(3, 17, 2) * 2.0**-24, 2.0**-25, 3 * 2.0**-25],
+        "near-ties past 10^22": np.concatenate([_near_ties_past_10_22(), -_near_ties_past_10_22()]),
         # p = 16 - X = 22 and 23, 44 and 45: one and two steps of 10^p, and past them
         "p = 22 edge": np.concatenate([mantissas[:50_000] * 1e-6, mantissas[50_000:] * 1e-7]),
         "p = 44 edge": np.concatenate([mantissas[:50_000] * 1e-28, mantissas[50_000:] * 1e-29]),
@@ -284,11 +306,11 @@ def test_format17_matches_the_percent_format(seps):
 
 def test_decimal17_gives_the_digits_of_the_percent_e_format():
     # the digits of every value of the fast range above 1e-28 are certain, but for ties
-    # past 10^22; those of a value below 10^-28 are not
+    # and near-ties past 10^22; those of a value below 10^-28 are not
     for case, values in _format17_corpus().items():
         a = np.abs(values[(np.abs(values) >= 1e-28) & (np.abs(values) < 1e17)])
         digits, exponent, certain = _decimal17(a)
-        assert np.all(certain[a > 1e-28] ^ (case == "ties past 10^22")), case
+        assert np.all(certain[a > 1e-28] ^ ("ties past 10^22" in case)), case
         assert not np.any(certain[a < 1e-28]), case
         text = [("%.16e" % v).split("e") for v in a[certain].tolist()]
         assert digits[certain].tolist() == [int(m.replace(".", "")) for m, _ in text], case
