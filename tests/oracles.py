@@ -630,6 +630,12 @@ def reassemble(c: np.ndarray) -> np.ndarray:
     return c.transpose(0, 2, 1, 3).reshape(ds * de, ds * de)
 
 
+def adjoint_reversal(f) -> np.ndarray:
+    """``observables.adjoint_lifting``'s matrix as one reversal of the four split axes."""
+    ds, dim = f.ds, f.ds * f.de
+    return f.matrix.reshape(dim, dim, ds, ds).T.reshape(ds * ds, -1)
+
+
 def adjoint_reduction(r) -> Lifting:
     """Adjoint of a reduction map by reindexing; inverts ``observables.adjoint_lifting`` exactly."""
     ds, dim = r.ds, r.ds * r.de

@@ -26,6 +26,7 @@ from statelift.rng import philox_rng
 
 from oracles import (
     adjoint_reduction,
+    adjoint_reversal,
     kron,
     matrix_unit,
     reduce_observable_kron,
@@ -118,6 +119,20 @@ def test_adjoint_matches_dense_permutations():
         assert np.array_equal(back.matrix, m)
 
 
+# one tile up to (8, 4); then tiles of 16 rows at (8, 8) and of 8 rows at (16, 4), (32, 2), (12, 5)
+# and (25, 1), whose dims 60 and 25 leave a last tile of 4 rows and of 1 row
+@pytest.mark.parametrize("ds, de", [(1, 3), (2, 2), (3, 7), (8, 4), (8, 8), (16, 4), (32, 2), (12, 5),
+                                    (25, 1)])
+def test_adjoint_keeps_the_bits_of_the_reversal_at_every_tiling(ds, de):
+    rng = philox_rng(24)
+    shape = ((ds * de) ** 2, ds * ds)
+    f = Lifting(ds, de, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    r = adjoint_lifting(f)
+    assert r.matrix.flags.c_contiguous
+    assert np.array_equal(r.matrix, adjoint_reversal(f))
+    assert np.array_equal(adjoint_reduction(r).matrix, f.matrix)
+
+
 def test_adjoint_memory_stays_below_dense_permutation():
     f = product_lifting(random_density(8, seed=23), 8)
     tracemalloc.start()
@@ -126,8 +141,9 @@ def test_adjoint_memory_stays_below_dense_permutation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense transpose-permutation alone is 268 MB at (8, 8)
-    assert peak < 64 * 2**20
+    # the output alone is 4 MiB at (8, 8); a tile path with a full-size temporary doubles it, and
+    # the dense transpose-permutation alone is 268 MB
+    assert peak < f.matrix.nbytes + 2**20
 
 
 def test_unit_reduction_product_and_violation():
